@@ -16,7 +16,6 @@ from .core import (
     Verdict,
     Witness,
     canonical_symbol,
-    eval_generated,
     ranges,
     tabulate,
 )

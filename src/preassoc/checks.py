@@ -10,7 +10,7 @@ reproducible.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 from .core import EPSILON, Chain, TableFn, Verdict, Witness, ranges
 from .errors import NotAnOperationError
@@ -130,16 +130,64 @@ def _index_key(chain: Chain, *tuples_):
     return (total, flat, lens)
 
 
-def _verdict(prop, fn, cases, best):
-    witness = best[1] if best is not None else None
-    return Verdict(prop, witness is None, cases, witness, fn.max_arity)
+class _Scan:
+    """The minimal witness among the violations one checker reports.
+
+    Witnesses are ordered by (total length of the parts, chain indices of
+    their concatenation, part lengths), then by the scalar values; the first
+    of equal keys is kept.  A violation longer than the best one so far costs
+    only a length sum, and a witness is built only when its key wins.
+    """
+
+    __slots__ = ("prop", "fn", "key", "witness")
+
+    def __init__(self, prop: str, fn: TableFn):
+        self.prop = prop
+        self.fn = fn
+        self.key = None
+        self.witness = None
+
+    def fail(self, parts, values, scalars=(), note=""):
+        total = 0
+        for _, t in parts:
+            total += len(t)
+        best = self.key
+        if best is not None and total > best[0]:
+            return
+        key = _index_key(self.fn.domain, *[t for _, t in parts])
+        key += tuple(v for _, v in scalars)
+        if best is None or key < best:
+            self.key = key
+            self.witness = Witness(parts, values, scalars, note)
+
+    def verdict(self, cases: int, extra=()) -> Verdict:
+        w = self.witness
+        return Verdict(self.prop, w is None, cases, w, self.fn.max_arity, extra)
 
 
-def _take(best, key, witness_thunk):
-    """Keep the smaller of the current best and a new candidate."""
-    if best is None or key < best[0]:
-        return (key, witness_thunk())
-    return best
+def _first_failure(fn: TableFn, fails):
+    """The first nonempty tuple, in canonical order, whose value fails.
+
+    Returns (tuples tested, that tuple), or (tuples tested, None) when every
+    value passes.
+    """
+    entries = fn.entries
+    tuples = _all_tuples(fn.domain.elements, fn.max_arity)
+    for cases, t in enumerate(islice(tuples, 1, None), 1):
+        if fails(entries[t]):
+            return cases, t
+    return len(tuples) - 1, None
+
+
+def nonassociative_triple(table, elements):
+    """The first (u, v, w) in product order with (uv)w != u(vw), or None.
+
+    ``table`` is a total binary table over ``elements`` keyed by pairs.
+    """
+    for u, v, w in product(elements, repeat=3):
+        if table[(table[(u, v)], w)] != table[(u, table[(v, w)])]:
+            return (u, v, w)
+    return None
 
 
 def _require_operation(fn: TableFn, prop: str):
@@ -166,58 +214,32 @@ def check_standard(fn: TableFn) -> Verdict:
     The verdict's ``extra`` carries the stronger epsilon_standard flag.
     """
     default = fn.default
-    best = None
-    cases = 0
-    for t in _all_tuples(fn.domain.elements, fn.max_arity):
-        if not t:
-            continue
-        cases += 1
-        if fn.entries[t] == default or (fn.entries[t] is EPSILON and default is EPSILON):
-            key = _index_key(fn.domain, t)
-            best = _take(
-                best,
-                key,
-                lambda t=t: Witness(
-                    parts=(("x", t),),
-                    values=(("F(x)", fn.entries[t]), ("F(ε)", default)),
-                    note="nonempty tuple attains the default value",
-                ),
-            )
-            break  # canonical order: the first hit is minimal
-    witness = best[1] if best is not None else None
-    eps_std = fn.is_epsilon_standard
-    return Verdict(
-        "standard", witness is None, cases, witness, fn.max_arity,
-        extra=(("epsilon_standard", eps_std),),
-    )
+    scan = _Scan("standard", fn)
+    cases, t = _first_failure(fn, lambda v: v == default)
+    if t is not None:
+        scan.fail(
+            (("x", t),), (("F(x)", fn.entries[t]), ("F(ε)", default)),
+            note="nonempty tuple attains the default value",
+        )
+    return scan.verdict(cases, extra=(("epsilon_standard", fn.is_epsilon_standard),))
 
 
 def check_epsilon_standard(fn: TableFn) -> Verdict:
     """Standard operation into domain ∪ {ε} whose default is ε itself."""
-    cases = 0
+    scan = _Scan("epsilon_standard", fn)
     if not fn.is_operation:
-        w = Witness(
-            parts=(), values=(("codomain", tuple(map(repr, fn.codomain))),),
+        scan.fail(
+            (), (("codomain", tuple(map(repr, fn.codomain))),),
             note="not an operation: codomain leaves the domain",
         )
-        return Verdict("epsilon_standard", False, cases, w, fn.max_arity)
+        return scan.verdict(0)
     if fn.default is not EPSILON:
-        w = Witness(
-            parts=(), values=(("F(ε)", fn.default),),
-            note="default value is not ε",
-        )
-        return Verdict("epsilon_standard", False, cases, w, fn.max_arity)
-    for t in _all_tuples(fn.domain.elements, fn.max_arity):
-        if not t:
-            continue
-        cases += 1
-        if fn.entries[t] is EPSILON:
-            w = Witness(
-                parts=(("x", t),), values=(("F(x)", EPSILON),),
-                note="nonempty tuple maps to ε",
-            )
-            return Verdict("epsilon_standard", False, cases, w, fn.max_arity)
-    return Verdict("epsilon_standard", True, cases, None, fn.max_arity)
+        scan.fail((), (("F(ε)", fn.default),), note="default value is not ε")
+        return scan.verdict(0)
+    cases, t = _first_failure(fn, lambda v: v is EPSILON)
+    if t is not None:
+        scan.fail((("x", t),), (("F(x)", EPSILON),), note="nonempty tuple maps to ε")
+    return scan.verdict(cases)
 
 
 # ---------------------------------------------------------------------------
@@ -245,67 +267,47 @@ def check_associative(fn: TableFn, form: str = "A1") -> Verdict:
     return _check_a3(fn)
 
 
-def _subst_eps_witness(x, y, z, prefix="F"):
-    return Witness(
-        parts=(("x", x), ("y", y), ("z", z)),
-        values=((f"{prefix}(y)", EPSILON),),
-        note="substituted-epsilon: nonempty inner block evaluates to ε",
-    )
+_SUBST_EPS = "substituted-epsilon: nonempty inner block evaluates to ε"
 
 
 def _check_a1(fn: TableFn) -> Verdict:
     entries = fn.entries
     default = fn.default
-    chain = fn.domain
-    inner, outer = _assoc_candidates(chain.elements, fn.max_arity)
-    cases = 0
-    best = None
+    inner, outer = _assoc_candidates(fn.domain.elements, fn.max_arity)
+    scan = _Scan("associative_A1", fn)
     for x, y, z in inner:
-        cases += 1
         vy = entries[y]
-        lhs = entries[x + y + z]
         if vy is EPSILON:
-            key = _index_key(chain, x, y, z)
-            best = _take(best, key, lambda x=x, y=y, z=z: _subst_eps_witness(x, y, z))
+            scan.fail((("x", x), ("y", y), ("z", z)), (("F(y)", EPSILON),), note=_SUBST_EPS)
             continue
+        lhs = entries[x + y + z]
         rhs = entries[x + (vy,) + z]
         if lhs != rhs:
-            key = _index_key(chain, x, y, z)
-            best = _take(
-                best,
-                key,
-                lambda x=x, y=y, z=z, lhs=lhs, rhs=rhs: Witness(
-                    parts=(("x", x), ("y", y), ("z", z)),
-                    values=(("F(x,y,z)", lhs), ("F(x,F(y),z)", rhs)),
-                ),
+            scan.fail(
+                (("x", x), ("y", y), ("z", z)),
+                (("F(x,y,z)", lhs), ("F(x,F(y),z)", rhs)),
             )
-    for x, z in outer:  # y = ε, so the substituted block is the default value
-        cases += 1
-        if default is EPSILON:
-            continue  # F(x, F(ε), z) = F(x, z): trivially equal
-        lhs = entries[x + z] if x + z else default
-        rhs = entries[x + (default,) + z]
-        if lhs != rhs:
-            key = _index_key(chain, x, (), z)
-            best = _take(
-                best,
-                key,
-                lambda x=x, z=z, lhs=lhs, rhs=rhs: Witness(
-                    parts=(("x", x), ("y", ()), ("z", z)),
-                    values=(("F(x,y,z)", lhs), ("F(x,F(y),z)", rhs)),
-                ),
-            )
-    return _verdict("associative_A1", fn, cases, best)
+    # y = ε, so the substituted block is the default value; with default ε
+    # F(x, F(ε), z) = F(x, z) holds trivially
+    if default is not EPSILON:
+        for x, z in outer:
+            lhs = entries[x + z] if x + z else default
+            rhs = entries[x + (default,) + z]
+            if lhs != rhs:
+                scan.fail(
+                    (("x", x), ("y", ()), ("z", z)),
+                    (("F(x,y,z)", lhs), ("F(x,F(y),z)", rhs)),
+                )
+    return scan.verdict(len(inner) + len(outer))
 
 
 def _check_a2(fn: TableFn) -> Verdict:
     """All decompositions w = (x, y, z) give the same substituted value."""
     entries = fn.entries
     default = fn.default
-    chain = fn.domain
+    scan = _Scan("associative_A2", fn)
     cases = 0
-    best = None
-    for w in _all_tuples(chain.elements, fn.max_arity):
+    for w in _all_tuples(fn.domain.elements, fn.max_arity):
         results = []  # ((x, y, z), value-or-None for substituted ε)
         n = len(w)
         for i in range(n + 1):
@@ -313,8 +315,9 @@ def _check_a2(fn: TableFn) -> Verdict:
                 x, y, z = w[:i], w[i : i + j], w[i + j :]
                 vy = entries[y] if y else default
                 if vy is EPSILON and y:
-                    key = _index_key(chain, x, y, z)
-                    best = _take(best, key, lambda x=x, y=y, z=z: _subst_eps_witness(x, y, z))
+                    scan.fail(
+                        (("x", x), ("y", y), ("z", z)), (("F(y)", EPSILON),), note=_SUBST_EPS
+                    )
                     results.append(((x, y, z), None))
                     continue
                 sub = x + _wrap(vy) + z
@@ -322,31 +325,22 @@ def _check_a2(fn: TableFn) -> Verdict:
         m = len(results)
         cases += m * (m - 1) // 2
         vals = [r for r in results if r[1] is not None]
-        for (dec1, v1), (dec2, v2) in combinations(vals, 2):
+        for ((x, y, z), v1), ((xp, yp, zp), v2) in combinations(vals, 2):
             if v1 != v2:
-                key = _index_key(chain, *dec1, *dec2)
-                best = _take(
-                    best,
-                    key,
-                    lambda dec1=dec1, dec2=dec2, v1=v1, v2=v2: Witness(
-                        parts=(
-                            ("x", dec1[0]), ("y", dec1[1]), ("z", dec1[2]),
-                            ("x'", dec2[0]), ("y'", dec2[1]), ("z'", dec2[2]),
-                        ),
-                        values=(("F(x,F(y),z)", v1), ("F(x',F(y'),z')", v2)),
-                    ),
+                scan.fail(
+                    (("x", x), ("y", y), ("z", z), ("x'", xp), ("y'", yp), ("z'", zp)),
+                    (("F(x,F(y),z)", v1), ("F(x',F(y'),z')", v2)),
                 )
-    return _verdict("associative_A2", fn, cases, best)
+    return scan.verdict(cases)
 
 
 def _check_a3(fn: TableFn) -> Verdict:
     """F(x, y) = F(F(x), F(y)) over all pairs within the arity bound."""
     entries = fn.entries
     default = fn.default
-    chain = fn.domain
-    by_len = _tuples_by_len(chain.elements, fn.max_arity)
+    by_len = _tuples_by_len(fn.domain.elements, fn.max_arity)
+    scan = _Scan("associative_A3", fn)
     cases = 0
-    best = None
     for total in range(fn.max_arity + 1):
         for i in range(total + 1):
             for x in by_len[i]:
@@ -355,31 +349,19 @@ def _check_a3(fn: TableFn) -> Verdict:
                     cases += 1
                     vy = entries[y] if y else default
                     if (vx is EPSILON and x) or (vy is EPSILON and y):
-                        key = _index_key(chain, x, y)
-                        best = _take(
-                            best,
-                            key,
-                            lambda x=x, y=y, vx=vx, vy=vy: Witness(
-                                parts=(("x", x), ("y", y)),
-                                values=(("F(x)", vx), ("F(y)", vy)),
-                                note="substituted-epsilon: nonempty block evaluates to ε",
-                            ),
+                        scan.fail(
+                            (("x", x), ("y", y)), (("F(x)", vx), ("F(y)", vy)),
+                            note="substituted-epsilon: nonempty block evaluates to ε",
                         )
                         continue
                     lhs = entries[x + y] if x + y else default
                     sub = _wrap(vx) + _wrap(vy)
                     rhs = entries[sub] if sub else default
                     if lhs != rhs:
-                        key = _index_key(chain, x, y)
-                        best = _take(
-                            best,
-                            key,
-                            lambda x=x, y=y, lhs=lhs, rhs=rhs: Witness(
-                                parts=(("x", x), ("y", y)),
-                                values=(("F(x,y)", lhs), ("F(F(x),F(y))", rhs)),
-                            ),
+                        scan.fail(
+                            (("x", x), ("y", y)), (("F(x,y)", lhs), ("F(F(x),F(y))", rhs))
                         )
-    return _verdict("associative_A3", fn, cases, best)
+    return scan.verdict(cases)
 
 
 # ---------------------------------------------------------------------------
@@ -413,38 +395,26 @@ def _value_classes(fn: TableFn):
 def _check_p1(fn: TableFn) -> Verdict:
     entries = fn.entries
     default = fn.default
-    chain = fn.domain
     n = fn.max_arity
-    elements = chain.elements
+    elements = fn.domain.elements
+    scan = _Scan("preassociative_P1", fn)
     cases = 0
-    best = None
     for group in _value_classes(fn).values():
-        if len(group) < 2:
-            continue
-        for a in range(len(group) - 1):
-            y = group[a]
-            for b in range(a + 1, len(group)):
-                yp = group[b]  # canonical order: len(y) <= len(yp)
-                budget = n - len(yp)
-                if budget < 0:
-                    continue
-                for x, z in _context_pairs(elements, budget):
-                    cases += 1
+        for a, y in enumerate(group):
+            for yp in group[a + 1 :]:  # canonical order: len(y) <= len(yp)
+                contexts = _context_pairs(elements, n - len(yp))
+                cases += len(contexts)
+                for x, z in contexts:
                     t1 = x + y + z
                     t2 = x + yp + z
                     lhs = entries[t1] if t1 else default
                     rhs = entries[t2] if t2 else default
                     if lhs != rhs:
-                        key = _index_key(chain, x, y, yp, z)
-                        best = _take(
-                            best,
-                            key,
-                            lambda x=x, y=y, yp=yp, z=z, lhs=lhs, rhs=rhs: Witness(
-                                parts=(("x", x), ("y", y), ("y'", yp), ("z", z)),
-                                values=(("F(x,y,z)", lhs), ("F(x,y',z)", rhs)),
-                            ),
+                        scan.fail(
+                            (("x", x), ("y", y), ("y'", yp), ("z", z)),
+                            (("F(x,y,z)", lhs), ("F(x,y',z)", rhs)),
                         )
-    return _verdict("preassociative_P1", fn, cases, best)
+    return scan.verdict(cases)
 
 
 def _check_p2(fn: TableFn) -> Verdict:
@@ -467,27 +437,17 @@ def _check_p2(fn: TableFn) -> Verdict:
                     bucket = buckets.setdefault((vx, vy), {})
                     if v not in bucket:
                         bucket[v] = (x, y)
-    best = None
+    scan = _Scan("preassociative_P2", fn)
     for bucket in buckets.values():
-        if len(bucket) < 2:
-            continue
-        for (v1, p1), (v2, p2) in combinations(bucket.items(), 2):
-            first, second = sorted((p1, p2), key=lambda p: _index_key(chain, *p))
-            key = _index_key(chain, *first, *second)
-            vf = entries[first[0] + first[1]] if first[0] + first[1] else default
-            vs = entries[second[0] + second[1]] if second[0] + second[1] else default
-            best = _take(
-                best,
-                key,
-                lambda first=first, second=second, vf=vf, vs=vs: Witness(
-                    parts=(
-                        ("x", first[0]), ("y", first[1]),
-                        ("x'", second[0]), ("y'", second[1]),
-                    ),
-                    values=(("F(x,y)", vf), ("F(x',y')", vs)),
-                ),
+        for pair in combinations(bucket.items(), 2):
+            (vf, (x, y)), (vs, (xp, yp)) = sorted(
+                pair, key=lambda item: _index_key(chain, *item[1])
             )
-    return _verdict("preassociative_P2", fn, cases, best)
+            scan.fail(
+                (("x", x), ("y", y), ("x'", xp), ("y'", yp)),
+                (("F(x,y)", vf), ("F(x',y')", vs)),
+            )
+    return scan.verdict(cases)
 
 
 # ---------------------------------------------------------------------------
@@ -498,20 +458,15 @@ def _check_p2(fn: TableFn) -> Verdict:
 def check_unarily_idempotent(fn: TableFn) -> Verdict:
     """The unary part is the identity."""
     _require_operation(fn, "unarily_idempotent")
-    best = None
+    scan = _Scan("unarily_idempotent", fn)
     cases = 0
     for u in fn.domain.elements:
         cases += 1
         v = fn.entries[(u,)]
         if v != u:
-            key = _index_key(fn.domain, (u,))
-            best = _take(
-                best,
-                key,
-                lambda u=u, v=v: Witness(parts=(("x", (u,)),), values=(("F(x)", v),)),
-            )
+            scan.fail((("x", (u,)),), (("F(x)", v),))
             break
-    return _verdict("unarily_idempotent", fn, cases, best)
+    return scan.verdict(cases)
 
 
 def check_unarily_range_idempotent(fn: TableFn) -> Verdict:
@@ -519,51 +474,26 @@ def check_unarily_range_idempotent(fn: TableFn) -> Verdict:
     _require_operation(fn, "unarily_range_idempotent")
     entries = fn.entries
     default = fn.default
-    best = None
-    cases = 0
-    for t in _all_tuples(fn.domain.elements, fn.max_arity):
-        if not t:
-            continue
-        cases += 1
+
+    def f1(v):  # the unary part, with F(ε) at ε
+        return default if v is EPSILON else entries[(v,)]
+
+    scan = _Scan("unarily_range_idempotent", fn)
+    cases, t = _first_failure(fn, lambda v: f1(v) != v)
+    if t is not None:
         v = entries[t]
-        fv = default if v is EPSILON else entries[(v,)]
-        if fv != v:
-            key = _index_key(fn.domain, t)
-            best = _take(
-                best,
-                key,
-                lambda t=t, v=v, fv=fv: Witness(
-                    parts=(("x", t),),
-                    values=(("F(x)", v), ("F(F(x))", fv)),
-                ),
-            )
-            break
-    return _verdict("unarily_range_idempotent", fn, cases, best)
+        scan.fail((("x", t),), (("F(x)", v), ("F(F(x))", f1(v))))
+    return scan.verdict(cases)
 
 
 def check_unarily_quasi_range_idempotent(fn: TableFn) -> Verdict:
     """The unary part attains every value the whole function attains."""
-    ran1, ranflat = ranges(fn)
-    best = None
-    cases = 0
-    for t in _all_tuples(fn.domain.elements, fn.max_arity):
-        if not t:
-            continue
-        cases += 1
-        v = fn.entries[t]
-        if v not in ran1:
-            key = _index_key(fn.domain, t)
-            best = _take(
-                best,
-                key,
-                lambda t=t, v=v: Witness(
-                    parts=(("x", t),),
-                    values=(("F(x)", v),),
-                    note="value outside ran(F1)",
-                ),
-            )
-            break
-    return _verdict("unarily_quasi_range_idempotent", fn, cases, best)
+    ran1, _ = ranges(fn)
+    scan = _Scan("unarily_quasi_range_idempotent", fn)
+    cases, t = _first_failure(fn, lambda v: v not in ran1)
+    if t is not None:
+        scan.fail((("x", t),), (("F(x)", fn.entries[t]),), note="value outside ran(F1)")
+    return scan.verdict(cases)
 
 
 def check_range_idempotent(fn: TableFn) -> Verdict:
@@ -571,7 +501,7 @@ def check_range_idempotent(fn: TableFn) -> Verdict:
     _require_operation(fn, "range_idempotent")
     entries = fn.entries
     default = fn.default
-    best = None
+    scan = _Scan("range_idempotent", fn)
     cases = 0
     seen = set()
     for t in _all_tuples(fn.domain.elements, fn.max_arity):
@@ -582,62 +512,37 @@ def check_range_idempotent(fn: TableFn) -> Verdict:
         if v is EPSILON:
             cases += 1
             if default is not EPSILON:
-                key = _index_key(fn.domain, t) + (1,)
-                best = _take(
-                    best,
-                    key,
-                    lambda t=t: Witness(
-                        parts=(("x", t),),
-                        values=(("F(x)", EPSILON), ("F(k·F(x))", default)),
-                        scalars=(("k", 1),),
-                    ),
+                scan.fail(
+                    (("x", t),), (("F(x)", EPSILON), ("F(k·F(x))", default)), (("k", 1),)
                 )
             continue
         for k in range(1, fn.max_arity + 1):
             cases += 1
             rep = entries[(v,) * k]
             if rep != v:
-                key = _index_key(fn.domain, t)
-                best = _take(
-                    best,
-                    key + (k,),
-                    lambda t=t, v=v, k=k, rep=rep: Witness(
-                        parts=(("x", t),),
-                        values=(("F(x)", v), ("F(k·F(x))", rep)),
-                        scalars=(("k", k),),
-                    ),
-                )
+                scan.fail((("x", t),), (("F(x)", v), ("F(k·F(x))", rep)), (("k", k),))
                 break
-    return _verdict("range_idempotent", fn, cases, best)
+    return scan.verdict(cases)
 
 
 def check_idempotent(fn: TableFn) -> Verdict:
     """F_n(x, ..., x) = x at every arity."""
     _require_operation(fn, "idempotent")
-    best = None
+    scan = _Scan("idempotent", fn)
     cases = 0
     for n in range(1, fn.max_arity + 1):
         for u in fn.domain.elements:
             cases += 1
             v = fn.entries[(u,) * n]
             if v != u:
-                key = (n, fn.domain.index(u))
-                best = _take(
-                    best,
-                    key,
-                    lambda u=u, n=n, v=v: Witness(
-                        parts=(("x", (u,) * n),),
-                        values=(("F(x)", v),),
-                        scalars=(("arity", n),),
-                    ),
-                )
-    return _verdict("idempotent", fn, cases, best)
+                scan.fail((("x", (u,) * n),), (("F(x)", v),), (("arity", n),))
+    return scan.verdict(cases)
 
 
 def check_replication_invariant(fn: TableFn) -> Verdict:
     """F(k · x) = F(x) whenever the replicated tuple still fits the arity."""
     entries = fn.entries
-    best = None
+    scan = _Scan("replication_invariant", fn)
     cases = 0
     for t in _all_tuples(fn.domain.elements, fn.max_arity):
         if not t:
@@ -647,31 +552,19 @@ def check_replication_invariant(fn: TableFn) -> Verdict:
             cases += 1
             rep = entries[t * k]
             if rep != v:
-                key = _index_key(fn.domain, t) + (k,)
-                best = _take(
-                    best,
-                    key,
-                    lambda t=t, k=k, v=v, rep=rep: Witness(
-                        parts=(("x", t),),
-                        values=(("F(x)", v), ("F(k·x)", rep)),
-                        scalars=(("k", k),),
-                    ),
-                )
+                scan.fail((("x", t),), (("F(x)", v), ("F(k·x)", rep)), (("k", k),))
                 break
-    return _verdict("replication_invariant", fn, cases, best)
+    return scan.verdict(cases)
 
 
 def check_replication_preinvariant(fn: TableFn) -> Verdict:
     """Equal values replicate equally: F(x) = F(y) implies F(k·x) = F(k·y)."""
     entries = fn.entries
     default = fn.default
-    chain = fn.domain
     n = fn.max_arity
-    best = None
+    scan = _Scan("replication_preinvariant", fn)
     cases = 0
     for group in _value_classes(fn).values():
-        if len(group) < 2:
-            continue
         for x, y in combinations(group, 2):
             kmax = n
             if x:
@@ -685,18 +578,11 @@ def check_replication_preinvariant(fn: TableFn) -> Verdict:
                 vx = entries[tx] if tx else default
                 vy = entries[ty] if ty else default
                 if vx != vy:
-                    key = _index_key(chain, x, y) + (k,)
-                    best = _take(
-                        best,
-                        key,
-                        lambda x=x, y=y, k=k, vx=vx, vy=vy: Witness(
-                            parts=(("x", x), ("y", y)),
-                            values=(("F(k·x)", vx), ("F(k·y)", vy)),
-                            scalars=(("k", k),),
-                        ),
+                    scan.fail(
+                        (("x", x), ("y", y)), (("F(k·x)", vx), ("F(k·y)", vy)), (("k", k),)
                     )
                     break
-    return _verdict("replication_preinvariant", fn, cases, best)
+    return scan.verdict(cases)
 
 
 def check_idempotence_suite(fn: TableFn) -> dict:
@@ -735,7 +621,7 @@ def _check_monotone(fn: TableFn, prop: str) -> Verdict:
     entries = fn.entries
     chain = fn.domain
     cod = _codomain_index(fn)
-    best = None
+    scan = _Scan(prop, fn)
     cases = 0
     want_leq = prop == "nondecreasing"
     for n in range(1, fn.max_arity + 1):
@@ -749,17 +635,12 @@ def _check_monotone(fn: TableFn, prop: str) -> Verdict:
                 a, b = cod[entries[t]], cod[entries[t2]]
                 bad = a > b if want_leq else a < b
                 if bad:
-                    key = _index_key(chain, t, t2) + (i,)
-                    best = _take(
-                        best,
-                        key,
-                        lambda t=t, t2=t2, i=i: Witness(
-                            parts=(("x", t), ("x'", t2)),
-                            values=(("F(x)", entries[t]), ("F(x')", entries[t2])),
-                            scalars=(("position", i),),
-                        ),
+                    scan.fail(
+                        (("x", t), ("x'", t2)),
+                        (("F(x)", entries[t]), ("F(x')", entries[t2])),
+                        (("position", i),),
                     )
-    return _verdict(prop, fn, cases, best)
+    return scan.verdict(cases)
 
 
 def check_symmetric(fn: TableFn) -> Verdict:
@@ -767,55 +648,44 @@ def check_symmetric(fn: TableFn) -> Verdict:
     entries = fn.entries
     chain = fn.domain
     idx = chain.index
-    best = None
+    scan = _Scan("symmetric", fn)
     cases = 0
     for n in range(2, fn.max_arity + 1):
         for t in chain.tuples(n):
             cases += 1
             canon = tuple(sorted(t, key=idx))
             if entries[t] != entries[canon]:
-                key = _index_key(chain, t)
-                best = _take(
-                    best,
-                    key,
-                    lambda t=t, canon=canon: Witness(
-                        parts=(("x", t), ("sorted(x)", canon)),
-                        values=(("F(x)", entries[t]), ("F(sorted(x))", entries[canon])),
-                    ),
+                scan.fail(
+                    (("x", t), ("sorted(x)", canon)),
+                    (("F(x)", entries[t]), ("F(sorted(x))", entries[canon])),
                 )
-    return _verdict("symmetric", fn, cases, best)
+    return scan.verdict(cases)
 
 
 def check_convex_sections(fn: TableFn) -> Verdict:
     """Every one-argument section has a gap-free image in the codomain order."""
     entries = fn.entries
-    chain = fn.domain
+    elements = fn.domain.elements
     cod = _codomain_index(fn)
-    codomain = fn.codomain
-    best = None
+    scan = _Scan("convex_sections", fn)
     cases = 0
-    by_len = _tuples_by_len(chain.elements, fn.max_arity)
+    by_len = _tuples_by_len(elements, fn.max_arity)
     for n in range(1, fn.max_arity + 1):
         for i in range(n):
             for pre in by_len[i]:
                 for post in by_len[n - 1 - i]:
                     cases += 1
-                    image = {cod[entries[pre + (u,) + post]] for u in chain.elements}
+                    image = {cod[entries[pre + (u,) + post]] for u in elements}
                     lo, hi = min(image), max(image)
                     missing = [j for j in range(lo, hi + 1) if j not in image]
                     if missing:
-                        key = (n, _index_key(chain, pre, post), i, missing[0])
-                        best = _take(
-                            best,
-                            key,
-                            lambda pre=pre, post=post, i=i, n=n, missing=missing: Witness(
-                                parts=(("y", pre), ("z", post)),
-                                values=(("missing", codomain[missing[0]]),),
-                                scalars=(("arity", n), ("position", i)),
-                                note="section image has a gap",
-                            ),
+                        scan.fail(
+                            (("y", pre), ("z", post)),
+                            (("missing", fn.codomain[missing[0]]),),
+                            (("arity", n), ("position", i)),
+                            note="section image has a gap",
                         )
-    return _verdict("convex_sections", fn, cases, best)
+    return scan.verdict(cases)
 
 
 def check_order_properties(fn: TableFn) -> dict:

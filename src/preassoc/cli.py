@@ -12,13 +12,12 @@ import math
 import sys
 
 from . import __version__
-from .checks import CHECKERS, PROPERTY_NAMES, run_checks
-from .core import EPSILON, Chain, Interval, TableFn
+from .checks import CHECKERS, OPERATION_ONLY, PROPERTY_NAMES, nonassociative_triple, run_checks
+from .core import EPSILON, Chain, Interval, TableFn, tabulate
 from .enumeration import (
     all_binary_tables,
     all_epsilon_standard,
     all_operations,
-    binary_associative,
     default_chain,
 )
 from .errors import NotAnOperationError, PreassocError, PreconditionError
@@ -54,22 +53,6 @@ ALIASES = {
     "uri": "unarily_range_idempotent",
     "uqri": "unarily_quasi_range_idempotent",
 }
-
-#: Filter names that widen enumeration beyond default-ε standard candidates.
-_GENERAL_FILTERS = frozenset(
-    (
-        "standard",
-        "preassociative_P1",
-        "preassociative_P2",
-        "unarily_quasi_range_idempotent",
-        "replication_invariant",
-        "replication_preinvariant",
-        "nondecreasing",
-        "nonincreasing",
-        "symmetric",
-        "convex_sections",
-    )
-)
 
 ENUMERATE_CHAIN_LIMIT = 3
 ENUMERATE_ARITY_LIMIT = 4
@@ -242,8 +225,6 @@ def _cmd_generate(args, parser) -> int:
         grid = _csv_floats(args.grid, parser, "--grid")
         interval = Interval(min(grid), max(grid))
         gen = make_quasi_sum(phi, psi, interval, _infer_j(phi, grid))
-        from .core import tabulate
-
         fn = tabulate(gen, grid, n, default=EPSILON)
     elif family == "ling":
         if not args.grid:
@@ -254,8 +235,6 @@ def _cmd_generate(args, parser) -> int:
         psi = _named_unary(args.psi, parser, "--psi")
         grid = _csv_floats(args.grid, parser, "--grid")
         gen = make_ling(phi, psi, float(args.a), float(args.b))
-        from .core import tabulate
-
         fn = tabulate(gen, grid, n, default=EPSILON)
     else:
         parser.error(f"unknown family {family!r}")
@@ -308,16 +287,17 @@ def _cmd_enumerate(args, parser) -> int:
         if special_binary:
             for table in all_binary_tables(chain):
                 scanned += 1
-                if binary_associative(table, chain.elements):
+                if nonassociative_triple(table, chain.elements) is None:
                     fn = extend_unary_binary(
                         FiniteMap.identity(chain.elements), table, n
                     )
                     out.write(dumps_function_compact(fn) + "\n")
                     emitted += 1
         else:
+            # properties checkable beyond operations widen the universe
             universe = (
                 all_operations(chain, n)
-                if any(name in _GENERAL_FILTERS for name in filters)
+                if any(name not in OPERATION_ONLY for name in filters)
                 else all_epsilon_standard(chain, n)
             )
             for fn in universe:

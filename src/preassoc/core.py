@@ -385,11 +385,6 @@ def _med3(u, v, w):
     return sorted((u, v, w))[1]
 
 
-def eval_generated(gen: GeneratedFn, xs: Sequence[float]) -> float:
-    """Module-level alias for GeneratedFn.eval."""
-    return gen.eval(xs)
-
-
 def canonical_symbol(value: float) -> str:
     """Render a real value as its canonical 12-significant-digit symbol."""
     v = float(value)

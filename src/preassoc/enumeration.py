@@ -21,6 +21,7 @@ from .checks import (
     check_replication_preinvariant,
     check_unarily_quasi_range_idempotent,
     check_unarily_range_idempotent,
+    nonassociative_triple,
 )
 from .core import EPSILON, Chain, TableFn
 from .errors import ConditionError
@@ -87,14 +88,6 @@ def all_binary_tables(chain: Chain) -> Iterator[dict]:
         yield dict(zip(pairs, values))
 
 
-def binary_associative(table: dict, elements) -> bool:
-    """Plain triple-loop associativity test for a binary table."""
-    for u, v, w in product(elements, repeat=3):
-        if table[(table[(u, v)], w)] != table[(u, table[(v, w)])]:
-            return False
-    return True
-
-
 def all_associative_extensions(chain: Chain, max_arity: int) -> Iterator[TableFn]:
     """Every associative default-ε standard operation on the chain at this arity.
 
@@ -103,7 +96,9 @@ def all_associative_extensions(chain: Chain, max_arity: int) -> Iterator[TableFn
     conditions hold.
     """
     elements = chain.elements
-    assoc_tables = [t for t in all_binary_tables(chain) if binary_associative(t, elements)]
+    assoc_tables = [
+        t for t in all_binary_tables(chain) if nonassociative_triple(t, elements) is None
+    ]
     unary_maps = [
         dict(zip(elements, values))
         for values in product(elements, repeat=len(elements))

@@ -10,13 +10,13 @@ operations, and evaluates factored functions recursively.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .checks import (
     check_associative,
     check_preassociative,
     check_standard,
     check_unarily_quasi_range_idempotent,
+    nonassociative_triple,
 )
 from .core import EPSILON, Chain, TableFn
 from .errors import (
@@ -152,13 +152,12 @@ def extend_unary_binary(f1: FiniteMap, f2, max_arity: int) -> TableFn:
                 f"F2 does not absorb F1 at ({u!r},{v!r})",
                 witness=(u, v),
             )
-    for u, v, w in product(elements, repeat=3):  # condition (iii)
-        if table[(table[(u, v)], w)] != table[(u, table[(v, w)])]:
-            raise ConditionError(
-                "iii",
-                f"binary part not associative at ({u!r},{v!r},{w!r})",
-                witness=(u, v, w),
-            )
+    triple = nonassociative_triple(table, elements)  # condition (iii)
+    if triple is not None:
+        raise ConditionError(
+            "iii", "binary part not associative at ({!r},{!r},{!r})".format(*triple),
+            witness=triple,
+        )
 
     chain = Chain(elements)
     entries = {}

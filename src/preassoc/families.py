@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Sequence
 
+from .checks import nonassociative_triple
 from .core import (
     EPSILON,
     Chain,
@@ -300,11 +301,11 @@ def _check_seed_axioms(kind, table, values, neutral, index):
                 raise AxiomError(
                     "nondecreasing", f"decreasing step at ({u!r},{v!r})", witness=(u, v)
                 )
-    for u, v, w in product(values, repeat=3):  # associativity
-        if table[(table[(u, v)], w)] != table[(u, table[(v, w)])]:
-            raise AxiomError(
-                "associative", f"not associative at ({u!r},{v!r},{w!r})", witness=(u, v, w)
-            )
+    triple = nonassociative_triple(table, values)  # associativity
+    if triple is not None:
+        raise AxiomError(
+            "associative", "not associative at ({!r},{!r},{!r})".format(*triple), witness=triple
+        )
 
 
 def lift_tnorm(f: Callable, seed: TableFn) -> TableFn:

@@ -261,6 +261,15 @@ def load_function(path) -> TableFn:
 
 
 def save_function(fn: TableFn, path):
+    """Write the canonical form, refusing symbols the loader would not read back."""
+    for field, symbols in (("domain", fn.domain.elements), ("codomain", fn.codomain)):
+        for s in symbols:
+            if s is not EPSILON and (not isinstance(s, str) or s == EPSILON_TOKEN):
+                raise FunctionFileError(
+                    f"{field} symbol {s!r} cannot be saved: function files hold "
+                    f"strings other than the reserved {EPSILON_TOKEN!r}",
+                    field=field,
+                )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps_function(fn))
 

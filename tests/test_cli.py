@@ -5,6 +5,7 @@ import json
 import jsonschema
 import pytest
 
+from preassoc.checks import PROPERTY_NAMES
 from preassoc.cli import main
 from preassoc.core import EPSILON, TableFn, tabulate
 from preassoc.serialization import (
@@ -14,6 +15,18 @@ from preassoc.serialization import (
     load_function,
     save_function,
 )
+
+#: Filters whose enumeration stays within default-ε standard candidates.
+_OPERATION_ONLY_FILTERS = frozenset((
+    "epsilon_standard",
+    "associative_A1",
+    "associative_A2",
+    "associative_A3",
+    "unarily_idempotent",
+    "unarily_range_idempotent",
+    "range_idempotent",
+    "idempotent",
+))
 
 
 @pytest.fixture
@@ -254,11 +267,15 @@ class TestEnumerate:
         ])
         assert code == 0
 
-    def test_general_filter_widens_universe(self, capsys):
-        # standard is checkable beyond default-ε operations: the universe
-        # includes every default, so more candidates are scanned
+    @pytest.mark.parametrize("prop", PROPERTY_NAMES)
+    def test_general_filter_widens_universe(self, prop, capsys):
+        # a property checkable beyond default-ε operations widens the universe
+        # to every default, so more candidates are scanned
         code = main(["enumerate", "--chain-size", "1", "--max-arity", "1",
-                     "--filter", "standard"])
+                     "--filter", prop])
         captured = capsys.readouterr()
         assert code == 0
-        assert "scanned 4" in captured.err  # (1+ε)^1 entries x (1+ε) defaults
+        if prop in _OPERATION_ONLY_FILTERS:
+            assert "scanned 1 " in captured.err  # the one default-ε table
+        else:
+            assert "scanned 4 " in captured.err  # (1+ε)^1 entries x (1+ε) defaults

@@ -12,7 +12,6 @@ from preassoc.core import (
     Interval,
     TableFn,
     canonical_symbol,
-    eval_generated,
     ranges,
     tabulate,
 )
@@ -127,7 +126,7 @@ class TestTabulate:
         grid = [0.25, 0.5, 1.0]
         fn = tabulate(gen, grid, 2)
         for t in product(grid, repeat=2):
-            expected = canonical_symbol(eval_generated(gen, t))
+            expected = canonical_symbol(gen.eval(t))
             key = tuple(canonical_symbol(x) for x in t)
             assert fn.eval(key) == expected
 
@@ -163,7 +162,7 @@ class TestGeneratedEval:
             phi=math.log,
             psi=math.exp,
         )
-        assert eval_generated(gen, (0.5, 0.5)) == pytest.approx(0.25, abs=1e-12)
+        assert gen.eval((0.5, 0.5)) == pytest.approx(0.25, abs=1e-12)
 
     def test_unary_case_is_psi_phi(self):
         gen = GeneratedFn(
@@ -171,7 +170,7 @@ class TestGeneratedEval:
         )
         for i in range(10):
             x = 0.2 * i
-            assert eval_generated(gen, (x,)) == pytest.approx(2 * (x + 1), abs=1e-12)
+            assert gen.eval((x,)) == pytest.approx(2 * (x + 1), abs=1e-12)
 
     def test_ling_lukasiewicz_value(self):
         gen = GeneratedFn(
@@ -183,21 +182,21 @@ class TestGeneratedEval:
             b=1.0,
         )
         # direct arithmetic oracle: 1 - min(0.3 + 0.3, 1) = 0.4
-        assert eval_generated(gen, (0.7, 0.7)) == pytest.approx(0.4, abs=1e-12)
+        assert gen.eval((0.7, 0.7)) == pytest.approx(0.4, abs=1e-12)
 
     def test_rejects_empty_and_out_of_interval(self):
         gen = GeneratedFn(family="quasi_sum", interval=Interval(0, 1), phi=abs, psi=abs)
         with pytest.raises(ValueError):
-            eval_generated(gen, ())
+            gen.eval(())
         with pytest.raises(ValueError):
-            eval_generated(gen, (2.0,))
+            gen.eval((2.0,))
 
     def test_fold_family(self):
         gen = GeneratedFn(
             family="variadic_tnorm", interval=Interval(0, 1), binary=min
         )
-        assert eval_generated(gen, (0.7,)) == 0.7
-        assert eval_generated(gen, (0.7, 0.2, 0.5)) == 0.2
+        assert gen.eval((0.7,)) == 0.7
+        assert gen.eval((0.7, 0.2, 0.5)) == 0.2
 
 
 def test_epsilon_marker_is_singleton_and_unpicklable_to_copy():

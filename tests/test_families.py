@@ -15,7 +15,7 @@ from preassoc.checks import (
     check_symmetric,
     check_unarily_quasi_range_idempotent,
 )
-from preassoc.core import Chain, Interval, eval_generated, tabulate
+from preassoc.core import Chain, Interval, tabulate
 from preassoc.errors import AxiomError, GeneratorError, GridClosureError
 from preassoc.factorize import factorize
 from preassoc.families import (
@@ -35,20 +35,20 @@ class TestQuasiSum:
         gen = make_quasi_sum(
             math.log, math.exp, Interval(0, 1, lo_open=True), Interval(hi=0.0)
         )
-        assert eval_generated(gen, (0.5, 0.5)) == pytest.approx(0.25, abs=1e-12)
+        assert gen.eval((0.5, 0.5)) == pytest.approx(0.25, abs=1e-12)
 
     def test_identity_pair_is_summation(self):
         gen = make_quasi_sum(lambda x: x, lambda t: t, Interval(), Interval())
-        assert eval_generated(gen, (1.0, 2.0, 3.5)) == pytest.approx(6.5, abs=1e-12)
+        assert gen.eval((1.0, 2.0, 3.5)) == pytest.approx(6.5, abs=1e-12)
 
     def test_cubed_psi_breaks_sampled_associativity(self):
         gen = make_quasi_sum(lambda x: x, lambda t: t ** 3, Interval(), Interval())
-        assert eval_generated(gen, (1.0, 2.0)) == pytest.approx(27.0, abs=1e-12)
+        assert gen.eval((1.0, 2.0)) == pytest.approx(27.0, abs=1e-12)
         # preassociativity survives tabulation, plain associativity does not
         fn = tabulate(gen, [0.0, 1.0, 2.0], 2)
         assert check_preassociative(fn, "P2").holds
-        lhs = eval_generated(gen, (1.0, 2.0))
-        rhs = eval_generated(gen, (eval_generated(gen, (1.0, 2.0)),))
+        lhs = gen.eval((1.0, 2.0))
+        rhs = gen.eval((gen.eval((1.0, 2.0)),))
         assert abs(lhs - rhs) > 1.0  # psi is not the identity on its range
 
     def test_rejects_nonmonotone_phi(self):
@@ -69,21 +69,21 @@ class TestLing:
     def test_lukasiewicz_shape(self):
         gen = make_ling(lambda x: 1 - x, lambda t: 1 - t, 0, 1)
         # direct arithmetic: 1 - min((1-0.7) + (1-0.7), 1) = 0.4
-        assert eval_generated(gen, (0.7, 0.7)) == pytest.approx(0.4, abs=1e-12)
+        assert gen.eval((0.7, 0.7)) == pytest.approx(0.4, abs=1e-12)
 
     def test_neutral_at_b_on_grid(self):
         gen = make_ling(lambda x: 1 - x, lambda t: 1 - t, 0, 1)
         for i in range(11):
             x = i / 10
-            assert eval_generated(gen, (1.0, x)) == pytest.approx(
-                eval_generated(gen, (x,)), abs=1e-12
+            assert gen.eval((1.0, x)) == pytest.approx(
+                gen.eval((x,)), abs=1e-12
             )
 
     def test_interior_diagonal_drops(self):
         gen = make_ling(lambda x: 1 - x, lambda t: 1 - t, 0, 1)
         for i in range(1, 10):
             x = i / 10  # interior points only
-            assert eval_generated(gen, (x, x)) < eval_generated(gen, (x,))
+            assert gen.eval((x, x)) < gen.eval((x,))
 
     def test_phi_endpoint_enforced(self):
         with pytest.raises(GeneratorError):

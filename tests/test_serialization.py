@@ -7,7 +7,7 @@ import pytest
 
 from preassoc import __version__
 from preassoc.checks import check_preassociative, check_standard
-from preassoc.core import EPSILON, TableFn, tabulate
+from preassoc.core import EPSILON, Chain, TableFn, tabulate
 from preassoc.errors import FunctionFileError
 from preassoc.serialization import (
     FUNCTION_SCHEMA,
@@ -17,6 +17,7 @@ from preassoc.serialization import (
     dumps_function_compact,
     function_digest,
     loads_function,
+    save_function,
     table_from_dict,
     table_to_dict,
 )
@@ -125,6 +126,31 @@ class TestValidation:
         doc["entries"].pop()
         fn = table_from_dict(doc)
         assert fn.codomain == ("1",) or fn.codomain == ("0", "1")
+
+
+def _unary_fn(domain, values):
+    chain = Chain(domain)
+    entries = {(u,): v for u, v in zip(domain, values)}
+    return TableFn(chain, tuple(dict.fromkeys(values)), 1, EPSILON, entries)
+
+
+class TestSave:
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda: tabulate(min, Chain((0, 1)), 2), "domain"),
+            (lambda: _unary_fn(("0", "1"), (1, 2)), "codomain"),
+            (lambda: _unary_fn(("0", "ε"), ("0", "0")), "domain"),
+            (lambda: _unary_fn(("0", "1"), ("ε", "1")), "codomain"),
+        ],
+        ids=["int-domain", "int-codomain", "eps-token-domain", "eps-token-codomain"],
+    )
+    def test_unloadable_symbols_refused_before_writing(self, tmp_path, make, field):
+        path = tmp_path / "f.json"
+        with pytest.raises(FunctionFileError) as info:
+            save_function(make(), path)
+        assert info.value.field == field
+        assert not path.exists()
 
 
 class TestReports:
