@@ -1,7 +1,11 @@
-"""Exhaustive axiom checkers over truncated tuple universes.
+"""Axiom checkers over truncated tuple universes.
 
-Every checker scans its whole (truncated) quantifier space, so a holding
-verdict is a proof at the recorded max arity.  When a property fails, the
+Every verdict covers its whole (truncated) quantifier space, so a holding
+verdict is a proof at the recorded max arity and ``cases_checked`` is the
+size of that space.  Most checkers scan the space case by case.  A2, P1 and
+replication-preinvariance are first decided by linear tests that are proved
+equivalent to their scans; only when such a test fails does the exhaustive
+scan run, and it alone produces the witness.  When a property fails, the
 reported witness is the minimal counterexample under (total tuple length,
 then chain order on the concatenated symbols), which keeps CI failures
 reproducible.
@@ -11,6 +15,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, islice, product
+from math import comb
 
 from .core import EPSILON, Chain, TableFn, Verdict, Witness, ranges
 from .errors import NotAnOperationError
@@ -179,6 +184,18 @@ def _first_failure(fn: TableFn, fails):
     return len(tuples) - 1, None
 
 
+def _decided(prop: str, fn: TableFn, cases_if_holds, scan) -> Verdict:
+    """The holding verdict of a fast decider, else the exhaustive scan's verdict.
+
+    ``cases_if_holds(fn)`` returns the scan's ``cases_checked`` when the
+    property holds and None otherwise; ``scan(fn)`` is the reference scan.
+    """
+    cases = cases_if_holds(fn)
+    if cases is None:
+        return scan(fn)
+    return Verdict(prop, True, cases, None, fn.max_arity)
+
+
 def nonassociative_triple(table, elements):
     """The first (u, v, w) in product order with (uv)w != u(vw), or None.
 
@@ -263,7 +280,7 @@ def check_associative(fn: TableFn, form: str = "A1") -> Verdict:
     if form == "A1":
         return _check_a1(fn)
     if form == "A2":
-        return _check_a2(fn)
+        return _decided(prop, fn, _a2_cases, _a2_scan)
     return _check_a3(fn)
 
 
@@ -301,7 +318,30 @@ def _check_a1(fn: TableFn) -> Verdict:
     return scan.verdict(len(inner) + len(outer))
 
 
-def _check_a2(fn: TableFn) -> Verdict:
+def _a2_cases(fn: TableFn):
+    """``cases_checked`` of the A2 scan if A2 holds, else None.
+
+    Assumes default ε.  A decomposition with y = ε substitutes nothing and
+    gives F(w), so A2 holds iff every decomposition with y nonempty has
+    F(y) ≠ ε and F(x, F(y), z) = F(w).  The scan compares all C(m, 2) pairs of
+    the m = (n+1)(n+2)/2 decompositions of each n-tuple.
+    """
+    entries = fn.entries
+    n_max = fn.max_arity
+    for w in _all_tuples(fn.domain.elements, n_max):
+        vw = entries[w] if w else EPSILON
+        n = len(w)
+        for i in range(n):
+            x = w[:i]
+            for j in range(i + 1, n + 1):
+                vy = entries[w[i:j]]
+                if vy is EPSILON or entries[x + (vy,) + w[j:]] != vw:
+                    return None
+    k = len(fn.domain.elements)
+    return sum(k**n * comb((n + 1) * (n + 2) // 2, 2) for n in range(n_max + 1))
+
+
+def _a2_scan(fn: TableFn) -> Verdict:
     """All decompositions w = (x, y, z) give the same substituted value."""
     entries = fn.entries
     default = fn.default
@@ -372,12 +412,14 @@ def _check_a3(fn: TableFn) -> Verdict:
 def check_preassociative(fn: TableFn, form: str = "P1") -> Verdict:
     """Preassociativity via contexts (P1) or via the two-equality form (P2).
 
-    Works for arbitrary codomains.  Tuples are grouped into F-equivalence
-    classes first, so the cost is quadratic in class sizes instead of the
-    naive quadruple loop.
+    Works for arbitrary codomains.  A holding P1 verdict is decided by
+    comparing each tuple with the first tuple of its value class under
+    one-letter extensions, linear in the number of tuples; a failing one
+    comes from the exhaustive scan over every same-class pair and context,
+    which yields the minimal witness.
     """
     if form == "P1":
-        return _check_p1(fn)
+        return _decided("preassociative_P1", fn, _p1_cases, _p1_scan)
     if form == "P2":
         return _check_p2(fn)
     raise ValueError(f"unknown preassociativity form {form!r}")
@@ -392,7 +434,46 @@ def _value_classes(fn: TableFn):
     return groups
 
 
-def _check_p1(fn: TableFn) -> Verdict:
+def _context_count(k: int, budget: int) -> int:
+    """The number of contexts (x, z) with |x| + |z| <= budget over k symbols."""
+    return sum((t + 1) * k**t for t in range(budget + 1))
+
+
+def _p1_cases(fn: TableFn):
+    """``cases_checked`` of the P1 scan if P1 holds, else None.
+
+    P1 holds iff F(u·y) = F(u·r) and F(y·u) = F(r·u) for every symbol u and
+    every tuple y with |y| < N, where r is the first (hence shortest) tuple of
+    y's value class.  Necessity: these are contexts of length 1 within the
+    budget N - |y|.  Sufficiency, by induction on |x| + |z|: peel one letter u
+    off x (or z); then u·y and u·r share a class and the longer of the pair,
+    u·y, has budget N - |y| - 1 for the rest of the context.  The scan visits
+    every context within N - |y'| for each same-class pair (y, y'), y' the
+    later one.
+    """
+    entries = fn.entries
+    default = fn.default
+    n = fn.max_arity
+    elements = fn.domain.elements
+    contexts = [_context_count(len(elements), b) for b in range(n + 1)]
+    first = {}  # value -> first tuple of its class
+    size = {}  # value -> members of its class seen so far
+    cases = 0
+    for y in _all_tuples(elements, n):
+        v = entries[y] if y else default
+        r = first.setdefault(v, y)
+        b = size.get(v, 0)
+        size[v] = b + 1
+        cases += b * contexts[n - len(y)]
+        if b == 0 or len(y) == n:
+            continue
+        for u in elements:
+            if entries[(u,) + y] != entries[(u,) + r] or entries[y + (u,)] != entries[r + (u,)]:
+                return None
+    return cases
+
+
+def _p1_scan(fn: TableFn) -> Verdict:
     entries = fn.entries
     default = fn.default
     n = fn.max_arity
@@ -559,6 +640,37 @@ def check_replication_invariant(fn: TableFn) -> Verdict:
 
 def check_replication_preinvariant(fn: TableFn) -> Verdict:
     """Equal values replicate equally: F(x) = F(y) implies F(k·x) = F(k·y)."""
+    return _decided("replication_preinvariant", fn, _prepl_cases, _prepl_scan)
+
+
+def _prepl_cases(fn: TableFn):
+    """``cases_checked`` of the replication-preinvariance scan if it holds, else None.
+
+    It holds iff, within each value class and for each k >= 2, every member x
+    with k·|x| <= N gives the same F(k·x); ε fits every k <= N.  The scan tries
+    k = 2..N // |y| for each same-class pair (x, y), y the later (longer) one.
+    """
+    entries = fn.entries
+    default = fn.default
+    n = fn.max_arity
+    replicated = {}  # (F(x), k) -> F(k·x) of the first member that fits k
+    size = {}  # value -> members of its class seen so far
+    cases = 0
+    for x in _all_tuples(fn.domain.elements, n):
+        v = entries[x] if x else default
+        kmax = n // len(x) if x else n
+        b = size.get(v, 0)
+        size[v] = b + 1
+        cases += b * max(0, kmax - 1)
+        for k in range(2, kmax + 1):
+            xk = x * k
+            vk = entries[xk] if xk else default
+            if replicated.setdefault((v, k), vk) != vk:
+                return None
+    return cases
+
+
+def _prepl_scan(fn: TableFn) -> Verdict:
     entries = fn.entries
     default = fn.default
     n = fn.max_arity

@@ -20,7 +20,7 @@ from .enumeration import (
     all_operations,
     default_chain,
 )
-from .errors import NotAnOperationError, PreassocError, PreconditionError
+from .errors import PreassocError, PreconditionError
 from .factorize import extend_unary_binary, factorize
 from .families import (
     TCONORMS,
@@ -54,8 +54,8 @@ ALIASES = {
     "uqri": "unarily_quasi_range_idempotent",
 }
 
-ENUMERATE_CHAIN_LIMIT = 3
-ENUMERATE_ARITY_LIMIT = 4
+#: The most candidates ``enumerate`` scans without ``--force``.
+ENUMERATE_LIMIT = 2**20
 
 NAMED_UNARY = {
     "id": lambda x: x,
@@ -247,10 +247,34 @@ def _cmd_generate(args, parser) -> int:
 
 def _passes_filters(fn, names) -> bool:
     # a candidate outside a checker's precondition cannot satisfy the property
-    try:
-        return all(CHECKERS[name](fn).holds for name in names)
-    except (NotAnOperationError, ValueError):
-        return False
+    for name in names:
+        if (name in OPERATION_ONLY and not fn.is_operation) or (
+            name in ("associative_A2", "associative_A3") and fn.default is not EPSILON
+        ):
+            return False
+    return all(CHECKERS[name](fn).holds for name in names)
+
+
+def _universe_size(k: int, n: int, filters, binary: bool) -> int:
+    """The number of candidates ``enumerate`` scans on a k-chain at max arity n.
+
+    That is k^(k²) binary tables for associative_binary, the
+    ``epsilon_standard_count`` when every filter is operation-only, and
+    (k+1)^(slots+1) tables with any default otherwise.  A count above
+    ``ENUMERATE_LIMIT`` may be returned as ENUMERATE_LIMIT + 1.
+    """
+    # any base >= 2 to a power above 20 exceeds 2^20, so neither the slot
+    # count nor the power is computed beyond that
+    slots = sum(k**i for i in range(1, min(n, 21) + 1))
+    if binary:
+        base, exponent = k, k * k
+    elif all(name in OPERATION_ONLY for name in filters):
+        base, exponent = k, slots
+    else:
+        base, exponent = k + 1, slots + 1
+    if base >= 2 and exponent > 20:
+        return ENUMERATE_LIMIT + 1
+    return base**exponent
 
 
 def _cmd_enumerate(args, parser) -> int:
@@ -271,10 +295,10 @@ def _cmd_enumerate(args, parser) -> int:
         parser.error("associative_binary cannot be combined with other filters")
 
     size, n = args.chain_size, args.max_arity
-    if (size > ENUMERATE_CHAIN_LIMIT or n > ENUMERATE_ARITY_LIMIT) and not args.force:
+    if _universe_size(size, n, filters, special_binary) > ENUMERATE_LIMIT and not args.force:
         print(
-            f"refusing chain size {size} / max arity {n} "
-            f"(limits {ENUMERATE_CHAIN_LIMIT}/{ENUMERATE_ARITY_LIMIT}); pass --force to override",
+            f"refusing chain size {size} / max arity {n}: more than {ENUMERATE_LIMIT} "
+            f"candidates to scan; pass --force to override",
             file=sys.stderr,
         )
         return 2

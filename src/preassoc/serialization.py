@@ -95,7 +95,19 @@ def _value_token(value) -> str:
 
 
 def table_to_dict(fn: TableFn) -> dict:
-    """The canonical JSON-ready form of a table function."""
+    """The canonical JSON-ready form of a table function.
+
+    Refuses, with ``FunctionFileError``, a domain or codomain symbol that the
+    loader would not read back: a non-string, or the reserved string "ε".
+    """
+    for field, symbols in (("domain", fn.domain.elements), ("codomain", fn.codomain)):
+        for s in symbols:
+            if s is not EPSILON and (not isinstance(s, str) or s == EPSILON_TOKEN):
+                raise FunctionFileError(
+                    f"{field} symbol {s!r} cannot be serialized: function files hold "
+                    f"strings other than the reserved {EPSILON_TOKEN!r}",
+                    field=field,
+                )
     idx = fn.domain.index
     ordered = sorted(fn.entries.items(), key=lambda kv: (len(kv[0]), tuple(map(idx, kv[0]))))
     return {
@@ -261,17 +273,10 @@ def load_function(path) -> TableFn:
 
 
 def save_function(fn: TableFn, path):
-    """Write the canonical form, refusing symbols the loader would not read back."""
-    for field, symbols in (("domain", fn.domain.elements), ("codomain", fn.codomain)):
-        for s in symbols:
-            if s is not EPSILON and (not isinstance(s, str) or s == EPSILON_TOKEN):
-                raise FunctionFileError(
-                    f"{field} symbol {s!r} cannot be saved: function files hold "
-                    f"strings other than the reserved {EPSILON_TOKEN!r}",
-                    field=field,
-                )
+    """Write the canonical form; unloadable symbols are refused before the file opens."""
+    text = dumps_function(fn)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_function(fn))
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import jsonschema
 import pytest
 
 from preassoc.checks import PROPERTY_NAMES
+from preassoc import cli
 from preassoc.cli import main
 from preassoc.core import EPSILON, TableFn, tabulate
 from preassoc.serialization import (
@@ -266,6 +267,27 @@ class TestEnumerate:
             "--filter", "idempotent", "--force", "--out", str(out),
         ])
         assert code == 0
+
+    def test_guard_bounds_the_scanned_universe(self, capsys):
+        # 2^(2+4+8+16) = 2^30 default-ε candidates, within the old 3/4 limits
+        code = main(["enumerate", "--chain-size", "2", "--max-arity", "4"])
+        assert code == 2
+        assert "--force" in capsys.readouterr().err
+
+    def test_filters_skip_unmet_preconditions_and_propagate_bugs(self, monkeypatch, capsys):
+        # A2 is refused for a default other than ε, which the widened
+        # universe holds: such candidates are filtered out, not errors
+        code = main(["enumerate", "--chain-size", "1", "--max-arity", "1",
+                     "--filter", "symmetric,associative_A2"])
+        assert code == 0
+        assert "scanned 4 candidates; emitted 1" in capsys.readouterr().err
+
+        def broken(fn):
+            raise ValueError("checker bug")
+
+        monkeypatch.setitem(cli.CHECKERS, "symmetric", broken)
+        with pytest.raises(ValueError, match="checker bug"):
+            cli._passes_filters(tabulate(min, ("0", "1"), 2), ["symmetric"])
 
     @pytest.mark.parametrize("prop", PROPERTY_NAMES)
     def test_general_filter_widens_universe(self, prop, capsys):

@@ -134,23 +134,36 @@ def _unary_fn(domain, values):
     return TableFn(chain, tuple(dict.fromkeys(values)), 1, EPSILON, entries)
 
 
+#: Tables whose symbols the loader would not read back, with the field at fault.
+_UNLOADABLE = pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: tabulate(min, Chain((0, 1)), 2), "domain"),
+        (lambda: _unary_fn(("0", "1"), (1, 2)), "codomain"),
+        (lambda: _unary_fn(("0", "ε"), ("0", "0")), "domain"),
+        (lambda: _unary_fn(("0", "1"), ("ε", "1")), "codomain"),
+    ],
+    ids=["int-domain", "int-codomain", "eps-token-domain", "eps-token-codomain"],
+)
+
+
 class TestSave:
-    @pytest.mark.parametrize(
-        "make, field",
-        [
-            (lambda: tabulate(min, Chain((0, 1)), 2), "domain"),
-            (lambda: _unary_fn(("0", "1"), (1, 2)), "codomain"),
-            (lambda: _unary_fn(("0", "ε"), ("0", "0")), "domain"),
-            (lambda: _unary_fn(("0", "1"), ("ε", "1")), "codomain"),
-        ],
-        ids=["int-domain", "int-codomain", "eps-token-domain", "eps-token-codomain"],
-    )
+    @_UNLOADABLE
     def test_unloadable_symbols_refused_before_writing(self, tmp_path, make, field):
         path = tmp_path / "f.json"
         with pytest.raises(FunctionFileError) as info:
             save_function(make(), path)
         assert info.value.field == field
         assert not path.exists()
+
+    @_UNLOADABLE
+    @pytest.mark.parametrize(
+        "serialize", [dumps_function, dumps_function_compact, function_digest]
+    )
+    def test_unloadable_symbols_refused_by_every_serializer(self, serialize, make, field):
+        with pytest.raises(FunctionFileError) as info:
+            serialize(make())
+        assert info.value.field == field
 
 
 class TestReports:
