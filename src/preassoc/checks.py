@@ -8,7 +8,9 @@ equivalent to their scans; only when such a test fails does the exhaustive
 scan run, and it alone produces the witness.  When a property fails, the
 reported witness is the minimal counterexample under (total tuple length,
 then chain order on the concatenated symbols), which keeps CI failures
-reproducible.
+reproducible.  Checkers read one total table of every tuple of length 0..N,
+ε included (``TableFn._table``), so a block that may be empty needs no
+separate case.
 """
 
 from __future__ import annotations
@@ -100,31 +102,16 @@ def _context_pairs(elements: tuple, budget: int) -> tuple:
 
 @lru_cache(maxsize=128)
 def _assoc_candidates(elements: tuple, n: int) -> tuple:
-    """Candidate triples for the substitution form of associativity.
+    """Candidate triples (x, y, z) for the substitution form of associativity.
 
-    Returns (inner, outer) where inner holds (x, y, z) with y nonempty,
-    |x|+|y|+|z| <= n, and outer holds (x, z) pairs for the y = ε cases with
-    |x|+1+|z| <= n.  Both respect the substituted-length bound |x|+1+|z| <= n.
+    y may be empty; every triple has |x|+|y|+|z| <= n and respects the
+    substituted-length bound |x|+1+|z| <= n.
     """
-    by_len = _tuples_by_len(elements, n)
-    inner = []
-    for total in range(1, n + 1):
-        for i in range(total + 1):
-            for j in range(1, total - i + 1):
-                k = total - i - j
-                if i + 1 + k > n:
-                    continue
-                for x in by_len[i]:
-                    for y in by_len[j]:
-                        for z in by_len[k]:
-                            inner.append((x, y, z))
-    outer = []
-    for total in range(n):  # |x| + |z| <= n - 1 so that |x| + 1 + |z| <= n
-        for i in range(total + 1):
-            for x in by_len[i]:
-                for z in by_len[total - i]:
-                    outer.append((x, z))
-    return tuple(inner), tuple(outer)
+    return tuple(
+        (x, y, z)
+        for x, z in _context_pairs(elements, n - 1)
+        for y in _all_tuples(elements, n - len(x) - len(z))
+    )
 
 
 def _index_key(chain: Chain, *tuples_):
@@ -176,10 +163,10 @@ def _first_failure(fn: TableFn, fails):
     Returns (tuples tested, that tuple), or (tuples tested, None) when every
     value passes.
     """
-    entries = fn.entries
+    table = fn._table
     tuples = _all_tuples(fn.domain.elements, fn.max_arity)
     for cases, t in enumerate(islice(tuples, 1, None), 1):
-        if fails(entries[t]):
+        if fails(table[t]):
             return cases, t
     return len(tuples) - 1, None
 
@@ -235,7 +222,7 @@ def check_standard(fn: TableFn) -> Verdict:
     cases, t = _first_failure(fn, lambda v: v == default)
     if t is not None:
         scan.fail(
-            (("x", t),), (("F(x)", fn.entries[t]), ("F(ε)", default)),
+            (("x", t),), (("F(x)", fn._table[t]), ("F(ε)", default)),
             note="nonempty tuple attains the default value",
         )
     return scan.verdict(cases, extra=(("epsilon_standard", fn.is_epsilon_standard),))
@@ -288,34 +275,24 @@ _SUBST_EPS = "substituted-epsilon: nonempty inner block evaluates to ε"
 
 
 def _check_a1(fn: TableFn) -> Verdict:
-    entries = fn.entries
-    default = fn.default
-    inner, outer = _assoc_candidates(fn.domain.elements, fn.max_arity)
+    table = fn._table
+    candidates = _assoc_candidates(fn.domain.elements, fn.max_arity)
     scan = _Scan("associative_A1", fn)
-    for x, y, z in inner:
-        vy = entries[y]
+    for x, y, z in candidates:
+        vy = table[y]
         if vy is EPSILON:
-            scan.fail((("x", x), ("y", y), ("z", z)), (("F(y)", EPSILON),), note=_SUBST_EPS)
+            # with y = ε and default ε, F(x, F(ε), z) = F(x, z) holds trivially
+            if y:
+                scan.fail((("x", x), ("y", y), ("z", z)), (("F(y)", EPSILON),), note=_SUBST_EPS)
             continue
-        lhs = entries[x + y + z]
-        rhs = entries[x + (vy,) + z]
+        lhs = table[x + y + z]
+        rhs = table[x + (vy,) + z]
         if lhs != rhs:
             scan.fail(
                 (("x", x), ("y", y), ("z", z)),
                 (("F(x,y,z)", lhs), ("F(x,F(y),z)", rhs)),
             )
-    # y = ε, so the substituted block is the default value; with default ε
-    # F(x, F(ε), z) = F(x, z) holds trivially
-    if default is not EPSILON:
-        for x, z in outer:
-            lhs = entries[x + z] if x + z else default
-            rhs = entries[x + (default,) + z]
-            if lhs != rhs:
-                scan.fail(
-                    (("x", x), ("y", ()), ("z", z)),
-                    (("F(x,y,z)", lhs), ("F(x,F(y),z)", rhs)),
-                )
-    return scan.verdict(len(inner) + len(outer))
+    return scan.verdict(len(candidates))
 
 
 def _a2_cases(fn: TableFn):
@@ -326,16 +303,16 @@ def _a2_cases(fn: TableFn):
     F(y) ≠ ε and F(x, F(y), z) = F(w).  The scan compares all C(m, 2) pairs of
     the m = (n+1)(n+2)/2 decompositions of each n-tuple.
     """
-    entries = fn.entries
+    table = fn._table
     n_max = fn.max_arity
     for w in _all_tuples(fn.domain.elements, n_max):
-        vw = entries[w] if w else EPSILON
+        vw = table[w]
         n = len(w)
         for i in range(n):
             x = w[:i]
             for j in range(i + 1, n + 1):
-                vy = entries[w[i:j]]
-                if vy is EPSILON or entries[x + (vy,) + w[j:]] != vw:
+                vy = table[w[i:j]]
+                if vy is EPSILON or table[x + (vy,) + w[j:]] != vw:
                     return None
     k = len(fn.domain.elements)
     return sum(k**n * comb((n + 1) * (n + 2) // 2, 2) for n in range(n_max + 1))
@@ -343,8 +320,7 @@ def _a2_cases(fn: TableFn):
 
 def _a2_scan(fn: TableFn) -> Verdict:
     """All decompositions w = (x, y, z) give the same substituted value."""
-    entries = fn.entries
-    default = fn.default
+    table = fn._table
     scan = _Scan("associative_A2", fn)
     cases = 0
     for w in _all_tuples(fn.domain.elements, fn.max_arity):
@@ -353,7 +329,7 @@ def _a2_scan(fn: TableFn) -> Verdict:
         for i in range(n + 1):
             for j in range(n - i + 1):
                 x, y, z = w[:i], w[i : i + j], w[i + j :]
-                vy = entries[y] if y else default
+                vy = table[y]
                 if vy is EPSILON and y:
                     scan.fail(
                         (("x", x), ("y", y), ("z", z)), (("F(y)", EPSILON),), note=_SUBST_EPS
@@ -361,7 +337,7 @@ def _a2_scan(fn: TableFn) -> Verdict:
                     results.append(((x, y, z), None))
                     continue
                 sub = x + _wrap(vy) + z
-                results.append(((x, y, z), entries[sub] if sub else default))
+                results.append(((x, y, z), table[sub]))
         m = len(results)
         cases += m * (m - 1) // 2
         vals = [r for r in results if r[1] is not None]
@@ -376,27 +352,25 @@ def _a2_scan(fn: TableFn) -> Verdict:
 
 def _check_a3(fn: TableFn) -> Verdict:
     """F(x, y) = F(F(x), F(y)) over all pairs within the arity bound."""
-    entries = fn.entries
-    default = fn.default
+    table = fn._table
     by_len = _tuples_by_len(fn.domain.elements, fn.max_arity)
     scan = _Scan("associative_A3", fn)
     cases = 0
     for total in range(fn.max_arity + 1):
         for i in range(total + 1):
             for x in by_len[i]:
-                vx = entries[x] if x else default
+                vx = table[x]
                 for y in by_len[total - i]:
                     cases += 1
-                    vy = entries[y] if y else default
+                    vy = table[y]
                     if (vx is EPSILON and x) or (vy is EPSILON and y):
                         scan.fail(
                             (("x", x), ("y", y)), (("F(x)", vx), ("F(y)", vy)),
                             note="substituted-epsilon: nonempty block evaluates to ε",
                         )
                         continue
-                    lhs = entries[x + y] if x + y else default
-                    sub = _wrap(vx) + _wrap(vy)
-                    rhs = entries[sub] if sub else default
+                    lhs = table[x + y]
+                    rhs = table[_wrap(vx) + _wrap(vy)]
                     if lhs != rhs:
                         scan.fail(
                             (("x", x), ("y", y)), (("F(x,y)", lhs), ("F(F(x),F(y))", rhs))
@@ -427,9 +401,10 @@ def check_preassociative(fn: TableFn, form: str = "P1") -> Verdict:
 
 def _value_classes(fn: TableFn):
     """Tuples of length 0..N grouped by value, in canonical tuple order."""
+    table = fn._table
     groups = {}
     for t in _all_tuples(fn.domain.elements, fn.max_arity):
-        v = fn.entries[t] if t else fn.default
+        v = table[t]
         groups.setdefault(v, []).append(t)
     return groups
 
@@ -451,8 +426,7 @@ def _p1_cases(fn: TableFn):
     every context within N - |y'| for each same-class pair (y, y'), y' the
     later one.
     """
-    entries = fn.entries
-    default = fn.default
+    table = fn._table
     n = fn.max_arity
     elements = fn.domain.elements
     contexts = [_context_count(len(elements), b) for b in range(n + 1)]
@@ -460,7 +434,7 @@ def _p1_cases(fn: TableFn):
     size = {}  # value -> members of its class seen so far
     cases = 0
     for y in _all_tuples(elements, n):
-        v = entries[y] if y else default
+        v = table[y]
         r = first.setdefault(v, y)
         b = size.get(v, 0)
         size[v] = b + 1
@@ -468,14 +442,13 @@ def _p1_cases(fn: TableFn):
         if b == 0 or len(y) == n:
             continue
         for u in elements:
-            if entries[(u,) + y] != entries[(u,) + r] or entries[y + (u,)] != entries[r + (u,)]:
+            if table[(u,) + y] != table[(u,) + r] or table[y + (u,)] != table[r + (u,)]:
                 return None
     return cases
 
 
 def _p1_scan(fn: TableFn) -> Verdict:
-    entries = fn.entries
-    default = fn.default
+    table = fn._table
     n = fn.max_arity
     elements = fn.domain.elements
     scan = _Scan("preassociative_P1", fn)
@@ -486,10 +459,8 @@ def _p1_scan(fn: TableFn) -> Verdict:
                 contexts = _context_pairs(elements, n - len(yp))
                 cases += len(contexts)
                 for x, z in contexts:
-                    t1 = x + y + z
-                    t2 = x + yp + z
-                    lhs = entries[t1] if t1 else default
-                    rhs = entries[t2] if t2 else default
+                    lhs = table[x + y + z]
+                    rhs = table[x + yp + z]
                     if lhs != rhs:
                         scan.fail(
                             (("x", x), ("y", y), ("y'", yp), ("z", z)),
@@ -500,8 +471,7 @@ def _p1_scan(fn: TableFn) -> Verdict:
 
 def _check_p2(fn: TableFn) -> Verdict:
     """The pair of values (F(x), F(y)) must determine F(x, y)."""
-    entries = fn.entries
-    default = fn.default
+    table = fn._table
     chain = fn.domain
     by_len = _tuples_by_len(chain.elements, fn.max_arity)
     buckets = {}  # (F(x), F(y)) -> {F(x,y): minimal (x, y)}
@@ -509,12 +479,11 @@ def _check_p2(fn: TableFn) -> Verdict:
     for total in range(fn.max_arity + 1):
         for i in range(total + 1):
             for x in by_len[i]:
-                vx = entries[x] if x else default
+                vx = table[x]
                 for y in by_len[total - i]:
                     cases += 1
-                    vy = entries[y] if y else default
-                    t = x + y
-                    v = entries[t] if t else default
+                    vy = table[y]
+                    v = table[x + y]
                     bucket = buckets.setdefault((vx, vy), {})
                     if v not in bucket:
                         bucket[v] = (x, y)
@@ -543,7 +512,7 @@ def check_unarily_idempotent(fn: TableFn) -> Verdict:
     cases = 0
     for u in fn.domain.elements:
         cases += 1
-        v = fn.entries[(u,)]
+        v = fn._table[(u,)]
         if v != u:
             scan.fail((("x", (u,)),), (("F(x)", v),))
             break
@@ -553,16 +522,15 @@ def check_unarily_idempotent(fn: TableFn) -> Verdict:
 def check_unarily_range_idempotent(fn: TableFn) -> Verdict:
     """The unary part fixes every attained value: F1 ∘ Fb = Fb."""
     _require_operation(fn, "unarily_range_idempotent")
-    entries = fn.entries
-    default = fn.default
+    table = fn._table
 
     def f1(v):  # the unary part, with F(ε) at ε
-        return default if v is EPSILON else entries[(v,)]
+        return table[_wrap(v)]
 
     scan = _Scan("unarily_range_idempotent", fn)
     cases, t = _first_failure(fn, lambda v: f1(v) != v)
     if t is not None:
-        v = entries[t]
+        v = table[t]
         scan.fail((("x", t),), (("F(x)", v), ("F(F(x))", f1(v))))
     return scan.verdict(cases)
 
@@ -573,20 +541,20 @@ def check_unarily_quasi_range_idempotent(fn: TableFn) -> Verdict:
     scan = _Scan("unarily_quasi_range_idempotent", fn)
     cases, t = _first_failure(fn, lambda v: v not in ran1)
     if t is not None:
-        scan.fail((("x", t),), (("F(x)", fn.entries[t]),), note="value outside ran(F1)")
+        scan.fail((("x", t),), (("F(x)", fn._table[t]),), note="value outside ran(F1)")
     return scan.verdict(cases)
 
 
 def check_range_idempotent(fn: TableFn) -> Verdict:
     """F(k · F(x)) = F(x) for every tuple x and every repetition count k <= N."""
     _require_operation(fn, "range_idempotent")
-    entries = fn.entries
+    table = fn._table
     default = fn.default
     scan = _Scan("range_idempotent", fn)
     cases = 0
     seen = set()
     for t in _all_tuples(fn.domain.elements, fn.max_arity):
-        v = entries[t] if t else default
+        v = table[t]
         if v in seen:
             continue
         seen.add(v)
@@ -599,7 +567,7 @@ def check_range_idempotent(fn: TableFn) -> Verdict:
             continue
         for k in range(1, fn.max_arity + 1):
             cases += 1
-            rep = entries[(v,) * k]
+            rep = table[(v,) * k]
             if rep != v:
                 scan.fail((("x", t),), (("F(x)", v), ("F(k·F(x))", rep)), (("k", k),))
                 break
@@ -614,7 +582,7 @@ def check_idempotent(fn: TableFn) -> Verdict:
     for n in range(1, fn.max_arity + 1):
         for u in fn.domain.elements:
             cases += 1
-            v = fn.entries[(u,) * n]
+            v = fn._table[(u,) * n]
             if v != u:
                 scan.fail((("x", (u,) * n),), (("F(x)", v),), (("arity", n),))
     return scan.verdict(cases)
@@ -622,16 +590,14 @@ def check_idempotent(fn: TableFn) -> Verdict:
 
 def check_replication_invariant(fn: TableFn) -> Verdict:
     """F(k · x) = F(x) whenever the replicated tuple still fits the arity."""
-    entries = fn.entries
+    table = fn._table
     scan = _Scan("replication_invariant", fn)
     cases = 0
-    for t in _all_tuples(fn.domain.elements, fn.max_arity):
-        if not t:
-            continue
-        v = entries[t]
+    for t in islice(_all_tuples(fn.domain.elements, fn.max_arity), 1, None):
+        v = table[t]
         for k in range(2, fn.max_arity // len(t) + 1):
             cases += 1
-            rep = entries[t * k]
+            rep = table[t * k]
             if rep != v:
                 scan.fail((("x", t),), (("F(x)", v), ("F(k·x)", rep)), (("k", k),))
                 break
@@ -650,29 +616,26 @@ def _prepl_cases(fn: TableFn):
     with k·|x| <= N gives the same F(k·x); ε fits every k <= N.  The scan tries
     k = 2..N // |y| for each same-class pair (x, y), y the later (longer) one.
     """
-    entries = fn.entries
-    default = fn.default
+    table = fn._table
     n = fn.max_arity
     replicated = {}  # (F(x), k) -> F(k·x) of the first member that fits k
     size = {}  # value -> members of its class seen so far
     cases = 0
     for x in _all_tuples(fn.domain.elements, n):
-        v = entries[x] if x else default
+        v = table[x]
         kmax = n // len(x) if x else n
         b = size.get(v, 0)
         size[v] = b + 1
         cases += b * max(0, kmax - 1)
         for k in range(2, kmax + 1):
-            xk = x * k
-            vk = entries[xk] if xk else default
+            vk = table[x * k]
             if replicated.setdefault((v, k), vk) != vk:
                 return None
     return cases
 
 
 def _prepl_scan(fn: TableFn) -> Verdict:
-    entries = fn.entries
-    default = fn.default
+    table = fn._table
     n = fn.max_arity
     scan = _Scan("replication_preinvariant", fn)
     cases = 0
@@ -685,10 +648,8 @@ def _prepl_scan(fn: TableFn) -> Verdict:
                 kmax = min(kmax, n // len(y))
             for k in range(2, kmax + 1):
                 cases += 1
-                tx = x * k
-                ty = y * k
-                vx = entries[tx] if tx else default
-                vy = entries[ty] if ty else default
+                vx = table[x * k]
+                vy = table[y * k]
                 if vx != vy:
                     scan.fail(
                         (("x", x), ("y", y)), (("F(k·x)", vx), ("F(k·y)", vy)), (("k", k),)
@@ -730,7 +691,7 @@ def check_nonincreasing(fn: TableFn) -> Verdict:
 
 def _check_monotone(fn: TableFn, prop: str) -> Verdict:
     """Monotone in each argument; only adjacent chain elements are compared."""
-    entries = fn.entries
+    table = fn._table
     chain = fn.domain
     cod = _codomain_index(fn)
     scan = _Scan(prop, fn)
@@ -744,12 +705,12 @@ def _check_monotone(fn: TableFn, prop: str) -> Verdict:
                     continue
                 cases += 1
                 t2 = t[:i] + (s,) + t[i + 1 :]
-                a, b = cod[entries[t]], cod[entries[t2]]
+                a, b = cod[table[t]], cod[table[t2]]
                 bad = a > b if want_leq else a < b
                 if bad:
                     scan.fail(
                         (("x", t), ("x'", t2)),
-                        (("F(x)", entries[t]), ("F(x')", entries[t2])),
+                        (("F(x)", table[t]), ("F(x')", table[t2])),
                         (("position", i),),
                     )
     return scan.verdict(cases)
@@ -757,7 +718,7 @@ def _check_monotone(fn: TableFn, prop: str) -> Verdict:
 
 def check_symmetric(fn: TableFn) -> Verdict:
     """Invariant under argument permutations, via sorted-tuple canonicalization."""
-    entries = fn.entries
+    table = fn._table
     chain = fn.domain
     idx = chain.index
     scan = _Scan("symmetric", fn)
@@ -766,38 +727,33 @@ def check_symmetric(fn: TableFn) -> Verdict:
         for t in chain.tuples(n):
             cases += 1
             canon = tuple(sorted(t, key=idx))
-            if entries[t] != entries[canon]:
+            if table[t] != table[canon]:
                 scan.fail(
                     (("x", t), ("sorted(x)", canon)),
-                    (("F(x)", entries[t]), ("F(sorted(x))", entries[canon])),
+                    (("F(x)", table[t]), ("F(sorted(x))", table[canon])),
                 )
     return scan.verdict(cases)
 
 
 def check_convex_sections(fn: TableFn) -> Verdict:
     """Every one-argument section has a gap-free image in the codomain order."""
-    entries = fn.entries
+    table = fn._table
     elements = fn.domain.elements
     cod = _codomain_index(fn)
     scan = _Scan("convex_sections", fn)
-    cases = 0
-    by_len = _tuples_by_len(elements, fn.max_arity)
-    for n in range(1, fn.max_arity + 1):
-        for i in range(n):
-            for pre in by_len[i]:
-                for post in by_len[n - 1 - i]:
-                    cases += 1
-                    image = {cod[entries[pre + (u,) + post]] for u in elements}
-                    lo, hi = min(image), max(image)
-                    missing = [j for j in range(lo, hi + 1) if j not in image]
-                    if missing:
-                        scan.fail(
-                            (("y", pre), ("z", post)),
-                            (("missing", fn.codomain[missing[0]]),),
-                            (("arity", n), ("position", i)),
-                            note="section image has a gap",
-                        )
-    return scan.verdict(cases)
+    sections = _context_pairs(elements, fn.max_arity - 1)
+    for pre, post in sections:
+        image = {cod[table[pre + (u,) + post]] for u in elements}
+        lo, hi = min(image), max(image)
+        missing = [j for j in range(lo, hi + 1) if j not in image]
+        if missing:
+            scan.fail(
+                (("y", pre), ("z", post)),
+                (("missing", fn.codomain[missing[0]]),),
+                (("arity", len(pre) + len(post) + 1), ("position", len(pre))),
+                note="section image has a gap",
+            )
+    return scan.verdict(len(sections))
 
 
 def check_order_properties(fn: TableFn) -> dict:

@@ -14,6 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import ArityError, GeneratorError, UnknownSymbolError
@@ -55,7 +56,6 @@ class Chain:
     """A finite totally ordered set of symbols; listing order is the order."""
 
     elements: tuple
-    name: str = ""
     _index: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
@@ -185,12 +185,15 @@ class Verdict:
 
 @dataclass(frozen=True)
 class TableFn:
-    """A truncated variadic function: a total table on tuples of length 1..N.
+    """A truncated variadic function: a total table on tuples of length 0..N.
 
     ``default`` is the value of the empty tuple; it may be the EPSILON marker.
-    ``codomain`` is an ordered listing of the admissible entry values; its
-    listing order is the codomain order used by monotonicity and convexity
-    checks.
+    ``entries`` holds the tuples of length 1..N; the table copies the mapping
+    it is given and exposes the copy read-only.  ``codomain`` is an ordered
+    listing of the admissible entry values; its listing order is the codomain
+    order used by monotonicity and convexity checks.  Within the package,
+    ``_table`` is the one total table of every tuple, ε included, that
+    evaluation and the checkers read.
     """
 
     domain: Chain
@@ -198,10 +201,14 @@ class TableFn:
     max_arity: int
     default: object
     entries: Mapping
+    _table: dict = field(init=False, repr=False, compare=False)
+
+    __hash__ = None  # equal by value, but the entries are not hashable
 
     def __post_init__(self):
         codomain = tuple(self.codomain)
         object.__setattr__(self, "codomain", codomain)
+        entries = dict(self.entries)
         if self.max_arity < 1:
             raise ValueError("max_arity must be at least 1")
         if len(set(codomain)) != len(codomain) or not codomain:
@@ -211,12 +218,12 @@ class TableFn:
             raise ValueError(f"default {self.default!r} is not in the codomain")
         dom = set(self.domain.elements)
         expected = sum(len(dom) ** n for n in range(1, self.max_arity + 1))
-        if len(self.entries) != expected:
+        if len(entries) != expected:
             raise ValueError(
                 f"entries not total: expected {expected} tuples for arities "
-                f"1..{self.max_arity}, found {len(self.entries)}"
+                f"1..{self.max_arity}, found {len(entries)}"
             )
-        for key, value in self.entries.items():
+        for key, value in entries.items():
             if not 1 <= len(key) <= self.max_arity:
                 raise ValueError(f"entry arity {len(key)} outside 1..{self.max_arity}")
             for s in key:
@@ -224,16 +231,23 @@ class TableFn:
                     raise UnknownSymbolError(f"entry tuple uses unknown symbol {s!r}")
             if value not in values:
                 raise ValueError(f"entry value {value!r} is not in the codomain")
+        object.__setattr__(self, "entries", MappingProxyType(entries))
+        object.__setattr__(self, "_table", {(): self.default, **entries})
+
+    def __reduce__(self):
+        # a mapping proxy does not pickle; rebuild from a plain copy
+        return (
+            TableFn,
+            (self.domain, self.codomain, self.max_arity, self.default, dict(self.entries)),
+        )
 
     def eval(self, args: Sequence) -> object:
         """Value at a tuple; the empty tuple yields the default."""
         t = tuple(args)
-        if not t:
-            return self.default
         if len(t) > self.max_arity:
             raise ArityError(f"tuple of length {len(t)} exceeds max arity {self.max_arity}")
         try:
-            return self.entries[t]
+            return self._table[t]
         except KeyError:
             for s in t:
                 if s not in self.domain:
@@ -241,10 +255,6 @@ class TableFn:
             raise
 
     __call__ = eval
-
-    def unary_map(self) -> dict:
-        """The unary part as a plain dict symbol -> value."""
-        return {u: self.entries[(u,)] for u in self.domain.elements}
 
     @property
     def is_operation(self) -> bool:
@@ -344,8 +354,6 @@ class GeneratedFn:
     b: Optional[float] = None
     c: Optional[float] = None
     d: Optional[float] = None
-    e: Optional[float] = None
-    phi_increasing: Optional[bool] = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -431,7 +439,6 @@ def tabulate(
     max_arity: int,
     *,
     default=EPSILON,
-    name: str = "",
 ) -> TableFn:
     """Build the total table of a generated family or binary operation.
 
@@ -444,11 +451,11 @@ def tabulate(
     if max_arity < 1:
         raise ValueError("max_arity must be at least 1")
     if isinstance(carrier, Chain):
-        return _tabulate_chain(source, carrier, max_arity, default, name)
-    return _tabulate_grid(source, carrier, max_arity, default, name)
+        return _tabulate_chain(source, carrier, max_arity, default)
+    return _tabulate_grid(source, carrier, max_arity, default)
 
 
-def _tabulate_chain(source, chain: Chain, max_arity, default, name) -> TableFn:
+def _tabulate_chain(source, chain: Chain, max_arity, default) -> TableFn:
     if isinstance(source, GeneratedFn):
         raise TypeError("generated families need a real grid carrier, not a chain")
     entries = {}
@@ -469,7 +476,7 @@ def _tabulate_chain(source, chain: Chain, max_arity, default, name) -> TableFn:
     return TableFn(chain, codomain, max_arity, default, entries)
 
 
-def _tabulate_grid(source, carrier, max_arity, default, name) -> TableFn:
+def _tabulate_grid(source, carrier, max_arity, default) -> TableFn:
     grid = _as_grid(carrier)
     if isinstance(source, GeneratedFn):
         for x in grid:
@@ -494,7 +501,7 @@ def _tabulate_grid(source, carrier, max_arity, default, name) -> TableFn:
     for v, r in rep_of.items():
         sym.setdefault(r, canonical_symbol(r))
 
-    chain = Chain(tuple(sym[g] for g in grid), name=name)
+    chain = Chain(tuple(sym[g] for g in grid))
     entries = {
         tuple(sym[x] for x in t): sym[rep_of[v]] for t, v in raw.items()
     }

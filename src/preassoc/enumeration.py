@@ -15,6 +15,7 @@ from typing import Iterator
 
 from .checks import (
     _a2_cases,
+    _all_tuples,
     _p1_cases,
     _prepl_cases,
     check_associative,
@@ -38,12 +39,6 @@ def default_chain(size: int) -> Chain:
     return Chain(tuple(str(i) for i in range(size)))
 
 
-def _nonempty_tuples(chain: Chain, max_arity: int) -> tuple:
-    return tuple(
-        t for n in range(1, max_arity + 1) for t in product(chain.elements, repeat=n)
-    )
-
-
 def epsilon_standard_count(chain_size: int, max_arity: int) -> int:
     slots = sum(chain_size ** n for n in range(1, max_arity + 1))
     return chain_size ** slots
@@ -51,7 +46,7 @@ def epsilon_standard_count(chain_size: int, max_arity: int) -> int:
 
 def epsilon_standard_at(chain: Chain, max_arity: int, index: int) -> TableFn:
     """The index-th default-ε standard candidate (base-k digits over the slots)."""
-    slots = _nonempty_tuples(chain, max_arity)
+    slots = _all_tuples(chain.elements, max_arity)[1:]
     k = len(chain.elements)
     values = []
     i = index
@@ -66,7 +61,7 @@ def epsilon_standard_at(chain: Chain, max_arity: int, index: int) -> TableFn:
 
 def all_epsilon_standard(chain: Chain, max_arity: int) -> Iterator[TableFn]:
     """Every operation with default ε and entries inside the chain."""
-    slots = _nonempty_tuples(chain, max_arity)
+    slots = _all_tuples(chain.elements, max_arity)[1:]
     for values in product(chain.elements, repeat=len(slots)):
         entries = dict(zip(slots, values))
         yield TableFn(chain, chain.elements, max_arity, EPSILON, entries)
@@ -74,7 +69,7 @@ def all_epsilon_standard(chain: Chain, max_arity: int) -> Iterator[TableFn]:
 
 def all_operations(chain: Chain, max_arity: int) -> Iterator[TableFn]:
     """Every operation-shaped table: entries and default over the chain plus ε."""
-    slots = _nonempty_tuples(chain, max_arity)
+    slots = _all_tuples(chain.elements, max_arity)[1:]
     value_space = chain.elements + (EPSILON,)
     codomain = chain.elements + (EPSILON,)
     for default in value_space:
@@ -155,7 +150,7 @@ SWEEP_EQUIVALENCES = {
 
 def _function_bits(fn: TableFn) -> dict:
     # the sweep needs only the bits, so A2, P1 and PREPL skip the witness scan
-    entries = fn.entries
+    table = fn._table
     elements = fn.domain.elements
     bits = {
         "A1": check_associative(fn, "A1").holds,
@@ -169,10 +164,10 @@ def _function_bits(fn: TableFn) -> dict:
         "REPL": check_replication_invariant(fn).holds,
         "PREPL": _prepl_cases(fn) is not None,
         "F1F1": all(
-            entries[(entries[(u,)],)] == entries[(u,)] for u in elements
+            table[(table[(u,)],)] == table[(u,)] for u in elements
         ),
         "FF2": all(
-            entries[(entries[(u,)], entries[(u,)])] == entries[(u,)] for u in elements
+            table[(table[(u,)], table[(u,)])] == table[(u,)] for u in elements
         )
         if fn.max_arity >= 2
         else True,

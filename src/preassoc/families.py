@@ -82,7 +82,7 @@ def make_quasi_sum(
     """
     _validate_j_form(j)
     grid = _sample_grid(interval)
-    increasing = _require_strictly_monotone(phi, grid, "phi")
+    _require_strictly_monotone(phi, grid, "phi")
     phis = sorted(float(phi(x)) for x in grid)
     for x, p in zip(grid, phis):
         if not j.contains(p) and not (close(p, j.lo) or close(p, j.hi)):
@@ -93,7 +93,6 @@ def make_quasi_sum(
         interval=interval,
         phi=phi,
         psi=psi,
-        phi_increasing=increasing,
     )
 
 
@@ -125,7 +124,6 @@ def make_ling(phi: Callable, psi: Callable, a: float, b: float) -> GeneratedFn:
         psi=psi,
         a=a,
         b=b,
-        phi_increasing=False,
     )
 
 

@@ -162,7 +162,7 @@ def table_from_dict(doc) -> TableFn:
         raise FunctionFileError(str(exc), field="domain") from None
 
     max_arity = doc["max_arity"]
-    if not isinstance(max_arity, int) or max_arity < 1:
+    if type(max_arity) is not int or max_arity < 1:  # bool is an int subclass
         raise FunctionFileError("max_arity must be an integer >= 1", field="max_arity")
 
     entries_doc = doc["entries"]

@@ -108,6 +108,18 @@ class TestAssociative:
         assert not v.holds
         assert "substituted-epsilon" in v.witness.note
 
+    def test_empty_inner_block_substitutes_the_default(self, chain2):
+        # y = ε substitutes F(ε) = "0": F(1) = 1 but F(0, 1) = 0
+        fn = tabulate(chain2.meet, chain2, 2, default="0")
+        v = check_associative(fn, "A1")
+        assert not v.holds
+        assert (v.witness.part("x"), v.witness.part("y"), v.witness.part("z")) == (
+            (),
+            (),
+            ("1",),
+        )
+        assert v.cases_checked == 19
+
 
 class TestPreassociative:
     def test_length_function_holds(self, length_fn):

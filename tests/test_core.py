@@ -1,6 +1,9 @@
 """Core types: chains, tables, evaluation, tabulation, ranges."""
 
+import copy
+import dataclasses
 import math
+import pickle
 from itertools import product
 
 import pytest
@@ -75,6 +78,35 @@ class TestEval:
         entries = {t: "0" for n in (1, 2) for t in product(chain2.elements, repeat=n)}
         with pytest.raises(ValueError, match="default"):
             TableFn(chain2, ("0", "1"), 2, "zzz", entries)
+
+
+class TestImmutability:
+    def test_entries_are_copied(self, chain2):
+        entries = {t: t[0] for n in (1, 2) for t in product(chain2.elements, repeat=n)}
+        fn = TableFn(chain2, chain2.elements, 2, EPSILON, entries)
+        entries[("0", "1")] = "zzz"
+        assert fn.entries[("0", "1")] == "0"
+        assert fn.eval(("0", "1")) == "0"
+
+    def test_entries_are_read_only(self, min3):
+        with pytest.raises(TypeError):
+            min3.entries[("0",)] = "1"
+        assert min3.eval(("0",)) == "0"
+
+    def test_copies_are_equal_and_valid(self, min3, length_fn):
+        for fn in (min3, length_fn):
+            for other in (pickle.loads(pickle.dumps(fn)), copy.deepcopy(fn)):
+                assert other == fn
+                assert other.eval(()) == fn.default
+                for t in fn.domain.tuples_up_to(fn.max_arity):
+                    assert other.eval(t) == fn.eval(t)
+        changed = dataclasses.replace(min3, default="1")
+        assert changed != min3 and changed.entries == min3.entries
+        assert changed.eval(()) == "1" and changed.eval(("2", "0")) == "0"
+
+    def test_unhashable(self, min3):
+        with pytest.raises(TypeError):
+            hash(min3)
 
 
 class TestRanges:

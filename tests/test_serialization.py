@@ -114,6 +114,13 @@ class TestValidation:
         with pytest.raises(FunctionFileError, match="outside the codomain"):
             table_from_dict(doc)
 
+    def test_boolean_max_arity(self):
+        doc = self.base_doc()
+        doc["max_arity"] = True
+        with pytest.raises(FunctionFileError, match="max_arity") as err:
+            table_from_dict(doc)
+        assert err.value.field == "max_arity"
+
     def test_invalid_json_text(self):
         with pytest.raises(FunctionFileError, match="invalid JSON"):
             loads_function("{nope")
