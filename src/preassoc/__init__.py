@@ -5,20 +5,7 @@ associative operations, and constructors for the classical generated
 families (quasi-sums, t-norms, Ling-type operations, medians on chains).
 """
 
-from .core import (
-    ABS_TOL,
-    EPSILON,
-    REL_TOL,
-    Chain,
-    GeneratedFn,
-    Interval,
-    TableFn,
-    Verdict,
-    Witness,
-    canonical_symbol,
-    ranges,
-    tabulate,
-)
+from .core import EPSILON, Chain, TableFn, Verdict, Witness, canonical_symbol, ranges
 from .errors import (
     ArityError,
     AxiomError,
@@ -34,5 +21,6 @@ from .errors import (
     PreconditionError,
     UnknownSymbolError,
 )
+from .families import ABS_TOL, REL_TOL, GeneratedFn, Interval, tabulate
 
 __version__ = "0.1.0"

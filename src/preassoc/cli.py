@@ -13,7 +13,7 @@ import sys
 
 from . import __version__
 from .checks import CHECKERS, OPERATION_ONLY, PROPERTY_NAMES, nonassociative_triple, run_checks
-from .core import EPSILON, Chain, Interval, TableFn, tabulate
+from .core import EPSILON, Chain, TableFn
 from .enumeration import (
     all_binary_tables,
     all_epsilon_standard,
@@ -26,11 +26,13 @@ from .families import (
     TCONORMS,
     TNORMS,
     UNINORMS,
+    Interval,
     MedianParams,
     make_ling,
     make_median_family,
     make_quasi_sum,
     make_variadic_seed,
+    tabulate,
 )
 from .quasi_inverse import FiniteMap
 from .serialization import (

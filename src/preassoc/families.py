@@ -1,33 +1,246 @@
-"""Constructors for the axiomatized operation families.
+"""Real-interval families, their tabulation, and the axiomatized operation families.
 
-Quasi-sums (generator pairs phi/psi), Ling-type bounded sums, variadic
-extensions of t-norms, t-conorms and uninorms, and median-style operations
-on bounded chains.  Real families are validated on finite sampling grids;
-strict monotonicity and the defining axioms are certified at grid points
-only.
+The real-valued model: an ``Interval``, a ``GeneratedFn`` for the two
+generated families (quasi-sums psi(phi(x1) + ... + phi(xn)) and Ling-type
+bounded sums), and ``tabulate``, which turns a generated family or a folded
+binary operation on a finite grid or chain into a ``core.TableFn``.  Reals
+are compared at the package tolerances ``REL_TOL``/``ABS_TOL`` and rendered
+through ``core.canonical_symbol``.
+
+Constructors on top of it: quasi-sums and Ling-type families from generator
+pairs, the variadic extensions of catalog t-norms, t-conorms and uninorms,
+their relabelings, and median-style operations on bounded chains.  Real
+families are validated on finite sampling grids; strict monotonicity and the
+defining axioms are certified at grid points only.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .checks import nonassociative_triple
-from .core import (
-    EPSILON,
-    Chain,
-    GeneratedFn,
-    Interval,
-    TableFn,
-    _as_grid,
-    _require_strictly_monotone,
-    canonical_symbol,
-    close,
-    tabulate,
-)
+from .core import EPSILON, Chain, TableFn, canonical_symbol
 from .errors import AxiomError, GeneratorError, GridClosureError
+
+#: Package-wide float comparison tolerances, applied symmetrically.
+REL_TOL = 1e-9
+ABS_TOL = 1e-12
+
+
+def close(u: float, v: float) -> bool:
+    """Symmetric float equality at the package tolerances."""
+    return math.isclose(u, v, rel_tol=REL_TOL, abs_tol=ABS_TOL)
+
+
+# ---------------------------------------------------------------------------
+# Generated real-interval families and their tabulation
+# ---------------------------------------------------------------------------
+
+FAMILIES = ("quasi_sum", "ling")
+
+
+@dataclass(frozen=True)
+class Interval:
+    """A real interval with endpoint openness flags; infinities allowed."""
+
+    lo: float = -math.inf
+    hi: float = math.inf
+    lo_open: bool = False
+    hi_open: bool = False
+
+    def __post_init__(self):
+        if self.lo > self.hi:
+            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+
+    def contains(self, x: float) -> bool:
+        if self.lo_open:
+            if x <= self.lo:
+                return False
+        elif x < self.lo - ABS_TOL:
+            return False
+        if self.hi_open:
+            if x >= self.hi:
+                return False
+        elif x > self.hi + ABS_TOL:
+            return False
+        return True
+
+    def __str__(self):
+        left = "]" if self.lo_open else "["
+        right = "[" if self.hi_open else "]"
+        return f"{left}{self.lo}, {self.hi}{right}"
+
+
+@dataclass(frozen=True)
+class GeneratedFn:
+    """A variadic real family given by generators phi, psi and, for ling, a.
+
+    Families:
+      quasi_sum   psi(phi(x1) + ... + phi(xn))
+      ling        psi(min(phi(x1) + ... + phi(xn), phi(a)))
+    """
+
+    family: str
+    interval: Interval
+    phi: Callable
+    psi: Callable
+    a: Optional[float] = None
+
+    def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown family {self.family!r}")
+        if self.family == "ling" and self.a is None:
+            raise ValueError("ling needs its bound a")
+
+    def eval(self, xs: Sequence[float]) -> float:
+        """The family formula at a nonempty tuple of reals inside the interval."""
+        xs = [float(x) for x in xs]
+        if not xs:
+            raise ValueError("generated families are evaluated on tuples of length >= 1")
+        for x in xs:
+            if not self.interval.contains(x):
+                raise ValueError(f"input {x} outside interval {self.interval}")
+        total = sum(self.phi(x) for x in xs)
+        if self.family == "ling":
+            total = min(total, self.phi(self.a))
+        return self.psi(total)
+
+
+class _ValueCanon:
+    """Collapses near-equal reals (1e-9 rel / 1e-12 abs) onto shared representatives.
+
+    Representatives are seeded with the grid points so observed values that
+    round onto a grid point reuse the grid symbol exactly.
+    """
+
+    def __init__(self, seeds: Iterable[float] = ()):
+        self._reps: list[float] = []
+        for s in sorted(seeds):
+            self.rep(s)
+
+    def rep(self, value: float) -> float:
+        reps = self._reps
+        i = bisect_left(reps, value)
+        for j in (i - 1, i):
+            if 0 <= j < len(reps) and close(reps[j], value):
+                return reps[j]
+        reps.insert(i, value)
+        return value
+
+
+def _as_grid(carrier) -> list[float]:
+    grid = sorted(float(x) for x in carrier)
+    if not grid:
+        raise ValueError("empty grid")
+    for u, v in zip(grid, grid[1:]):
+        if close(u, v):
+            raise ValueError(f"grid points {u} and {v} coincide at tolerance")
+    return grid
+
+
+def _require_strictly_monotone(f: Callable, grid: Sequence[float], label: str) -> bool:
+    """Check strict monotonicity on consecutive grid points; returns direction."""
+    ys = [float(f(x)) for x in grid]
+    if len(ys) < 2:
+        return True
+    increasing = all(u < v and not close(u, v) for u, v in zip(ys, ys[1:]))
+    decreasing = all(u > v and not close(u, v) for u, v in zip(ys, ys[1:]))
+    if not (increasing or decreasing):
+        raise GeneratorError(f"{label} is not strictly monotone on the sampling grid")
+    return increasing
+
+
+def tabulate(
+    source,
+    carrier,
+    max_arity: int,
+    *,
+    default=EPSILON,
+) -> TableFn:
+    """Build the total table of a generated family or binary operation.
+
+    ``source`` is a GeneratedFn, or a binary callable which is extended with
+    identity unary part by folding left.  ``carrier`` is a Chain (symbolic)
+    or an iterable of reals (a finite grid).  Real values are collapsed onto
+    canonical 12-significant-digit symbols; the codomain lists the distinct
+    observed values in ascending order.
+    """
+    if max_arity < 1:
+        raise ValueError("max_arity must be at least 1")
+    if isinstance(carrier, Chain):
+        return _tabulate_chain(source, carrier, max_arity, default)
+    return _tabulate_grid(source, carrier, max_arity, default)
+
+
+def _tabulate_chain(source, chain: Chain, max_arity, default) -> TableFn:
+    if isinstance(source, GeneratedFn):
+        raise TypeError("generated families need a real grid carrier, not a chain")
+    entries = {}
+    observed = []
+    seen = set()
+    for n in range(1, max_arity + 1):
+        for t in chain.tuples(n):
+            v = reduce(source, t)
+            if v not in chain:
+                raise ValueError(f"binary operation left the chain: {t!r} -> {v!r}")
+            entries[t] = v
+            if v not in seen:
+                seen.add(v)
+                observed.append(v)
+    codomain = tuple(sorted(observed, key=chain.index))
+    if default is not EPSILON and default not in codomain:
+        codomain = codomain + (default,)
+    return TableFn(chain, codomain, max_arity, default, entries)
+
+
+def _tabulate_grid(source, carrier, max_arity, default) -> TableFn:
+    grid = _as_grid(carrier)
+    if isinstance(source, GeneratedFn):
+        for x in grid:
+            if not source.interval.contains(x):
+                raise ValueError(f"grid point {x} outside interval {source.interval}")
+        _require_strictly_monotone(source.phi, grid, "phi")
+        evalf = source.eval
+    else:
+        evalf = lambda t: reduce(source, t)  # noqa: E731
+
+    raw = {}
+    for n in range(1, max_arity + 1):
+        for t in product(grid, repeat=n):
+            raw[t] = float(evalf(t))
+
+    canon = _ValueCanon(grid)
+    rep_of = {v: canon.rep(v) for v in sorted(set(raw.values()))}
+    sym = {}
+    for g in grid:
+        sym[g] = canonical_symbol(g)
+    for v, r in rep_of.items():
+        sym.setdefault(r, canonical_symbol(r))
+
+    chain = Chain(tuple(sym[g] for g in grid))
+    entries = {
+        tuple(sym[x] for x in t): sym[rep_of[v]] for t, v in raw.items()
+    }
+    cod_values = sorted({rep_of[v] for v in raw.values()})
+    codomain = tuple(sym[r] for r in cod_values)
+    if len(set(codomain)) != len(codomain):
+        raise AssertionError("canonical value symbols collided; tolerances inconsistent")
+    if default is not EPSILON:
+        if isinstance(default, float):
+            default = canonical_symbol(canon.rep(default))
+        if default not in codomain:
+            codomain = codomain + (default,)
+    return TableFn(chain, codomain, max_arity, default, entries)
+
+
+# ---------------------------------------------------------------------------
+# Quasi-sums and Ling-type families from generator pairs
+# ---------------------------------------------------------------------------
 
 _SAMPLES = 33
 #: Window used to sample unbounded intervals during construction-time checks.
@@ -123,7 +336,6 @@ def make_ling(phi: Callable, psi: Callable, a: float, b: float) -> GeneratedFn:
         phi=phi,
         psi=psi,
         a=a,
-        b=b,
     )
 
 
@@ -190,18 +402,13 @@ def _resolve_seed_op(kind: str, op, e, chain=None):
             f"catalog entry {name!r} needs a numeric grid carrier; "
             "pass a binary callable for symbolic chains"
         )
-    if kind == "tnorm":
-        catalog = TNORMS
-    elif kind == "tconorm":
-        catalog = TCONORMS
-    elif kind == "uninorm":
+    if kind == "uninorm":
         if name not in UNINORMS:
             raise ValueError(f"unknown uninorm {name!r}; known: {sorted(UNINORMS)}")
         if e is None:
             raise ValueError("a uninorm needs its neutral element e")
         return UNINORMS[name](e)
-    else:
-        raise ValueError(f"unknown seed kind {kind!r}")
+    catalog = TNORMS if kind == "tnorm" else TCONORMS
     if name not in catalog:
         raise ValueError(f"unknown {kind} {name!r}; known: {sorted(catalog)}")
     return catalog[name]
@@ -231,18 +438,16 @@ def make_variadic_seed(kind: str, op, carrier, max_arity: int, *, e=None) -> Tab
 
     if isinstance(carrier, Chain):
         values = list(carrier.elements)
-        index = carrier.index
         snapped = {}
         for u, v in product(values, repeat=2):
             w = binary(u, v)
             if w not in carrier:
                 raise GridClosureError(f"operation leaves the chain: ({u!r},{v!r}) -> {w!r}")
             snapped[(u, v)] = w
-        neutral = _seed_neutral(kind, values, e, index=index)
+        neutral = _seed_neutral(kind, values, e, on_grid=False)
     else:
         grid = _as_grid(carrier)
         values = grid
-        index = grid.index
         snapped = {}
         for u, v in product(grid, repeat=2):
             w = float(binary(u, v))
@@ -252,23 +457,23 @@ def make_variadic_seed(kind: str, op, carrier, max_arity: int, *, e=None) -> Tab
                     f"grid not closed under the operation: ({u}, {v}) -> {w}"
                 )
             snapped[(u, v)] = s
-        neutral = _seed_neutral(kind, values, e)
+        neutral = _seed_neutral(kind, values, e, on_grid=True)
 
-    _check_seed_axioms(kind, snapped, values, neutral, index)
+    _check_seed_axioms(snapped, values, neutral)
     table_op = lambda u, v: snapped[(u, v)]  # noqa: E731
     if isinstance(carrier, Chain):
         return tabulate(table_op, carrier, max_arity, default=EPSILON)
     return tabulate(table_op, values, max_arity, default=EPSILON)
 
 
-def _seed_neutral(kind, values, e, index=None):
+def _seed_neutral(kind, values, e, on_grid):
     if kind == "tnorm":
         return values[-1]
     if kind == "tconorm":
         return values[0]
     if e is None:
         raise ValueError("a uninorm needs its neutral element e")
-    if index is None:
+    if on_grid:
         ne = _snap(values, float(e))
         if ne is None:
             raise ValueError(f"neutral element {e} is not a grid point")
@@ -279,7 +484,7 @@ def _seed_neutral(kind, values, e, index=None):
     return ne
 
 
-def _check_seed_axioms(kind, table, values, neutral, index):
+def _check_seed_axioms(table, values, neutral):
     for x in values:  # neutral element law
         if table[(neutral, x)] != x or table[(x, neutral)] != x:
             raise AxiomError(

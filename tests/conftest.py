@@ -4,7 +4,8 @@ from itertools import product
 
 import pytest
 
-from preassoc.core import EPSILON, Chain, TableFn, tabulate
+from preassoc.core import EPSILON, Chain, TableFn
+from preassoc.families import tabulate
 
 
 @pytest.fixture

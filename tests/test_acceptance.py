@@ -18,7 +18,7 @@ from preassoc.checks import (
     check_standard,
     check_unarily_quasi_range_idempotent,
 )
-from preassoc.core import EPSILON, Chain, Interval, TableFn, tabulate
+from preassoc.core import EPSILON, Chain, TableFn
 from preassoc.enumeration import (
     all_associative_extensions,
     all_binary_tables,
@@ -26,7 +26,14 @@ from preassoc.enumeration import (
     equivalence_sweep,
 )
 from preassoc.factorize import extend_unary_binary, factorize
-from preassoc.families import MedianParams, make_ling, make_median_family, make_quasi_sum
+from preassoc.families import (
+    Interval,
+    MedianParams,
+    make_ling,
+    make_median_family,
+    make_quasi_sum,
+    tabulate,
+)
 from preassoc.quasi_inverse import (
     FiniteMap,
     canonical_quasi_inverse,

@@ -13,8 +13,9 @@ from preassoc.checks import (
     check_standard,
     run_checks,
 )
-from preassoc.core import EPSILON, TableFn, tabulate
+from preassoc.core import EPSILON, TableFn
 from preassoc.errors import NotAnOperationError
+from preassoc.families import tabulate
 
 from conftest import xor_table
 

@@ -8,7 +8,8 @@ import pytest
 from preassoc.checks import PROPERTY_NAMES
 from preassoc import cli
 from preassoc.cli import main
-from preassoc.core import EPSILON, TableFn, tabulate
+from preassoc.core import EPSILON, TableFn
+from preassoc.families import tabulate
 from preassoc.serialization import (
     FUNCTION_SCHEMA,
     REPORT_SCHEMA,

@@ -8,17 +8,9 @@ from itertools import product
 
 import pytest
 
-from preassoc.core import (
-    EPSILON,
-    Chain,
-    GeneratedFn,
-    Interval,
-    TableFn,
-    canonical_symbol,
-    ranges,
-    tabulate,
-)
+from preassoc.core import EPSILON, Chain, TableFn, canonical_symbol, ranges
 from preassoc.errors import ArityError, GeneratorError, UnknownSymbolError
+from preassoc.families import GeneratedFn, Interval, tabulate
 
 
 class TestChain:
@@ -78,6 +70,12 @@ class TestEval:
         entries = {t: "0" for n in (1, 2) for t in product(chain2.elements, repeat=n)}
         with pytest.raises(ValueError, match="default"):
             TableFn(chain2, ("0", "1"), 2, "zzz", entries)
+
+    @pytest.mark.parametrize("bad", [True, 1.0, 0])
+    def test_max_arity_must_be_a_positive_int(self, chain2, bad):
+        entries = {(u,): u for u in chain2.elements}
+        with pytest.raises(ValueError, match="max_arity"):
+            TableFn(chain2, chain2.elements, bad, EPSILON, entries)
 
 
 class TestImmutability:
@@ -139,14 +137,6 @@ class TestTabulate:
     def test_arity_one_count_matches_chain(self, chain3):
         fn = tabulate(chain3.meet, chain3, 1)
         assert len(fn.entries) == len(chain3)
-
-    def test_median_chain_entry(self, chain4):
-        # med(0, (1 ^ 2) v med(2 ^ 3, 1 ^ 1, 2 v 3) v (1 ^ 3), 3) = med(0, 2, 3) = 2
-        gen = GeneratedFn(
-            family="median_chain", interval=Interval(0, 3), a=0, b=3, c=1, d=1
-        )
-        fn = tabulate(gen, [0, 1, 2, 3], 2)
-        assert fn.eval(("2", "3")) == "2"
 
     def test_round_trip_against_generated(self):
         gen = GeneratedFn(
@@ -211,7 +201,6 @@ class TestGeneratedEval:
             phi=lambda x: 1 - x,
             psi=lambda t: 1 - t,
             a=0.0,
-            b=1.0,
         )
         # direct arithmetic oracle: 1 - min(0.3 + 0.3, 1) = 0.4
         assert gen.eval((0.7, 0.7)) == pytest.approx(0.4, abs=1e-12)
@@ -222,13 +211,6 @@ class TestGeneratedEval:
             gen.eval(())
         with pytest.raises(ValueError):
             gen.eval((2.0,))
-
-    def test_fold_family(self):
-        gen = GeneratedFn(
-            family="variadic_tnorm", interval=Interval(0, 1), binary=min
-        )
-        assert gen.eval((0.7,)) == 0.7
-        assert gen.eval((0.7, 0.2, 0.5)) == 0.2
 
 
 def test_epsilon_marker_is_singleton_and_unpicklable_to_copy():

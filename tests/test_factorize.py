@@ -9,7 +9,7 @@ from preassoc.checks import (
     check_preassociative,
     check_unarily_quasi_range_idempotent,
 )
-from preassoc.core import EPSILON, TableFn, tabulate
+from preassoc.core import EPSILON, TableFn
 from preassoc.errors import (
     ConditionError,
     DomainMismatchError,
@@ -21,6 +21,7 @@ from preassoc.factorize import (
     factorize,
     recursive_eval,
 )
+from preassoc.families import tabulate
 from preassoc.quasi_inverse import FiniteMap
 
 SIGMA = {"0": "1", "1": "2", "2": "0"}  # the 3-cycle

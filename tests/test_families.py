@@ -1,5 +1,6 @@
 """Generated families: quasi-sums, Ling-type operations, seeds, medians."""
 
+import dataclasses
 import math
 from itertools import product
 
@@ -15,10 +16,15 @@ from preassoc.checks import (
     check_symmetric,
     check_unarily_quasi_range_idempotent,
 )
-from preassoc.core import Chain, Interval, tabulate
+import preassoc
+from preassoc import core, families
+from preassoc.core import Chain
 from preassoc.errors import AxiomError, GeneratorError, GridClosureError
 from preassoc.factorize import factorize
 from preassoc.families import (
+    FAMILIES,
+    GeneratedFn,
+    Interval,
     MedianParams,
     lift_tnorm,
     make_ling,
@@ -26,6 +32,7 @@ from preassoc.families import (
     make_quasi_sum,
     make_variadic_seed,
     median_formula,
+    tabulate,
 )
 from preassoc.quasi_inverse import FiniteMap
 
@@ -248,3 +255,22 @@ class TestMedianFamily:
         params = MedianParams("1", "2", "1", "2")
         for u in chain4.elements:
             assert median_formula(chain4, params, (u,)) == chain4.med("1", u, "2")
+
+
+class TestModuleLayout:
+    MOVED = ("tabulate", "Interval", "GeneratedFn", "REL_TOL", "ABS_TOL")
+
+    def test_package_root_exports_the_families_objects(self):
+        for name in self.MOVED:
+            assert getattr(preassoc, name) is getattr(families, name)
+            assert not hasattr(core, name)
+        assert preassoc.canonical_symbol is core.canonical_symbol
+
+    def test_generated_families_are_quasi_sum_and_ling(self):
+        assert FAMILIES == ("quasi_sum", "ling")
+        fields = [f.name for f in dataclasses.fields(GeneratedFn)]
+        assert fields == ["family", "interval", "phi", "psi", "a"]
+        with pytest.raises(ValueError, match="unknown family"):
+            GeneratedFn("median_chain", Interval(0, 3), abs, abs)
+        with pytest.raises(ValueError, match="bound a"):
+            GeneratedFn("ling", Interval(0, 1), abs, abs)

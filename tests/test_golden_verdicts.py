@@ -12,10 +12,10 @@ import hashlib
 import pytest
 
 from preassoc.checks import CHECKERS, PROPERTY_NAMES
-from preassoc.core import EPSILON, Chain, TableFn, tabulate
+from preassoc.core import EPSILON, Chain, TableFn
 from preassoc.enumeration import all_operations, default_chain, epsilon_standard_at
 from preassoc.errors import NotAnOperationError
-from preassoc.families import MedianParams, make_median_family, make_variadic_seed
+from preassoc.families import MedianParams, make_median_family, make_variadic_seed, tabulate
 
 VERDICT_DIGEST = "b9f68ed7016ed5423bde19fc6deef0a3b9a06b510ea60a251bd8561362e6e671"
 

@@ -7,8 +7,9 @@ import pytest
 
 from preassoc import __version__
 from preassoc.checks import check_preassociative, check_standard
-from preassoc.core import EPSILON, Chain, TableFn, tabulate
+from preassoc.core import EPSILON, Chain, TableFn
 from preassoc.errors import FunctionFileError
+from preassoc.families import tabulate
 from preassoc.serialization import (
     FUNCTION_SCHEMA,
     REPORT_SCHEMA,
