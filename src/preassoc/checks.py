@@ -1,16 +1,17 @@
 """Axiom checkers over truncated tuple universes.
 
 Every verdict covers its whole (truncated) quantifier space, so a holding
-verdict is a proof at the recorded max arity and ``cases_checked`` is the
-size of that space.  Most checkers scan the space case by case.  A2, P1 and
-replication-preinvariance are first decided by linear tests that are proved
-equivalent to their scans; only when such a test fails does the exhaustive
-scan run, and it alone produces the witness.  When a property fails, the
-reported witness is the minimal counterexample under (total tuple length,
-then chain order on the concatenated symbols), which keeps CI failures
-reproducible.  Checkers read one total table of every tuple of length 0..N,
-ε included (``TableFn._table``), so a block that may be empty needs no
-separate case.
+verdict is a proof at the recorded max arity.  A failing verdict reports the
+minimal counterexample under (total tuple length, chain order on the
+concatenated symbols, part lengths), which keeps CI failures reproducible.
+A1, A3, standardness and the unary laws visit their candidates in that order
+and stop at the first violation; A1 and A3 still count their whole space in
+``cases_checked``.  A2, P1, P2 and replication-preinvariance go
+decider-then-scan: a linear test proved equivalent to the scan decides a
+holding verdict, and only a failing one runs the scan, which alone produces
+the witness.  The rest keep the least key over their whole space (``_Scan``).
+Checkers read one total table of every tuple of length 0..N, ε included
+(``TableFn._table``), so a block that may be empty needs no separate case.
 """
 
 from __future__ import annotations
@@ -91,27 +92,36 @@ def _all_tuples(elements: tuple, max_len: int) -> tuple:
 def _context_pairs(elements: tuple, budget: int) -> tuple:
     """All (x, z) with |x| + |z| <= budget, ordered by total length then lex."""
     by_len = _tuples_by_len(elements, budget)
-    out = []
-    for total in range(budget + 1):
-        for i in range(total + 1):
-            for x in by_len[i]:
-                for z in by_len[total - i]:
-                    out.append((x, z))
-    return tuple(out)
+    return tuple(
+        pair
+        for total in range(budget + 1)
+        for i in range(total + 1)
+        for pair in product(by_len[i], by_len[total - i])
+    )
 
 
 @lru_cache(maxsize=128)
 def _assoc_candidates(elements: tuple, n: int) -> tuple:
-    """Candidate triples (x, y, z) for the substitution form of associativity.
+    """Candidate triples (x, y, z) for the substitution form, in witness-key order.
 
-    y may be empty; every triple has |x|+|y|+|z| <= n and respects the
-    substituted-length bound |x|+1+|z| <= n.
+    Each word w = x·y·z comes shortest first, then lexicographic, with its splits
+    in (|x|, |y|) order; y may be empty, and |x|+1+|z| <= n.  The parts are the
+    shared tuples of ``_tuples_by_len``, located from w's rank r in base k.
     """
-    return tuple(
-        (x, y, z)
-        for x, z in _context_pairs(elements, n - 1)
-        for y in _all_tuples(elements, n - len(x) - len(z))
-    )
+    by_len = _tuples_by_len(elements, n)
+    power = [len(elements) ** e for e in range(n + 1)]
+    out = []
+    for m in range(n + 1):
+        splits = [
+            (by_len[i], power[m - i], by_len[j], power[m - i - j], power[j], by_len[m - i - j])
+            for i in range(m + 1)
+            for j in range(max(0, m - n + 1), m - i + 1)
+        ]
+        for r in range(power[m]):
+            out.extend(
+                (xs[r // px], ys[r // pz % py], zs[r % pz]) for xs, px, ys, pz, py, zs in splits
+            )
+    return tuple(out)
 
 
 def _index_key(chain: Chain, *tuples_):
@@ -140,9 +150,7 @@ class _Scan:
         self.witness = None
 
     def fail(self, parts, values, scalars=(), note=""):
-        total = 0
-        for _, t in parts:
-            total += len(t)
+        total = sum(len(t) for _, t in parts)
         best = self.key
         if best is not None and total > best[0]:
             return
@@ -152,23 +160,25 @@ class _Scan:
             self.key = key
             self.witness = Witness(parts, values, scalars, note)
 
-    def verdict(self, cases: int, extra=()) -> Verdict:
+    def verdict(self, cases: int) -> Verdict:
         w = self.witness
-        return Verdict(self.prop, w is None, cases, w, self.fn.max_arity, extra)
+        return Verdict(self.prop, w is None, cases, w, self.fn.max_arity)
 
 
-def _first_failure(fn: TableFn, fails):
-    """The first nonempty tuple, in canonical order, whose value fails.
+def _first_failure(prop, fn: TableFn, fails, values, note="", extra=()) -> Verdict:
+    """The verdict of a law on single values, from the first nonempty tuple failing it.
 
-    Returns (tuples tested, that tuple), or (tuples tested, None) when every
-    value passes.
+    Tuples are tested in canonical order, so the first failure is the minimal
+    witness; ``values(F(x))`` gives its named values, and ``cases_checked``
+    counts the tuples tested.
     """
     table = fn._table
     tuples = _all_tuples(fn.domain.elements, fn.max_arity)
     for cases, t in enumerate(islice(tuples, 1, None), 1):
         if fails(table[t]):
-            return cases, t
-    return len(tuples) - 1, None
+            witness = Witness((("x", t),), values(table[t]), note=note)
+            return Verdict(prop, False, cases, witness, fn.max_arity, extra)
+    return Verdict(prop, True, len(tuples) - 1, None, fn.max_arity, extra)
 
 
 def _decided(prop: str, fn: TableFn, cases_if_holds, scan) -> Verdict:
@@ -218,32 +228,26 @@ def check_standard(fn: TableFn) -> Verdict:
     The verdict's ``extra`` carries the stronger epsilon_standard flag.
     """
     default = fn.default
-    scan = _Scan("standard", fn)
-    cases, t = _first_failure(fn, lambda v: v == default)
-    if t is not None:
-        scan.fail(
-            (("x", t),), (("F(x)", fn._table[t]), ("F(ε)", default)),
-            note="nonempty tuple attains the default value",
-        )
-    return scan.verdict(cases, extra=(("epsilon_standard", fn.is_epsilon_standard),))
+    return _first_failure(
+        "standard", fn, lambda v: v == default, lambda v: (("F(x)", v), ("F(ε)", default)),
+        note="nonempty tuple attains the default value",
+        extra=(("epsilon_standard", fn.is_epsilon_standard),),
+    )
 
 
 def check_epsilon_standard(fn: TableFn) -> Verdict:
     """Standard operation into domain ∪ {ε} whose default is ε itself."""
-    scan = _Scan("epsilon_standard", fn)
     if not fn.is_operation:
-        scan.fail(
-            (), (("codomain", tuple(map(repr, fn.codomain))),),
-            note="not an operation: codomain leaves the domain",
+        values = (("codomain", tuple(map(repr, fn.codomain))),)
+        note = "not an operation: codomain leaves the domain"
+    elif fn.default is not EPSILON:
+        values, note = (("F(ε)", fn.default),), "default value is not ε"
+    else:
+        return _first_failure(
+            "epsilon_standard", fn, lambda v: v is EPSILON, lambda v: (("F(x)", v),),
+            note="nonempty tuple maps to ε",
         )
-        return scan.verdict(0)
-    if fn.default is not EPSILON:
-        scan.fail((), (("F(ε)", fn.default),), note="default value is not ε")
-        return scan.verdict(0)
-    cases, t = _first_failure(fn, lambda v: v is EPSILON)
-    if t is not None:
-        scan.fail((("x", t),), (("F(x)", EPSILON),), note="nonempty tuple maps to ε")
-    return scan.verdict(cases)
+    return Verdict("epsilon_standard", False, 0, Witness((), values, note=note), fn.max_arity)
 
 
 # ---------------------------------------------------------------------------
@@ -277,22 +281,22 @@ _SUBST_EPS = "substituted-epsilon: nonempty inner block evaluates to ε"
 def _check_a1(fn: TableFn) -> Verdict:
     table = fn._table
     candidates = _assoc_candidates(fn.domain.elements, fn.max_arity)
-    scan = _Scan("associative_A1", fn)
     for x, y, z in candidates:
         vy = table[y]
         if vy is EPSILON:
             # with y = ε and default ε, F(x, F(ε), z) = F(x, z) holds trivially
-            if y:
-                scan.fail((("x", x), ("y", y), ("z", z)), (("F(y)", EPSILON),), note=_SUBST_EPS)
-            continue
-        lhs = table[x + y + z]
-        rhs = table[x + (vy,) + z]
-        if lhs != rhs:
-            scan.fail(
-                (("x", x), ("y", y), ("z", z)),
-                (("F(x,y,z)", lhs), ("F(x,F(y),z)", rhs)),
-            )
-    return scan.verdict(len(candidates))
+            if not y:
+                continue
+            values, note = (("F(y)", EPSILON),), _SUBST_EPS
+        else:
+            lhs = table[x + y + z]
+            rhs = table[x + (vy,) + z]
+            if lhs == rhs:
+                continue
+            values, note = (("F(x,y,z)", lhs), ("F(x,F(y),z)", rhs)), ""
+        witness = Witness((("x", x), ("y", y), ("z", z)), values, note=note)
+        return Verdict("associative_A1", False, len(candidates), witness, fn.max_arity)
+    return Verdict("associative_A1", True, len(candidates), None, fn.max_arity)
 
 
 def _a2_cases(fn: TableFn):
@@ -324,8 +328,9 @@ def _a2_scan(fn: TableFn) -> Verdict:
     scan = _Scan("associative_A2", fn)
     cases = 0
     for w in _all_tuples(fn.domain.elements, fn.max_arity):
-        results = []  # ((x, y, z), value-or-None for substituted ε)
         n = len(w)
+        cases += comb((n + 1) * (n + 2) // 2, 2)  # pairs of decompositions
+        results = []  # ((x, y, z), F(x, F(y), z)) where F(y) is not a substituted ε
         for i in range(n + 1):
             for j in range(n - i + 1):
                 x, y, z = w[:i], w[i : i + j], w[i + j :]
@@ -334,14 +339,9 @@ def _a2_scan(fn: TableFn) -> Verdict:
                     scan.fail(
                         (("x", x), ("y", y), ("z", z)), (("F(y)", EPSILON),), note=_SUBST_EPS
                     )
-                    results.append(((x, y, z), None))
                     continue
-                sub = x + _wrap(vy) + z
-                results.append(((x, y, z), table[sub]))
-        m = len(results)
-        cases += m * (m - 1) // 2
-        vals = [r for r in results if r[1] is not None]
-        for ((x, y, z), v1), ((xp, yp, zp), v2) in combinations(vals, 2):
+                results.append(((x, y, z), table[x + _wrap(vy) + z]))
+        for ((x, y, z), v1), ((xp, yp, zp), v2) in combinations(results, 2):
             if v1 != v2:
                 scan.fail(
                     (("x", x), ("y", y), ("z", z), ("x'", xp), ("y'", yp), ("z'", zp)),
@@ -351,31 +351,29 @@ def _a2_scan(fn: TableFn) -> Verdict:
 
 
 def _check_a3(fn: TableFn) -> Verdict:
-    """F(x, y) = F(F(x), F(y)) over all pairs within the arity bound."""
+    """F(x, y) = F(F(x), F(y)) for all pairs, in witness-key order: w = x·y, then |x|."""
     table = fn._table
-    by_len = _tuples_by_len(fn.domain.elements, fn.max_arity)
-    scan = _Scan("associative_A3", fn)
-    cases = 0
-    for total in range(fn.max_arity + 1):
-        for i in range(total + 1):
-            for x in by_len[i]:
-                vx = table[x]
-                for y in by_len[total - i]:
-                    cases += 1
-                    vy = table[y]
-                    if (vx is EPSILON and x) or (vy is EPSILON and y):
-                        scan.fail(
-                            (("x", x), ("y", y)), (("F(x)", vx), ("F(y)", vy)),
-                            note="substituted-epsilon: nonempty block evaluates to ε",
-                        )
-                        continue
-                    lhs = table[x + y]
+    k, n = len(fn.domain.elements), fn.max_arity
+    by_len = _tuples_by_len(fn.domain.elements, n)
+    cases = _context_count(k, n)
+    for m in range(n + 1):
+        splits = [(by_len[i], by_len[m - i], k ** (m - i)) for i in range(m + 1)]
+        for r, w in enumerate(by_len[m]):
+            lhs = table[w]
+            for xs, ys, p in splits:
+                x, y = xs[r // p], ys[r % p]  # w = x·y, located by w's rank r in base k
+                vx, vy = table[x], table[y]
+                if (vx is EPSILON and x) or (vy is EPSILON and y):
+                    values = (("F(x)", vx), ("F(y)", vy))
+                    note = "substituted-epsilon: nonempty block evaluates to ε"
+                else:
                     rhs = table[_wrap(vx) + _wrap(vy)]
-                    if lhs != rhs:
-                        scan.fail(
-                            (("x", x), ("y", y)), (("F(x,y)", lhs), ("F(F(x),F(y))", rhs))
-                        )
-    return scan.verdict(cases)
+                    if lhs == rhs:
+                        continue
+                    values, note = (("F(x,y)", lhs), ("F(F(x),F(y))", rhs)), ""
+                witness = Witness((("x", x), ("y", y)), values, note=note)
+                return Verdict("associative_A3", False, cases, witness, fn.max_arity)
+    return Verdict("associative_A3", True, cases, None, fn.max_arity)
 
 
 # ---------------------------------------------------------------------------
@@ -386,16 +384,17 @@ def _check_a3(fn: TableFn) -> Verdict:
 def check_preassociative(fn: TableFn, form: str = "P1") -> Verdict:
     """Preassociativity via contexts (P1) or via the two-equality form (P2).
 
-    Works for arbitrary codomains.  A holding P1 verdict is decided by
-    comparing each tuple with the first tuple of its value class under
-    one-letter extensions, linear in the number of tuples; a failing one
-    comes from the exhaustive scan over every same-class pair and context,
-    which yields the minimal witness.
+    Works for arbitrary codomains.  Both forms go decider-then-scan.  A
+    holding P1 verdict is decided by comparing each tuple with the first of
+    its value class under one-letter extensions, a holding P2 verdict by one
+    pass over the splits.  A failing verdict comes from the exhaustive scan
+    (same-class pairs and contexts, or split buckets), which yields the
+    minimal witness.
     """
     if form == "P1":
         return _decided("preassociative_P1", fn, _p1_cases, _p1_scan)
     if form == "P2":
-        return _check_p2(fn)
+        return _decided("preassociative_P2", fn, _p2_cases, _check_p2)
     raise ValueError(f"unknown preassociativity form {form!r}")
 
 
@@ -469,19 +468,36 @@ def _p1_scan(fn: TableFn) -> Verdict:
     return scan.verdict(cases)
 
 
+def _p2_cases(fn: TableFn):
+    """``cases_checked`` of the P2 scan (every split) if P2 holds, else None.
+
+    P2 holds iff no two splits x·y with equal (F(x), F(y)) differ in F(x·y).
+    """
+    table = fn._table
+    by_len = _tuples_by_len(fn.domain.elements, fn.max_arity)
+    value_of = {}  # (F(x), F(y)) -> F(x·y) of the first split with that pair
+    for total in range(fn.max_arity + 1):
+        for i in range(total + 1):
+            for x in by_len[i]:
+                vx = table[x]
+                for y in by_len[total - i]:
+                    v = table[x + y]
+                    if value_of.setdefault((vx, table[y]), v) != v:
+                        return None
+    return _context_count(len(fn.domain.elements), fn.max_arity)
+
+
 def _check_p2(fn: TableFn) -> Verdict:
     """The pair of values (F(x), F(y)) must determine F(x, y)."""
     table = fn._table
     chain = fn.domain
     by_len = _tuples_by_len(chain.elements, fn.max_arity)
     buckets = {}  # (F(x), F(y)) -> {F(x,y): minimal (x, y)}
-    cases = 0
     for total in range(fn.max_arity + 1):
         for i in range(total + 1):
             for x in by_len[i]:
                 vx = table[x]
                 for y in by_len[total - i]:
-                    cases += 1
                     vy = table[y]
                     v = table[x + y]
                     bucket = buckets.setdefault((vx, vy), {})
@@ -497,7 +513,7 @@ def _check_p2(fn: TableFn) -> Verdict:
                 (("x", x), ("y", y), ("x'", xp), ("y'", yp)),
                 (("F(x,y)", vf), ("F(x',y')", vs)),
             )
-    return scan.verdict(cases)
+    return scan.verdict(_context_count(len(chain.elements), fn.max_arity))
 
 
 # ---------------------------------------------------------------------------
@@ -508,15 +524,12 @@ def _check_p2(fn: TableFn) -> Verdict:
 def check_unarily_idempotent(fn: TableFn) -> Verdict:
     """The unary part is the identity."""
     _require_operation(fn, "unarily_idempotent")
-    scan = _Scan("unarily_idempotent", fn)
-    cases = 0
-    for u in fn.domain.elements:
-        cases += 1
+    for cases, u in enumerate(fn.domain.elements, 1):
         v = fn._table[(u,)]
         if v != u:
-            scan.fail((("x", (u,)),), (("F(x)", v),))
-            break
-    return scan.verdict(cases)
+            witness = Witness((("x", (u,)),), (("F(x)", v),))
+            return Verdict("unarily_idempotent", False, cases, witness, fn.max_arity)
+    return Verdict("unarily_idempotent", True, len(fn.domain.elements), None, fn.max_arity)
 
 
 def check_unarily_range_idempotent(fn: TableFn) -> Verdict:
@@ -527,22 +540,19 @@ def check_unarily_range_idempotent(fn: TableFn) -> Verdict:
     def f1(v):  # the unary part, with F(ε) at ε
         return table[_wrap(v)]
 
-    scan = _Scan("unarily_range_idempotent", fn)
-    cases, t = _first_failure(fn, lambda v: f1(v) != v)
-    if t is not None:
-        v = table[t]
-        scan.fail((("x", t),), (("F(x)", v), ("F(F(x))", f1(v))))
-    return scan.verdict(cases)
+    return _first_failure(
+        "unarily_range_idempotent", fn, lambda v: f1(v) != v,
+        lambda v: (("F(x)", v), ("F(F(x))", f1(v))),
+    )
 
 
 def check_unarily_quasi_range_idempotent(fn: TableFn) -> Verdict:
     """The unary part attains every value the whole function attains."""
     ran1, _ = ranges(fn)
-    scan = _Scan("unarily_quasi_range_idempotent", fn)
-    cases, t = _first_failure(fn, lambda v: v not in ran1)
-    if t is not None:
-        scan.fail((("x", t),), (("F(x)", fn._table[t]),), note="value outside ran(F1)")
-    return scan.verdict(cases)
+    return _first_failure(
+        "unarily_quasi_range_idempotent", fn, lambda v: v not in ran1, lambda v: (("F(x)", v),),
+        note="value outside ran(F1)",
+    )
 
 
 def check_range_idempotent(fn: TableFn) -> Verdict:
@@ -641,11 +651,7 @@ def _prepl_scan(fn: TableFn) -> Verdict:
     cases = 0
     for group in _value_classes(fn).values():
         for x, y in combinations(group, 2):
-            kmax = n
-            if x:
-                kmax = min(kmax, n // len(x))
-            if y:
-                kmax = min(kmax, n // len(y))
+            kmax = n // max(len(x), len(y), 1)  # ε fits every k <= n
             for k in range(2, kmax + 1):
                 cases += 1
                 vx = table[x * k]
@@ -677,10 +683,6 @@ def check_idempotence_suite(fn: TableFn) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _codomain_index(fn: TableFn):
-    return {v: i for i, v in enumerate(fn.codomain)}
-
-
 def check_nondecreasing(fn: TableFn) -> Verdict:
     return _check_monotone(fn, "nondecreasing")
 
@@ -693,7 +695,7 @@ def _check_monotone(fn: TableFn, prop: str) -> Verdict:
     """Monotone in each argument; only adjacent chain elements are compared."""
     table = fn._table
     chain = fn.domain
-    cod = _codomain_index(fn)
+    cod = {v: i for i, v in enumerate(fn.codomain)}
     scan = _Scan(prop, fn)
     cases = 0
     want_leq = prop == "nondecreasing"
@@ -739,7 +741,7 @@ def check_convex_sections(fn: TableFn) -> Verdict:
     """Every one-argument section has a gap-free image in the codomain order."""
     table = fn._table
     elements = fn.domain.elements
-    cod = _codomain_index(fn)
+    cod = {v: i for i, v in enumerate(fn.codomain)}
     scan = _Scan("convex_sections", fn)
     sections = _context_pairs(elements, fn.max_arity - 1)
     for pre, post in sections:

@@ -17,9 +17,9 @@ from .checks import (
     _a2_cases,
     _all_tuples,
     _p1_cases,
+    _p2_cases,
     _prepl_cases,
     check_associative,
-    check_preassociative,
     check_range_idempotent,
     check_replication_invariant,
     check_unarily_quasi_range_idempotent,
@@ -128,7 +128,8 @@ SWEEP_PROPERTIES = (
     "PREPL",
 )
 
-#: name -> (label, predicate over the per-function property dict)
+#: name -> (label, predicate over the per-function property dict).
+#: ``A1_iff_A2`` holds by construction: ``_a2_cases`` tests the A1 predicate.
 SWEEP_EQUIVALENCES = {
     "A1_iff_P1_and_URI": lambda p: p["A1"] == (p["P1"] and p["URI"]),
     "A1_iff_A2": lambda p: p["A1"] == p["A2"],
@@ -149,15 +150,15 @@ SWEEP_EQUIVALENCES = {
 
 
 def _function_bits(fn: TableFn) -> dict:
-    # the sweep needs only the bits, so A2, P1 and PREPL skip the witness scan
+    # the sweep needs only the bits, so A2, P1, P2 and PREPL skip the witness scan
     table = fn._table
     elements = fn.domain.elements
-    bits = {
+    return {
         "A1": check_associative(fn, "A1").holds,
         "A2": _a2_cases(fn) is not None,
         "A3": check_associative(fn, "A3").holds,
         "P1": _p1_cases(fn) is not None,
-        "P2": check_preassociative(fn, "P2").holds,
+        "P2": _p2_cases(fn) is not None,
         "URI": check_unarily_range_idempotent(fn).holds,
         "UQRI": check_unarily_quasi_range_idempotent(fn).holds,
         "RI": check_range_idempotent(fn).holds,
@@ -172,7 +173,6 @@ def _function_bits(fn: TableFn) -> dict:
         if fn.max_arity >= 2
         else True,
     }
-    return bits
 
 
 @dataclass

@@ -21,6 +21,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
+from numbers import Real
 from typing import Callable, Iterable, Optional, Sequence
 
 from .checks import nonassociative_triple
@@ -231,8 +232,8 @@ def _tabulate_grid(source, carrier, max_arity, default) -> TableFn:
     if len(set(codomain)) != len(codomain):
         raise AssertionError("canonical value symbols collided; tolerances inconsistent")
     if default is not EPSILON:
-        if isinstance(default, float):
-            default = canonical_symbol(canon.rep(default))
+        if isinstance(default, Real) and not isinstance(default, bool):
+            default = canonical_symbol(canon.rep(float(default)))
         if default not in codomain:
             codomain = codomain + (default,)
     return TableFn(chain, codomain, max_arity, default, entries)
@@ -473,12 +474,9 @@ def _seed_neutral(kind, values, e, on_grid):
         return values[0]
     if e is None:
         raise ValueError("a uninorm needs its neutral element e")
-    if on_grid:
-        ne = _snap(values, float(e))
-        if ne is None:
-            raise ValueError(f"neutral element {e} is not a grid point")
-    else:
-        ne = e
+    ne = _snap(values, float(e)) if on_grid else (e if e in values else None)
+    if ne is None:
+        raise ValueError(f"neutral element {e!r} is not an element of the carrier")
     if ne == values[0] or ne == values[-1]:
         raise ValueError("a uninorm neutral element must be interior to the carrier")
     return ne

@@ -11,6 +11,7 @@ import pytest
 from preassoc.core import EPSILON, Chain, TableFn, canonical_symbol, ranges
 from preassoc.errors import ArityError, GeneratorError, UnknownSymbolError
 from preassoc.families import GeneratedFn, Interval, tabulate
+from preassoc.serialization import dumps_function, loads_function
 
 
 class TestChain:
@@ -162,6 +163,12 @@ class TestTabulate:
         fn = tabulate(gen, [0.1, 0.9], 2)
         # 0.1 * 0.9 and 0.9 * 0.1 must land on one symbol
         assert fn.eval(("0.1", "0.9")) == fn.eval(("0.9", "0.1")) == "0.09"
+
+    def test_int_default_is_canonicalized(self):
+        fn = tabulate(min, [0, 1], 2, default=1)
+        assert fn == tabulate(min, [0, 1], 2, default=1.0)
+        assert fn.default == "1" and fn.codomain == ("0", "1")
+        assert loads_function(dumps_function(fn)) == fn
 
     def test_rejects_generated_on_chain(self, chain2):
         gen = GeneratedFn(family="quasi_sum", interval=Interval(), phi=abs, psi=abs)

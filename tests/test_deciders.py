@@ -1,9 +1,15 @@
-"""The fast A2, P1 and replication-preinvariance deciders against their scans.
+"""The fast paths of the checkers against exhaustive references.
 
-Each decider returns the exhaustive scan's ``cases_checked`` when the
-property holds and None otherwise, and the checker answers from it without
-entering the scan.  Over whole small universes the checker's verdict must
-equal the scan's, and the decider must say "holds" exactly when the scan does.
+Each decider (A2, P1, P2, replication-preinvariance) returns the exhaustive
+scan's ``cases_checked`` when the property holds and None otherwise, and the
+checker answers from it without entering the scan.  Over whole small
+universes the checker's verdict must equal the scan's, and the decider must
+say "holds" exactly when the scan does.
+
+A1 and A3 visit their candidates in witness-key order and stop at the first
+violation.  Their verdicts, witness and ``cases_checked`` included, must
+equal those of the exhaustive scans that race every violation for the least
+key, kept here as the reference.
 """
 
 import random
@@ -12,7 +18,7 @@ from itertools import product
 import pytest
 
 from preassoc import checks
-from preassoc.core import EPSILON, TableFn
+from preassoc.core import EPSILON, TableFn, Verdict, Witness
 from preassoc.enumeration import (
     all_associative_extensions,
     all_operations,
@@ -25,6 +31,7 @@ from preassoc.families import MedianParams, make_median_family
 #: property -> (decider, reference scan), by name in ``preassoc.checks``
 DECIDED = {
     "preassociative_P1": ("_p1_cases", "_p1_scan"),
+    "preassociative_P2": ("_p2_cases", "_check_p2"),
     "replication_preinvariant": ("_prepl_cases", "_prepl_scan"),
     "associative_A2": ("_a2_cases", "_a2_scan"),
 }
@@ -116,11 +123,13 @@ def test_holding_tables_never_enter_the_scans(monkeypatch):
     expected = {
         "constant": {
             "preassociative_P1": 1614254,
+            "preassociative_P2": 7737,
             "replication_preinvariant": 208,
             "associative_A2": 245052,
         },
         "median": {
             "preassociative_P1": 763160,
+            "preassociative_P2": 7737,
             "replication_preinvariant": 58,
             "associative_A2": 245052,
         },
@@ -130,3 +139,100 @@ def test_holding_tables_never_enter_the_scans(monkeypatch):
             v = checks.CHECKERS[prop](fn)
             assert v.holds and v.witness is None
             assert v.cases_checked == expected[name][prop]
+
+
+# ---------------------------------------------------------------------------
+# A1 and A3: the first key-ordered violation against the least of all
+# ---------------------------------------------------------------------------
+
+
+def _least(prop, fn, cases, violations):
+    """The verdict whose witness has the least (total, chain indices, lengths) key.
+
+    Each violation is (total length, parts, values, note).
+    """
+    index = fn.domain.index
+
+    def key(violation):
+        tuples = [t for _, t in violation[1]]
+        return (violation[0], tuple(index(s) for t in tuples for s in t), tuple(map(len, tuples)))
+
+    shortest = min((v[0] for v in violations), default=None)
+    least = min((v for v in violations if v[0] == shortest), key=key, default=None)
+    witness = None if least is None else Witness(least[1], least[2], note=least[3])
+    return Verdict(prop, least is None, cases, witness, fn.max_arity)
+
+
+_SUBST = "substituted-epsilon: nonempty inner block evaluates to ε"
+
+
+def _reference_a1(fn):
+    table = fn._table
+    elements, n = fn.domain.elements, fn.max_arity
+    candidates = [
+        (x, y, z)
+        for x, z in checks._context_pairs(elements, n - 1)
+        for y in checks._all_tuples(elements, n - len(x) - len(z))
+    ]
+    violations = []
+    for x, y, z in candidates:
+        parts = (("x", x), ("y", y), ("z", z))
+        total = len(x) + len(y) + len(z)
+        vy = table[y]
+        if vy is EPSILON:
+            if y:
+                violations.append((total, parts, (("F(y)", EPSILON),), _SUBST))
+            continue
+        lhs, rhs = table[x + y + z], table[x + (vy,) + z]
+        if lhs != rhs:
+            violations.append((total, parts, (("F(x,y,z)", lhs), ("F(x,F(y),z)", rhs)), ""))
+    return _least("associative_A1", fn, len(candidates), violations)
+
+
+def _reference_a3(fn):
+    table = fn._table
+    by_len = checks._tuples_by_len(fn.domain.elements, fn.max_arity)
+    violations = []
+    cases = 0
+    for total in range(fn.max_arity + 1):
+        for i in range(total + 1):
+            for x, y in product(by_len[i], by_len[total - i]):
+                cases += 1
+                parts = (("x", x), ("y", y))
+                vx, vy = table[x], table[y]
+                if (vx is EPSILON and x) or (vy is EPSILON and y):
+                    note = "substituted-epsilon: nonempty block evaluates to ε"
+                    violations.append((total, parts, (("F(x)", vx), ("F(y)", vy)), note))
+                    continue
+                lhs = table[x + y]
+                rhs = table[checks._wrap(vx) + checks._wrap(vy)]
+                if lhs != rhs:
+                    values = (("F(x,y)", lhs), ("F(F(x),F(y))", rhs))
+                    violations.append((total, parts, values, ""))
+    return _least("associative_A3", fn, cases, violations)
+
+
+ASSOC_UNIVERSES = {
+    "operations-2-2": _operations_2_2,
+    "epsilon-standard-2-3": _epsilon_standard_2_3,
+    "extensions-3-3": lambda: all_associative_extensions(default_chain(3), 3),
+}
+
+
+@pytest.mark.parametrize("universe", ASSOC_UNIVERSES)
+@pytest.mark.parametrize("form", ["A1", "A3"])
+def test_key_ordered_scan_matches_reference(form, universe):
+    reference = {"A1": _reference_a1, "A3": _reference_a3}[form]
+    holding = tested = 0
+    for fn in ASSOC_UNIVERSES[universe]():
+        if form == "A3" and fn.default is not EPSILON:
+            continue
+        ref = reference(fn)
+        assert checks.check_associative(fn, form) == ref
+        tested += 1
+        holding += ref.holds
+    assert holding > 0
+    if universe == "extensions-3-3":
+        assert holding == tested == 164
+    else:
+        assert holding < tested

@@ -138,6 +138,11 @@ class TestVariadicSeeds:
         with pytest.raises(ValueError):
             make_variadic_seed("uninorm", "idempotent-min", QUARTER_GRID, 2)
 
+    def test_uninorm_neutral_must_be_a_chain_element(self):
+        chain = Chain(("0", "1", "2"))
+        with pytest.raises(ValueError, match="'9'"):
+            make_variadic_seed("uninorm", chain.meet, chain, 2, e="9")
+
     def test_grid_closure_enforced(self):
         with pytest.raises(GridClosureError):
             make_variadic_seed("tnorm", "product", [0, 0.5, 1], 2)
