@@ -3,13 +3,15 @@
 Every verdict covers its whole (truncated) quantifier space, so a holding
 verdict is a proof at the recorded max arity.  A failing verdict reports the
 minimal counterexample under (total tuple length, chain order on the
-concatenated symbols, part lengths), which keeps CI failures reproducible.
-A1, A3, standardness and the unary laws visit their candidates in that order
-and stop at the first violation; A1 and A3 still count their whole space in
-``cases_checked``.  A2, P1, P2 and replication-preinvariance go
-decider-then-scan: a linear test proved equivalent to the scan decides a
-holding verdict, and only a failing one runs the scan, which alone produces
-the witness.  The rest keep the least key over their whole space (``_Scan``).
+concatenated symbols, part lengths, then scalars such as k or a position),
+which keeps CI failures reproducible.  Most checkers visit their candidates
+in that order and stop at the first violation, which is the witness; A2
+reads A1's first violation and weighs it against the first ε-valued tuple.
+``cases_checked`` still counts the whole space.  P1 and
+replication-preinvariance go decider-then-scan: a linear test proved
+equivalent to the scan decides a holding verdict, and only a failing one
+runs the scan.  That scan, like P2's, races the same-class pairs it finds
+for the least key (``_Scan``).
 Checkers read one total table of every tuple of length 0..N, ε included
 (``TableFn._table``), so a block that may be empty needs no separate case.
 """
@@ -90,13 +92,17 @@ def _all_tuples(elements: tuple, max_len: int) -> tuple:
 
 @lru_cache(maxsize=128)
 def _context_pairs(elements: tuple, budget: int) -> tuple:
-    """All (x, z) with |x| + |z| <= budget, ordered by total length then lex."""
+    """All (x, z) with |x| + |z| <= budget, in witness-key order: the word x·z, then |x|.
+
+    The parts are located from the word's rank r in base k.
+    """
     by_len = _tuples_by_len(elements, budget)
+    power = [len(elements) ** e for e in range(budget + 1)]
     return tuple(
-        pair
-        for total in range(budget + 1)
-        for i in range(total + 1)
-        for pair in product(by_len[i], by_len[total - i])
+        (by_len[i][r // power[m - i]], by_len[m - i][r % power[m - i]])
+        for m in range(budget + 1)
+        for r in range(power[m])
+        for i in range(m + 1)
     )
 
 
@@ -260,7 +266,9 @@ def check_associative(fn: TableFn, form: str = "A1") -> Verdict:
 
     Requires an operation; forms A2 and A3 additionally require default = ε.
     A substituted value of ε for a nonempty inner block is reported as a
-    violation (of ε-standardness) rather than skipped.
+    violation (of ε-standardness) rather than skipped.  Each form returns its
+    first violation in witness-key order; an A2 pair witness sets the
+    decomposition (ε, ε, w) beside the first split of w that changes its value.
     """
     prop = f"associative_{form}"
     if form not in ("A1", "A2", "A3"):
@@ -271,7 +279,7 @@ def check_associative(fn: TableFn, form: str = "A1") -> Verdict:
     if form == "A1":
         return _check_a1(fn)
     if form == "A2":
-        return _decided(prop, fn, _a2_cases, _a2_scan)
+        return _check_a2(fn)
     return _check_a3(fn)
 
 
@@ -299,55 +307,38 @@ def _check_a1(fn: TableFn) -> Verdict:
     return Verdict("associative_A1", True, len(candidates), None, fn.max_arity)
 
 
-def _a2_cases(fn: TableFn):
-    """``cases_checked`` of the A2 scan if A2 holds, else None.
+def _check_a2(fn: TableFn) -> Verdict:
+    """All decompositions w = (x, y, z) give the same substituted value.
 
-    Assumes default ε.  A decomposition with y = ε substitutes nothing and
-    gives F(w), so A2 holds iff every decomposition with y nonempty has
-    F(y) ≠ ε and F(x, F(y), z) = F(w).  The scan compares all C(m, 2) pairs of
-    the m = (n+1)(n+2)/2 decompositions of each n-tuple.
+    Assumes default ε, so (ε, ε, w) gives F(w) and A2 fails where A1 does.
+    A1 visits the splits with y nonempty word by word in (|x|, |y|) order, so
+    its first violation is A2's least witness when it is a substituted ε (the
+    first ε-valued tuple, alone as y).  A value mismatch at (x', y', z') on w
+    gives the least pair witness, (ε, ε, w) beside it, with key total 2|w|; a
+    substituted ε on a tuple of length up to 2|w| may still have a smaller
+    key.  ``cases_checked`` counts the C(m, 2) pairs of the
+    m = (n+1)(n+2)/2 decompositions of each n-tuple.
     """
-    table = fn._table
-    n_max = fn.max_arity
-    for w in _all_tuples(fn.domain.elements, n_max):
-        vw = table[w]
-        n = len(w)
-        for i in range(n):
-            x = w[:i]
-            for j in range(i + 1, n + 1):
-                vy = table[w[i:j]]
-                if vy is EPSILON or table[x + (vy,) + w[j:]] != vw:
-                    return None
-    k = len(fn.domain.elements)
-    return sum(k**n * comb((n + 1) * (n + 2) // 2, 2) for n in range(n_max + 1))
-
-
-def _a2_scan(fn: TableFn) -> Verdict:
-    """All decompositions w = (x, y, z) give the same substituted value."""
-    table = fn._table
-    scan = _Scan("associative_A2", fn)
-    cases = 0
-    for w in _all_tuples(fn.domain.elements, fn.max_arity):
-        n = len(w)
-        cases += comb((n + 1) * (n + 2) // 2, 2)  # pairs of decompositions
-        results = []  # ((x, y, z), F(x, F(y), z)) where F(y) is not a substituted ε
-        for i in range(n + 1):
-            for j in range(n - i + 1):
-                x, y, z = w[:i], w[i : i + j], w[i + j :]
-                vy = table[y]
-                if vy is EPSILON and y:
-                    scan.fail(
-                        (("x", x), ("y", y), ("z", z)), (("F(y)", EPSILON),), note=_SUBST_EPS
-                    )
-                    continue
-                results.append(((x, y, z), table[x + _wrap(vy) + z]))
-        for ((x, y, z), v1), ((xp, yp, zp), v2) in combinations(results, 2):
-            if v1 != v2:
-                scan.fail(
-                    (("x", x), ("y", y), ("z", z), ("x'", xp), ("y'", yp), ("z'", zp)),
-                    (("F(x,F(y),z)", v1), ("F(x',F(y'),z')", v2)),
-                )
-    return scan.verdict(cases)
+    chain, n = fn.domain, fn.max_arity
+    k = len(chain.elements)
+    cases = sum(k**i * comb((i + 1) * (i + 2) // 2, 2) for i in range(n + 1))
+    first = _check_a1(fn).witness
+    if first is None or first.note:  # holds, or A1's substituted ε is A2's witness too
+        return Verdict("associative_A2", first is None, cases, first, n)
+    xp, yp, zp = first.part("x"), first.part("y"), first.part("z")
+    w = xp + yp + zp
+    witness = Witness(
+        (("x", ()), ("y", ()), ("z", w), ("x'", xp), ("y'", yp), ("z'", zp)),
+        (("F(x,F(y),z)", first.value("F(x,y,z)")), ("F(x',F(y'),z')", first.value("F(x,F(y),z)"))),
+    )
+    key = _index_key(chain, (), (), w, xp, yp, zp)
+    for t in islice(_all_tuples(chain.elements, min(n, 2 * len(w))), 1, None):
+        if fn._table[t] is EPSILON:
+            if _index_key(chain, (), t, ()) < key:
+                parts = (("x", ()), ("y", t), ("z", ()))
+                witness = Witness(parts, (("F(y)", EPSILON),), note=_SUBST_EPS)
+            break
+    return Verdict("associative_A2", False, cases, witness, n)
 
 
 def _check_a3(fn: TableFn) -> Verdict:
@@ -384,17 +375,17 @@ def _check_a3(fn: TableFn) -> Verdict:
 def check_preassociative(fn: TableFn, form: str = "P1") -> Verdict:
     """Preassociativity via contexts (P1) or via the two-equality form (P2).
 
-    Works for arbitrary codomains.  Both forms go decider-then-scan.  A
-    holding P1 verdict is decided by comparing each tuple with the first of
-    its value class under one-letter extensions, a holding P2 verdict by one
-    pass over the splits.  A failing verdict comes from the exhaustive scan
-    (same-class pairs and contexts, or split buckets), which yields the
-    minimal witness.
+    Works for arbitrary codomains.  P1 goes decider-then-scan: a holding
+    verdict is decided by comparing each tuple with the first of its value
+    class under one-letter extensions, and a failing one comes from the
+    exhaustive scan of same-class pairs and contexts, which yields the
+    minimal witness.  P2 makes one pass over the splits into buckets and
+    races the pairs of their representatives.
     """
     if form == "P1":
         return _decided("preassociative_P1", fn, _p1_cases, _p1_scan)
     if form == "P2":
-        return _decided("preassociative_P2", fn, _p2_cases, _check_p2)
+        return _check_p2(fn)
     raise ValueError(f"unknown preassociativity form {form!r}")
 
 
@@ -469,7 +460,9 @@ def _p1_scan(fn: TableFn) -> Verdict:
 
 
 def _p2_cases(fn: TableFn):
-    """``cases_checked`` of the P2 scan (every split) if P2 holds, else None.
+    """``cases_checked`` of ``_check_p2`` (every split) if P2 holds, else None.
+
+    The equivalence sweep reads this bit alone; no witness is built.
 
     P2 holds iff no two splits x·y with equal (F(x), F(y)) differ in F(x·y).
     """
@@ -498,10 +491,12 @@ def _check_p2(fn: TableFn) -> Verdict:
             for x in by_len[i]:
                 vx = table[x]
                 for y in by_len[total - i]:
-                    vy = table[y]
+                    key = (vx, table[y])
                     v = table[x + y]
-                    bucket = buckets.setdefault((vx, vy), {})
-                    if v not in bucket:
+                    bucket = buckets.get(key)
+                    if bucket is None:
+                        buckets[key] = {v: (x, y)}
+                    elif v not in bucket:
                         bucket[v] = (x, y)
     scan = _Scan("preassociative_P2", fn)
     for bucket in buckets.values():
@@ -559,8 +554,7 @@ def check_range_idempotent(fn: TableFn) -> Verdict:
     """F(k · F(x)) = F(x) for every tuple x and every repetition count k <= N."""
     _require_operation(fn, "range_idempotent")
     table = fn._table
-    default = fn.default
-    scan = _Scan("range_idempotent", fn)
+    witness = None  # the first failure in canonical tuple order is the least
     cases = 0
     seen = set()
     for t in _all_tuples(fn.domain.elements, fn.max_arity):
@@ -568,40 +562,34 @@ def check_range_idempotent(fn: TableFn) -> Verdict:
         if v in seen:
             continue
         seen.add(v)
-        if v is EPSILON:
+        # k copies of ε are the empty tuple, so ε takes the one case k = 1
+        for k in range(1, 2 if v is EPSILON else fn.max_arity + 1):
             cases += 1
-            if default is not EPSILON:
-                scan.fail(
-                    (("x", t),), (("F(x)", EPSILON), ("F(k·F(x))", default)), (("k", 1),)
-                )
-            continue
-        for k in range(1, fn.max_arity + 1):
-            cases += 1
-            rep = table[(v,) * k]
+            rep = table[_wrap(v) * k]
             if rep != v:
-                scan.fail((("x", t),), (("F(x)", v), ("F(k·F(x))", rep)), (("k", k),))
+                if witness is None:
+                    witness = Witness((("x", t),), (("F(x)", v), ("F(k·F(x))", rep)), (("k", k),))
                 break
-    return scan.verdict(cases)
+    return Verdict("range_idempotent", witness is None, cases, witness, fn.max_arity)
 
 
 def check_idempotent(fn: TableFn) -> Verdict:
     """F_n(x, ..., x) = x at every arity."""
     _require_operation(fn, "idempotent")
-    scan = _Scan("idempotent", fn)
-    cases = 0
+    cases = fn.max_arity * len(fn.domain.elements)
     for n in range(1, fn.max_arity + 1):
         for u in fn.domain.elements:
-            cases += 1
             v = fn._table[(u,) * n]
             if v != u:
-                scan.fail((("x", (u,) * n),), (("F(x)", v),), (("arity", n),))
-    return scan.verdict(cases)
+                witness = Witness((("x", (u,) * n),), (("F(x)", v),), (("arity", n),))
+                return Verdict("idempotent", False, cases, witness, fn.max_arity)
+    return Verdict("idempotent", True, cases, None, fn.max_arity)
 
 
 def check_replication_invariant(fn: TableFn) -> Verdict:
     """F(k · x) = F(x) whenever the replicated tuple still fits the arity."""
     table = fn._table
-    scan = _Scan("replication_invariant", fn)
+    witness = None  # the first failure in canonical tuple order is the least
     cases = 0
     for t in islice(_all_tuples(fn.domain.elements, fn.max_arity), 1, None):
         v = table[t]
@@ -609,9 +597,10 @@ def check_replication_invariant(fn: TableFn) -> Verdict:
             cases += 1
             rep = table[t * k]
             if rep != v:
-                scan.fail((("x", t),), (("F(x)", v), ("F(k·x)", rep)), (("k", k),))
+                if witness is None:
+                    witness = Witness((("x", t),), (("F(x)", v), ("F(k·x)", rep)), (("k", k),))
                 break
-    return scan.verdict(cases)
+    return Verdict("replication_invariant", witness is None, cases, witness, fn.max_arity)
 
 
 def check_replication_preinvariant(fn: TableFn) -> Verdict:
@@ -692,30 +681,33 @@ def check_nonincreasing(fn: TableFn) -> Verdict:
 
 
 def _check_monotone(fn: TableFn, prop: str) -> Verdict:
-    """Monotone in each argument; only adjacent chain elements are compared."""
+    """Monotone in each argument; only adjacent chain elements are compared.
+
+    Raising a later position gives a smaller x', so positions are visited
+    last to first and the first violation is the minimal witness.
+    """
     table = fn._table
     chain = fn.domain
     cod = {v: i for i, v in enumerate(fn.codomain)}
-    scan = _Scan(prop, fn)
-    cases = 0
+    k = len(chain.elements)
+    cases = sum(n * (k - 1) * k ** (n - 1) for n in range(1, fn.max_arity + 1))
     want_leq = prop == "nondecreasing"
     for n in range(1, fn.max_arity + 1):
         for t in chain.tuples(n):
-            for i in range(n):
+            for i in reversed(range(n)):
                 s = chain.successor(t[i])
                 if s is None:
                     continue
-                cases += 1
                 t2 = t[:i] + (s,) + t[i + 1 :]
                 a, b = cod[table[t]], cod[table[t2]]
-                bad = a > b if want_leq else a < b
-                if bad:
-                    scan.fail(
+                if a > b if want_leq else a < b:
+                    witness = Witness(
                         (("x", t), ("x'", t2)),
                         (("F(x)", table[t]), ("F(x')", table[t2])),
                         (("position", i),),
                     )
-    return scan.verdict(cases)
+                    return Verdict(prop, False, cases, witness, fn.max_arity)
+    return Verdict(prop, True, cases, None, fn.max_arity)
 
 
 def check_symmetric(fn: TableFn) -> Verdict:
@@ -723,18 +715,17 @@ def check_symmetric(fn: TableFn) -> Verdict:
     table = fn._table
     chain = fn.domain
     idx = chain.index
-    scan = _Scan("symmetric", fn)
-    cases = 0
+    cases = sum(len(chain.elements) ** n for n in range(2, fn.max_arity + 1))
     for n in range(2, fn.max_arity + 1):
         for t in chain.tuples(n):
-            cases += 1
             canon = tuple(sorted(t, key=idx))
             if table[t] != table[canon]:
-                scan.fail(
+                witness = Witness(
                     (("x", t), ("sorted(x)", canon)),
                     (("F(x)", table[t]), ("F(sorted(x))", table[canon])),
                 )
-    return scan.verdict(cases)
+                return Verdict("symmetric", False, cases, witness, fn.max_arity)
+    return Verdict("symmetric", True, cases, None, fn.max_arity)
 
 
 def check_convex_sections(fn: TableFn) -> Verdict:
@@ -742,20 +733,20 @@ def check_convex_sections(fn: TableFn) -> Verdict:
     table = fn._table
     elements = fn.domain.elements
     cod = {v: i for i, v in enumerate(fn.codomain)}
-    scan = _Scan("convex_sections", fn)
-    sections = _context_pairs(elements, fn.max_arity - 1)
+    sections = _context_pairs(elements, fn.max_arity - 1)  # in witness-key order
     for pre, post in sections:
         image = {cod[table[pre + (u,) + post]] for u in elements}
         lo, hi = min(image), max(image)
-        missing = [j for j in range(lo, hi + 1) if j not in image]
-        if missing:
-            scan.fail(
+        if hi - lo >= len(image):
+            missing = next(j for j in range(lo, hi) if j not in image)
+            witness = Witness(
                 (("y", pre), ("z", post)),
-                (("missing", fn.codomain[missing[0]]),),
+                (("missing", fn.codomain[missing]),),
                 (("arity", len(pre) + len(post) + 1), ("position", len(pre))),
                 note="section image has a gap",
             )
-    return scan.verdict(len(sections))
+            return Verdict("convex_sections", False, len(sections), witness, fn.max_arity)
+    return Verdict("convex_sections", True, len(sections), None, fn.max_arity)
 
 
 def check_order_properties(fn: TableFn) -> dict:

@@ -109,11 +109,19 @@ def _print_verdicts(verdicts, quiet):
         print(line)
 
 
+def _needs_epsilon_default(fn: TableFn, name: str) -> bool:
+    """The checker of ``name`` refuses ``fn``'s default (A2 and A3 need ε)."""
+    return name in ("associative_A2", "associative_A3") and fn.default is not EPSILON
+
+
 def _cmd_check(args, parser) -> int:
     names = _resolve_properties(args.properties, parser)
     fn = load_function(args.file)
     if args.max_arity:
         fn = _truncate(fn, args.max_arity)
+    refused = [name for name in names if _needs_epsilon_default(fn, name)]
+    if refused:
+        raise PreassocError(f"{', '.join(refused)}: defined only for operations with default ε")
     verdicts = run_checks(fn, names)
     if args.json:
         report = build_report(fn, verdicts.values(), __version__)
@@ -200,6 +208,17 @@ def _infer_j(phi, grid) -> Interval:
 
 
 def _cmd_generate(args, parser) -> int:
+    try:
+        fn = _generated_table(args, parser)
+    except ValueError as exc:  # a parameter given on the command line
+        raise PreassocError(str(exc)) from exc
+    save_function(fn, args.out)
+    if not args.quiet:
+        print(f"wrote {args.family} table ({len(fn.entries)} entries) to {args.out}")
+    return 0
+
+
+def _generated_table(args, parser) -> TableFn:
     family = args.family
     n = args.max_arity
     if family == "median":
@@ -209,17 +228,16 @@ def _cmd_generate(args, parser) -> int:
             if getattr(args, p) is None:
                 parser.error(f"--family median needs --{p}")
         chain = Chain(tuple(s.strip() for s in args.chain.split(",") if s.strip()))
-        params = MedianParams(args.a, args.b, args.c, args.d)
-        fn = make_median_family(params, chain, n)
-    elif family in ("tnorm", "tconorm", "uninorm"):
+        return make_median_family(MedianParams(args.a, args.b, args.c, args.d), chain, n)
+    if family in ("tnorm", "tconorm", "uninorm"):
         if not args.grid:
             parser.error(f"--family {family} needs --grid")
         if not args.name:
             parser.error(f"--family {family} needs --name")
         grid = _csv_floats(args.grid, parser, "--grid")
         e = float(args.e) if args.e is not None else None
-        fn = make_variadic_seed(family, args.name, grid, n, e=e)
-    elif family == "quasi-sum":
+        return make_variadic_seed(family, args.name, grid, n, e=e)
+    if family == "quasi-sum":
         if not args.grid:
             parser.error("--family quasi-sum needs --grid")
         phi = _named_unary(args.phi, parser, "--phi")
@@ -227,32 +245,23 @@ def _cmd_generate(args, parser) -> int:
         grid = _csv_floats(args.grid, parser, "--grid")
         interval = Interval(min(grid), max(grid))
         gen = make_quasi_sum(phi, psi, interval, _infer_j(phi, grid))
-        fn = tabulate(gen, grid, n, default=EPSILON)
-    elif family == "ling":
-        if not args.grid:
-            parser.error("--family ling needs --grid")
-        if args.a is None or args.b is None:
-            parser.error("--family ling needs --a and --b")
-        phi = _named_unary(args.phi, parser, "--phi")
-        psi = _named_unary(args.psi, parser, "--psi")
-        grid = _csv_floats(args.grid, parser, "--grid")
-        gen = make_ling(phi, psi, float(args.a), float(args.b))
-        fn = tabulate(gen, grid, n, default=EPSILON)
-    else:
-        parser.error(f"unknown family {family!r}")
-        return 2
-    save_function(fn, args.out)
-    if not args.quiet:
-        print(f"wrote {family} table ({len(fn.entries)} entries) to {args.out}")
-    return 0
+        return tabulate(gen, grid, n, default=EPSILON)
+    # ling, the last of the family choices
+    if not args.grid:
+        parser.error("--family ling needs --grid")
+    if args.a is None or args.b is None:
+        parser.error("--family ling needs --a and --b")
+    phi = _named_unary(args.phi, parser, "--phi")
+    psi = _named_unary(args.psi, parser, "--psi")
+    grid = _csv_floats(args.grid, parser, "--grid")
+    gen = make_ling(phi, psi, float(args.a), float(args.b))
+    return tabulate(gen, grid, n, default=EPSILON)
 
 
 def _passes_filters(fn, names) -> bool:
     # a candidate outside a checker's precondition cannot satisfy the property
     for name in names:
-        if (name in OPERATION_ONLY and not fn.is_operation) or (
-            name in ("associative_A2", "associative_A3") and fn.default is not EPSILON
-        ):
+        if (name in OPERATION_ONLY and not fn.is_operation) or _needs_epsilon_default(fn, name):
             return False
     return all(CHECKERS[name](fn).holds for name in names)
 
@@ -297,6 +306,8 @@ def _cmd_enumerate(args, parser) -> int:
         parser.error("associative_binary cannot be combined with other filters")
 
     size, n = args.chain_size, args.max_arity
+    if size < 1:
+        parser.error("--chain-size must be at least 1")
     if _universe_size(size, n, filters, special_binary) > ENUMERATE_LIMIT and not args.force:
         print(
             f"refusing chain size {size} / max arity {n}: more than {ENUMERATE_LIMIT} "
@@ -404,16 +415,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "generate" and not args.max_arity:
-        parser.error("generate needs --max-arity")
-    if args.command == "enumerate" and not args.max_arity:
-        parser.error("enumerate needs --max-arity")
+    if args.max_arity is not None and args.max_arity < 1:
+        parser.error("--max-arity must be at least 1")
+    if args.command in ("generate", "enumerate") and args.max_arity is None:
+        parser.error(f"{args.command} needs --max-arity")
     try:
         return args.handler(args, parser)
-    except PreassocError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (PreassocError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

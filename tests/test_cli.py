@@ -101,6 +101,29 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "associative_A1" in out
 
+    @pytest.mark.parametrize("arity", ["0", "-1"])
+    def test_max_arity_below_one_exits_two(self, min_file, arity, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["check", str(min_file), "--properties", "assoc", "--max-arity", arity])
+        assert err.value.code == 2
+        assert "--max-arity must be at least 1" in capsys.readouterr().err
+
+    def test_form_undefined_for_the_default_exits_two(self, remark_b_file, capsys):
+        code = main(["check", str(remark_b_file), "--properties", "standard,associative_A2"])
+        assert code == 2
+        assert "associative_A2: defined only for operations with default ε" in (
+            capsys.readouterr().err
+        )
+
+    def test_checker_bug_propagates(self, min_file, monkeypatch):
+        # a ValueError from library code is a bug, not an input error (exit 2)
+        def broken(fn):
+            raise ValueError("checker bug")
+
+        monkeypatch.setitem(cli.CHECKERS, "symmetric", broken)
+        with pytest.raises(ValueError, match="checker bug"):
+            main(["check", str(min_file), "--properties", "symmetric"])
+
 
 class TestFactorize:
     def test_relabeled_min_round_trips_byte_for_byte(self, tmp_path, chain3, min_file, capsys):
@@ -177,6 +200,18 @@ class TestGenerate:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [
+        ["--family", "tnorm", "--name", "nope", "--grid", "0,0.5,1"],
+        ["--family", "uninorm", "--name", "idempotent-min", "--e", "half", "--grid", "0,0.5,1"],
+        ["--family", "ling", "--a", "zero", "--b", "1", "--grid", "0,0.5,1"],
+        ["--family", "median", "--chain", "0,1,1", "--a", "0", "--b", "1", "--c", "0", "--d", "1"],
+    ])
+    def test_invalid_generate_parameters_exit_two(self, tmp_path, args, capsys):
+        out = tmp_path / "bad.json"
+        assert main(["generate", *args, "--max-arity", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_quasi_sum_and_ling(self, tmp_path):
         out = tmp_path / "qs.json"
         code = main([
@@ -251,6 +286,12 @@ class TestEnumerate:
         assert a.read_bytes() == b.read_bytes()
         lines = a.read_text(encoding="utf-8").splitlines()
         assert len(set(lines)) == len(lines)
+
+    def test_chain_size_below_one_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["enumerate", "--chain-size", "0", "--max-arity", "2"])
+        assert err.value.code == 2
+        assert "--chain-size must be at least 1" in capsys.readouterr().err
 
     def test_singleton_chain(self, capsys):
         code = main(["enumerate", "--chain-size", "1", "--max-arity", "2"])

@@ -1,19 +1,23 @@
 """The fast paths of the checkers against exhaustive references.
 
-Each decider (A2, P1, P2, replication-preinvariance) returns the exhaustive
-scan's ``cases_checked`` when the property holds and None otherwise, and the
+Each decider (P1, replication-preinvariance) returns the exhaustive scan's
+``cases_checked`` when the property holds and None otherwise, and the
 checker answers from it without entering the scan.  Over whole small
 universes the checker's verdict must equal the scan's, and the decider must
-say "holds" exactly when the scan does.
+say "holds" exactly when the scan does.  P2's decider is the equivalence
+sweep's bit alone; it must agree with the P2 checker.
 
-A1 and A3 visit their candidates in witness-key order and stop at the first
-violation.  Their verdicts, witness and ``cases_checked`` included, must
-equal those of the exhaustive scans that race every violation for the least
-key, kept here as the reference.
+A1, A2, A3 and the idempotence, replication, order and symmetry laws visit
+their candidates in witness-key order and stop at the first violation.  Their
+verdicts, witness and ``cases_checked`` included, must equal those of the
+exhaustive scans that race every violation for the least key, kept here as
+the reference; a refusal must raise the same exception type.
 """
 
 import random
-from itertools import product
+from functools import cache
+from itertools import combinations, product
+from math import comb
 
 import pytest
 
@@ -31,9 +35,7 @@ from preassoc.families import MedianParams, make_median_family
 #: property -> (decider, reference scan), by name in ``preassoc.checks``
 DECIDED = {
     "preassociative_P1": ("_p1_cases", "_p1_scan"),
-    "preassociative_P2": ("_p2_cases", "_check_p2"),
     "replication_preinvariant": ("_prepl_cases", "_prepl_scan"),
-    "associative_A2": ("_a2_cases", "_a2_scan"),
 }
 
 
@@ -68,16 +70,17 @@ def _chain3_arity2():
     yield from all_associative_extensions(chain, 2)
 
 
+def _once(generate):
+    """A universe built on first use and shared by every test over it."""
+    return cache(lambda: tuple(generate()))
+
+
 UNIVERSES = {
-    "operations-2-2": _operations_2_2,
-    "epsilon-standard-2-3": _epsilon_standard_2_3,
-    "foreign-2-3": _foreign_2_3,
-    "sample-3-2": _chain3_arity2,
+    "operations-2-2": _once(_operations_2_2),
+    "epsilon-standard-2-3": _once(_epsilon_standard_2_3),
+    "foreign-2-3": _once(_foreign_2_3),
+    "sample-3-2": _once(_chain3_arity2),
 }
-
-
-def _refused(prop, fn):
-    return prop == "associative_A2" and not (fn.is_operation and fn.default is EPSILON)
 
 
 @pytest.mark.parametrize("universe", UNIVERSES)
@@ -92,22 +95,29 @@ def test_checker_agrees_with_scan(prop, universe, monkeypatch):
     monkeypatch.setattr(checks, scan_name, lambda fn: ref)
     holding = tested = 0
     for fn in UNIVERSES[universe]():
-        if _refused(prop, fn):
-            with pytest.raises((NotAnOperationError, ValueError)):
-                checks.CHECKERS[prop](fn)
-            continue
         ref = scan(fn)
         assert checks.CHECKERS[prop](fn) == ref
         assert (decider(fn) is not None) == ref.holds
         tested += 1
         holding += ref.holds
-    if (prop, universe) == ("associative_A2", "foreign-2-3"):
-        assert tested == 0  # A2 needs an operation
-    else:
-        assert 0 < holding < tested
+    assert 0 < holding < tested
+
+
+@pytest.mark.parametrize("universe", UNIVERSES)
+def test_p2_decider_agrees_with_checker(universe):
+    holding = tested = 0
+    for fn in UNIVERSES[universe]():
+        verdict = checks.check_preassociative(fn, "P2")
+        cases = checks._p2_cases(fn)
+        assert (cases is not None) == verdict.holds
+        assert cases in (None, verdict.cases_checked)
+        tested += 1
+        holding += verdict.holds
+    assert 0 < holding < tested
 
 
 def test_holding_tables_never_enter_the_scans(monkeypatch):
+    # A2 and P2 have no separate scan to enter; only their counts are checked
     def refuse(fn):
         raise AssertionError("the exhaustive scan was entered")
 
@@ -135,31 +145,33 @@ def test_holding_tables_never_enter_the_scans(monkeypatch):
         },
     }
     for name, fn in (("constant", constant), ("median", median)):
-        for prop in DECIDED:
+        for prop in expected[name]:
             v = checks.CHECKERS[prop](fn)
             assert v.holds and v.witness is None
             assert v.cases_checked == expected[name][prop]
 
 
 # ---------------------------------------------------------------------------
-# A1 and A3: the first key-ordered violation against the least of all
+# First key-ordered violations against the least of all
 # ---------------------------------------------------------------------------
 
 
 def _least(prop, fn, cases, violations):
-    """The verdict whose witness has the least (total, chain indices, lengths) key.
+    """The verdict whose witness has the least (total, chain indices, lengths, scalars) key.
 
-    Each violation is (total length, parts, values, note).
+    Each violation is (total length, parts, values, scalars, note), the
+    fields of its ``Witness`` after the total; the first of equal keys wins.
     """
     index = fn.domain.index
 
     def key(violation):
         tuples = [t for _, t in violation[1]]
-        return (violation[0], tuple(index(s) for t in tuples for s in t), tuple(map(len, tuples)))
+        flat = tuple(index(s) for t in tuples for s in t)
+        return (flat, tuple(map(len, tuples)), tuple(v for _, v in violation[3]))
 
     shortest = min((v[0] for v in violations), default=None)
     least = min((v for v in violations if v[0] == shortest), key=key, default=None)
-    witness = None if least is None else Witness(least[1], least[2], note=least[3])
+    witness = None if least is None else Witness(*least[1:])
     return Verdict(prop, least is None, cases, witness, fn.max_arity)
 
 
@@ -181,12 +193,50 @@ def _reference_a1(fn):
         vy = table[y]
         if vy is EPSILON:
             if y:
-                violations.append((total, parts, (("F(y)", EPSILON),), _SUBST))
+                violations.append((total, parts, (("F(y)", EPSILON),), (), _SUBST))
             continue
         lhs, rhs = table[x + y + z], table[x + (vy,) + z]
         if lhs != rhs:
-            violations.append((total, parts, (("F(x,y,z)", lhs), ("F(x,F(y),z)", rhs)), ""))
+            values = (("F(x,y,z)", lhs), ("F(x,F(y),z)", rhs))
+            violations.append((total, parts, values, (), ""))
     return _least("associative_A1", fn, len(candidates), violations)
+
+
+def _reference_a2(fn):
+    """Every pair of decompositions of every word, substituted ε apart.
+
+    As in the racing scan this replaces, pairs are not listed once a shorter
+    violation is known: the key compares total length first.
+    """
+    table = fn._table
+    violations = []
+    shortest = None  # the least total length listed so far
+    cases = 0
+    for w in checks._all_tuples(fn.domain.elements, fn.max_arity):
+        n = len(w)
+        cases += comb((n + 1) * (n + 2) // 2, 2)  # pairs of decompositions
+        if shortest is not None and shortest < n:
+            continue  # every violation on w has total n or 2n
+        results = []  # ((x, y, z), F(x, F(y), z)) where F(y) is not a substituted ε
+        for i in range(n + 1):
+            for j in range(n - i + 1):
+                x, y, z = w[:i], w[i : i + j], w[i + j :]
+                vy = table[y]
+                if vy is EPSILON and y:
+                    parts = (("x", x), ("y", y), ("z", z))
+                    violations.append((n, parts, (("F(y)", EPSILON),), (), _SUBST))
+                    shortest = n if shortest is None else min(shortest, n)
+                    continue
+                results.append(((x, y, z), table[x + checks._wrap(vy) + z]))
+        if len({v for _, v in results}) == 1 or (shortest is not None and shortest < 2 * n):
+            continue  # no two decompositions differ, or none can be the least
+        for ((x, y, z), v1), ((xp, yp, zp), v2) in combinations(results, 2):
+            if v1 != v2:
+                parts = (("x", x), ("y", y), ("z", z), ("x'", xp), ("y'", yp), ("z'", zp))
+                values = (("F(x,F(y),z)", v1), ("F(x',F(y'),z')", v2))
+                violations.append((2 * n, parts, values, (), ""))
+                shortest = 2 * n if shortest is None else min(shortest, 2 * n)
+    return _least("associative_A2", fn, cases, violations)
 
 
 def _reference_a3(fn):
@@ -202,30 +252,32 @@ def _reference_a3(fn):
                 vx, vy = table[x], table[y]
                 if (vx is EPSILON and x) or (vy is EPSILON and y):
                     note = "substituted-epsilon: nonempty block evaluates to ε"
-                    violations.append((total, parts, (("F(x)", vx), ("F(y)", vy)), note))
+                    violations.append((total, parts, (("F(x)", vx), ("F(y)", vy)), (), note))
                     continue
                 lhs = table[x + y]
                 rhs = table[checks._wrap(vx) + checks._wrap(vy)]
                 if lhs != rhs:
                     values = (("F(x,y)", lhs), ("F(F(x),F(y))", rhs))
-                    violations.append((total, parts, values, ""))
+                    violations.append((total, parts, values, (), ""))
     return _least("associative_A3", fn, cases, violations)
 
 
 ASSOC_UNIVERSES = {
-    "operations-2-2": _operations_2_2,
-    "epsilon-standard-2-3": _epsilon_standard_2_3,
+    "operations-2-2": UNIVERSES["operations-2-2"],
+    "epsilon-standard-2-3": UNIVERSES["epsilon-standard-2-3"],
     "extensions-3-3": lambda: all_associative_extensions(default_chain(3), 3),
 }
 
 
 @pytest.mark.parametrize("universe", ASSOC_UNIVERSES)
-@pytest.mark.parametrize("form", ["A1", "A3"])
+@pytest.mark.parametrize("form", ["A1", "A2", "A3"])
 def test_key_ordered_scan_matches_reference(form, universe):
-    reference = {"A1": _reference_a1, "A3": _reference_a3}[form]
+    reference = {"A1": _reference_a1, "A2": _reference_a2, "A3": _reference_a3}[form]
     holding = tested = 0
     for fn in ASSOC_UNIVERSES[universe]():
-        if form == "A3" and fn.default is not EPSILON:
+        if form != "A1" and fn.default is not EPSILON:
+            with pytest.raises(ValueError, match="default ε"):
+                checks.check_associative(fn, form)
             continue
         ref = reference(fn)
         assert checks.check_associative(fn, form) == ref
@@ -236,3 +288,160 @@ def test_key_ordered_scan_matches_reference(form, universe):
         assert holding == tested == 164
     else:
         assert holding < tested
+
+
+# The former exhaustive loops of the one-part and order laws, each racing
+# every violation for the least key.
+
+
+def _reference_idempotent(fn):
+    checks._require_operation(fn, "idempotent")
+    violations = []
+    cases = 0
+    for n in range(1, fn.max_arity + 1):
+        for u in fn.domain.elements:
+            cases += 1
+            v = fn._table[(u,) * n]
+            if v != u:
+                violations.append((n, (("x", (u,) * n),), (("F(x)", v),), (("arity", n),), ""))
+    return _least("idempotent", fn, cases, violations)
+
+
+def _reference_range_idempotent(fn):
+    checks._require_operation(fn, "range_idempotent")
+    table = fn._table
+    violations = []
+    cases = 0
+    seen = set()
+    for t in checks._all_tuples(fn.domain.elements, fn.max_arity):
+        v = table[t]
+        if v in seen:
+            continue
+        seen.add(v)
+        if v is EPSILON:
+            cases += 1
+            if fn.default is not EPSILON:
+                values = (("F(x)", EPSILON), ("F(k·F(x))", fn.default))
+                violations.append((len(t), (("x", t),), values, (("k", 1),), ""))
+            continue
+        for k in range(1, fn.max_arity + 1):
+            cases += 1
+            rep = table[(v,) * k]
+            if rep != v:
+                values = (("F(x)", v), ("F(k·F(x))", rep))
+                violations.append((len(t), (("x", t),), values, (("k", k),), ""))
+                break
+    return _least("range_idempotent", fn, cases, violations)
+
+
+def _reference_replication_invariant(fn):
+    table = fn._table
+    violations = []
+    cases = 0
+    for t in checks._all_tuples(fn.domain.elements, fn.max_arity)[1:]:
+        v = table[t]
+        for k in range(2, fn.max_arity // len(t) + 1):
+            cases += 1
+            rep = table[t * k]
+            if rep != v:
+                values = (("F(x)", v), ("F(k·x)", rep))
+                violations.append((len(t), (("x", t),), values, (("k", k),), ""))
+                break
+    return _least("replication_invariant", fn, cases, violations)
+
+
+def _reference_monotone(prop, fn):
+    table = fn._table
+    chain = fn.domain
+    cod = {v: i for i, v in enumerate(fn.codomain)}
+    violations = []
+    cases = 0
+    for n in range(1, fn.max_arity + 1):
+        for t in chain.tuples(n):
+            for i in range(n):
+                s = chain.successor(t[i])
+                if s is None:
+                    continue
+                cases += 1
+                t2 = t[:i] + (s,) + t[i + 1 :]
+                a, b = cod[table[t]], cod[table[t2]]
+                if a > b if prop == "nondecreasing" else a < b:
+                    parts = (("x", t), ("x'", t2))
+                    values = (("F(x)", table[t]), ("F(x')", table[t2]))
+                    violations.append((2 * n, parts, values, (("position", i),), ""))
+    return _least(prop, fn, cases, violations)
+
+
+def _reference_symmetric(fn):
+    table = fn._table
+    chain = fn.domain
+    violations = []
+    cases = 0
+    for n in range(2, fn.max_arity + 1):
+        for t in chain.tuples(n):
+            cases += 1
+            canon = tuple(sorted(t, key=chain.index))
+            if table[t] != table[canon]:
+                parts = (("x", t), ("sorted(x)", canon))
+                values = (("F(x)", table[t]), ("F(sorted(x))", table[canon]))
+                violations.append((2 * n, parts, values, (), ""))
+    return _least("symmetric", fn, cases, violations)
+
+
+def _reference_convex_sections(fn):
+    table = fn._table
+    elements = fn.domain.elements
+    by_len = checks._tuples_by_len(elements, fn.max_arity - 1)
+    cod = {v: i for i, v in enumerate(fn.codomain)}
+    violations = []
+    cases = 0
+    for total in range(fn.max_arity):
+        for i in range(total + 1):
+            for pre, post in product(by_len[i], by_len[total - i]):
+                cases += 1
+                image = {cod[table[pre + (u,) + post]] for u in elements}
+                missing = [j for j in range(min(image), max(image) + 1) if j not in image]
+                if missing:
+                    violations.append((
+                        total,
+                        (("y", pre), ("z", post)),
+                        (("missing", fn.codomain[missing[0]]),),
+                        (("arity", total + 1), ("position", i)),
+                        "section image has a gap",
+                    ))
+    return _least("convex_sections", fn, cases, violations)
+
+
+FIRST_VIOLATION = {
+    "idempotent": _reference_idempotent,
+    "range_idempotent": _reference_range_idempotent,
+    "replication_invariant": _reference_replication_invariant,
+    "nondecreasing": lambda fn: _reference_monotone("nondecreasing", fn),
+    "nonincreasing": lambda fn: _reference_monotone("nonincreasing", fn),
+    "symmetric": _reference_symmetric,
+    "convex_sections": _reference_convex_sections,
+}
+
+
+def _outcome(check, fn):
+    """The verdict, or the type of the exception that refused the function."""
+    try:
+        return check(fn)
+    except NotAnOperationError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("universe", UNIVERSES)
+@pytest.mark.parametrize("prop", FIRST_VIOLATION)
+def test_first_violation_matches_least_key_scan(prop, universe):
+    outcomes = []
+    for fn in UNIVERSES[universe]():
+        ref = _outcome(FIRST_VIOLATION[prop], fn)
+        assert _outcome(checks.CHECKERS[prop], fn) == ref
+        outcomes.append(ref.holds if isinstance(ref, Verdict) else None)
+    if prop in checks.OPERATION_ONLY and universe == "foreign-2-3":
+        assert set(outcomes) == {None}  # not operations
+    elif prop == "convex_sections" and universe in ("epsilon-standard-2-3", "foreign-2-3"):
+        assert set(outcomes) == {True}  # a two-symbol codomain has no gaps
+    else:
+        assert set(outcomes) == {True, False}
