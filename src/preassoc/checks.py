@@ -7,19 +7,20 @@ concatenated symbols, part lengths, then scalars such as k or a position),
 which keeps CI failures reproducible.  Most checkers visit their candidates
 in that order and stop at the first violation, which is the witness; A2
 reads A1's first violation and weighs it against the first ε-valued tuple.
-``cases_checked`` still counts the whole space.  P1 and
-replication-preinvariance go decider-then-scan: a linear test proved
-equivalent to the scan decides a holding verdict, and only a failing one
-runs the scan.  That scan, like P2's, races the same-class pairs it finds
-for the least key (``_Scan``).
+P1, P2 and replication-preinvariance compare tuples of one value class:
+each sets a tuple beside the first of its class (P2: a bucket's two least
+splits side by side) and keeps the least violation, and its docstring argues
+that no other pair is less.  ``cases_checked`` still counts the whole space.
+A linear test decides a holding P1 verdict; only a failing one runs the scan.
 Checkers read one total table of every tuple of length 0..N, ε included
 (``TableFn._table``), so a block that may be empty needs no separate case.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
-from itertools import combinations, islice, product
+from itertools import islice, product
 from math import comb
 
 from .core import EPSILON, Chain, TableFn, Verdict, Witness, ranges
@@ -138,39 +139,6 @@ def _index_key(chain: Chain, *tuples_):
     return (total, flat, lens)
 
 
-class _Scan:
-    """The minimal witness among the violations one checker reports.
-
-    Witnesses are ordered by (total length of the parts, chain indices of
-    their concatenation, part lengths), then by the scalar values; the first
-    of equal keys is kept.  A violation longer than the best one so far costs
-    only a length sum, and a witness is built only when its key wins.
-    """
-
-    __slots__ = ("prop", "fn", "key", "witness")
-
-    def __init__(self, prop: str, fn: TableFn):
-        self.prop = prop
-        self.fn = fn
-        self.key = None
-        self.witness = None
-
-    def fail(self, parts, values, scalars=(), note=""):
-        total = sum(len(t) for _, t in parts)
-        best = self.key
-        if best is not None and total > best[0]:
-            return
-        key = _index_key(self.fn.domain, *[t for _, t in parts])
-        key += tuple(v for _, v in scalars)
-        if best is None or key < best:
-            self.key = key
-            self.witness = Witness(parts, values, scalars, note)
-
-    def verdict(self, cases: int) -> Verdict:
-        w = self.witness
-        return Verdict(self.prop, w is None, cases, w, self.fn.max_arity)
-
-
 def _first_failure(prop, fn: TableFn, fails, values, note="", extra=()) -> Verdict:
     """The verdict of a law on single values, from the first nonempty tuple failing it.
 
@@ -185,18 +153,6 @@ def _first_failure(prop, fn: TableFn, fails, values, note="", extra=()) -> Verdi
             witness = Witness((("x", t),), values(table[t]), note=note)
             return Verdict(prop, False, cases, witness, fn.max_arity, extra)
     return Verdict(prop, True, len(tuples) - 1, None, fn.max_arity, extra)
-
-
-def _decided(prop: str, fn: TableFn, cases_if_holds, scan) -> Verdict:
-    """The holding verdict of a fast decider, else the exhaustive scan's verdict.
-
-    ``cases_if_holds(fn)`` returns the scan's ``cases_checked`` when the
-    property holds and None otherwise; ``scan(fn)`` is the reference scan.
-    """
-    cases = cases_if_holds(fn)
-    if cases is None:
-        return scan(fn)
-    return Verdict(prop, True, cases, None, fn.max_arity)
 
 
 def nonassociative_triple(table, elements):
@@ -377,26 +333,19 @@ def check_preassociative(fn: TableFn, form: str = "P1") -> Verdict:
 
     Works for arbitrary codomains.  P1 goes decider-then-scan: a holding
     verdict is decided by comparing each tuple with the first of its value
-    class under one-letter extensions, and a failing one comes from the
-    exhaustive scan of same-class pairs and contexts, which yields the
-    minimal witness.  P2 makes one pass over the splits into buckets and
-    races the pairs of their representatives.
+    class under one-letter extensions, and a failing one comes from the scan,
+    which sets each tuple beside the first of its class in all its contexts.
+    P2 makes one pass over the splits into buckets and sets each bucket's two
+    least splits side by side.
     """
     if form == "P1":
-        return _decided("preassociative_P1", fn, _p1_cases, _p1_scan)
+        cases = _p1_cases(fn)
+        if cases is None:
+            return _p1_scan(fn)
+        return Verdict("preassociative_P1", True, cases, None, fn.max_arity)
     if form == "P2":
         return _check_p2(fn)
     raise ValueError(f"unknown preassociativity form {form!r}")
-
-
-def _value_classes(fn: TableFn):
-    """Tuples of length 0..N grouped by value, in canonical tuple order."""
-    table = fn._table
-    groups = {}
-    for t in _all_tuples(fn.domain.elements, fn.max_arity):
-        v = table[t]
-        groups.setdefault(v, []).append(t)
-    return groups
 
 
 def _context_count(k: int, budget: int) -> int:
@@ -412,7 +361,7 @@ def _p1_cases(fn: TableFn):
     y's value class.  Necessity: these are contexts of length 1 within the
     budget N - |y|.  Sufficiency, by induction on |x| + |z|: peel one letter u
     off x (or z); then u·y and u·r share a class and the longer of the pair,
-    u·y, has budget N - |y| - 1 for the rest of the context.  The scan visits
+    u·y, has budget N - |y| - 1 for the rest of the context.  The scan counts
     every context within N - |y'| for each same-class pair (y, y'), y' the
     later one.
     """
@@ -438,25 +387,36 @@ def _p1_cases(fn: TableFn):
 
 
 def _p1_scan(fn: TableFn) -> Verdict:
+    """The P1 verdict, from each tuple y' set beside the first tuple r of its class.
+
+    A violation (x, y, y', z) has y before y' in canonical order, so
+    |y| <= |y'|, and |x| + |z| <= N - |y'|.  If y != r, then F(x·r·z) differs
+    from F(x·y·z) or from F(x·y'·z), so (x, r, y, z) or (x, r, y', z) violates
+    P1 within the same budget, with a smaller key: the total is no larger,
+    and at equal totals r comes before y at the same position.  So only the
+    pairs (r, y') are tried, each in its contexts (shortest first) until
+    their total passes the least violation so far.
+    """
     table = fn._table
-    n = fn.max_arity
-    elements = fn.domain.elements
-    scan = _Scan("preassociative_P1", fn)
+    n, chain = fn.max_arity, fn.domain
+    classes = {}  # value -> (first tuple of its class, members so far)
     cases = 0
-    for group in _value_classes(fn).values():
-        for a, y in enumerate(group):
-            for yp in group[a + 1 :]:  # canonical order: len(y) <= len(yp)
-                contexts = _context_pairs(elements, n - len(yp))
-                cases += len(contexts)
-                for x, z in contexts:
-                    lhs = table[x + y + z]
-                    rhs = table[x + yp + z]
-                    if lhs != rhs:
-                        scan.fail(
-                            (("x", x), ("y", y), ("y'", yp), ("z", z)),
-                            (("F(x,y,z)", lhs), ("F(x,y',z)", rhs)),
-                        )
-    return scan.verdict(cases)
+    key, witness = (2 * n + 1,), None  # of the least violation so far; totals stay <= 2N
+    for yp in _all_tuples(chain.elements, n):
+        r, b = classes.get(table[yp], (yp, 0))
+        classes[table[yp]] = (r, b + 1)
+        contexts = _context_pairs(chain.elements, n - len(yp)) if b else ()
+        cases += b * len(contexts)
+        for x, z in contexts:
+            if len(x) + len(r) + len(yp) + len(z) > key[0]:
+                break
+            lhs, rhs = table[x + r + z], table[x + yp + z]
+            if lhs != rhs and (found := _index_key(chain, x, r, yp, z)) < key:
+                key, witness = found, Witness(
+                    (("x", x), ("y", r), ("y'", yp), ("z", z)),
+                    (("F(x,y,z)", lhs), ("F(x,y',z)", rhs)),
+                )
+    return Verdict("preassociative_P1", witness is None, cases, witness, n)
 
 
 def _p2_cases(fn: TableFn):
@@ -481,11 +441,18 @@ def _p2_cases(fn: TableFn):
 
 
 def _check_p2(fn: TableFn) -> Verdict:
-    """The pair of values (F(x), F(y)) must determine F(x, y)."""
+    """The pair of values (F(x), F(y)) must determine F(x, y).
+
+    Each bucket (F(x), F(y)) keeps the first split x·y of each value F(x·y),
+    and a witness sets two of them side by side, the lesser first.  A
+    bucket's two least splits a < b make its least witness: against any
+    other pair c < d, a <= c and b <= d, and the totals, the chain indices
+    and the lengths each compare part by part.
+    """
     table = fn._table
     chain = fn.domain
     by_len = _tuples_by_len(chain.elements, fn.max_arity)
-    buckets = {}  # (F(x), F(y)) -> {F(x,y): minimal (x, y)}
+    buckets = {}  # (F(x), F(y)) -> {F(x,y): first (x, y)}
     for total in range(fn.max_arity + 1):
         for i in range(total + 1):
             for x in by_len[i]:
@@ -498,17 +465,22 @@ def _check_p2(fn: TableFn) -> Verdict:
                         buckets[key] = {v: (x, y)}
                     elif v not in bucket:
                         bucket[v] = (x, y)
-    scan = _Scan("preassociative_P2", fn)
-    for bucket in buckets.values():
-        for pair in combinations(bucket.items(), 2):
-            (vf, (x, y)), (vs, (xp, yp)) = sorted(
-                pair, key=lambda item: _index_key(chain, *item[1])
-            )
-            scan.fail(
-                (("x", x), ("y", y), ("x'", xp), ("y'", yp)),
-                (("F(x,y)", vf), ("F(x',y')", vs)),
-            )
-    return scan.verdict(_context_count(len(chain.elements), fn.max_arity))
+    least = min(
+        (
+            sorted(bucket.items(), key=lambda item: _index_key(chain, *item[1]))[:2]
+            for bucket in buckets.values()
+            if len(bucket) > 1
+        ),
+        key=lambda pair: _index_key(chain, *pair[0][1], *pair[1][1]),
+        default=None,
+    )
+    witness = None
+    if least is not None:
+        (vf, (x, y)), (vs, (xp, yp)) = least
+        parts = (("x", x), ("y", y), ("x'", xp), ("y'", yp))
+        witness = Witness(parts, (("F(x,y)", vf), ("F(x',y')", vs)))
+    cases = _context_count(len(chain.elements), fn.max_arity)
+    return Verdict("preassociative_P2", witness is None, cases, witness, fn.max_arity)
 
 
 # ---------------------------------------------------------------------------
@@ -604,53 +576,51 @@ def check_replication_invariant(fn: TableFn) -> Verdict:
 
 
 def check_replication_preinvariant(fn: TableFn) -> Verdict:
-    """Equal values replicate equally: F(x) = F(y) implies F(k·x) = F(k·y)."""
-    return _decided("replication_preinvariant", fn, _prepl_cases, _prepl_scan)
+    """Equal values replicate equally: F(x) = F(y) implies F(k·x) = F(k·y).
+
+    A violation (x, y, k) has x before y in canonical order and k the least
+    at which the pair fails.  If x is not the first tuple r of its class, r
+    fits every k that y fits, so (r, x) or (r, y) fails at some k' <= k with
+    a smaller key, as in ``_p1_scan``: the least witness is a
+    ``_prepl_mismatches`` one.  ``cases_checked`` counts each same-class pair
+    at k = 2 up to its least failing k, that is, for each k, the pairs that
+    fit k and share (F(x), F(2·x), ..., F((k-1)·x)).
+    """
+    table = fn._table
+    n, chain = fn.max_arity, fn.domain
+    seen = Counter()  # (k, (F(x), ..., F((k-1)·x))) -> tuples so far that fit k and share it
+    cases = 0
+    for y in _all_tuples(chain.elements, n // 2):
+        signature = (table[y],)
+        for k in range(2, n // max(len(y), 1) + 1):
+            cases += seen[k, signature]
+            seen[k, signature] += 1
+            signature += (table[y * k],)
+    least = min(_prepl_mismatches(fn), key=lambda m: _index_key(chain, *m[:2]), default=None)
+    witness = None
+    if least is not None:
+        r, y, k, vr, vy = least
+        witness = Witness((("x", r), ("y", y)), (("F(k·x)", vr), ("F(k·y)", vy)), (("k", k),))
+    return Verdict("replication_preinvariant", witness is None, cases, witness, n)
 
 
-def _prepl_cases(fn: TableFn):
-    """``cases_checked`` of the replication-preinvariance scan if it holds, else None.
+def _prepl_mismatches(fn: TableFn):
+    """Yield (r, y, k, F(k·r), F(k·y)), r the first of y's class, k the least they differ at.
 
-    It holds iff, within each value class and for each k >= 2, every member x
-    with k·|x| <= N gives the same F(k·x); ε fits every k <= N.  The scan tries
-    k = 2..N // |y| for each same-class pair (x, y), y the later (longer) one.
+    Only tuples up to length N // 2 fit a k >= 2 (k·|y| <= N); ε fits every k.
     """
     table = fn._table
     n = fn.max_arity
-    replicated = {}  # (F(x), k) -> F(k·x) of the first member that fits k
-    size = {}  # value -> members of its class seen so far
-    cases = 0
-    for x in _all_tuples(fn.domain.elements, n):
-        v = table[x]
-        kmax = n // len(x) if x else n
-        b = size.get(v, 0)
-        size[v] = b + 1
-        cases += b * max(0, kmax - 1)
-        for k in range(2, kmax + 1):
-            vk = table[x * k]
-            if replicated.setdefault((v, k), vk) != vk:
-                return None
-    return cases
-
-
-def _prepl_scan(fn: TableFn) -> Verdict:
-    table = fn._table
-    n = fn.max_arity
-    scan = _Scan("replication_preinvariant", fn)
-    cases = 0
-    for group in _value_classes(fn).values():
-        for x, y in combinations(group, 2):
-            kmax = n // max(len(x), len(y), 1)  # ε fits every k <= n
-            for k in range(2, kmax + 1):
-                cases += 1
-                vx = table[x * k]
-                vy = table[y * k]
-                if vx != vy:
-                    scan.fail(
-                        (("x", x), ("y", y)), (("F(k·x)", vx), ("F(k·y)", vy)), (("k", k),)
-                    )
-                    break
-    return scan.verdict(cases)
+    first = {}  # value -> first tuple of its class
+    for y in _all_tuples(fn.domain.elements, n // 2):
+        r = first.setdefault(table[y], y)
+        if r is y:
+            continue
+        for k in range(2, n // max(len(y), 1) + 1):
+            vr, vy = table[r * k], table[y * k]
+            if vr != vy:
+                yield r, y, k, vr, vy
+                break
 
 
 def check_idempotence_suite(fn: TableFn) -> dict:

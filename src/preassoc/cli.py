@@ -187,9 +187,12 @@ def _cmd_factorize(args, parser) -> int:
 
 def _csv_floats(raw: str, parser, what: str):
     try:
-        return [float(tok) for tok in raw.split(",") if tok.strip()]
+        values = [float(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError:
         parser.error(f"{what} must be a comma-separated list of numbers")
+    if not values:
+        parser.error(f"{what} must list at least one number")
+    return values
 
 
 def _named_unary(name, parser, what):

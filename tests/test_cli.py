@@ -212,6 +212,19 @@ class TestGenerate:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("family", [
+        ["--family", "quasi-sum", "--phi", "id", "--psi", "id"],
+        ["--family", "ling", "--a", "0", "--b", "1", "--phi", "id", "--psi", "id"],
+        ["--family", "tnorm", "--name", "min"],
+    ])
+    def test_grid_of_separators_only_exits_two(self, tmp_path, family, capsys):
+        out = tmp_path / "bad.json"
+        with pytest.raises(SystemExit) as err:
+            main(["generate", *family, "--grid", " , ", "--max-arity", "2", "--out", str(out)])
+        assert err.value.code == 2
+        assert "--grid must list at least one number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_quasi_sum_and_ling(self, tmp_path):
         out = tmp_path / "qs.json"
         code = main([

@@ -1,17 +1,18 @@
 """The fast paths of the checkers against exhaustive references.
 
-Each decider (P1, replication-preinvariance) returns the exhaustive scan's
-``cases_checked`` when the property holds and None otherwise, and the
-checker answers from it without entering the scan.  Over whole small
-universes the checker's verdict must equal the scan's, and the decider must
-say "holds" exactly when the scan does.  P2's decider is the equivalence
-sweep's bit alone; it must agree with the P2 checker.
+P1, P2 and replication-preinvariance compare tuples of one value class.
+Their checkers set each tuple beside the first of its class (P1,
+replication-preinvariance) or each bucket's two least splits side by side
+(P2).  Their verdicts, witness and ``cases_checked`` included, must equal
+those of the former scans that race every same-class pair for the least key,
+kept here as the reference.  The sweep's bit for each (``_p1_cases``,
+``_p2_cases``, the first of ``_prepl_mismatches``) must say "holds" exactly
+when the reference does.
 
 A1, A2, A3 and the idempotence, replication, order and symmetry laws visit
 their candidates in witness-key order and stop at the first violation.  Their
-verdicts, witness and ``cases_checked`` included, must equal those of the
-exhaustive scans that race every violation for the least key, kept here as
-the reference; a refusal must raise the same exception type.
+verdicts must likewise equal those of the exhaustive scans that race every
+violation for the least key; a refusal must raise the same exception type.
 """
 
 import random
@@ -31,12 +32,6 @@ from preassoc.enumeration import (
 )
 from preassoc.errors import NotAnOperationError
 from preassoc.families import MedianParams, make_median_family
-
-#: property -> (decider, reference scan), by name in ``preassoc.checks``
-DECIDED = {
-    "preassociative_P1": ("_p1_cases", "_p1_scan"),
-    "replication_preinvariant": ("_prepl_cases", "_prepl_scan"),
-}
 
 
 def _operations_2_2():
@@ -70,6 +65,28 @@ def _chain3_arity2():
     yield from all_associative_extensions(chain, 2)
 
 
+def _near_constant_2_5():
+    # one class of nearly every tuple, and P1 witnesses with long contexts
+    chain = default_chain(2)
+    slots = checks._all_tuples(chain.elements, 5)[1:]
+    rng = random.Random(20145)
+    for _ in range(200):
+        entries = dict.fromkeys(slots, "0")
+        for t in rng.sample(slots, rng.randint(1, 3)):
+            entries[t] = "1"
+        yield TableFn(chain, chain.elements, 5, EPSILON, entries)
+
+
+def _three_values_3_3():
+    # buckets of P2 with three values, whose splits walk and key orders rank apart
+    chain = default_chain(3)
+    slots = checks._all_tuples(chain.elements, 3)[1:]
+    rng = random.Random(20143)
+    for _ in range(1000):
+        entries = {t: rng.choice("abc") for t in slots}
+        yield TableFn(chain, ("a", "b", "c"), 3, EPSILON, entries)
+
+
 def _once(generate):
     """A universe built on first use and shared by every test over it."""
     return cache(lambda: tuple(generate()))
@@ -82,25 +99,148 @@ UNIVERSES = {
     "sample-3-2": _once(_chain3_arity2),
 }
 
+PAIR_UNIVERSES = {
+    **UNIVERSES,
+    "three-values-3-3": _once(_three_values_3_3),
+    "near-constant-2-5": _once(_near_constant_2_5),
+}
 
-@pytest.mark.parametrize("universe", UNIVERSES)
-@pytest.mark.parametrize("prop", DECIDED)
-def test_checker_agrees_with_scan(prop, universe, monkeypatch):
-    decider_name, scan_name = DECIDED[prop]
-    decider = getattr(checks, decider_name)
-    scan = getattr(checks, scan_name)
-    # the checker reaches the scan only when the decider fails; hand it the
-    # verdict computed here, so that each table is scanned once
-    ref = None
-    monkeypatch.setattr(checks, scan_name, lambda fn: ref)
+
+# ---------------------------------------------------------------------------
+# Pair laws against the former same-class pair races
+# ---------------------------------------------------------------------------
+
+
+def _least(prop, fn, cases, violations):
+    """The verdict whose witness has the least (total, chain indices, lengths, scalars) key.
+
+    Each violation is (total length, parts, values, scalars, note), the
+    fields of its ``Witness`` after the total; the first of equal keys wins.
+    """
+    index = fn.domain.index
+
+    def key(violation):
+        tuples = [t for _, t in violation[1]]
+        flat = tuple(index(s) for t in tuples for s in t)
+        return (flat, tuple(map(len, tuples)), tuple(v for _, v in violation[3]))
+
+    shortest = min((v[0] for v in violations), default=None)
+    least = min((v for v in violations if v[0] == shortest), key=key, default=None)
+    witness = None if least is None else Witness(*least[1:])
+    return Verdict(prop, least is None, cases, witness, fn.max_arity)
+
+
+def _value_classes(fn):
+    """Tuples of length 0..N grouped by value, each class in canonical order."""
+    classes = {}
+    for t in checks._all_tuples(fn.domain.elements, fn.max_arity):
+        classes.setdefault(fn._table[t], []).append(t)
+    return classes.values()
+
+
+def _reference_p1(fn):
+    """Every same-class pair (y, y') over every context within N - |y'|."""
+    table = fn._table
+    n, elements = fn.max_arity, fn.domain.elements
+    violations = []
+    cases = 0
+    for group in _value_classes(fn):
+        for y, yp in combinations(group, 2):  # canonical order: len(y) <= len(yp)
+            contexts = checks._context_pairs(elements, n - len(yp))
+            cases += len(contexts)
+            for x, z in contexts:
+                lhs, rhs = table[x + y + z], table[x + yp + z]
+                if lhs != rhs:
+                    parts = (("x", x), ("y", y), ("y'", yp), ("z", z))
+                    values = (("F(x,y,z)", lhs), ("F(x,y',z)", rhs))
+                    total = len(x) + len(y) + len(yp) + len(z)
+                    violations.append((total, parts, values, (), ""))
+    return _least("preassociative_P1", fn, cases, violations)
+
+
+def _reference_p2(fn):
+    """Every pair of the first splits x·y of distinct values in one (F(x), F(y)) bucket."""
+    table = fn._table
+    chain, n = fn.domain, fn.max_arity
+    by_len = checks._tuples_by_len(chain.elements, n)
+    buckets = {}  # (F(x), F(y)) -> {F(x,y): first (x, y)}
+    for total in range(n + 1):
+        for i in range(total + 1):
+            for x, y in product(by_len[i], by_len[total - i]):
+                buckets.setdefault((table[x], table[y]), {}).setdefault(table[x + y], (x, y))
+    violations = []
+    for bucket in buckets.values():
+        for pair in combinations(bucket.items(), 2):
+            (vf, (x, y)), (vs, (xp, yp)) = sorted(
+                pair, key=lambda item: checks._index_key(chain, *item[1])
+            )
+            parts = (("x", x), ("y", y), ("x'", xp), ("y'", yp))
+            values = (("F(x,y)", vf), ("F(x',y')", vs))
+            violations.append((len(x) + len(y) + len(xp) + len(yp), parts, values, (), ""))
+    cases = checks._context_count(len(chain.elements), n)
+    return _least("preassociative_P2", fn, cases, violations)
+
+
+def _reference_prepl(fn):
+    """Every same-class pair at k = 2, 3, ... up to its first failing k."""
+    table = fn._table
+    n = fn.max_arity
+    violations = []
+    cases = 0
+    for group in _value_classes(fn):
+        for x, y in combinations(group, 2):
+            kmax = n // max(len(x), len(y), 1)  # ε fits every k <= n
+            for k in range(2, kmax + 1):
+                cases += 1
+                vx, vy = table[x * k], table[y * k]
+                if vx != vy:
+                    parts = (("x", x), ("y", y))
+                    values = (("F(k·x)", vx), ("F(k·y)", vy))
+                    violations.append((len(x) + len(y), parts, values, (("k", k),), ""))
+                    break
+    return _least("replication_preinvariant", fn, cases, violations)
+
+
+#: property -> (reference, the sweep's bit)
+PAIR_LAWS = {
+    "preassociative_P1": (_reference_p1, lambda fn: checks._p1_cases(fn) is not None),
+    "preassociative_P2": (_reference_p2, lambda fn: checks._p2_cases(fn) is not None),
+    "replication_preinvariant": (
+        _reference_prepl, lambda fn: next(checks._prepl_mismatches(fn), None) is None
+    ),
+}
+
+
+@pytest.mark.parametrize("universe", PAIR_UNIVERSES)
+@pytest.mark.parametrize("prop", PAIR_LAWS)
+def test_pair_law_matches_reference(prop, universe):
+    reference, bit = PAIR_LAWS[prop]
     holding = tested = 0
-    for fn in UNIVERSES[universe]():
-        ref = scan(fn)
+    for fn in PAIR_UNIVERSES[universe]():
+        ref = reference(fn)
         assert checks.CHECKERS[prop](fn) == ref
-        assert (decider(fn) is not None) == ref.holds
+        assert bit(fn) == ref.holds
         tested += 1
         holding += ref.holds
-    assert 0 < holding < tested
+    assert holding < tested
+    assert holding > 0 or universe not in UNIVERSES
+
+
+def test_p1_scan_matches_reference_on_holding_tables():
+    # the P1 checker answers holding tables from ``_p1_cases``; the scan must agree
+    tables = [fn for fn in UNIVERSES["sample-3-2"]() if checks._p1_cases(fn) is not None]
+    assert len(tables) > 100
+    for fn in tables:
+        assert checks._p1_scan(fn) == _reference_p1(fn)
+
+
+def test_near_constant_p1_witnesses_have_long_contexts():
+    contexts = {
+        len(w.part("x")) + len(w.part("z"))
+        for fn in PAIR_UNIVERSES["near-constant-2-5"]()
+        if (w := checks.check_preassociative(fn, "P1").witness) is not None
+    }
+    assert max(contexts) == 4
 
 
 @pytest.mark.parametrize("universe", UNIVERSES)
@@ -117,19 +257,18 @@ def test_p2_decider_agrees_with_checker(universe):
 
 
 def test_holding_tables_never_enter_the_scans(monkeypatch):
-    # A2 and P2 have no separate scan to enter; only their counts are checked
+    # only P1 has a separate scan to enter; for the others the counts are checked
     def refuse(fn):
         raise AssertionError("the exhaustive scan was entered")
 
-    for _, scan_name in DECIDED.values():
-        monkeypatch.setattr(checks, scan_name, refuse)
+    monkeypatch.setattr(checks, "_p1_scan", refuse)
     chain4 = default_chain(4)
     constant = TableFn(
         chain4, chain4.elements, 5, EPSILON,
         {t: "2" for n in range(1, 6) for t in product(chain4.elements, repeat=n)},
     )
     median = make_median_family(MedianParams("0", "3", "1", "2"), chain4, 5)
-    # cases_checked as the scans count them (frozen from the scans themselves)
+    # cases_checked as the pair races count them (frozen from the races themselves)
     expected = {
         "constant": {
             "preassociative_P1": 1614254,
@@ -154,25 +293,6 @@ def test_holding_tables_never_enter_the_scans(monkeypatch):
 # ---------------------------------------------------------------------------
 # First key-ordered violations against the least of all
 # ---------------------------------------------------------------------------
-
-
-def _least(prop, fn, cases, violations):
-    """The verdict whose witness has the least (total, chain indices, lengths, scalars) key.
-
-    Each violation is (total length, parts, values, scalars, note), the
-    fields of its ``Witness`` after the total; the first of equal keys wins.
-    """
-    index = fn.domain.index
-
-    def key(violation):
-        tuples = [t for _, t in violation[1]]
-        flat = tuple(index(s) for t in tuples for s in t)
-        return (flat, tuple(map(len, tuples)), tuple(v for _, v in violation[3]))
-
-    shortest = min((v[0] for v in violations), default=None)
-    least = min((v for v in violations if v[0] == shortest), key=key, default=None)
-    witness = None if least is None else Witness(*least[1:])
-    return Verdict(prop, least is None, cases, witness, fn.max_arity)
 
 
 _SUBST = "substituted-epsilon: nonempty inner block evaluates to ε"
