@@ -8,9 +8,10 @@ which keeps CI failures reproducible.  Most checkers visit their candidates
 in that order and stop at the first violation, which is the witness; A2
 reads A1's first violation and weighs it against the first ε-valued tuple.
 P1, P2 and replication-preinvariance compare tuples of one value class:
-each sets a tuple beside the first of its class (P2: a bucket's two least
-splits side by side) and keeps the least violation, and its docstring argues
-that no other pair is less.  ``cases_checked`` still counts the whole space.
+each sets a tuple beside the first of its class (P2: a bucket's first split
+in key order beside its first split of another value) and keeps the least
+violation, and its docstring argues that no other pair is less.
+``cases_checked`` still counts the whole space.
 A linear test decides a holding P1 verdict; only a failing one runs the scan.
 Checkers read one total table of every tuple of length 0..N, ε included
 (``TableFn._table``), so a block that may be empty needs no separate case.
@@ -25,28 +26,6 @@ from math import comb
 
 from .core import EPSILON, Chain, TableFn, Verdict, Witness, ranges
 from .errors import NotAnOperationError
-
-#: The closed list of checkable property names.
-PROPERTY_NAMES = (
-    "standard",
-    "epsilon_standard",
-    "associative_A1",
-    "associative_A2",
-    "associative_A3",
-    "preassociative_P1",
-    "preassociative_P2",
-    "unarily_idempotent",
-    "unarily_range_idempotent",
-    "unarily_quasi_range_idempotent",
-    "range_idempotent",
-    "idempotent",
-    "replication_invariant",
-    "replication_preinvariant",
-    "nondecreasing",
-    "nonincreasing",
-    "symmetric",
-    "convex_sections",
-)
 
 _SUITE_IDEMPOTENCE = (
     "unarily_idempotent",
@@ -300,27 +279,20 @@ def _check_a2(fn: TableFn) -> Verdict:
 def _check_a3(fn: TableFn) -> Verdict:
     """F(x, y) = F(F(x), F(y)) for all pairs, in witness-key order: w = x·y, then |x|."""
     table = fn._table
-    k, n = len(fn.domain.elements), fn.max_arity
-    by_len = _tuples_by_len(fn.domain.elements, n)
-    cases = _context_count(k, n)
-    for m in range(n + 1):
-        splits = [(by_len[i], by_len[m - i], k ** (m - i)) for i in range(m + 1)]
-        for r, w in enumerate(by_len[m]):
-            lhs = table[w]
-            for xs, ys, p in splits:
-                x, y = xs[r // p], ys[r % p]  # w = x·y, located by w's rank r in base k
-                vx, vy = table[x], table[y]
-                if (vx is EPSILON and x) or (vy is EPSILON and y):
-                    values = (("F(x)", vx), ("F(y)", vy))
-                    note = "substituted-epsilon: nonempty block evaluates to ε"
-                else:
-                    rhs = table[_wrap(vx) + _wrap(vy)]
-                    if lhs == rhs:
-                        continue
-                    values, note = (("F(x,y)", lhs), ("F(F(x),F(y))", rhs)), ""
-                witness = Witness((("x", x), ("y", y)), values, note=note)
-                return Verdict("associative_A3", False, cases, witness, fn.max_arity)
-    return Verdict("associative_A3", True, cases, None, fn.max_arity)
+    splits = _context_pairs(fn.domain.elements, fn.max_arity)
+    for x, y in splits:
+        vx, vy = table[x], table[y]
+        if (vx is EPSILON and x) or (vy is EPSILON and y):
+            values = (("F(x)", vx), ("F(y)", vy))
+            note = "substituted-epsilon: nonempty block evaluates to ε"
+        else:
+            lhs, rhs = table[x + y], table[_wrap(vx) + _wrap(vy)]
+            if lhs == rhs:
+                continue
+            values, note = (("F(x,y)", lhs), ("F(F(x),F(y))", rhs)), ""
+        witness = Witness((("x", x), ("y", y)), values, note=note)
+        return Verdict("associative_A3", False, len(splits), witness, fn.max_arity)
+    return Verdict("associative_A3", True, len(splits), None, fn.max_arity)
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +307,8 @@ def check_preassociative(fn: TableFn, form: str = "P1") -> Verdict:
     verdict is decided by comparing each tuple with the first of its value
     class under one-letter extensions, and a failing one comes from the scan,
     which sets each tuple beside the first of its class in all its contexts.
-    P2 makes one pass over the splits into buckets and sets each bucket's two
-    least splits side by side.
+    P2 walks the splits in key order and sets each bucket's first split
+    beside its first split of another value.
     """
     if form == "P1":
         cases = _p1_cases(fn)
@@ -427,60 +399,49 @@ def _p2_cases(fn: TableFn):
     P2 holds iff no two splits x·y with equal (F(x), F(y)) differ in F(x·y).
     """
     table = fn._table
-    by_len = _tuples_by_len(fn.domain.elements, fn.max_arity)
+    splits = _context_pairs(fn.domain.elements, fn.max_arity)
     value_of = {}  # (F(x), F(y)) -> F(x·y) of the first split with that pair
-    for total in range(fn.max_arity + 1):
-        for i in range(total + 1):
-            for x in by_len[i]:
-                vx = table[x]
-                for y in by_len[total - i]:
-                    v = table[x + y]
-                    if value_of.setdefault((vx, table[y]), v) != v:
-                        return None
-    return _context_count(len(fn.domain.elements), fn.max_arity)
+    for x, y in splits:
+        v = table[x + y]
+        if value_of.setdefault((table[x], table[y]), v) != v:
+            return None
+    return len(splits)
 
 
 def _check_p2(fn: TableFn) -> Verdict:
     """The pair of values (F(x), F(y)) must determine F(x, y).
 
-    Each bucket (F(x), F(y)) keeps the first split x·y of each value F(x·y),
-    and a witness sets two of them side by side, the lesser first.  A
-    bucket's two least splits a < b make its least witness: against any
-    other pair c < d, a <= c and b <= d, and the totals, the chain indices
-    and the lengths each compare part by part.
+    The splits x·y come in witness-key order, so the first split a of each
+    bucket (F(x), F(y)) is the bucket's least.  If (c, d) with c < d is a
+    violation in the bucket, F(a) differs from F(c) or from F(d), so (a, c)
+    or (a, d) is a violation with a key no larger: the totals, the chain
+    indices and the lengths each compare part by part.  So a bucket's
+    witness is a beside its first split b of another value, and the rest of
+    the bucket is skipped.  Across buckets the least witness so far is kept,
+    and the walk stops at the first b longer than that witness's total.
     """
     table = fn._table
-    chain = fn.domain
-    by_len = _tuples_by_len(chain.elements, fn.max_arity)
-    buckets = {}  # (F(x), F(y)) -> {F(x,y): first (x, y)}
-    for total in range(fn.max_arity + 1):
-        for i in range(total + 1):
-            for x in by_len[i]:
-                vx = table[x]
-                for y in by_len[total - i]:
-                    key = (vx, table[y])
-                    v = table[x + y]
-                    bucket = buckets.get(key)
-                    if bucket is None:
-                        buckets[key] = {v: (x, y)}
-                    elif v not in bucket:
-                        bucket[v] = (x, y)
-    least = min(
-        (
-            sorted(bucket.items(), key=lambda item: _index_key(chain, *item[1]))[:2]
-            for bucket in buckets.values()
-            if len(bucket) > 1
-        ),
-        key=lambda pair: _index_key(chain, *pair[0][1], *pair[1][1]),
-        default=None,
-    )
-    witness = None
-    if least is not None:
-        (vf, (x, y)), (vs, (xp, yp)) = least
-        parts = (("x", x), ("y", y), ("x'", xp), ("y'", yp))
-        witness = Witness(parts, (("F(x,y)", vf), ("F(x',y')", vs)))
-    cases = _context_count(len(chain.elements), fn.max_arity)
-    return Verdict("preassociative_P2", witness is None, cases, witness, fn.max_arity)
+    chain, n = fn.domain, fn.max_arity
+    splits = _context_pairs(chain.elements, n)
+    first = {}  # (F(x), F(y)) -> (x, y, F(x·y)) of its first split; () once it has a witness
+    key, witness = (2 * n + 1,), None  # of the least violation so far; totals stay <= 2N
+    for xp, yp in splits:
+        bucket = (table[xp], table[yp])
+        vs = table[xp + yp]
+        a = first.get(bucket)
+        if a is None:
+            first[bucket] = (xp, yp, vs)
+        elif a and a[2] != vs:
+            if len(xp) + len(yp) > key[0]:
+                break  # so does every later split
+            first[bucket] = ()
+            x, y, vf = a
+            if (found := _index_key(chain, x, y, xp, yp)) < key:
+                key, witness = found, Witness(
+                    (("x", x), ("y", y), ("x'", xp), ("y'", yp)),
+                    (("F(x,y)", vf), ("F(x',y')", vs)),
+                )
+    return Verdict("preassociative_P2", witness is None, len(splits), witness, n)
 
 
 # ---------------------------------------------------------------------------
@@ -753,6 +714,9 @@ CHECKERS = {
     "symmetric": check_symmetric,
     "convex_sections": check_convex_sections,
 }
+
+#: The closed list of checkable property names, in canonical order.
+PROPERTY_NAMES = tuple(CHECKERS)
 
 
 def run_checks(fn: TableFn, names) -> dict:

@@ -140,7 +140,7 @@ def _parse_pins(raw):
         if ":" not in token:
             raise PreassocError(f"pin {token!r} must have the form value:preimage")
         y, x = token.split(":", 1)
-        pins.append((y, x))
+        pins.append((EPSILON if y == EPSILON_TOKEN else y, x))
     return pins
 
 

@@ -166,6 +166,21 @@ class TestFactorize:
         assert code == 0
         assert out_h.read_bytes() == min_file.read_bytes()
 
+    def test_epsilon_pin_reads_the_marker(self, tmp_path, chain2):
+        # standard with default "0", every nonempty tuple into ε: g has the key ε
+        entries = {t: EPSILON for t in chain2.tuples_up_to(2) if t}
+        src = tmp_path / "eps.json"
+        save_function(TableFn(chain2, ("0", "1", EPSILON), 2, "0", entries), src)
+        out_h = tmp_path / "H.json"
+        out_rep = tmp_path / "rep.json"
+        code = main([
+            "factorize", str(src), "--out-h", str(out_h), "--out-report", str(out_rep),
+            "--pins", "ε:1",
+        ])
+        assert code == 0
+        assert json.loads(out_rep.read_text(encoding="utf-8"))["g"] == {"ε": "1"}
+        assert set(load_function(out_h).entries.values()) == {"1"}
+
 
 class TestGenerate:
     def test_median_then_check_assoc(self, tmp_path, capsys):
