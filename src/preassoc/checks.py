@@ -27,16 +27,6 @@ from math import comb
 from .core import EPSILON, Chain, TableFn, Verdict, Witness, ranges
 from .errors import NotAnOperationError
 
-_SUITE_IDEMPOTENCE = (
-    "unarily_idempotent",
-    "unarily_range_idempotent",
-    "unarily_quasi_range_idempotent",
-    "range_idempotent",
-    "idempotent",
-    "replication_invariant",
-    "replication_preinvariant",
-)
-
 #: Properties that compare or feed values back into the domain.
 OPERATION_ONLY = frozenset(
     (
@@ -584,20 +574,6 @@ def _prepl_mismatches(fn: TableFn):
                 break
 
 
-def check_idempotence_suite(fn: TableFn) -> dict:
-    """All idempotence-family verdicts applicable to this function.
-
-    Checks that compare values with domain elements need an operation and
-    are omitted for functions into foreign codomains.
-    """
-    out = {}
-    for prop in _SUITE_IDEMPOTENCE:
-        if prop in OPERATION_ONLY and not fn.is_operation:
-            continue
-        out[prop] = CHECKERS[prop](fn)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Order-theoretic properties
 # ---------------------------------------------------------------------------
@@ -678,16 +654,6 @@ def check_convex_sections(fn: TableFn) -> Verdict:
             )
             return Verdict("convex_sections", False, len(sections), witness, fn.max_arity)
     return Verdict("convex_sections", True, len(sections), None, fn.max_arity)
-
-
-def check_order_properties(fn: TableFn) -> dict:
-    """Monotonicity, symmetry, and section convexity verdicts."""
-    return {
-        "nondecreasing": check_nondecreasing(fn),
-        "nonincreasing": check_nonincreasing(fn),
-        "symmetric": check_symmetric(fn),
-        "convex_sections": check_convex_sections(fn),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -149,40 +149,35 @@ def _cmd_factorize(args, parser) -> int:
     if args.max_arity:
         fn = _truncate(fn, args.max_arity)
     pins = _parse_pins(args.pins) if args.pins else None
-    try:
-        fac = factorize(fn, pins)
-    except PreconditionError as exc:
-        report = {
-            "schema_version": 1,
-            "tool_version": __version__,
-            "function_digest": function_digest(fn),
-            "failed_precondition": verdict_to_dict(exc.verdict),
-        }
-        if args.out_report:
-            with open(args.out_report, "w", encoding="utf-8") as fh:
-                fh.write(dumps_report(report))
-        if not args.quiet:
-            print(f"precondition failed: {exc.verdict.property}")
-        if args.json:
-            print(dumps_report(report), end="")
-        return 1
-    save_function(fac.H, args.out_h)
     report = {
         "schema_version": 1,
         "tool_version": __version__,
         "function_digest": function_digest(fn),
-        "h_digest": function_digest(fac.H),
-        "g": {str(k): str(v) for k, v in fac.g.graph.items()},
-        "f": {str(k): (EPSILON_TOKEN if v is EPSILON else str(v)) for k, v in fac.f.graph.items()},
     }
+    failed = None
+    try:
+        fac = factorize(fn, pins)
+    except PreconditionError as exc:
+        failed = exc.verdict.property
+        report["failed_precondition"] = verdict_to_dict(exc.verdict)
+    else:
+        save_function(fac.H, args.out_h)
+        report["h_digest"] = function_digest(fac.H)
+        report["g"] = {str(k): str(v) for k, v in fac.g.graph.items()}
+        report["f"] = {
+            str(k): (EPSILON_TOKEN if v is EPSILON else str(v)) for k, v in fac.f.graph.items()
+        }
+    text = dumps_report(report)
     if args.out_report:
         with open(args.out_report, "w", encoding="utf-8") as fh:
-            fh.write(dumps_report(report))
+            fh.write(text)
+    if failed is not None and not args.quiet:
+        print(f"precondition failed: {failed}")
     if args.json:
-        print(dumps_report(report), end="")
-    elif not args.quiet:
+        print(text, end="")
+    elif failed is None and not args.quiet:
         print(f"wrote associative factor to {args.out_h}")
-    return 0
+    return 0 if failed is None else 1
 
 
 def _csv_floats(raw: str, parser, what: str):
@@ -232,33 +227,23 @@ def _generated_table(args, parser) -> TableFn:
                 parser.error(f"--family median needs --{p}")
         chain = Chain(tuple(s.strip() for s in args.chain.split(",") if s.strip()))
         return make_median_family(MedianParams(args.a, args.b, args.c, args.d), chain, n)
+    if not args.grid:
+        parser.error(f"--family {family} needs --grid")
+    grid = _csv_floats(args.grid, parser, "--grid")
     if family in ("tnorm", "tconorm", "uninorm"):
-        if not args.grid:
-            parser.error(f"--family {family} needs --grid")
         if not args.name:
             parser.error(f"--family {family} needs --name")
-        grid = _csv_floats(args.grid, parser, "--grid")
         e = float(args.e) if args.e is not None else None
         return make_variadic_seed(family, args.name, grid, n, e=e)
-    if family == "quasi-sum":
-        if not args.grid:
-            parser.error("--family quasi-sum needs --grid")
-        phi = _named_unary(args.phi, parser, "--phi")
-        psi = _named_unary(args.psi, parser, "--psi")
-        grid = _csv_floats(args.grid, parser, "--grid")
-        interval = Interval(min(grid), max(grid))
-        gen = make_quasi_sum(phi, psi, interval, _infer_j(phi, grid))
-        return tabulate(gen, grid, n, default=EPSILON)
-    # ling, the last of the family choices
-    if not args.grid:
-        parser.error("--family ling needs --grid")
-    if args.a is None or args.b is None:
-        parser.error("--family ling needs --a and --b")
     phi = _named_unary(args.phi, parser, "--phi")
     psi = _named_unary(args.psi, parser, "--psi")
-    grid = _csv_floats(args.grid, parser, "--grid")
-    gen = make_ling(phi, psi, float(args.a), float(args.b))
-    return tabulate(gen, grid, n, default=EPSILON)
+    if family == "quasi-sum":
+        gen = make_quasi_sum(phi, psi, Interval(min(grid), max(grid)), _infer_j(phi, grid))
+    else:  # ling, the last of the family choices
+        if args.a is None or args.b is None:
+            parser.error("--family ling needs --a and --b")
+        gen = make_ling(phi, psi, float(args.a), float(args.b))
+    return tabulate(gen, grid, n)
 
 
 def _passes_filters(fn, names) -> bool:

@@ -214,6 +214,8 @@ class TableFn:
                 f"1..{self.max_arity}, found {len(entries)}"
             )
         for key, value in entries.items():
+            if not isinstance(key, tuple):
+                raise ValueError(f"entry key {key!r} is not a tuple")
             if not 1 <= len(key) <= self.max_arity:
                 raise ValueError(f"entry arity {len(key)} outside 1..{self.max_arity}")
             for s in key:

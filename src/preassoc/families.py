@@ -415,8 +415,12 @@ def _resolve_seed_op(kind: str, op, e, chain=None):
     return catalog[name]
 
 
-def _snap(grid: list, value: float):
-    for g in grid:
+def _snap(values: list, value, on_grid: bool):
+    """The carrier element that ``value`` names (on a grid: within tolerance), or None."""
+    if not on_grid:
+        return value if value in values else None
+    value = float(value)
+    for g in values:
         if close(g, value):
             return g
     return None
@@ -433,38 +437,18 @@ def make_variadic_seed(kind: str, op, carrier, max_arity: int, *, e=None) -> Tab
     """
     if kind not in ("tnorm", "tconorm", "uninorm"):
         raise ValueError(f"unknown seed kind {kind!r}")
-    binary = _resolve_seed_op(
-        kind, op, e, chain=carrier if isinstance(carrier, Chain) else None
-    )
-
-    if isinstance(carrier, Chain):
-        values = list(carrier.elements)
-        snapped = {}
-        for u, v in product(values, repeat=2):
-            w = binary(u, v)
-            if w not in carrier:
-                raise GridClosureError(f"operation leaves the chain: ({u!r},{v!r}) -> {w!r}")
-            snapped[(u, v)] = w
-        neutral = _seed_neutral(kind, values, e, on_grid=False)
-    else:
-        grid = _as_grid(carrier)
-        values = grid
-        snapped = {}
-        for u, v in product(grid, repeat=2):
-            w = float(binary(u, v))
-            s = _snap(grid, w)
-            if s is None:
-                raise GridClosureError(
-                    f"grid not closed under the operation: ({u}, {v}) -> {w}"
-                )
-            snapped[(u, v)] = s
-        neutral = _seed_neutral(kind, values, e, on_grid=True)
-
-    _check_seed_axioms(snapped, values, neutral)
-    table_op = lambda u, v: snapped[(u, v)]  # noqa: E731
-    if isinstance(carrier, Chain):
-        return tabulate(table_op, carrier, max_arity, default=EPSILON)
-    return tabulate(table_op, values, max_arity, default=EPSILON)
+    on_grid = not isinstance(carrier, Chain)
+    binary = _resolve_seed_op(kind, op, e, chain=None if on_grid else carrier)
+    values = _as_grid(carrier) if on_grid else list(carrier.elements)
+    snapped = {}
+    for u, v in product(values, repeat=2):
+        w = binary(u, v)
+        s = _snap(values, w, on_grid)
+        if s is None:
+            raise GridClosureError(f"operation leaves the carrier: ({u!r}, {v!r}) -> {w!r}")
+        snapped[(u, v)] = s
+    _check_seed_axioms(snapped, values, _seed_neutral(kind, values, e, on_grid))
+    return tabulate(lambda u, v: snapped[(u, v)], values if on_grid else carrier, max_arity)
 
 
 def _seed_neutral(kind, values, e, on_grid):
@@ -474,7 +458,7 @@ def _seed_neutral(kind, values, e, on_grid):
         return values[0]
     if e is None:
         raise ValueError("a uninorm needs its neutral element e")
-    ne = _snap(values, float(e)) if on_grid else (e if e in values else None)
+    ne = _snap(values, e, on_grid)
     if ne is None:
         raise ValueError(f"neutral element {e!r} is not an element of the carrier")
     if ne == values[0] or ne == values[-1]:

@@ -43,15 +43,6 @@ class FiniteMap:
     def __call__(self, x):
         return self.graph[x]
 
-    def __eq__(self, other):
-        if not isinstance(other, FiniteMap):
-            return NotImplemented
-        return (
-            self.domain == other.domain
-            and self.codomain == other.codomain
-            and self.graph == other.graph
-        )
-
     def __hash__(self):
         return hash((self.domain, self.codomain, tuple(sorted(
             ((self.domain.index(k), self.codomain.index(v)) for k, v in self.graph.items())

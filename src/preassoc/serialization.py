@@ -108,15 +108,15 @@ def table_to_dict(fn: TableFn) -> dict:
                     f"strings other than the reserved {EPSILON_TOKEN!r}",
                     field=field,
                 )
-    idx = fn.domain.index
-    ordered = sorted(fn.entries.items(), key=lambda kv: (len(kv[0]), tuple(map(idx, kv[0]))))
     return {
         "domain": list(fn.domain.elements),
         "codomain": [_value_token(v) for v in fn.codomain],
         "default": _value_token(fn.default),
         "max_arity": fn.max_arity,
         "entries": [
-            {"args": list(args), "value": _value_token(value)} for args, value in ordered
+            {"args": list(args), "value": _value_token(fn.entries[args])}
+            for args in fn.domain.tuples_up_to(fn.max_arity)
+            if args
         ],
     }
 

@@ -5,10 +5,9 @@ from itertools import product
 import pytest
 
 from preassoc.checks import (
+    OPERATION_ONLY,
     check_associative,
     check_epsilon_standard,
-    check_idempotence_suite,
-    check_order_properties,
     check_preassociative,
     check_standard,
     run_checks,
@@ -153,15 +152,27 @@ class TestPreassociative:
         assert not check_preassociative(remark_b, "P2").holds
 
 
+IDEMPOTENCE = (
+    "unarily_idempotent",
+    "unarily_range_idempotent",
+    "unarily_quasi_range_idempotent",
+    "range_idempotent",
+    "idempotent",
+    "replication_invariant",
+    "replication_preinvariant",
+)
+ORDER = ("nondecreasing", "nonincreasing", "symmetric", "convex_sections")
+
+
 class TestIdempotenceSuite:
     def test_min_extension_all_seven(self, min3):
-        suite = check_idempotence_suite(min3)
+        suite = run_checks(min3, IDEMPOTENCE)
         assert len(suite) == 7
         assert all(v.holds for v in suite.values())
 
     def test_length_function_subset(self, length_fn):
-        suite = check_idempotence_suite(length_fn)
-        # operation-only checks are omitted for a function into the naturals
+        # operation-only checks do not apply to a function into the naturals
+        suite = run_checks(length_fn, [p for p in IDEMPOTENCE if p not in OPERATION_ONLY])
         assert set(suite) == {
             "unarily_quasi_range_idempotent",
             "replication_invariant",
@@ -174,14 +185,14 @@ class TestIdempotenceSuite:
         # F1 swaps 0 and 1; F_n(x) = F1(x1). ran F1 = ran Fb but F1∘F1 != F1.
         swap = {"0": "1", "1": "0"}
         fn = build_fn(chain2, 2, lambda t: swap[t[0]], codomain=chain2.elements)
-        suite = check_idempotence_suite(fn)
+        suite = run_checks(fn, IDEMPOTENCE)
         assert not suite["unarily_range_idempotent"].holds
         assert suite["unarily_quasi_range_idempotent"].holds
 
 
 class TestOrderProperties:
     def test_min_extension(self, min3):
-        results = check_order_properties(min3)
+        results = run_checks(min3, ORDER)
         assert results["nondecreasing"].holds
         assert results["symmetric"].holds
         assert results["convex_sections"].holds
@@ -192,8 +203,8 @@ class TestOrderProperties:
 
         sym = make_median_family(MedianParams("0", "3", "1", "1"), chain4, 3)
         asym = make_median_family(MedianParams("0", "3", "1", "2"), chain4, 3)
-        assert check_order_properties(sym)["symmetric"].holds
-        asym_results = check_order_properties(asym)
+        assert run_checks(sym, ORDER)["symmetric"].holds
+        asym_results = run_checks(asym, ORDER)
         assert not asym_results["symmetric"].holds
         assert asym_results["nondecreasing"].holds
         assert asym_results["convex_sections"].holds
@@ -208,7 +219,7 @@ class TestOrderProperties:
             return acc
 
         fn = build_fn(chain2, 2, value_of, codomain=chain2.elements)
-        v = check_order_properties(fn)["nondecreasing"]
+        v = run_checks(fn, ORDER)["nondecreasing"]
         assert not v.holds
         assert ("position", 0) in v.witness.scalars or ("position", 1) in v.witness.scalars
 

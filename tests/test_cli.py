@@ -160,6 +160,20 @@ class TestFactorize:
         )
         assert not out_h.exists()
 
+    @pytest.mark.parametrize("quiet", [False, True])
+    def test_json_prints_the_written_report(self, tmp_path, min_file, length_file, capsys, quiet):
+        for src, code, lead in ((min_file, 0, ""), (length_file, 1, "precondition failed: ")):
+            out_rep = tmp_path / "rep.json"
+            argv = ["factorize", str(src), "--out-h", str(tmp_path / "H.json"),
+                    "--out-report", str(out_rep), "--json"]
+            assert main(argv + ["--quiet"] * quiet) == code
+            printed = capsys.readouterr().out
+            report = out_rep.read_text(encoding="utf-8")
+            if lead and not quiet:
+                head, printed = printed.split("\n", 1)
+                assert head == lead + "unarily_quasi_range_idempotent"
+            assert printed == report
+
     def test_associative_input_is_fixed_point(self, tmp_path, min_file):
         out_h = tmp_path / "H.json"
         code = main(["factorize", str(min_file), "--out-h", str(out_h)])

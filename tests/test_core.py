@@ -72,6 +72,12 @@ class TestEval:
         with pytest.raises(ValueError, match="default"):
             TableFn(chain2, ("0", "1"), 2, "zzz", entries)
 
+    def test_entry_keys_must_be_tuples(self, chain2):
+        # a string key has a length and symbols, but eval looks up tuples
+        entries = {"0": "0", "1": "1", "00": "0", "01": "0", "10": "0", "11": "1"}
+        with pytest.raises(ValueError, match="not a tuple"):
+            TableFn(chain2, ("0", "1"), 2, EPSILON, entries)
+
     @pytest.mark.parametrize("bad", [True, 1.0, 0])
     def test_max_arity_must_be_a_positive_int(self, chain2, bad):
         entries = {(u,): u for u in chain2.elements}

@@ -147,6 +147,17 @@ class TestVariadicSeeds:
         with pytest.raises(GridClosureError):
             make_variadic_seed("tnorm", "product", [0, 0.5, 1], 2)
 
+    def test_grid_may_be_a_one_shot_iterator(self):
+        fn = make_variadic_seed("tnorm", "min", iter(QUARTER_GRID), 2)
+        assert fn.entries == make_variadic_seed("tnorm", "min", QUARTER_GRID, 2).entries
+
+    def test_chain_closure_enforced(self, chain3):
+        def meet_or_outside(u, v):
+            return "3" if u == v == "1" else chain3.meet(u, v)
+
+        with pytest.raises(GridClosureError, match="leaves the carrier"):
+            make_variadic_seed("tnorm", meet_or_outside, chain3, 2)
+
     def test_axiom_failure_is_named(self):
         # a non-symmetric binary operation dressed as a t-norm
         def projection(x, y):
