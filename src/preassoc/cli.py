@@ -12,12 +12,13 @@ import math
 import sys
 
 from . import __version__
-from .checks import CHECKERS, OPERATION_ONLY, PROPERTY_NAMES, nonassociative_triple, run_checks
+from .checks import CHECKERS, OPERATION_ONLY, PROPERTY_NAMES, run_checks
 from .core import EPSILON, Chain, TableFn
 from .enumeration import (
-    all_binary_tables,
+    all_associative_extensions,
     all_epsilon_standard,
     all_operations,
+    associative_tables,
     default_chain,
 )
 from .errors import PreassocError, PreconditionError
@@ -190,10 +191,27 @@ def _csv_floats(raw: str, parser, what: str):
     return values
 
 
+def _float_option(raw, option):
+    try:
+        return float(raw)
+    except ValueError:
+        raise PreassocError(f"{option} must be a number, got {raw!r}") from None
+
+
 def _named_unary(name, parser, what):
+    """The named generator, raising an input error that names the option, the
+    generator and the point where it fails (ln at 0, exp at 1000)."""
     if name not in NAMED_UNARY:
         parser.error(f"unknown {what} {name!r}; known: {', '.join(sorted(NAMED_UNARY))}")
-    return NAMED_UNARY[name]
+    fn = NAMED_UNARY[name]
+
+    def generator(x):
+        try:
+            return fn(x)
+        except (ValueError, OverflowError) as exc:
+            raise PreassocError(f"{what} {name} cannot be evaluated at {x:g}: {exc}") from None
+
+    return generator
 
 
 def _infer_j(phi, grid) -> Interval:
@@ -233,7 +251,7 @@ def _generated_table(args, parser) -> TableFn:
     if family in ("tnorm", "tconorm", "uninorm"):
         if not args.name:
             parser.error(f"--family {family} needs --name")
-        e = float(args.e) if args.e is not None else None
+        e = _float_option(args.e, "--e") if args.e is not None else None
         return make_variadic_seed(family, args.name, grid, n, e=e)
     phi = _named_unary(args.phi, parser, "--phi")
     psi = _named_unary(args.psi, parser, "--psi")
@@ -242,7 +260,7 @@ def _generated_table(args, parser) -> TableFn:
     else:  # ling, the last of the family choices
         if args.a is None or args.b is None:
             parser.error("--family ling needs --a and --b")
-        gen = make_ling(phi, psi, float(args.a), float(args.b))
+        gen = make_ling(phi, psi, _float_option(args.a, "--a"), _float_option(args.b, "--b"))
     return tabulate(gen, grid, n)
 
 
@@ -254,26 +272,54 @@ def _passes_filters(fn, names) -> bool:
     return all(CHECKERS[name](fn).holds for name in names)
 
 
-def _universe_size(k: int, n: int, filters, binary: bool) -> int:
-    """The number of candidates ``enumerate`` scans on a k-chain at max arity n.
+def _universe(k: int, n: int, filters, binary: bool) -> tuple:
+    """The universe ``enumerate`` covers on a k-chain at max arity n, as (base, exponent).
 
-    That is k^(k²) binary tables for associative_binary, the
-    ``epsilon_standard_count`` when every filter is operation-only, and
-    (k+1)^(slots+1) tables with any default otherwise.  A count above
-    ``ENUMERATE_LIMIT`` may be returned as ENUMERATE_LIMIT + 1.
+    It holds base**exponent candidates: k^(k²) binary tables for
+    associative_binary, the ``epsilon_standard_count`` when every filter is
+    operation-only, and (k+1)^(slots+1) tables with any default otherwise.
     """
-    # any base >= 2 to a power above 20 exceeds 2^20, so neither the slot
-    # count nor the power is computed beyond that
-    slots = sum(k**i for i in range(1, min(n, 21) + 1))
     if binary:
-        base, exponent = k, k * k
-    elif all(name in OPERATION_ONLY for name in filters):
-        base, exponent = k, slots
-    else:
-        base, exponent = k + 1, slots + 1
-    if base >= 2 and exponent > 20:
-        return ENUMERATE_LIMIT + 1
-    return base**exponent
+        return k, k * k
+    slots = sum(k**i for i in range(1, n + 1))
+    if all(name in OPERATION_ONLY for name in filters):
+        return k, slots
+    return k + 1, slots + 1
+
+
+def _too_large(k: int, n: int, filters, binary: bool) -> bool:
+    """More than ``ENUMERATE_LIMIT`` candidates, decided without computing huge powers."""
+    # capping the arity at 21 changes no answer: from there on every universe
+    # but the binary one has an exponent above 20, or a single candidate
+    base, exponent = _universe(k, min(n, 21), filters, binary)
+    return (base >= 2 and exponent > 20) or base**exponent > ENUMERATE_LIMIT
+
+
+def _count_text(base: int, exponent: int) -> str:
+    """base**exponent in decimal, or as base^exponent where that runs past 4000 digits."""
+    if exponent * math.log10(base) < 4000:
+        return str(base**exponent)
+    return f"{base}^{exponent}"
+
+
+def _candidates(chain: Chain, n: int, filters, binary: bool):
+    """The tables of ``enumerate``'s universe that can pass ``filters``, in universe order.
+
+    For associative_binary these are the identity extensions of the
+    associative binary tables.  When the filters include A1 on the
+    default-ε standard universe at arity 3 or more, they are the associative
+    extensions, which are exactly that universe's A1 tables (see
+    ``all_associative_extensions``).  Otherwise they are the whole universe:
+    properties checkable beyond operations widen it to every default.
+    """
+    if binary:
+        identity = FiniteMap.identity(chain.elements)
+        return (extend_unary_binary(identity, t, n) for t in associative_tables(chain))
+    if any(name not in OPERATION_ONLY for name in filters):
+        return all_operations(chain, n)
+    if "associative_A1" in filters and n >= 3:
+        return all_associative_extensions(chain, n)
+    return all_epsilon_standard(chain, n)
 
 
 def _cmd_enumerate(args, parser) -> int:
@@ -296,7 +342,7 @@ def _cmd_enumerate(args, parser) -> int:
     size, n = args.chain_size, args.max_arity
     if size < 1:
         parser.error("--chain-size must be at least 1")
-    if _universe_size(size, n, filters, special_binary) > ENUMERATE_LIMIT and not args.force:
+    if _too_large(size, n, filters, special_binary) and not args.force:
         print(
             f"refusing chain size {size} / max arity {n}: more than {ENUMERATE_LIMIT} "
             f"candidates to scan; pass --force to override",
@@ -306,34 +352,18 @@ def _cmd_enumerate(args, parser) -> int:
     chain = default_chain(size)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
 
-    scanned = 0
     emitted = 0
     try:
-        if special_binary:
-            for table in all_binary_tables(chain):
-                scanned += 1
-                if nonassociative_triple(table, chain.elements) is None:
-                    fn = extend_unary_binary(
-                        FiniteMap.identity(chain.elements), table, n
-                    )
-                    out.write(dumps_function_compact(fn) + "\n")
-                    emitted += 1
-        else:
-            # properties checkable beyond operations widen the universe
-            universe = (
-                all_operations(chain, n)
-                if any(name not in OPERATION_ONLY for name in filters)
-                else all_epsilon_standard(chain, n)
-            )
-            for fn in universe:
-                scanned += 1
-                if _passes_filters(fn, filters):
-                    out.write(dumps_function_compact(fn) + "\n")
-                    emitted += 1
+        # every selected checker still runs on each candidate
+        for fn in _candidates(chain, n, filters, special_binary):
+            if _passes_filters(fn, filters):
+                out.write(dumps_function_compact(fn) + "\n")
+                emitted += 1
     finally:
         if out is not sys.stdout:
             out.close()
     if not args.quiet:
+        scanned = _count_text(*_universe(size, n, filters, special_binary))
         print(f"scanned {scanned} candidates; emitted {emitted}", file=sys.stderr)
     return 0
 

@@ -23,7 +23,6 @@ from .checks import (
     check_replication_invariant,
     check_unarily_quasi_range_idempotent,
     check_unarily_range_idempotent,
-    nonassociative_triple,
 )
 from .core import EPSILON, Chain, TableFn
 from .errors import ConditionError
@@ -78,34 +77,94 @@ def all_operations(chain: Chain, max_arity: int) -> Iterator[TableFn]:
 
 
 def all_binary_tables(chain: Chain) -> Iterator[dict]:
-    """Every binary operation table on the chain, lexicographically."""
+    """Every binary operation table on the chain, lexicographically.
+
+    The exhaustive reference for ``associative_tables``.
+    """
     pairs = tuple(product(chain.elements, repeat=2))
     for values in product(chain.elements, repeat=len(pairs)):
         yield dict(zip(pairs, values))
 
 
-def all_associative_extensions(chain: Chain, max_arity: int) -> Iterator[TableFn]:
-    """Every associative default-ε standard operation on the chain at this arity.
+def associative_tables(chain: Chain) -> Iterator[dict]:
+    """Every associative binary table on the chain, in ``all_binary_tables`` order.
 
-    Such operations are determined by their unary and binary parts, so the
-    search runs over (unary, binary) pairs and keeps those whose extension
-    conditions hold.
+    A backtracking search fills the k² cells in row-major order, each with
+    values ascending, which is the lexicographic order of
+    ``all_binary_tables``.  After each cell it rechecks only the triples
+    (u, v, w) that read the new cell and whose four lookups uv, (uv)w, vw and
+    u(vw) are all filled.  Every triple is so checked once its last lookup is
+    filled, and no later cell changes its verdict, so the search emits
+    exactly the tables on which ``nonassociative_triple`` finds nothing.
     """
     elements = chain.elements
-    assoc_tables = [
-        t for t in all_binary_tables(chain) if nonassociative_triple(t, elements) is None
-    ]
-    unary_maps = [
-        dict(zip(elements, values))
-        for values in product(elements, repeat=len(elements))
-    ]
-    for table in assoc_tables:
-        for unary in unary_maps:
-            f1 = FiniteMap(elements, elements, unary)
-            try:
-                yield extend_unary_binary(f1, table, max_arity)
-            except ConditionError:
-                continue
+    k = len(elements)
+    pairs = tuple(product(elements, repeat=2))
+    coords = tuple(product(range(k), repeat=2))
+    cell = [-1] * (k * k)  # cell[u*k + v] is the index of uv, or -1 while unfilled
+
+    def clash(u, v, w):
+        uv, vw = cell[u * k + v], cell[v * k + w]
+        if uv < 0 or vw < 0:
+            return False
+        left, right = cell[uv * k + w], cell[u * k + vw]
+        return left >= 0 and right >= 0 and left != right
+
+    def breaks(a, b):
+        # the new cell ab read as uv, as vw, as the outer (uv)w and as u(vw);
+        # an unfilled cell holds -1, which is neither a nor b
+        for x in range(k):
+            if clash(a, b, x) or clash(x, a, b):
+                return True
+        for (u, v), c in zip(coords, cell):
+            if (c == a and clash(u, v, b)) or (c == b and clash(a, u, v)):
+                return True
+        return False
+
+    def fill(i):
+        if i == k * k:
+            yield dict(zip(pairs, (elements[c] for c in cell)))
+            return
+        a, b = coords[i]
+        for c in range(k):
+            cell[i] = c
+            if not breaks(a, b):
+                yield from fill(i + 1)
+        cell[i] = -1
+
+    yield from fill(0)
+
+
+def all_associative_extensions(chain: Chain, max_arity: int) -> Iterator[TableFn]:
+    """Each (F1, F2) pair that extends to an associative operation, extended to ``max_arity``.
+
+    By the theorem behind ``extend_unary_binary``, F1 and F2 are the unary
+    and binary parts of an associative default-ε operation, then unique,
+    exactly when F1 is idempotent and fixes ran(F2), F2 absorbs F1 and F2 is
+    associative.  So only idempotent F1 are tried, each with the
+    ``associative_tables`` whose range it fixes, in ``all_epsilon_standard``
+    order (unary part first).
+
+    For ``max_arity`` >= 3 these are exactly that universe's A1 tables: A1
+    up to arity 3 already gives the three conditions and the fold.  Below
+    arity 3, A1 does not see (xy)z = x(yz), so at arity 2 these are some of
+    the A1 tables (10 of 18 on the 2-chain), and at arity 1 each unary table
+    repeats once per binary part it pairs with.
+    """
+    elements = chain.elements
+    tables = [(t, set(t.values())) for t in associative_tables(chain)]
+    for values in product(elements, repeat=len(elements)):
+        unary = dict(zip(elements, values))
+        fixed = set(values)  # an idempotent map fixes exactly its range
+        if any(unary[w] != w for w in fixed):
+            continue
+        f1 = FiniteMap(elements, elements, unary)
+        for table, table_range in tables:
+            if table_range <= fixed:
+                try:
+                    yield extend_unary_binary(f1, table, max_arity)
+                except ConditionError:  # F2 does not absorb F1
+                    continue
 
 
 # ---------------------------------------------------------------------------

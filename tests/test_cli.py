@@ -254,6 +254,32 @@ class TestGenerate:
         assert "--grid must list at least one number" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("option,args", [
+        ("--e", ["--family", "uninorm", "--name", "idempotent-min", "--e", "x"]),
+        ("--a", ["--family", "ling", "--a", "x", "--b", "1"]),
+        ("--b", ["--family", "ling", "--a", "0", "--b", "x"]),
+    ])
+    def test_non_numeric_parameter_names_its_option(self, tmp_path, option, args, capsys):
+        out = tmp_path / "bad.json"
+        code = main(["generate", *args, "--grid", "0,0.5,1", "--max-arity", "2", "--out", str(out)])
+        assert code == 2
+        assert f"error: {option} must be a number, got 'x'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid,generators,message", [
+        ("0,1", ["--phi", "ln", "--psi", "exp"], "--phi ln cannot be evaluated at 0"),
+        ("0,1000", ["--phi", "exp", "--psi", "ln"], "--phi exp cannot be evaluated at 1000"),
+    ])
+    def test_generator_failure_names_generator_and_point(
+        self, tmp_path, grid, generators, message, capsys
+    ):
+        out = tmp_path / "bad.json"
+        code = main(["generate", "--family", "quasi-sum", *generators, "--grid", grid,
+                     "--max-arity", "2", "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_quasi_sum_and_ling(self, tmp_path):
         out = tmp_path / "qs.json"
         code = main([
@@ -298,6 +324,49 @@ class TestEnumerate:
         assert "scanned 16" in capsys.readouterr().err
         for line in lines:
             jsonschema.validate(json.loads(line), FUNCTION_SCHEMA)
+
+    def test_assoc_at_arity_3_matches_the_brute_loop(self, monkeypatch, capsys):
+        from preassoc.checks import check_associative
+        from preassoc.enumeration import all_epsilon_standard, default_chain
+        from preassoc.serialization import dumps_function_compact
+
+        expected = "".join(
+            dumps_function_compact(fn) + "\n"
+            for fn in all_epsilon_standard(default_chain(2), 3)
+            if check_associative(fn, "A1").holds
+        )
+        calls = []
+        a1 = cli.CHECKERS["associative_A1"]
+        monkeypatch.setitem(cli.CHECKERS, "associative_A1", lambda fn: calls.append(fn) or a1(fn))
+        code = main(["enumerate", "--chain-size", "2", "--max-arity", "3", "--filter", "assoc"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out == expected
+        assert "scanned 16384 candidates; emitted 10" in captured.err
+        assert len(calls) == 10  # A1 runs only on the associative extensions
+
+    def test_assoc_below_arity_3_scans_the_universe(self, capsys):
+        # A1 at arity 2 does not see (xy)z = x(yz): 18 tables, not the 10 extensions
+        code = main(["enumerate", "--chain-size", "2", "--max-arity", "2", "--filter", "assoc"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert len(captured.out.splitlines()) == 18
+        assert "scanned 64 candidates; emitted 18" in captured.err
+
+    def test_associative_binary_on_the_4_chain(self, capsys):
+        argv = ["enumerate", "--chain-size", "4", "--max-arity", "2",
+                "--filter", "associative_binary"]
+        assert main(argv) == 2  # 4^16 candidates: the guard still holds
+        assert "--force" in capsys.readouterr().err
+        assert main(argv + ["--force"]) == 0
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 3492
+        assert "scanned 4294967296 candidates; emitted 3492" in captured.err
+
+    def test_scanned_count_past_4000_digits_is_a_power(self):
+        assert cli._count_text(2, 14) == "16384"
+        assert cli._count_text(1, 10**6) == "1"
+        assert cli._count_text(2, 16382) == "2^16382"
 
     def test_associative_filter_implies_equivalent_properties(self, tmp_path):
         out = tmp_path / "assoc.jsonl"
