@@ -71,19 +71,20 @@ NAMED_UNARY = {
 }
 
 
-def _resolve_properties(raw: str, parser) -> list:
+def _tokens(raw: str) -> list:
+    """The nonempty items of a comma-separated option value, stripped."""
+    return [token for token in map(str.strip, raw.split(",")) if token]
+
+
+def _resolve_properties(tokens, parser) -> list:
+    """Property names for the tokens, aliases resolved, each once in first-seen order."""
     names = []
-    for token in raw.split(","):
-        token = token.strip()
-        if not token:
-            continue
+    for token in tokens:
         name = ALIASES.get(token, token)
         if name not in PROPERTY_NAMES:
             parser.error(f"unknown property {token!r}; known: {', '.join(PROPERTY_NAMES)}")
         if name not in names:
             names.append(name)
-    if not names:
-        parser.error("property selection is empty")
     return names
 
 
@@ -116,7 +117,9 @@ def _needs_epsilon_default(fn: TableFn, name: str) -> bool:
 
 
 def _cmd_check(args, parser) -> int:
-    names = _resolve_properties(args.properties, parser)
+    names = _resolve_properties(_tokens(args.properties), parser)
+    if not names:
+        parser.error("property selection is empty")
     fn = load_function(args.file)
     if args.max_arity:
         fn = _truncate(fn, args.max_arity)
@@ -134,10 +137,7 @@ def _cmd_check(args, parser) -> int:
 
 def _parse_pins(raw):
     pins = []
-    for token in raw.split(","):
-        token = token.strip()
-        if not token:
-            continue
+    for token in _tokens(raw):
         if ":" not in token:
             raise PreassocError(f"pin {token!r} must have the form value:preimage")
         y, x = token.split(":", 1)
@@ -183,7 +183,7 @@ def _cmd_factorize(args, parser) -> int:
 
 def _csv_floats(raw: str, parser, what: str):
     try:
-        values = [float(tok) for tok in raw.split(",") if tok.strip()]
+        values = [float(token) for token in _tokens(raw)]
     except ValueError:
         parser.error(f"{what} must be a comma-separated list of numbers")
     if not values:
@@ -243,7 +243,7 @@ def _generated_table(args, parser) -> TableFn:
         for p in ("a", "b", "c", "d"):
             if getattr(args, p) is None:
                 parser.error(f"--family median needs --{p}")
-        chain = Chain(tuple(s.strip() for s in args.chain.split(",") if s.strip()))
+        chain = Chain(tuple(_tokens(args.chain)))
         return make_median_family(MedianParams(args.a, args.b, args.c, args.d), chain, n)
     if not args.grid:
         parser.error(f"--family {family} needs --grid")
@@ -306,36 +306,36 @@ def _candidates(chain: Chain, n: int, filters, binary: bool):
     """The tables of ``enumerate``'s universe that can pass ``filters``, in universe order.
 
     For associative_binary these are the identity extensions of the
-    associative binary tables.  When the filters include A1 on the
-    default-ε standard universe at arity 3 or more, they are the associative
-    extensions, which are exactly that universe's A1 tables (see
-    ``all_associative_extensions``).  Otherwise they are the whole universe:
-    properties checkable beyond operations widen it to every default.
+    associative binary tables.  When the filters include A1 at arity 3 or
+    more, they come from the associative extensions, exactly the A1 tables of
+    the default-ε standard universe (see ``all_associative_extensions``).
+    With any default, each default (chain order, then ε) is paired with each
+    extension's entries, in ``all_operations`` order: a nonempty y with
+    F(y) = ε violates A1; the conditions with y nonempty never read F(ε), so
+    the entries form a default-ε A1 table, an extension; and y = ε only adds
+    that the default is neutral.  Otherwise the candidates are the whole
+    universe: properties checkable beyond operations widen it to every default.
     """
     if binary:
         identity = FiniteMap.identity(chain.elements)
         return (extend_unary_binary(identity, t, n) for t in associative_tables(chain))
-    if any(name not in OPERATION_ONLY for name in filters):
-        return all_operations(chain, n)
-    if "associative_A1" in filters and n >= 3:
+    any_default = any(name not in OPERATION_ONLY for name in filters)
+    if "associative_A1" not in filters or n < 3:
+        return all_operations(chain, n) if any_default else all_epsilon_standard(chain, n)
+    if not any_default:
         return all_associative_extensions(chain, n)
-    return all_epsilon_standard(chain, n)
+    codomain = chain.elements + (EPSILON,)
+    return (
+        TableFn(chain, codomain, n, d, ext.entries)
+        for d in codomain
+        for ext in all_associative_extensions(chain, n)
+    )
 
 
 def _cmd_enumerate(args, parser) -> int:
-    filters = []
-    special_binary = False
-    for token in (args.filter or "").split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if token == "associative_binary":
-            special_binary = True
-            continue
-        name = ALIASES.get(token, token)
-        if name not in PROPERTY_NAMES:
-            parser.error(f"unknown filter {token!r}")
-        filters.append(name)
+    tokens = _tokens(args.filter)
+    special_binary = "associative_binary" in tokens
+    filters = _resolve_properties([t for t in tokens if t != "associative_binary"], parser)
     if special_binary and filters:
         parser.error("associative_binary cannot be combined with other filters")
 

@@ -11,6 +11,7 @@ such values live in ``families``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 from types import MappingProxyType
@@ -201,18 +202,13 @@ class TableFn:
         entries = dict(self.entries)
         if type(self.max_arity) is not int or self.max_arity < 1:  # bool is an int subclass
             raise ValueError("max_arity must be an integer >= 1")
-        if len(set(codomain)) != len(codomain) or not codomain:
-            raise ValueError("codomain must be a nonempty list of distinct symbols")
+        # an empty codomain is refused below: a total table has an entry, whose value it lacks
+        if len(set(codomain)) != len(codomain):
+            raise ValueError("codomain symbols must be distinct")
         values = set(codomain)
         if self.default is not EPSILON and self.default not in values:
-            raise ValueError(f"default {self.default!r} is not in the codomain")
+            raise ValueError(f"default {self.default!r} is outside the codomain")
         dom = set(self.domain.elements)
-        expected = sum(len(dom) ** n for n in range(1, self.max_arity + 1))
-        if len(entries) != expected:
-            raise ValueError(
-                f"entries not total: expected {expected} tuples for arities "
-                f"1..{self.max_arity}, found {len(entries)}"
-            )
         for key, value in entries.items():
             if not isinstance(key, tuple):
                 raise ValueError(f"entry key {key!r} is not a tuple")
@@ -220,9 +216,19 @@ class TableFn:
                 raise ValueError(f"entry arity {len(key)} outside 1..{self.max_arity}")
             for s in key:
                 if s not in dom:
-                    raise UnknownSymbolError(f"entry tuple uses unknown symbol {s!r}")
+                    raise UnknownSymbolError(f"entry {key!r} uses unknown domain symbol {s!r}")
             if value not in values:
-                raise ValueError(f"entry value {value!r} is not in the codomain")
+                raise ValueError(f"entry value {value!r} at {key!r} is outside the codomain")
+        k, expected = len(dom), 0
+        for n in range(1, self.max_arity + 1):  # stops past len(entries), however large N is
+            expected += k**n
+            if expected > len(entries):
+                break
+        if expected != len(entries):
+            # every key is a distinct tuple of length 1..N, so some arity falls short
+            have = Counter(map(len, entries))
+            n = next(n for n in range(1, self.max_arity + 1) if have[n] != k**n)
+            raise ValueError(f"entries not total at arity {n}: expected {k**n}, found {have[n]}")
         object.__setattr__(self, "entries", MappingProxyType(entries))
         object.__setattr__(self, "_table", {(): self.default, **entries})
 

@@ -128,8 +128,6 @@ def extend_unary_binary(f1: FiniteMap, f2, max_arity: int) -> TableFn:
     exhaustively; the higher arities are filled by the right fold
     G_n(x) = G_2(G_{n-1}(x_1..x_{n-1}), x_n).
     """
-    if max_arity < 1:
-        raise ValueError("max_arity must be at least 1")
     elements = f1.domain
     if set(f1.graph.values()) - set(elements):
         raise ValueError("unary part must map the domain into itself")

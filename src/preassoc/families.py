@@ -171,8 +171,6 @@ def tabulate(
     canonical 12-significant-digit symbols; the codomain lists the distinct
     observed values in ascending order.
     """
-    if max_arity < 1:
-        raise ValueError("max_arity must be at least 1")
     if isinstance(carrier, Chain):
         return _tabulate_chain(source, carrier, max_arity, default)
     return _tabulate_grid(source, carrier, max_arity, default)
@@ -389,7 +387,7 @@ UNINORMS = {
 }
 
 
-def _resolve_seed_op(kind: str, op, e, chain=None):
+def _resolve_seed_op(kind: str, op, neutral, chain=None):
     if callable(op):
         return op
     name = str(op)
@@ -406,9 +404,7 @@ def _resolve_seed_op(kind: str, op, e, chain=None):
     if kind == "uninorm":
         if name not in UNINORMS:
             raise ValueError(f"unknown uninorm {name!r}; known: {sorted(UNINORMS)}")
-        if e is None:
-            raise ValueError("a uninorm needs its neutral element e")
-        return UNINORMS[name](e)
+        return UNINORMS[name](neutral)
     catalog = TNORMS if kind == "tnorm" else TCONORMS
     if name not in catalog:
         raise ValueError(f"unknown {kind} {name!r}; known: {sorted(catalog)}")
@@ -433,13 +429,15 @@ def make_variadic_seed(kind: str, op, carrier, max_arity: int, *, e=None) -> Tab
     ``op`` is a catalog name or a binary callable.  The defining axioms are
     checked exhaustively on the carrier: closure, symmetry, monotonicity,
     associativity, and the neutral element (carrier top for t-norms, carrier
-    bottom for t-conorms, the supplied interior ``e`` for uninorms).
+    bottom for t-conorms, for uninorms the interior carrier element that ``e``
+    names, at which a catalog uninorm is built).
     """
     if kind not in ("tnorm", "tconorm", "uninorm"):
         raise ValueError(f"unknown seed kind {kind!r}")
     on_grid = not isinstance(carrier, Chain)
-    binary = _resolve_seed_op(kind, op, e, chain=None if on_grid else carrier)
     values = _as_grid(carrier) if on_grid else list(carrier.elements)
+    neutral = _seed_neutral(kind, values, e, on_grid)
+    binary = _resolve_seed_op(kind, op, neutral, chain=None if on_grid else carrier)
     snapped = {}
     for u, v in product(values, repeat=2):
         w = binary(u, v)
@@ -447,7 +445,7 @@ def make_variadic_seed(kind: str, op, carrier, max_arity: int, *, e=None) -> Tab
         if s is None:
             raise GridClosureError(f"operation leaves the carrier: ({u!r}, {v!r}) -> {w!r}")
         snapped[(u, v)] = s
-    _check_seed_axioms(snapped, values, _seed_neutral(kind, values, e, on_grid))
+    _check_seed_axioms(snapped, values, neutral)
     return tabulate(lambda u, v: snapped[(u, v)], values if on_grid else carrier, max_arity)
 
 
@@ -567,8 +565,6 @@ def make_median_family(
     gap-free range; it relabels every entry.
     """
     params.validate(chain)
-    if max_arity < 1:
-        raise ValueError("max_arity must be at least 1")
     entries = {}
     for n in range(1, max_arity + 1):
         for t in chain.tuples(n):

@@ -12,7 +12,7 @@ import hashlib
 import json
 
 from .core import EPSILON, Chain, TableFn, Verdict, Witness
-from .errors import FunctionFileError
+from .errors import FunctionFileError, UnknownSymbolError
 
 EPSILON_TOKEN = "ε"
 SCHEMA_VERSION = 1
@@ -136,31 +136,24 @@ def function_digest(fn: TableFn) -> str:
 
 
 def table_from_dict(doc) -> TableFn:
-    """Parse and fully validate a function document."""
+    """Parse a function document into a validated table function.
+
+    The loader checks the document's shape; ``Chain`` and ``TableFn`` refuse
+    an invalid table, and their refusal becomes a ``FunctionFileError``.
+    """
     if not isinstance(doc, dict):
         raise FunctionFileError("function document must be a JSON object")
     for key in ("domain", "default", "max_arity", "entries"):
         if key not in doc:
             raise FunctionFileError(f"missing required field {key!r}", field=key)
     domain = doc["domain"]
-    if (
-        not isinstance(domain, list)
-        or not domain
-        or not all(isinstance(s, str) for s in domain)
-    ):
-        raise FunctionFileError("domain must be a nonempty list of strings", field="domain")
+    if not isinstance(domain, list) or not all(isinstance(s, str) for s in domain):
+        raise FunctionFileError("domain must be a list of strings", field="domain")
     if EPSILON_TOKEN in domain:
         raise FunctionFileError(
             f"the marker {EPSILON_TOKEN!r} is reserved and cannot be a domain symbol",
             field="domain",
         )
-    if len(set(domain)) != len(domain):
-        raise FunctionFileError("domain has duplicate symbols", field="domain")
-    try:
-        chain = Chain(tuple(domain))
-    except ValueError as exc:
-        raise FunctionFileError(str(exc), field="domain") from None
-
     max_arity = doc["max_arity"]
     if type(max_arity) is not int or max_arity < 1:  # bool is an int subclass
         raise FunctionFileError("max_arity must be an integer >= 1", field="max_arity")
@@ -177,83 +170,50 @@ def table_from_dict(doc) -> TableFn:
             )
         args = item["args"]
         value = item["value"]
-        if not isinstance(args, list) or not args or not all(isinstance(s, str) for s in args):
-            raise FunctionFileError(
-                f"{where}.args must be a nonempty list of symbols", field=where
-            )
+        if not isinstance(args, list) or not all(isinstance(s, str) for s in args):
+            raise FunctionFileError(f"{where}.args must be a list of symbols", field=where)
         if not isinstance(value, str):
             raise FunctionFileError(f"{where}.value must be a symbol", field=where)
-        if len(args) > max_arity:
-            raise FunctionFileError(
-                f"{where} has arity {len(args)} above max_arity {max_arity}", field=where
-            )
-        for s in args:
-            if s not in chain:
-                raise FunctionFileError(
-                    f"{where} uses unknown domain symbol {s!r}", field=where
-                )
         key = tuple(args)
         if key in entries:
             raise FunctionFileError(f"duplicate entry for args {args!r}", field=where)
-        entries[key] = EPSILON if value == EPSILON_TOKEN else value
-
-    k = len(domain)
-    for n in range(1, max_arity + 1):
-        have = sum(1 for t in entries if len(t) == n)
-        if have != k ** n:
-            raise FunctionFileError(
-                f"entries not total at arity {n}: expected {k ** n}, found {have}",
-                field="entries",
-            )
+        entries[key] = _decode(value)
 
     default_doc = doc["default"]
     if not isinstance(default_doc, str):
         raise FunctionFileError("default must be a symbol string", field="default")
-    default = EPSILON if default_doc == EPSILON_TOKEN else default_doc
+    default = _decode(default_doc)
 
     codomain_doc = doc.get("codomain")
-    if codomain_doc is not None:
-        if (
-            not isinstance(codomain_doc, list)
-            or not codomain_doc
-            or not all(isinstance(s, str) for s in codomain_doc)
-        ):
-            raise FunctionFileError(
-                "codomain must be a nonempty list of strings", field="codomain"
-            )
-        if len(set(codomain_doc)) != len(codomain_doc):
-            raise FunctionFileError("codomain has duplicate symbols", field="codomain")
-        codomain = tuple(
-            EPSILON if s == EPSILON_TOKEN else s for s in codomain_doc
-        )
+    if codomain_doc is None:
+        codomain = _inferred_codomain(set(entries.values()), default, domain)
+    elif isinstance(codomain_doc, list) and all(isinstance(s, str) for s in codomain_doc):
+        codomain = tuple(map(_decode, codomain_doc))
     else:
-        codomain = _inferred_codomain(entries.values(), chain)
-
-    values = set(codomain)
-    for key, value in entries.items():
-        if value not in values:
-            raise FunctionFileError(
-                f"entry value {_value_token(value)!r} at {list(key)!r} is outside the codomain",
-                field="entries",
-            )
-    if default is not EPSILON and default not in values:
-        raise FunctionFileError(
-            f"default {default_doc!r} is outside the codomain", field="default"
-        )
-    return TableFn(chain, codomain, max_arity, default, entries)
+        raise FunctionFileError("codomain must be a list of strings", field="codomain")
+    try:
+        return TableFn(Chain(tuple(domain)), codomain, max_arity, default, entries)
+    except (ValueError, UnknownSymbolError) as exc:
+        raise FunctionFileError(str(exc)) from None
 
 
-def _inferred_codomain(values, chain: Chain) -> tuple:
-    distinct = set(values)
-    eps = EPSILON in distinct
-    distinct.discard(EPSILON)
-    if all(v in chain for v in distinct):
-        ordered = [v for v in chain.elements if v in distinct]
+def _decode(token: str):
+    return EPSILON if token == EPSILON_TOKEN else token
+
+
+def _inferred_codomain(values: set, default, domain: list) -> tuple:
+    """Entry values and a non-ε default in domain, numeric or string order; an entry's ε last."""
+    eps = EPSILON in values
+    values.discard(EPSILON)
+    if default is not EPSILON:
+        values.add(default)
+    if values <= set(domain):
+        ordered = [v for v in domain if v in values]
     else:
         try:
-            ordered = sorted(distinct, key=float)
+            ordered = sorted(values, key=float)
         except ValueError:
-            ordered = sorted(distinct)
+            ordered = sorted(values)
     if eps:
         ordered.append(EPSILON)
     return tuple(ordered)

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior and exit-code contract."""
 
 import json
+from itertools import product
 
 import jsonschema
 import pytest
@@ -29,6 +30,10 @@ _OPERATION_ONLY_FILTERS = frozenset((
     "range_idempotent",
     "idempotent",
 ))
+
+
+def _slots(chain, max_arity):
+    return [t for n in range(1, max_arity + 1) for t in product(chain.elements, repeat=n)]
 
 
 @pytest.fixture
@@ -310,6 +315,18 @@ class TestGenerate:
         assert code == 0
         assert main(["check", str(out), "--properties", "assoc,symmetric"]) == 0
 
+    def test_uninorm_neutral_within_tolerance_writes_the_same_file(self, tmp_path):
+        paths = []
+        for e in ("0.5", "0.5000000000001"):
+            out = tmp_path / f"uni-{e}.json"
+            code = main([
+                "generate", "--family", "uninorm", "--name", "idempotent-min",
+                "--grid", "0,0.5,1", "--e", e, "--max-arity", "2", "--out", str(out),
+            ])
+            assert code == 0
+            paths.append(out)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
 
 class TestEnumerate:
     def test_binary_associative_count(self, tmp_path, capsys):
@@ -344,6 +361,47 @@ class TestEnumerate:
         assert captured.out == expected
         assert "scanned 16384 candidates; emitted 10" in captured.err
         assert len(calls) == 10  # A1 runs only on the associative extensions
+
+    def test_assoc_with_any_default_filters_matches_the_brute_loop(self, capsys):
+        # preassoc widens the universe to every default; its A1 tables hold
+        # only chain values, so the reference scans 3 defaults x 2^14 tables
+        from preassoc.enumeration import default_chain
+        from preassoc.serialization import dumps_function_compact
+
+        chain = default_chain(2)
+        filters = ["associative_A1", "preassociative_P1"]
+        codomain = chain.elements + (EPSILON,)
+        expected = "".join(
+            dumps_function_compact(fn) + "\n"
+            for d in codomain
+            for values in product(chain.elements, repeat=14)
+            for fn in [TableFn(chain, codomain, 3, d, dict(zip(_slots(chain, 3), values)))]
+            if cli._passes_filters(fn, filters)
+        )
+        code = main(["enumerate", "--chain-size", "2", "--max-arity", "3",
+                     "--filter", "assoc,preassoc", "--force"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out == expected
+        assert "scanned 14348907 candidates; emitted 16" in captured.err
+
+    @pytest.mark.parametrize("max_arity", [3, 4])
+    @pytest.mark.parametrize("filters", ["assoc,preassoc", "assoc,symmetric", "assoc,uqri"])
+    def test_assoc_with_any_default_filters_on_the_1_chain(self, max_arity, filters, capsys):
+        # the whole universe, ε entries included, filtered by every checker
+        from preassoc.enumeration import all_operations, default_chain
+        from preassoc.serialization import dumps_function_compact
+
+        names = cli._resolve_properties(filters.split(","), None)
+        expected = "".join(
+            dumps_function_compact(fn) + "\n"
+            for fn in all_operations(default_chain(1), max_arity)
+            if cli._passes_filters(fn, names)
+        )
+        code = main(["enumerate", "--chain-size", "1", "--max-arity", str(max_arity),
+                     "--filter", filters])
+        assert code == 0
+        assert capsys.readouterr().out == expected
 
     def test_assoc_below_arity_3_scans_the_universe(self, capsys):
         # A1 at arity 2 does not see (xy)z = x(yz): 18 tables, not the 10 extensions

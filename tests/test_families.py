@@ -138,6 +138,16 @@ class TestVariadicSeeds:
         with pytest.raises(ValueError):
             make_variadic_seed("uninorm", "idempotent-min", QUARTER_GRID, 2)
 
+    @pytest.mark.parametrize(
+        "name, e", [("idempotent-min", 0.5 + 1e-13), ("idempotent-max", 0.5 - 1e-13)]
+    )
+    def test_uninorm_is_built_at_the_snapped_neutral(self, name, e):
+        # e within tolerance of 0.5 names the grid point 0.5, so the catalog
+        # uninorm must be the one built at 0.5, not at the raw e
+        near = make_variadic_seed("uninorm", name, [0, 0.5, 1], 2, e=e)
+        exact = make_variadic_seed("uninorm", name, [0, 0.5, 1], 2, e=0.5)
+        assert near.entries == exact.entries
+
     def test_uninorm_neutral_must_be_a_chain_element(self):
         chain = Chain(("0", "1", "2"))
         with pytest.raises(ValueError, match="'9'"):

@@ -6,6 +6,7 @@ import jsonschema
 import pytest
 
 from preassoc import __version__
+from preassoc.cli import main
 from preassoc.checks import check_preassociative, check_standard
 from preassoc.core import EPSILON, Chain, TableFn
 from preassoc.errors import FunctionFileError
@@ -115,6 +116,18 @@ class TestValidation:
         with pytest.raises(FunctionFileError, match="outside the codomain"):
             table_from_dict(doc)
 
+    def test_no_entries_and_no_codomain_is_refused_as_not_total(self):
+        doc = self.base_doc()
+        doc["entries"] = []
+        with pytest.raises(FunctionFileError, match="not total at arity 1: expected 2, found 0"):
+            table_from_dict(doc)
+
+    def test_huge_max_arity_is_refused_at_the_first_short_arity(self):
+        doc = self.base_doc()
+        doc["max_arity"] = 10**9
+        with pytest.raises(FunctionFileError, match="not total at arity 2: expected 4, found 0"):
+            table_from_dict(doc)
+
     def test_boolean_max_arity(self):
         doc = self.base_doc()
         doc["max_arity"] = True
@@ -126,14 +139,70 @@ class TestValidation:
         with pytest.raises(FunctionFileError, match="invalid JSON"):
             loads_function("{nope")
 
-    def test_codomain_inference_uses_chain_order(self):
+    @pytest.mark.parametrize(
+        "domain, values, codomain",
+        [
+            (["1", "0"], ["0", "1"], ("1", "0")),  # chain order, not listing order
+            (["0", "1"], ["10", "9"], ("9", "10")),  # numeric, not string order
+            (["0", "1"], ["ε", "1"], ("1", EPSILON)),  # ε last
+        ],
+        ids=["chain-order", "numeric", "epsilon-last"],
+    )
+    def test_codomain_inference_uses_chain_order(self, domain, values, codomain):
         doc = self.base_doc()
-        del doc["entries"][0]
-        doc["entries"].insert(0, {"args": ["0"], "value": "1"})
-        doc["entries"].append(None)
-        doc["entries"].pop()
+        doc["domain"] = domain
+        doc["entries"] = [{"args": [u], "value": v} for u, v in zip(domain, values)]
+        assert table_from_dict(doc).codomain == codomain
+
+    @pytest.mark.parametrize(
+        "default, codomain", [("0", ("0", "1")), ("ε", ("1",))], ids=["symbol", "epsilon"]
+    )
+    def test_codomain_inference_includes_a_symbol_default(self, default, codomain):
+        # ε never enters an inferred codomain through the default
+        doc = self.base_doc()
+        doc["default"] = default
+        for entry in doc["entries"]:
+            entry["value"] = "1"
         fn = table_from_dict(doc)
-        assert fn.codomain == ("1",) or fn.codomain == ("0", "1")
+        assert fn.codomain == codomain
+        assert loads_function(dumps_function(fn)) == fn
+
+
+def _fault(edit):
+    doc = TestValidation().base_doc()
+    edit(doc)
+    return doc
+
+
+#: One function document per table-level fault, which ``Chain`` or ``TableFn`` refuses.
+_TABLE_FAULTS = {
+    "arity-above-max": lambda d: d["entries"].append({"args": ["0", "0"], "value": "0"}),
+    "empty-args": lambda d: d["entries"].append({"args": [], "value": "0"}),
+    "unknown-symbol": lambda d: d["entries"][0].update(args=["7"]),
+    "short-arity": lambda d: d.update(max_arity=2),
+    "value-outside-codomain": lambda d: d.update(codomain=["0"]),
+    "default-outside-codomain": lambda d: d.update(default="5", codomain=["0", "1"]),
+    "duplicate-codomain": lambda d: d.update(codomain=["0", "1", "0"]),
+    "empty-codomain": lambda d: d.update(codomain=[]),
+    "duplicate-domain": lambda d: d.update(domain=["0", "1", "0"]),
+    "empty-domain": lambda d: d.update(domain=[]),
+}
+
+
+@pytest.mark.parametrize("fault", _TABLE_FAULTS)
+class TestTableFaults:
+    def test_loader_raises_function_file_error(self, fault):
+        with pytest.raises(FunctionFileError) as info:
+            table_from_dict(_fault(_TABLE_FAULTS[fault]))
+        assert info.value.field is None
+
+    def test_check_exits_two_with_an_error_line(self, fault, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_fault(_TABLE_FAULTS[fault])), encoding="utf-8")
+        code = main(["check", str(path), "--properties", "standard"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 def _unary_fn(domain, values):
