@@ -43,31 +43,19 @@ OPERATION_ONLY = frozenset(
 
 
 # ---------------------------------------------------------------------------
-# Cached candidate universes (keyed by chain elements and max arity)
+# Cached candidate universes (keyed by chain and max arity); the tuples are
+# the chain's own, from ``Chain.tuples``
 # ---------------------------------------------------------------------------
 
 
 @lru_cache(maxsize=128)
-def _tuples_by_len(elements: tuple, max_len: int) -> tuple:
-    """index n -> tuple of all n-tuples in lexicographic element order."""
-    return tuple(tuple(product(elements, repeat=n)) for n in range(max_len + 1))
-
-
-@lru_cache(maxsize=128)
-def _all_tuples(elements: tuple, max_len: int) -> tuple:
-    """All tuples of length 0..max_len, shortest first, lexicographic."""
-    by_len = _tuples_by_len(elements, max_len)
-    return tuple(t for group in by_len for t in group)
-
-
-@lru_cache(maxsize=128)
-def _context_pairs(elements: tuple, budget: int) -> tuple:
+def _context_pairs(chain: Chain, budget: int) -> tuple:
     """All (x, z) with |x| + |z| <= budget, in witness-key order: the word x·z, then |x|.
 
     The parts are located from the word's rank r in base k.
     """
-    by_len = _tuples_by_len(elements, budget)
-    power = [len(elements) ** e for e in range(budget + 1)]
+    by_len = [chain.tuples(n) for n in range(budget + 1)]
+    power = [len(chain) ** e for e in range(budget + 1)]
     return tuple(
         (by_len[i][r // power[m - i]], by_len[m - i][r % power[m - i]])
         for m in range(budget + 1)
@@ -77,15 +65,15 @@ def _context_pairs(elements: tuple, budget: int) -> tuple:
 
 
 @lru_cache(maxsize=128)
-def _assoc_candidates(elements: tuple, n: int) -> tuple:
+def _assoc_candidates(chain: Chain, n: int) -> tuple:
     """Candidate triples (x, y, z) for the substitution form, in witness-key order.
 
     Each word w = x·y·z comes shortest first, then lexicographic, with its splits
     in (|x|, |y|) order; y may be empty, and |x|+1+|z| <= n.  The parts are the
-    shared tuples of ``_tuples_by_len``, located from w's rank r in base k.
+    chain's shared tuples, located from w's rank r in base k.
     """
-    by_len = _tuples_by_len(elements, n)
-    power = [len(elements) ** e for e in range(n + 1)]
+    by_len = [chain.tuples(i) for i in range(n + 1)]
+    power = [len(chain) ** e for e in range(n + 1)]
     out = []
     for m in range(n + 1):
         splits = [
@@ -116,7 +104,7 @@ def _first_failure(prop, fn: TableFn, fails, values, note="", extra=()) -> Verdi
     counts the tuples tested.
     """
     table = fn._table
-    tuples = _all_tuples(fn.domain.elements, fn.max_arity)
+    tuples = fn.domain.tuples_up_to(fn.max_arity)
     for cases, t in enumerate(islice(tuples, 1, None), 1):
         if fails(table[t]):
             witness = Witness((("x", t),), values(table[t]), note=note)
@@ -213,7 +201,7 @@ _SUBST_EPS = "substituted-epsilon: nonempty inner block evaluates to ε"
 
 def _check_a1(fn: TableFn) -> Verdict:
     table = fn._table
-    candidates = _assoc_candidates(fn.domain.elements, fn.max_arity)
+    candidates = _assoc_candidates(fn.domain, fn.max_arity)
     for x, y, z in candidates:
         vy = table[y]
         if vy is EPSILON:
@@ -257,7 +245,7 @@ def _check_a2(fn: TableFn) -> Verdict:
         (("F(x,F(y),z)", first.value("F(x,y,z)")), ("F(x',F(y'),z')", first.value("F(x,F(y),z)"))),
     )
     key = _index_key(chain, (), (), w, xp, yp, zp)
-    for t in islice(_all_tuples(chain.elements, min(n, 2 * len(w))), 1, None):
+    for t in islice(chain.tuples_up_to(min(n, 2 * len(w))), 1, None):
         if fn._table[t] is EPSILON:
             if _index_key(chain, (), t, ()) < key:
                 parts = (("x", ()), ("y", t), ("z", ()))
@@ -269,7 +257,7 @@ def _check_a2(fn: TableFn) -> Verdict:
 def _check_a3(fn: TableFn) -> Verdict:
     """F(x, y) = F(F(x), F(y)) for all pairs, in witness-key order: w = x·y, then |x|."""
     table = fn._table
-    splits = _context_pairs(fn.domain.elements, fn.max_arity)
+    splits = _context_pairs(fn.domain, fn.max_arity)
     for x, y in splits:
         vx, vy = table[x], table[y]
         if (vx is EPSILON and x) or (vy is EPSILON and y):
@@ -310,11 +298,6 @@ def check_preassociative(fn: TableFn, form: str = "P1") -> Verdict:
     raise ValueError(f"unknown preassociativity form {form!r}")
 
 
-def _context_count(k: int, budget: int) -> int:
-    """The number of contexts (x, z) with |x| + |z| <= budget over k symbols."""
-    return sum((t + 1) * k**t for t in range(budget + 1))
-
-
 def _p1_cases(fn: TableFn):
     """``cases_checked`` of the P1 scan if P1 holds, else None.
 
@@ -328,13 +311,12 @@ def _p1_cases(fn: TableFn):
     later one.
     """
     table = fn._table
-    n = fn.max_arity
-    elements = fn.domain.elements
-    contexts = [_context_count(len(elements), b) for b in range(n + 1)]
+    n, chain = fn.max_arity, fn.domain
+    contexts = [len(_context_pairs(chain, b)) for b in range(n + 1)]
     first = {}  # value -> first tuple of its class
     size = {}  # value -> members of its class seen so far
     cases = 0
-    for y in _all_tuples(elements, n):
+    for y in chain.tuples_up_to(n):
         v = table[y]
         r = first.setdefault(v, y)
         b = size.get(v, 0)
@@ -342,7 +324,7 @@ def _p1_cases(fn: TableFn):
         cases += b * contexts[n - len(y)]
         if b == 0 or len(y) == n:
             continue
-        for u in elements:
+        for u in chain.elements:
             if table[(u,) + y] != table[(u,) + r] or table[y + (u,)] != table[r + (u,)]:
                 return None
     return cases
@@ -364,10 +346,10 @@ def _p1_scan(fn: TableFn) -> Verdict:
     classes = {}  # value -> (first tuple of its class, members so far)
     cases = 0
     key, witness = (2 * n + 1,), None  # of the least violation so far; totals stay <= 2N
-    for yp in _all_tuples(chain.elements, n):
+    for yp in chain.tuples_up_to(n):
         r, b = classes.get(table[yp], (yp, 0))
         classes[table[yp]] = (r, b + 1)
-        contexts = _context_pairs(chain.elements, n - len(yp)) if b else ()
+        contexts = _context_pairs(chain, n - len(yp)) if b else ()
         cases += b * len(contexts)
         for x, z in contexts:
             if len(x) + len(r) + len(yp) + len(z) > key[0]:
@@ -389,7 +371,7 @@ def _p2_cases(fn: TableFn):
     P2 holds iff no two splits x·y with equal (F(x), F(y)) differ in F(x·y).
     """
     table = fn._table
-    splits = _context_pairs(fn.domain.elements, fn.max_arity)
+    splits = _context_pairs(fn.domain, fn.max_arity)
     value_of = {}  # (F(x), F(y)) -> F(x·y) of the first split with that pair
     for x, y in splits:
         v = table[x + y]
@@ -412,7 +394,7 @@ def _check_p2(fn: TableFn) -> Verdict:
     """
     table = fn._table
     chain, n = fn.domain, fn.max_arity
-    splits = _context_pairs(chain.elements, n)
+    splits = _context_pairs(chain, n)
     first = {}  # (F(x), F(y)) -> (x, y, F(x·y)) of its first split; () once it has a witness
     key, witness = (2 * n + 1,), None  # of the least violation so far; totals stay <= 2N
     for xp, yp in splits:
@@ -480,7 +462,7 @@ def check_range_idempotent(fn: TableFn) -> Verdict:
     witness = None  # the first failure in canonical tuple order is the least
     cases = 0
     seen = set()
-    for t in _all_tuples(fn.domain.elements, fn.max_arity):
+    for t in fn.domain.tuples_up_to(fn.max_arity):
         v = table[t]
         if v in seen:
             continue
@@ -514,7 +496,7 @@ def check_replication_invariant(fn: TableFn) -> Verdict:
     table = fn._table
     witness = None  # the first failure in canonical tuple order is the least
     cases = 0
-    for t in islice(_all_tuples(fn.domain.elements, fn.max_arity), 1, None):
+    for t in islice(fn.domain.tuples_up_to(fn.max_arity), 1, None):
         v = table[t]
         for k in range(2, fn.max_arity // len(t) + 1):
             cases += 1
@@ -541,7 +523,7 @@ def check_replication_preinvariant(fn: TableFn) -> Verdict:
     n, chain = fn.max_arity, fn.domain
     seen = Counter()  # (k, (F(x), ..., F((k-1)·x))) -> tuples so far that fit k and share it
     cases = 0
-    for y in _all_tuples(chain.elements, n // 2):
+    for y in chain.tuples_up_to(n // 2):
         signature = (table[y],)
         for k in range(2, n // max(len(y), 1) + 1):
             cases += seen[k, signature]
@@ -563,7 +545,7 @@ def _prepl_mismatches(fn: TableFn):
     table = fn._table
     n = fn.max_arity
     first = {}  # value -> first tuple of its class
-    for y in _all_tuples(fn.domain.elements, n // 2):
+    for y in fn.domain.tuples_up_to(n // 2):
         r = first.setdefault(table[y], y)
         if r is y:
             continue
@@ -640,7 +622,7 @@ def check_convex_sections(fn: TableFn) -> Verdict:
     table = fn._table
     elements = fn.domain.elements
     cod = {v: i for i, v in enumerate(fn.codomain)}
-    sections = _context_pairs(elements, fn.max_arity - 1)  # in witness-key order
+    sections = _context_pairs(fn.domain, fn.max_arity - 1)  # in witness-key order
     for pre, post in sections:
         image = {cod[table[pre + (u,) + post]] for u in elements}
         lo, hi = min(image), max(image)

@@ -325,11 +325,8 @@ def _candidates(chain: Chain, n: int, filters, binary: bool):
     if not any_default:
         return all_associative_extensions(chain, n)
     codomain = chain.elements + (EPSILON,)
-    return (
-        TableFn(chain, codomain, n, d, ext.entries)
-        for d in codomain
-        for ext in all_associative_extensions(chain, n)
-    )
+    extensions = [ext.entries for ext in all_associative_extensions(chain, n)]  # built once
+    return (TableFn(chain, codomain, n, d, entries) for d in codomain for entries in extensions)
 
 
 def _cmd_enumerate(args, parser) -> int:
@@ -369,8 +366,9 @@ def _cmd_enumerate(args, parser) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    json_report = argparse.ArgumentParser(add_help=False)  # check and factorize print a report
+    json_report.add_argument("--json", action="store_true", help="emit a machine-readable report")
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--json", action="store_true", help="emit a machine-readable report")
     shared.add_argument("--quiet", action="store_true", help="suppress informational output")
     shared.add_argument(
         "--max-arity", type=int, default=None, help="override/truncate the max arity"
@@ -382,8 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"preassoc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    reporting = [json_report, shared]  # --json stays first in --help
 
-    p_check = sub.add_parser("check", parents=[shared], help="run property checkers on a function file")
+    p_check = sub.add_parser("check", parents=reporting, help="run property checkers on a function file")
     p_check.add_argument("file")
     p_check.add_argument(
         "--properties",
@@ -392,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_check.set_defaults(handler=_cmd_check)
 
-    p_fac = sub.add_parser("factorize", parents=[shared], help="factor through an associative operation")
+    p_fac = sub.add_parser("factorize", parents=reporting, help="factor through an associative operation")
     p_fac.add_argument("file")
     p_fac.add_argument("--out-h", required=True, help="path for the associative factor H")
     p_fac.add_argument("--out-report", default=None, help="path for the JSON report (f, g, digests)")

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 from types import MappingProxyType
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .errors import ArityError, UnknownSymbolError
 
@@ -110,14 +111,24 @@ class Chain:
     def top(self):
         return self.elements[-1]
 
-    def tuples(self, length: int) -> Iterator[tuple]:
-        """All tuples of exactly the given length, in lexicographic order."""
-        return product(self.elements, repeat=length)
+    def tuples(self, length: int) -> tuple:
+        """All tuples of exactly the given length, in lexicographic order (cached)."""
+        return _tuples(self.elements, length)
 
-    def tuples_up_to(self, max_length: int) -> Iterator[tuple]:
-        """All tuples of lengths 0..max_length, shortest first, lexicographic."""
-        for n in range(max_length + 1):
-            yield from product(self.elements, repeat=n)
+    def tuples_up_to(self, max_length: int) -> tuple:
+        """All tuples of lengths 0..max_length, shortest first, lexicographic (cached)."""
+        return _tuples_up_to(self.elements, max_length)
+
+
+# cached per (elements, length), so one n-tuple object serves every universe of a chain
+@lru_cache(maxsize=128)
+def _tuples(elements: tuple, length: int) -> tuple:
+    return tuple(product(elements, repeat=length))
+
+
+@lru_cache(maxsize=128)
+def _tuples_up_to(elements: tuple, max_length: int) -> tuple:
+    return tuple(t for n in range(max_length + 1) for t in _tuples(elements, n))
 
 
 @dataclass(frozen=True)
@@ -137,12 +148,6 @@ class Witness:
 
     def value(self, name):
         for k, v in self.values:
-            if k == name:
-                return v
-        raise KeyError(name)
-
-    def scalar(self, name):
-        for k, v in self.scalars:
             if k == name:
                 return v
         raise KeyError(name)

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+import struct
+from dataclasses import asdict, dataclass
 from itertools import product
 from typing import Iterator
 
 from .checks import (
-    _all_tuples,
     _p1_cases,
     _p2_cases,
     _prepl_mismatches,
@@ -44,7 +44,7 @@ def epsilon_standard_count(chain_size: int, max_arity: int) -> int:
 
 def epsilon_standard_at(chain: Chain, max_arity: int, index: int) -> TableFn:
     """The index-th default-ε standard candidate (base-k digits over the slots)."""
-    slots = _all_tuples(chain.elements, max_arity)[1:]
+    slots = chain.tuples_up_to(max_arity)[1:]
     k = len(chain.elements)
     values = []
     i = index
@@ -59,21 +59,21 @@ def epsilon_standard_at(chain: Chain, max_arity: int, index: int) -> TableFn:
 
 def all_epsilon_standard(chain: Chain, max_arity: int) -> Iterator[TableFn]:
     """Every operation with default ε and entries inside the chain."""
-    slots = _all_tuples(chain.elements, max_arity)[1:]
-    for values in product(chain.elements, repeat=len(slots)):
-        entries = dict(zip(slots, values))
-        yield TableFn(chain, chain.elements, max_arity, EPSILON, entries)
+    yield from _all_tables(chain, max_arity, chain.elements, (EPSILON,))
 
 
 def all_operations(chain: Chain, max_arity: int) -> Iterator[TableFn]:
     """Every operation-shaped table: entries and default over the chain plus ε."""
-    slots = _all_tuples(chain.elements, max_arity)[1:]
-    value_space = chain.elements + (EPSILON,)
-    codomain = chain.elements + (EPSILON,)
-    for default in value_space:
-        for values in product(value_space, repeat=len(slots)):
-            entries = dict(zip(slots, values))
-            yield TableFn(chain, codomain, max_arity, default, entries)
+    values = chain.elements + (EPSILON,)
+    yield from _all_tables(chain, max_arity, values, values)
+
+
+def _all_tables(chain: Chain, max_arity: int, values: tuple, defaults: tuple) -> Iterator[TableFn]:
+    """Every table with codomain ``values``, for each default in turn, entries in product order."""
+    slots = chain.tuples_up_to(max_arity)[1:]
+    for default in defaults:
+        for entry_values in product(values, repeat=len(slots)):
+            yield TableFn(chain, values, max_arity, default, dict(zip(slots, entry_values)))
 
 
 def all_binary_tables(chain: Chain) -> Iterator[dict]:
@@ -81,7 +81,7 @@ def all_binary_tables(chain: Chain) -> Iterator[dict]:
 
     The exhaustive reference for ``associative_tables``.
     """
-    pairs = tuple(product(chain.elements, repeat=2))
+    pairs = chain.tuples(2)
     for values in product(chain.elements, repeat=len(pairs)):
         yield dict(zip(pairs, values))
 
@@ -99,7 +99,7 @@ def associative_tables(chain: Chain) -> Iterator[dict]:
     """
     elements = chain.elements
     k = len(elements)
-    pairs = tuple(product(elements, repeat=2))
+    pairs = chain.tuples(2)
     coords = tuple(product(range(k), repeat=2))
     cell = [-1] * (k * k)  # cell[u*k + v] is the index of uv, or -1 while unfilled
 
@@ -251,73 +251,60 @@ class SweepReport:
         return all(not v for v in self.equivalence_failures.values())
 
     def to_json(self) -> str:
-        payload = {
-            "chain_size": self.chain_size,
-            "max_arity": self.max_arity,
-            "total": self.total,
-            "property_counts": self.property_counts,
-            "equivalence_failures": self.equivalence_failures,
-            "bits_digest": self.bits_digest,
-        }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
-def _sweep_range(args) -> tuple:
+def _sweep_range(args) -> bytes:
+    """The packed bits of candidates lo..hi-1: two bytes each, bit i for ``SWEEP_PROPERTIES[i]``."""
     chain_size, max_arity, lo, hi = args
     chain = default_chain(chain_size)
-    counts = {name: 0 for name in SWEEP_PROPERTIES}
-    failures = {name: [] for name in SWEEP_EQUIVALENCES}
     blob = bytearray()
     for index in range(lo, hi):
-        fn = epsilon_standard_at(chain, max_arity, index)
-        bits = _function_bits(fn)
-        packed = 0
-        for i, name in enumerate(SWEEP_PROPERTIES):
-            if bits[name]:
-                counts[name] += 1
-                packed |= 1 << i
+        bits = _function_bits(epsilon_standard_at(chain, max_arity, index))
+        packed = sum(1 << i for i, name in enumerate(SWEEP_PROPERTIES) if bits[name])
         blob += packed.to_bytes(2, "big")
-        for name, pred in SWEEP_EQUIVALENCES.items():
-            if not pred(bits):
-                failures[name].append(index)
-    return counts, failures, bytes(blob)
+    return bytes(blob)
 
 
 def equivalence_sweep(chain_size: int, max_arity: int, workers: int = 1) -> SweepReport:
     """Check the associativity/preassociativity equivalences over a whole universe.
 
-    With ``workers`` > 1 the index space is partitioned across processes; the
-    merged report is bit-identical to a single-threaded run.
+    The index space is split into one range per worker, each range run in its
+    own process when ``workers`` > 1.  The report is read off the joined bits
+    alone, so it is bit-identical to a single-process run; each equivalence
+    is decided once per distinct bit pattern.
     """
     total = epsilon_standard_count(chain_size, max_arity)
-    if workers <= 1:
-        parts = [_sweep_range((chain_size, max_arity, 0, total))]
+    workers = max(workers, 1)
+    bounds = [total * i // workers for i in range(workers + 1)]
+    jobs = [(chain_size, max_arity, bounds[i], bounds[i + 1]) for i in range(workers)]
+    if workers == 1:
+        parts = map(_sweep_range, jobs)
     else:
-        bounds = [total * i // workers for i in range(workers + 1)]
-        jobs = [
-            (chain_size, max_arity, bounds[i], bounds[i + 1]) for i in range(workers)
-        ]
         import multiprocessing
 
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers) as pool:
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
             parts = pool.map(_sweep_range, jobs)
+    blob = b"".join(parts)
 
-    counts = {name: 0 for name in SWEEP_PROPERTIES}
-    failures = {name: [] for name in SWEEP_EQUIVALENCES}
-    blob = bytearray()
-    for part_counts, part_failures, part_blob in parts:
-        for name in SWEEP_PROPERTIES:
-            counts[name] += part_counts[name]
-        for name in SWEEP_EQUIVALENCES:
-            failures[name].extend(part_failures[name])
-        blob += part_blob
-    digest = hashlib.sha256(bytes(blob)).hexdigest()
+    members = {}  # bit pattern -> the candidates that have it, ascending
+    for index, (pattern,) in enumerate(struct.iter_unpack(">H", blob)):
+        members.setdefault(pattern, []).append(index)
+    bits = {
+        pattern: {name: bool(pattern >> i & 1) for i, name in enumerate(SWEEP_PROPERTIES)}
+        for pattern in members
+    }
     return SweepReport(
         chain_size=chain_size,
         max_arity=max_arity,
         total=total,
-        property_counts=counts,
-        equivalence_failures={k: sorted(v) for k, v in failures.items()},
-        bits_digest=digest,
+        property_counts={
+            name: sum(len(ix) for p, ix in members.items() if bits[p][name])
+            for name in SWEEP_PROPERTIES
+        },
+        equivalence_failures={
+            name: sorted(i for p, ix in members.items() if not pred(bits[p]) for i in ix)
+            for name, pred in SWEEP_EQUIVALENCES.items()
+        },
+        bits_digest=hashlib.sha256(blob).hexdigest(),
     )

@@ -23,6 +23,8 @@ class FiniteMap:
     codomain: tuple
     graph: Mapping
 
+    __hash__ = None  # equal by value, but the graph is not hashable
+
     def __post_init__(self):
         domain = tuple(self.domain)
         codomain = tuple(self.codomain)
@@ -42,11 +44,6 @@ class FiniteMap:
 
     def __call__(self, x):
         return self.graph[x]
-
-    def __hash__(self):
-        return hash((self.domain, self.codomain, tuple(sorted(
-            ((self.domain.index(k), self.codomain.index(v)) for k, v in self.graph.items())
-        ))))
 
     @property
     def range(self) -> tuple:

@@ -306,6 +306,7 @@ def test_criterion_9_performance_and_parallel_determinism(sweep):
 
     parallel_report = equivalence_sweep(2, 3, workers=2)
     assert parallel_report.to_json() == serial_report.to_json()
+    assert equivalence_sweep(2, 2, workers=3).to_json() == equivalence_sweep(2, 2).to_json()
     _report(
         9,
         f"P1 on 120 tuples in {elapsed * 1000:.0f}ms; parallel sweep bit-identical "

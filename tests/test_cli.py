@@ -512,3 +512,30 @@ class TestEnumerate:
             assert "scanned 1 " in captured.err  # the one default-ε table
         else:
             assert "scanned 4 " in captured.err  # (1+ε)^1 entries x (1+ε) defaults
+
+
+class TestJsonOption:
+    """``--json`` belongs to the subcommands that print a report."""
+
+    def test_check_and_factorize_print_json(self, tmp_path, min_file, capsys):
+        assert main(["check", str(min_file), "--properties", "assoc", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]
+        argv = ["factorize", str(min_file), "--out-h", str(tmp_path / "H.json"), "--json"]
+        assert main(argv) == 0
+        assert "h_digest" in json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--family", "tnorm", "--name", "min", "--grid", "0,1",
+         "--max-arity", "2", "--out", "unused.json"],
+        ["enumerate", "--chain-size", "1", "--max-arity", "1"],
+    ])
+    def test_generate_and_enumerate_refuse_json(self, tmp_path, monkeypatch, argv, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--json"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --json" in capsys.readouterr().err
+        assert not (tmp_path / "unused.json").exists()
+        with pytest.raises(SystemExit):
+            main([argv[0], "--help"])
+        assert "--json" not in capsys.readouterr().out

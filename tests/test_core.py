@@ -11,6 +11,7 @@ import pytest
 from preassoc.core import EPSILON, Chain, TableFn, canonical_symbol, ranges
 from preassoc.errors import ArityError, GeneratorError, UnknownSymbolError
 from preassoc.families import GeneratedFn, Interval, tabulate
+from preassoc.quasi_inverse import FiniteMap
 from preassoc.serialization import dumps_function, loads_function
 
 
@@ -38,6 +39,16 @@ class TestChain:
         assert ts[0] == ()
         assert ts[1:3] == [("0",), ("1",)]
         assert len(ts) == 1 + 2 + 4
+
+    def test_tuples_are_cached_in_the_old_order(self):
+        c = Chain(("1", "0", "2"))
+        ts = c.tuples_up_to(3)
+        # shortest first, then lexicographic in the chain's listing order
+        assert ts == tuple(t for n in range(4) for t in product(c.elements, repeat=n))
+        assert c.tuples_up_to(3) is ts
+        assert Chain(("1", "0", "2")).tuples_up_to(3) is ts  # one cache per elements
+        assert c.tuples(2) is c.tuples(2) and c.tuples(2) == ts[4:13]
+        assert all(a is b for a, b in zip(c.tuples(2), ts[4:13]))  # shared tuple objects
 
 
 class TestEval:
@@ -112,6 +123,10 @@ class TestImmutability:
     def test_unhashable(self, min3):
         with pytest.raises(TypeError):
             hash(min3)
+
+    def test_finite_map_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(FiniteMap.identity(("0", "1")))
 
 
 class TestRanges:

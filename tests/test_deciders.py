@@ -69,7 +69,7 @@ def _chain3_arity2():
 def _near_constant_2_5():
     # one class of nearly every tuple, and P1 witnesses with long contexts
     chain = default_chain(2)
-    slots = checks._all_tuples(chain.elements, 5)[1:]
+    slots = chain.tuples_up_to(5)[1:]
     rng = random.Random(20145)
     for _ in range(200):
         entries = dict.fromkeys(slots, "0")
@@ -81,7 +81,7 @@ def _near_constant_2_5():
 def _three_values_3_3():
     # buckets of P2 with three values, whose splits walk and key orders rank apart
     chain = default_chain(3)
-    slots = checks._all_tuples(chain.elements, 3)[1:]
+    slots = chain.tuples_up_to(3)[1:]
     rng = random.Random(20143)
     for _ in range(1000):
         entries = {t: rng.choice("abc") for t in slots}
@@ -134,7 +134,7 @@ def _least(prop, fn, cases, violations):
 def _value_classes(fn):
     """Tuples of length 0..N grouped by value, each class in canonical order."""
     classes = {}
-    for t in checks._all_tuples(fn.domain.elements, fn.max_arity):
+    for t in fn.domain.tuples_up_to(fn.max_arity):
         classes.setdefault(fn._table[t], []).append(t)
     return classes.values()
 
@@ -142,12 +142,12 @@ def _value_classes(fn):
 def _reference_p1(fn):
     """Every same-class pair (y, y') over every context within N - |y'|."""
     table = fn._table
-    n, elements = fn.max_arity, fn.domain.elements
+    n = fn.max_arity
     violations = []
     cases = 0
     for group in _value_classes(fn):
         for y, yp in combinations(group, 2):  # canonical order: len(y) <= len(yp)
-            contexts = checks._context_pairs(elements, n - len(yp))
+            contexts = checks._context_pairs(fn.domain, n - len(yp))
             cases += len(contexts)
             for x, z in contexts:
                 lhs, rhs = table[x + y + z], table[x + yp + z]
@@ -167,7 +167,7 @@ def _reference_p2(fn):
     """
     table = fn._table
     chain, n = fn.domain, fn.max_arity
-    by_len = checks._tuples_by_len(chain.elements, n)
+    by_len = [chain.tuples(i) for i in range(n + 1)]
     buckets = {}  # (F(x), F(y)) -> its splits (total, x, y, F(x·y)), shortest first
     for total in range(n + 1):
         for i in range(total + 1):
@@ -189,7 +189,7 @@ def _reference_p2(fn):
                 parts = (("x", x), ("y", y), ("x'", xp), ("y'", yp))
                 violations.append((total, parts, (("F(x,y)", vf), ("F(x',y')", vs)), (), ""))
                 shortest = total
-    cases = checks._context_count(len(chain.elements), n)
+    cases = sum((t + 1) * len(chain) ** t for t in range(n + 1))  # the contexts within N
     return _least("preassociative_P2", fn, cases, violations)
 
 
@@ -321,11 +321,11 @@ _SUBST = "substituted-epsilon: nonempty inner block evaluates to ε"
 
 def _reference_a1(fn):
     table = fn._table
-    elements, n = fn.domain.elements, fn.max_arity
+    chain, n = fn.domain, fn.max_arity
     candidates = [
         (x, y, z)
-        for x, z in checks._context_pairs(elements, n - 1)
-        for y in checks._all_tuples(elements, n - len(x) - len(z))
+        for x, z in checks._context_pairs(chain, n - 1)
+        for y in chain.tuples_up_to(n - len(x) - len(z))
     ]
     violations = []
     for x, y, z in candidates:
@@ -353,7 +353,7 @@ def _reference_a2(fn):
     violations = []
     shortest = None  # the least total length listed so far
     cases = 0
-    for w in checks._all_tuples(fn.domain.elements, fn.max_arity):
+    for w in fn.domain.tuples_up_to(fn.max_arity):
         n = len(w)
         cases += comb((n + 1) * (n + 2) // 2, 2)  # pairs of decompositions
         if shortest is not None and shortest < n:
@@ -382,7 +382,7 @@ def _reference_a2(fn):
 
 def _reference_a3(fn):
     table = fn._table
-    by_len = checks._tuples_by_len(fn.domain.elements, fn.max_arity)
+    by_len = [fn.domain.tuples(i) for i in range(fn.max_arity + 1)]
     violations = []
     cases = 0
     for total in range(fn.max_arity + 1):
@@ -454,7 +454,7 @@ def _reference_range_idempotent(fn):
     violations = []
     cases = 0
     seen = set()
-    for t in checks._all_tuples(fn.domain.elements, fn.max_arity):
+    for t in fn.domain.tuples_up_to(fn.max_arity):
         v = table[t]
         if v in seen:
             continue
@@ -479,7 +479,7 @@ def _reference_replication_invariant(fn):
     table = fn._table
     violations = []
     cases = 0
-    for t in checks._all_tuples(fn.domain.elements, fn.max_arity)[1:]:
+    for t in fn.domain.tuples_up_to(fn.max_arity)[1:]:
         v = table[t]
         for k in range(2, fn.max_arity // len(t) + 1):
             cases += 1
@@ -532,7 +532,7 @@ def _reference_symmetric(fn):
 def _reference_convex_sections(fn):
     table = fn._table
     elements = fn.domain.elements
-    by_len = checks._tuples_by_len(elements, fn.max_arity - 1)
+    by_len = [fn.domain.tuples(i) for i in range(fn.max_arity)]
     cod = {v: i for i, v in enumerate(fn.codomain)}
     violations = []
     cases = 0

@@ -4,7 +4,8 @@ Any change to a checker's verdict (holds, minimal witness, max arity, extra
 annotations) or to its refusal of an input changes ``VERDICT_DIGEST``.  The
 per-property sums of ``cases_checked`` are frozen separately as a readable
 dict, so a change that only alters how many cases a checker visits re-freezes
-that dict and nothing else.
+that dict and nothing else.  ``UNIVERSE_DIGEST`` covers every checker on every
+table of the 2-chain/arity-3 sweep, where the corpus samples every 64th.
 """
 
 import hashlib
@@ -18,6 +19,8 @@ from preassoc.errors import NotAnOperationError
 from preassoc.families import MedianParams, make_median_family, make_variadic_seed, tabulate
 
 VERDICT_DIGEST = "b9f68ed7016ed5423bde19fc6deef0a3b9a06b510ea60a251bd8561362e6e671"
+
+UNIVERSE_DIGEST = "d4a34990767f8acd1f057fe54abcca685137bc473f9faefcd8a31e7ca3bccfb9"
 
 CASES_CHECKED = {
     "standard": 10782,
@@ -83,3 +86,16 @@ def test_verdicts_match_frozen_digest(golden):
 
 def test_cases_checked_match_frozen_sums(golden):
     assert golden[1] == CASES_CHECKED
+
+
+def test_whole_sweep_universe_matches_frozen_digest():
+    # all 16 384 default-ε tables, each checker's verdict with its cases and witness
+    chain2 = default_chain(2)
+    digest = hashlib.sha256()
+    for index in range(16384):
+        fn = epsilon_standard_at(chain2, 3, index)
+        for prop in PROPERTY_NAMES:
+            v = CHECKERS[prop](fn)
+            digest.update(repr((v.property, v.holds, v.cases_checked, v.witness, v.extra)).encode())
+            digest.update(b"\n")
+    assert digest.hexdigest() == UNIVERSE_DIGEST
