@@ -37,7 +37,9 @@ from .families import (
 )
 from .quasi_inverse import FiniteMap
 from .serialization import (
-    EPSILON_TOKEN,
+    SCHEMA_VERSION,
+    _decode,
+    _value_token,
     build_report,
     dumps_function,
     dumps_function_compact,
@@ -55,6 +57,16 @@ ALIASES = {
     "preassociative": "preassociative_P1",
     "uri": "unarily_range_idempotent",
     "uqri": "unarily_quasi_range_idempotent",
+}
+
+#: The options each ``generate`` family reads; passing another is a usage error.
+FAMILY_OPTIONS = {
+    "median": ("chain", "a", "b", "c", "d"),
+    "tnorm": ("grid", "name"),
+    "tconorm": ("grid", "name"),
+    "uninorm": ("grid", "name", "e"),
+    "quasi-sum": ("grid", "phi", "psi"),
+    "ling": ("grid", "phi", "psi", "a", "b"),
 }
 
 #: The most candidates ``enumerate`` scans without ``--force``.
@@ -141,8 +153,13 @@ def _parse_pins(raw):
         if ":" not in token:
             raise PreassocError(f"pin {token!r} must have the form value:preimage")
         y, x = token.split(":", 1)
-        pins.append((EPSILON if y == EPSILON_TOKEN else y, x))
+        pins.append((_decode(y), x))
     return pins
+
+
+def _graph_tokens(fmap: FiniteMap) -> dict:
+    """A finite map's graph in function-file tokens, for the factorize report."""
+    return {_value_token(u): _value_token(v) for u, v in fmap.graph.items()}
 
 
 def _cmd_factorize(args, parser) -> int:
@@ -151,7 +168,7 @@ def _cmd_factorize(args, parser) -> int:
         fn = _truncate(fn, args.max_arity)
     pins = _parse_pins(args.pins) if args.pins else None
     report = {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
         "function_digest": function_digest(fn),
     }
@@ -164,10 +181,8 @@ def _cmd_factorize(args, parser) -> int:
     else:
         save_function(fac.H, args.out_h)
         report["h_digest"] = function_digest(fac.H)
-        report["g"] = {str(k): str(v) for k, v in fac.g.graph.items()}
-        report["f"] = {
-            str(k): (EPSILON_TOKEN if v is EPSILON else str(v)) for k, v in fac.f.graph.items()
-        }
+        report["g"] = _graph_tokens(fac.g)
+        report["f"] = _graph_tokens(fac.f)
     text = dumps_report(report)
     if args.out_report:
         with open(args.out_report, "w", encoding="utf-8") as fh:
@@ -214,15 +229,6 @@ def _named_unary(name, parser, what):
     return generator
 
 
-def _infer_j(phi, grid) -> Interval:
-    values = [phi(x) for x in grid]
-    if max(values) <= 0:
-        return Interval(hi=0.0)
-    if min(values) >= 0:
-        return Interval(lo=0.0)
-    return Interval()
-
-
 def _cmd_generate(args, parser) -> int:
     try:
         fn = _generated_table(args, parser)
@@ -237,6 +243,9 @@ def _cmd_generate(args, parser) -> int:
 def _generated_table(args, parser) -> TableFn:
     family = args.family
     n = args.max_arity
+    for option in sorted(set().union(*FAMILY_OPTIONS.values()) - set(FAMILY_OPTIONS[family])):
+        if getattr(args, option) is not None:
+            parser.error(f"--family {family} does not read --{option}")
     if family == "median":
         if not args.chain:
             parser.error("--family median needs --chain")
@@ -253,10 +262,10 @@ def _generated_table(args, parser) -> TableFn:
             parser.error(f"--family {family} needs --name")
         e = _float_option(args.e, "--e") if args.e is not None else None
         return make_variadic_seed(family, args.name, grid, n, e=e)
-    phi = _named_unary(args.phi, parser, "--phi")
-    psi = _named_unary(args.psi, parser, "--psi")
+    phi = _named_unary(args.phi or "id", parser, "--phi")
+    psi = _named_unary(args.psi or "id", parser, "--psi")
     if family == "quasi-sum":
-        gen = make_quasi_sum(phi, psi, Interval(min(grid), max(grid)), _infer_j(phi, grid))
+        gen = make_quasi_sum(phi, psi, Interval(min(grid), max(grid)))
     else:  # ling, the last of the family choices
         if args.a is None or args.b is None:
             parser.error("--family ling needs --a and --b")
@@ -402,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument(
         "--family",
         required=True,
-        choices=("median", "tnorm", "tconorm", "uninorm", "quasi-sum", "ling"),
+        choices=tuple(FAMILY_OPTIONS),
     )
     p_gen.add_argument("--out", required=True)
     p_gen.add_argument("--chain", help="comma-separated chain symbols (median)")
@@ -410,8 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--name", help=f"catalog name; tnorms: {', '.join(sorted(TNORMS))}; "
                                       f"tconorms: {', '.join(sorted(TCONORMS))}; "
                                       f"uninorms: {', '.join(sorted(UNINORMS))}")
-    p_gen.add_argument("--phi", default="id", help="named generator (quasi-sum, ling)")
-    p_gen.add_argument("--psi", default="id", help="named generator (quasi-sum, ling)")
+    p_gen.add_argument("--phi", help="named generator (quasi-sum, ling); default id")
+    p_gen.add_argument("--psi", help="named generator (quasi-sum, ling); default id")
     p_gen.add_argument("--a", default=None)
     p_gen.add_argument("--b", default=None)
     p_gen.add_argument("--c", default=None)

@@ -288,6 +288,19 @@ def ranges(fn: TableFn) -> tuple:
     return ran1, ranflat
 
 
+def left_fold(chain: Chain, unary: Mapping, binary: Mapping, max_arity: int) -> dict:
+    """The entries of F(x1) = unary[x1], F(x1..xn) = binary[F(x1..x_{n-1}), xn].
+
+    ``binary`` must hold every pair (F(x1..x_{n-1}), xn) the fold reads; the
+    entries cover tuples of length 1..max_arity, shortest first.
+    """
+    entries = {(x,): unary[x] for x in chain.elements}
+    for n in range(2, max_arity + 1):
+        for t in chain.tuples(n):
+            entries[t] = binary[(entries[t[:-1]], t[-1])]
+    return entries
+
+
 def canonical_symbol(value: float) -> str:
     """Render a real value as its canonical 12-significant-digit symbol."""
     v = float(value)

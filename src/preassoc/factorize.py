@@ -18,7 +18,7 @@ from .checks import (
     check_unarily_quasi_range_idempotent,
     nonassociative_triple,
 )
-from .core import EPSILON, Chain, TableFn
+from .core import EPSILON, Chain, TableFn, left_fold
 from .errors import (
     ConditionError,
     DomainMismatchError,
@@ -125,8 +125,8 @@ def extend_unary_binary(f1: FiniteMap, f2, max_arity: int) -> TableFn:
 
     Exists exactly when: (i) f1 ∘ f1 = f1 and f1 ∘ f2 = f2, (ii) f2 absorbs f1
     in either argument, (iii) f2 is associative.  Each condition is checked
-    exhaustively; the higher arities are filled by the right fold
-    G_n(x) = G_2(G_{n-1}(x_1..x_{n-1}), x_n).
+    exhaustively; the entries are the left fold
+    G_n(x) = G_2(G_{n-1}(x_1..x_{n-1}), x_n) of ``core.left_fold``.
     """
     elements = f1.domain
     if set(f1.graph.values()) - set(elements):
@@ -158,15 +158,7 @@ def extend_unary_binary(f1: FiniteMap, f2, max_arity: int) -> TableFn:
         )
 
     chain = Chain(elements)
-    entries = {}
-    for u in elements:
-        entries[(u,)] = f1.graph[u]
-    if max_arity >= 2:
-        for pair, w in table.items():
-            entries[pair] = w
-        for n in range(3, max_arity + 1):
-            for t in chain.tuples(n):
-                entries[t] = table[(entries[t[:-1]], t[-1])]
+    entries = left_fold(chain, f1.graph, table, max_arity)
     return TableFn(chain, elements, max_arity, EPSILON, entries)
 
 

@@ -25,7 +25,7 @@ from numbers import Real
 from typing import Callable, Iterable, Optional, Sequence
 
 from .checks import nonassociative_triple
-from .core import EPSILON, Chain, TableFn, canonical_symbol
+from .core import EPSILON, Chain, TableFn, canonical_symbol, left_fold
 from .errors import AxiomError, GeneratorError, GridClosureError
 
 #: Package-wide float comparison tolerances, applied symmetrically.
@@ -179,19 +179,16 @@ def tabulate(
 def _tabulate_chain(source, chain: Chain, max_arity, default) -> TableFn:
     if isinstance(source, GeneratedFn):
         raise TypeError("generated families need a real grid carrier, not a chain")
-    entries = {}
-    observed = []
-    seen = set()
-    for n in range(1, max_arity + 1):
-        for t in chain.tuples(n):
-            v = reduce(source, t)
+    table = {}
+    if max_arity >= 2:  # the unary part is the identity: no call at arity 1
+        for t in chain.tuples(2):
+            v = source(*t)
             if v not in chain:
                 raise ValueError(f"binary operation left the chain: {t!r} -> {v!r}")
-            entries[t] = v
-            if v not in seen:
-                seen.add(v)
-                observed.append(v)
-    codomain = tuple(sorted(observed, key=chain.index))
+            table[t] = v
+    entries = left_fold(chain, dict(zip(chain, chain)), table, max_arity)
+    # the identity unary part attains every element, so the codomain is the chain
+    codomain = chain.elements
     if default is not EPSILON and default not in codomain:
         codomain = codomain + (default,)
     return TableFn(chain, codomain, max_arity, default, entries)
@@ -263,43 +260,18 @@ def _sample_grid(interval: Interval, n: int = _SAMPLES) -> list:
     return [lo + i * step for i in range(n)]
 
 
-def _validate_j_form(j: Interval):
-    """J must be a half-line (or the whole line) with the admissible endpoint sign."""
-    lo_inf = not math.isfinite(j.lo)
-    hi_inf = not math.isfinite(j.hi)
-    if lo_inf and hi_inf:
-        return
-    if lo_inf and j.hi <= 0:
-        return
-    if hi_inf and j.lo >= 0:
-        return
-    raise GeneratorError(
-        f"inadmissible generator value interval {j}: needs a half-line with "
-        "upper endpoint <= 0, lower endpoint >= 0, or the whole line"
-    )
-
-
-def make_quasi_sum(
-    phi: Callable,
-    psi: Callable,
-    interval: Interval,
-    j: Interval,
-) -> GeneratedFn:
+def make_quasi_sum(phi: Callable, psi: Callable, interval: Interval) -> GeneratedFn:
     """The family psi(phi(x1) + ... + phi(xn)) on the given interval.
 
-    ``phi`` must be strictly monotone on the construction sampling grid and
-    map into ``j``; ``psi`` must be strictly monotone on the sampled phi
-    values.  ``j`` must be an admissible half-line (or the whole line): sums
-    of phi values then stay inside it.
+    ``phi`` must be strictly monotone on the construction sampling grid, and
+    ``psi`` strictly monotone on the sampled phi values.  The interval J that
+    the sums of phi values range over follows from the sign of phi: the
+    half-line ]-inf, 0] when phi <= 0, [0, inf[ when phi >= 0, the whole line
+    otherwise; each is closed under addition.
     """
-    _validate_j_form(j)
     grid = _sample_grid(interval)
     _require_strictly_monotone(phi, grid, "phi")
-    phis = sorted(float(phi(x)) for x in grid)
-    for x, p in zip(grid, phis):
-        if not j.contains(p) and not (close(p, j.lo) or close(p, j.hi)):
-            raise GeneratorError(f"phi({x}) = {p} falls outside {j}")
-    _require_strictly_monotone(psi, phis, "psi")
+    _require_strictly_monotone(psi, sorted(float(phi(x)) for x in grid), "psi")
     return GeneratedFn(
         family="quasi_sum",
         interval=interval,
@@ -446,7 +418,12 @@ def make_variadic_seed(kind: str, op, carrier, max_arity: int, *, e=None) -> Tab
             raise GridClosureError(f"operation leaves the carrier: ({u!r}, {v!r}) -> {w!r}")
         snapped[(u, v)] = s
     _check_seed_axioms(snapped, values, neutral)
-    return tabulate(lambda u, v: snapped[(u, v)], values if on_grid else carrier, max_arity)
+    # the checked table, folded on the chain of the grid's canonical symbols
+    chain = Chain(tuple(map(canonical_symbol, values))) if on_grid else carrier
+    symbol = dict(zip(values, chain.elements))
+    table = {(symbol[u], symbol[v]): symbol[w] for (u, v), w in snapped.items()}
+    entries = left_fold(chain, dict(zip(chain, chain)), table, max_arity)
+    return TableFn(chain, chain.elements, max_arity, EPSILON, entries)
 
 
 def _seed_neutral(kind, values, e, on_grid):

@@ -200,9 +200,7 @@ def test_criterion_6_quasi_sum_sampled_laws():
     import math
 
     grid = (0.1, 0.3, 0.5, 0.7, 0.9)
-    gen = make_quasi_sum(
-        math.log, math.exp, Interval(0, 1, lo_open=True, hi_open=True), Interval(hi=0.0)
-    )
+    gen = make_quasi_sum(math.log, math.exp, Interval(0, 1, lo_open=True, hi_open=True))
     fn = tabulate(gen, grid, 3)
     checked = 0
     for n in range(1, 4):

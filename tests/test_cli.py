@@ -273,7 +273,7 @@ class TestGenerate:
 
     @pytest.mark.parametrize("grid,generators,message", [
         ("0,1", ["--phi", "ln", "--psi", "exp"], "--phi ln cannot be evaluated at 0"),
-        ("0,1000", ["--phi", "exp", "--psi", "ln"], "--phi exp cannot be evaluated at 1000"),
+        ("0,1000", ["--phi", "exp", "--psi", "ln"], "--phi exp cannot be evaluated at 718.75"),
     ])
     def test_generator_failure_names_generator_and_point(
         self, tmp_path, grid, generators, message, capsys
@@ -283,6 +283,27 @@ class TestGenerate:
                      "--max-arity", "2", "--out", str(out)])
         assert code == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option,args", [
+        ("--grid", ["--family", "median", "--chain", "0,1", "--a", "0", "--b", "1",
+                    "--c", "0", "--d", "1", "--grid", "0,1"]),
+        ("--e", ["--family", "tnorm", "--name", "min", "--grid", "0,1", "--e", "0.5"]),
+        ("--phi", ["--family", "tconorm", "--name", "max", "--grid", "0,1", "--phi", "exp"]),
+        ("--chain", ["--family", "uninorm", "--name", "idempotent-min", "--grid", "0,0.5,1",
+                     "--e", "0.5", "--chain", "0,1"]),
+        ("--name", ["--family", "quasi-sum", "--grid", "0,1", "--name", "min"]),
+        ("--c", ["--family", "ling", "--phi", "one-minus", "--psi", "one-minus",
+                 "--a", "0", "--b", "1", "--grid", "0,1", "--c", "0"]),
+    ])
+    def test_option_the_family_does_not_read_is_a_usage_error(
+        self, tmp_path, option, args, capsys
+    ):
+        out = tmp_path / "fn.json"
+        with pytest.raises(SystemExit) as err:
+            main(["generate", *args, "--max-arity", "2", "--out", str(out)])
+        assert err.value.code == 2
+        assert f"--family {args[1]} does not read {option}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_quasi_sum_and_ling(self, tmp_path):
