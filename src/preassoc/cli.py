@@ -260,6 +260,8 @@ def _generated_table(args, parser) -> TableFn:
     if family in ("tnorm", "tconorm", "uninorm"):
         if not args.name:
             parser.error(f"--family {family} needs --name")
+        if family == "uninorm" and args.e is None:
+            parser.error("--family uninorm needs --e")
         e = _float_option(args.e, "--e") if args.e is not None else None
         return make_variadic_seed(family, args.name, grid, n, e=e)
     phi = _named_unary(args.phi or "id", parser, "--phi")
@@ -398,14 +400,14 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="comma-separated property names (aliases: assoc, preassoc, uri, uqri)",
     )
-    p_check.set_defaults(handler=_cmd_check)
+    p_check.set_defaults(handler=_cmd_check, parser=p_check)
 
     p_fac = sub.add_parser("factorize", parents=reporting, help="factor through an associative operation")
     p_fac.add_argument("file")
     p_fac.add_argument("--out-h", required=True, help="path for the associative factor H")
     p_fac.add_argument("--out-report", default=None, help="path for the JSON report (f, g, digests)")
     p_fac.add_argument("--pins", default=None, help="comma-separated value:preimage pins for g")
-    p_fac.set_defaults(handler=_cmd_factorize)
+    p_fac.set_defaults(handler=_cmd_factorize, parser=p_fac)
 
     p_gen = sub.add_parser("generate", parents=[shared], help="tabulate a named operation family")
     p_gen.add_argument(
@@ -426,21 +428,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--c", default=None)
     p_gen.add_argument("--d", default=None)
     p_gen.add_argument("--e", default=None, help="uninorm neutral element")
-    p_gen.set_defaults(handler=_cmd_generate)
+    p_gen.set_defaults(handler=_cmd_generate, parser=p_gen)
 
     p_enum = sub.add_parser("enumerate", parents=[shared], help="stream small function universes")
     p_enum.add_argument("--chain-size", type=int, required=True)
     p_enum.add_argument("--filter", default="", help="comma-separated properties; or associative_binary")
     p_enum.add_argument("--out", default=None, help="output path (JSON lines); stdout when omitted")
     p_enum.add_argument("--force", action="store_true", help="override the size guard")
-    p_enum.set_defaults(handler=_cmd_enumerate)
+    p_enum.set_defaults(handler=_cmd_enumerate, parser=p_enum)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    parser = args.parser  # usage errors print the subcommand's usage
     if args.max_arity is not None and args.max_arity < 1:
         parser.error("--max-arity must be at least 1")
     if args.command in ("generate", "enumerate") and args.max_arity is None:

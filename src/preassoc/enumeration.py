@@ -10,8 +10,11 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+from array import array
 from dataclasses import asdict, dataclass
-from itertools import product
+from functools import lru_cache
+from itertools import permutations, product
+from operator import getitem
 from typing import Iterator
 
 from .checks import (
@@ -171,6 +174,9 @@ def all_associative_extensions(chain: Chain, max_arity: int) -> Iterator[TableFn
 # The theorem-equivalence sweep
 # ---------------------------------------------------------------------------
 
+#: Every bit is an equality between values with ε fixed, so relabeling the
+#: chain symbols leaves it unchanged; ``equivalence_sweep`` shares each bit
+#: across a relabeling orbit and relies on this for every name here.
 SWEEP_PROPERTIES = (
     "A1",
     "A2",
@@ -187,6 +193,13 @@ SWEEP_PROPERTIES = (
 )
 
 #: name -> (label, predicate over the per-function property dict).
+#: The lines the sweep tests are theorems the paper states or recalls, each
+#: side read off its own checker: the associativity forms A1 ⇔ A3, A1 ⇔ P1 ∧
+#: URI and with it A1 ⇒ P1, P1 ⇔ P2, URI ⇔ UQRI ∧ F1∘F1 = F1, the
+#: range-idempotence lemma (i) ⇔ (ii), (iii), (iv), and A1 ∧ REPL ⇔ A1 ∧ RI.
+#: ``REPL_implies_PREPL`` and ``P1_implies_PREPL`` follow from the
+#: definitions in a step: F(k·x) = F(x) = F(y) = F(k·y), and in k·x the copies
+#: of x turn into y one at a time.
 #: ``A1_iff_A2`` holds by construction: with default ε, A2 holds exactly when
 #: A1 does (``checks._check_a2`` reads A1's first violation), so the sweep
 #: takes its A2 bit from the A1 verdict and this line guards only that.
@@ -254,39 +267,149 @@ class SweepReport:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def _sweep_range(args) -> bytes:
-    """The packed bits of candidates lo..hi-1: two bytes each, bit i for ``SWEEP_PROPERTIES[i]``."""
-    chain_size, max_arity, lo, hi = args
+#: The image-table entries ``_relabelings`` keeps to for one universe, over
+#: all k! - 1 relabelings, unless runs of one slot exceed it: a wider run
+#: saves a lookup per image, but its tables grow as k^width.
+_IMAGE_ENTRIES = 2**12
+
+
+@lru_cache(maxsize=16)
+def _relabelings(chain_size: int, max_arity: int) -> tuple:
+    """How the non-identity relabelings of the chain move the sweep's indices.
+
+    Relabeling a table's symbols by a permutation σ (F ↦ σ∘F∘σ⁻¹) moves the
+    digit d at the slot of tuple t to the digit σ(d) at the slot of σ(t), so
+    the image of an index is a sum of one term per slot.  The slots are cut
+    into runs of w slots, w as large as ``_IMAGE_ENTRIES`` allows, and for
+    each σ one table per run gives the image terms of every digit string of
+    the run.  Returns ``(sizes, images)``: the runs of an index are its
+    digits in the mixed radix ``sizes`` (k^w each, less for a short last
+    run), and its image under the j-th σ is the sum of
+    ``images[j][i][run i]`` over the runs i.
+    """
     chain = default_chain(chain_size)
-    blob = bytearray()
-    for index in range(lo, hi):
-        bits = _function_bits(epsilon_standard_at(chain, max_arity, index))
-        packed = sum(1 << i for i, name in enumerate(SWEEP_PROPERTIES) if bits[name])
-        blob += packed.to_bytes(2, "big")
+    k = chain_size
+    code = {e: d for d, e in enumerate(chain.elements)}
+    slots = [tuple(code[x] for x in t) for t in chain.tuples_up_to(max_arity)[1:]]
+    position = {t: s for s, t in enumerate(slots)}
+    sigmas = [sigma for sigma in permutations(range(k)) if sigma != tuple(range(k))]
+    width = len(slots)
+    while width > 1 and len(sigmas) * -(-len(slots) // width) * k**width > _IMAGE_ENTRIES:
+        width -= 1
+    runs = [range(at, min(at + width, len(slots))) for at in range(0, len(slots), width)]
+    images = []
+    for sigma in sigmas:
+        # terms[s][d]: what digit d at slot s adds to the image index
+        terms = [
+            [sigma[d] * k ** position[tuple(sigma[x] for x in t)] for d in range(k)]
+            for t in slots
+        ]
+        images.append(tuple(_digit_sums([terms[s] for s in run]) for run in runs))
+    return tuple(k ** len(run) for run in runs), tuple(images)
+
+
+def _digit_sums(terms: list) -> list:
+    """The sum of ``terms[s][d_s]`` for every digit string d of ``len(terms)`` slots, in index order."""
+    sums = [0]
+    for column in terms:  # the next slot is the most significant digit so far
+        sums = [term + total for term in column for total in sums]
+    return sums
+
+
+def _sources(chain_size: int, max_arity: int, indices: range) -> array:
+    """For each candidate of ``indices``, the index whose bits it takes.
+
+    That is the candidate itself when it is the least index of its
+    relabeling orbit, and otherwise the first smaller image found, another
+    member of its orbit.
+    """
+    sizes, images = _relabelings(chain_size, max_arity)
+    sources = array("L")
+    for index in indices:
+        runs = []
+        rest = index
+        for size in sizes:
+            rest, run = divmod(rest, size)
+            runs.append(run)
+        source = index
+        for tables in images:
+            image = sum(map(getitem, tables, runs))
+            if image < index:
+                source = image
+                break
+        sources.append(source)
+    return sources
+
+
+def _sweep_range(args) -> tuple:
+    """The packed bits of the candidates ``indices`` and the ``_sources`` of each.
+
+    Bits take two bytes a candidate, bit i for ``SWEEP_PROPERTIES[i]``, and
+    are computed only for the candidates that are their own source; the
+    others' bytes stay zero for ``_sweep_bits`` to copy.
+    """
+    chain_size, max_arity, indices = args
+    chain = default_chain(chain_size)
+    sources = _sources(chain_size, max_arity, indices)
+    blob = bytearray(2 * len(indices))
+    for at, (index, source) in enumerate(zip(indices, sources)):
+        if source == index:
+            bits = _function_bits(epsilon_standard_at(chain, max_arity, index))
+            packed = sum(1 << i for i, name in enumerate(SWEEP_PROPERTIES) if bits[name])
+            blob[2 * at : 2 * at + 2] = packed.to_bytes(2, "big")
+    return blob, sources
+
+
+def _sweep_bits(chain_size: int, max_arity: int, workers: int) -> bytes:
+    """The packed bits of every candidate, in index order, computed once per orbit.
+
+    Worker w takes the indices w, w + workers, w + 2·workers, ...: the least
+    members of the orbits crowd the low indices (85 392 of the 88 722 on the
+    3-chain at arity 2 lie in its lower half), and striding shares them out
+    evenly where contiguous ranges would not.
+    """
+    total = epsilon_standard_count(chain_size, max_arity)
+    workers = max(workers, 1)
+    jobs = [(chain_size, max_arity, range(w, total, workers)) for w in range(workers)]
+    if workers == 1:
+        parts = list(map(_sweep_range, jobs))
+    else:
+        import multiprocessing
+
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            parts = pool.map(_sweep_range, jobs)
+    blob = bytearray(2 * total)
+    packed = memoryview(blob).cast("H")  # one two-byte item a candidate
+    sources = array("L", [0]) * total
+    for w, (bits, part_sources) in enumerate(parts):
+        packed[w::workers] = memoryview(bits).cast("H")
+        sources[w::workers] = part_sources
+    # a source is smaller than its candidate, so in ascending order it is
+    # resolved first: every copy ends at its orbit's least index, the one
+    # member whose bits a worker computed
+    for index, source in enumerate(sources):
+        if source != index:
+            packed[index] = packed[source]
     return bytes(blob)
 
 
 def equivalence_sweep(chain_size: int, max_arity: int, workers: int = 1) -> SweepReport:
     """Check the associativity/preassociativity equivalences over a whole universe.
 
-    The index space is split into one range per worker, each range run in its
-    own process when ``workers`` > 1.  The report is read off the joined bits
+    Every sweep property is an equality between values with ε fixed, so it
+    holds on F exactly when it holds on σ∘F∘σ⁻¹ for any permutation σ of the
+    chain symbols.  The bits are therefore computed once per relabeling
+    orbit, on its least index, and copied to the orbit's other members.
+
+    The index space is split into one strided range per worker, each range
+    run in its own process when ``workers`` > 1.  A worker computes the bits
+    of the orbits' least indices in its range and names, for each other
+    candidate, a smaller member of its orbit; the copies are made after the
+    join, in ascending index order.  The report is read off the joined bits
     alone, so it is bit-identical to a single-process run; each equivalence
     is decided once per distinct bit pattern.
     """
-    total = epsilon_standard_count(chain_size, max_arity)
-    workers = max(workers, 1)
-    bounds = [total * i // workers for i in range(workers + 1)]
-    jobs = [(chain_size, max_arity, bounds[i], bounds[i + 1]) for i in range(workers)]
-    if workers == 1:
-        parts = map(_sweep_range, jobs)
-    else:
-        import multiprocessing
-
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            parts = pool.map(_sweep_range, jobs)
-    blob = b"".join(parts)
-
+    blob = _sweep_bits(chain_size, max_arity, workers)
     members = {}  # bit pattern -> the candidates that have it, ascending
     for index, (pattern,) in enumerate(struct.iter_unpack(">H", blob)):
         members.setdefault(pattern, []).append(index)
@@ -297,7 +420,7 @@ def equivalence_sweep(chain_size: int, max_arity: int, workers: int = 1) -> Swee
     return SweepReport(
         chain_size=chain_size,
         max_arity=max_arity,
-        total=total,
+        total=len(blob) // 2,
         property_counts={
             name: sum(len(ix) for p, ix in members.items() if bits[p][name])
             for name in SWEEP_PROPERTIES

@@ -306,6 +306,17 @@ class TestGenerate:
         assert f"--family {args[1]} does not read {option}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_uninorm_without_e_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "u.json"
+        with pytest.raises(SystemExit) as err:
+            main(["generate", "--family", "uninorm", "--name", "idempotent-min",
+                  "--grid", "0,0.5,1", "--max-arity", "2", "--out", str(out)])
+        assert err.value.code == 2
+        err_text = capsys.readouterr().err
+        assert err_text.startswith("usage: preassoc generate ")
+        assert "preassoc generate: error: --family uninorm needs --e" in err_text
+        assert not out.exists()
+
     def test_quasi_sum_and_ling(self, tmp_path):
         out = tmp_path / "qs.json"
         code = main([
@@ -560,3 +571,29 @@ class TestJsonOption:
         with pytest.raises(SystemExit):
             main([argv[0], "--help"])
         assert "--json" not in capsys.readouterr().out
+
+
+class TestUsageErrors:
+    """A usage error prints the usage of its own subcommand."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["check", "{file}", "--properties", "bogus"], "unknown property 'bogus'"),
+        (["factorize", "{file}", "--out-h", "H.json", "--max-arity", "0"],
+         "--max-arity must be at least 1"),
+        (["generate", "--family", "tnorm", "--name", "min", "--grid", "0,1", "--e", "0.5",
+          "--max-arity", "2", "--out", "t.json"], "--family tnorm does not read --e"),
+        (["enumerate", "--chain-size", "2", "--max-arity", "2", "--filter", "bogus"],
+         "unknown property 'bogus'"),
+    ])
+    def test_usage_error_prints_its_subcommand_usage(
+        self, tmp_path, monkeypatch, min_file, argv, message, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        command = argv[0]
+        with pytest.raises(SystemExit) as err:
+            main([str(min_file) if a == "{file}" else a for a in argv])
+        assert err.value.code == 2
+        err_text = capsys.readouterr().err
+        assert err_text.startswith(f"usage: preassoc {command} [-h]")
+        assert f"preassoc {command}: error: {message}" in err_text
+        assert not (tmp_path / "t.json").exists() and not (tmp_path / "H.json").exists()

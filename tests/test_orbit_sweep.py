@@ -1,0 +1,184 @@
+"""The orbit-shared theorem sweep against per-index bits.
+
+``equivalence_sweep`` computes the property bits once per relabeling orbit
+(F ↦ σ∘F∘σ⁻¹ for a permutation σ of the chain symbols) and copies them to the
+orbit's other members.  These tests check the invariance it rests on, the
+index images it moves along, and its output against bits computed for every
+index on its own.
+"""
+
+import hashlib
+import random
+from itertools import permutations
+
+import pytest
+
+from preassoc import enumeration
+from preassoc.core import EPSILON, TableFn
+from preassoc.enumeration import (
+    SWEEP_PROPERTIES,
+    _function_bits,
+    _relabelings,
+    _sources,
+    _sweep_bits,
+    default_chain,
+    epsilon_standard_at,
+    epsilon_standard_count,
+    equivalence_sweep,
+)
+
+
+def _relabel(fn: TableFn, sigma: dict) -> TableFn:
+    """σ∘F∘σ⁻¹: the table of F with every chain symbol x renamed σ(x)."""
+    entries = {tuple(sigma[x] for x in t): sigma[v] for t, v in fn.entries.items()}
+    return TableFn(fn.domain, fn.codomain, fn.max_arity, EPSILON, entries)
+
+
+def _relabelings_of(chain) -> list:
+    """Every permutation of the chain symbols as a dict, the identity first."""
+    return [dict(zip(chain.elements, image)) for image in permutations(chain.elements)]
+
+
+def _index_of(fn: TableFn) -> int:
+    """The index of a default-ε standard table, its base-k digits over the slots."""
+    elements = fn.domain.elements
+    k = len(elements)
+    slots = fn.domain.tuples_up_to(fn.max_arity)[1:]
+    return sum(elements.index(fn.entries[t]) * k**s for s, t in enumerate(slots))
+
+
+def _packed(index_bits: dict) -> bytes:
+    value = sum(1 << i for i, name in enumerate(SWEEP_PROPERTIES) if index_bits[name])
+    return value.to_bytes(2, "big")
+
+
+def _brute_bits(chain_size: int, max_arity: int, indices) -> bytes:
+    """The packed bits of each index, every table checked on its own."""
+    chain = default_chain(chain_size)
+    return b"".join(
+        _packed(_function_bits(epsilon_standard_at(chain, max_arity, i))) for i in indices
+    )
+
+
+@pytest.mark.parametrize("max_arity,samples", [(2, 300), (3, 200)])
+def test_every_sweep_bit_is_relabeling_invariant_on_the_3_chain(max_arity, samples):
+    chain = default_chain(3)
+    rng = random.Random(15 + max_arity)
+    total = epsilon_standard_count(3, max_arity)
+    for _ in range(samples):
+        fn = epsilon_standard_at(chain, max_arity, rng.randrange(total))
+        bits = _function_bits(fn)
+        for sigma in _relabelings_of(chain):
+            image = _function_bits(_relabel(fn, sigma))
+            for name in SWEEP_PROPERTIES:
+                assert image[name] == bits[name], (name, fn.entries, sigma)
+
+
+def test_every_sweep_bit_is_relabeling_invariant_on_the_2_chain_at_arity_3():
+    chain = default_chain(2)
+    (_, swap) = _relabelings_of(chain)
+    total = epsilon_standard_count(2, 3)
+    tables = [epsilon_standard_at(chain, 3, i) for i in range(total)]
+    bits = [_function_bits(fn) for fn in tables]
+    for index, fn in enumerate(tables):
+        image = bits[_index_of(_relabel(fn, swap))]
+        for name in SWEEP_PROPERTIES:
+            assert image[name] == bits[index][name], (name, index)
+
+
+@pytest.mark.parametrize(
+    "chain_size,max_arity", [(1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)]
+)
+def test_index_images_are_the_relabeled_tables(chain_size, max_arity):
+    chain = default_chain(chain_size)
+    sizes, images = _relabelings(chain_size, max_arity)
+    sigmas = _relabelings_of(chain)[1:]  # the identity is not among the images
+    assert len(images) == len(sigmas)
+    total = epsilon_standard_count(chain_size, max_arity)
+    rng = random.Random(chain_size * 10 + max_arity)
+    indices = range(total) if total <= 4096 else [rng.randrange(total) for _ in range(500)]
+    for index in indices:
+        fn = epsilon_standard_at(chain, max_arity, index)
+        runs, rest = [], index
+        for size in sizes:
+            rest, run = divmod(rest, size)
+            runs.append(run)
+        for tables, sigma in zip(images, sigmas):
+            image = sum(table[run] for table, run in zip(tables, runs))
+            assert image == _index_of(_relabel(fn, sigma))
+
+
+@pytest.mark.parametrize("chain_size,max_arity", [(1, 2), (2, 2), (2, 3), (3, 1), (4, 1)])
+def test_only_the_least_index_of_an_orbit_is_its_own_source(chain_size, max_arity):
+    chain = default_chain(chain_size)
+    total = epsilon_standard_count(chain_size, max_arity)
+    least = set()
+    for index in range(total):
+        fn = epsilon_standard_at(chain, max_arity, index)
+        least.add(min(_index_of(_relabel(fn, sigma)) for sigma in _relabelings_of(chain)))
+    sources = _sources(chain_size, max_arity, range(total))
+    assert {i for i, source in enumerate(sources) if source == i} == least
+    assert all(source <= i for i, source in enumerate(sources))
+
+
+@pytest.mark.parametrize(
+    "chain_size,max_arity", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1), (4, 1)]
+)
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_orbit_shared_bits_equal_brute_bits_on_whole_universes(chain_size, max_arity, workers):
+    total = epsilon_standard_count(chain_size, max_arity)
+    assert _sweep_bits(chain_size, max_arity, workers) == _brute_bits(
+        chain_size, max_arity, range(total)
+    )
+
+
+@pytest.fixture(scope="module")
+def sweep_3_2():
+    """``equivalence_sweep(3, 2, workers=2)`` and the joined bits it read its report off."""
+    joined = []
+    real = enumeration._sweep_bits
+
+    def keep(*args):
+        joined.append(real(*args))
+        return joined[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enumeration, "_sweep_bits", keep)
+        report = equivalence_sweep(3, 2, workers=2)
+    (blob,) = joined
+    return report, blob
+
+
+def test_3_chain_arity_2_universe_matches_the_brute_reference(sweep_3_2):
+    report, blob = sweep_3_2
+    assert report.total == 531441
+    # frozen from a brute sweep that checked every one of the 531 441 tables
+    assert report.property_counts == {
+        "A1": 19782,
+        "A2": 19782,
+        "A3": 19782,
+        "P1": 119565,
+        "P2": 119565,
+        "URI": 22758,
+        "UQRI": 127317,
+        "F1F1": 196830,
+        "RI": 1500,
+        "FF2": 63423,
+        "REPL": 19683,
+        "PREPL": 242757,
+    }
+    assert report.all_equivalences_hold()
+    assert report.bits_digest == hashlib.sha256(blob).hexdigest() == (
+        "f4031230bdbcb2a90f10d071255cd44e903718c2dd0752773c3bc90b54303f93"
+    )
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
+        "17ebcbcfade3744a6b77114e71f4ac91135f6e2a984e0f343a7c6cb21826c761"
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_3_chain_arity_2_slices_equal_brute_bits(sweep_3_2, seed):
+    _, blob = sweep_3_2
+    rng = random.Random(seed)
+    lo = rng.randrange(531441 - 400)
+    assert blob[2 * lo : 2 * lo + 800] == _brute_bits(3, 2, range(lo, lo + 400))
