@@ -41,6 +41,9 @@ OPERATION_ONLY = frozenset(
     )
 )
 
+#: Properties whose checkers refuse a default other than ε.
+EPSILON_DEFAULT_ONLY = frozenset(("associative_A2", "associative_A3"))
+
 
 # ---------------------------------------------------------------------------
 # Cached candidate universes (keyed by chain and max arity); the tuples are
@@ -68,24 +71,14 @@ def _context_pairs(chain: Chain, budget: int) -> tuple:
 def _assoc_candidates(chain: Chain, n: int) -> tuple:
     """Candidate triples (x, y, z) for the substitution form, in witness-key order.
 
-    Each word w = x·y·z comes shortest first, then lexicographic, with its splits
-    in (|x|, |y|) order; y may be empty, and |x|+1+|z| <= n.  The parts are the
-    chain's shared tuples, located from w's rank r in base k.
+    Each pair (x, w) of ``_context_pairs`` is followed by w's own splits
+    (y, z), which sit side by side in that list from ((), w) on, so each word
+    x·y·z comes shortest first, then lexicographic, with its splits in
+    (|x|, |y|) order; y may be empty, and |x|+1+|z| <= n.
     """
-    by_len = [chain.tuples(i) for i in range(n + 1)]
-    power = [len(chain) ** e for e in range(n + 1)]
-    out = []
-    for m in range(n + 1):
-        splits = [
-            (by_len[i], power[m - i], by_len[j], power[m - i - j], power[j], by_len[m - i - j])
-            for i in range(m + 1)
-            for j in range(max(0, m - n + 1), m - i + 1)
-        ]
-        for r in range(power[m]):
-            out.extend(
-                (xs[r // px], ys[r // pz % py], zs[r % pz]) for xs, px, ys, pz, py, zs in splits
-            )
-    return tuple(out)
+    pairs = _context_pairs(chain, n)
+    splits = {w: pairs[i : i + len(w) + 1] for i, (x, w) in enumerate(pairs) if not x}
+    return tuple([(x, y, z) for x, w in pairs for y, z in splits[w] if len(x) + len(z) < n])
 
 
 def _index_key(chain: Chain, *tuples_):
@@ -187,7 +180,7 @@ def check_associative(fn: TableFn, form: str = "A1") -> Verdict:
     if form not in ("A1", "A2", "A3"):
         raise ValueError(f"unknown associativity form {form!r}")
     _require_operation(fn, prop)
-    if form in ("A2", "A3") and fn.default is not EPSILON:
+    if prop in EPSILON_DEFAULT_ONLY and fn.default is not EPSILON:
         raise ValueError(f"{prop} is defined only for operations with default ε")
     if form == "A1":
         return _check_a1(fn)
@@ -285,8 +278,9 @@ def check_preassociative(fn: TableFn, form: str = "P1") -> Verdict:
     verdict is decided by comparing each tuple with the first of its value
     class under one-letter extensions, and a failing one comes from the scan,
     which sets each tuple beside the first of its class in all its contexts.
-    P2 walks the splits in key order and sets each bucket's first split
-    beside its first split of another value.
+    P2's verdict is the least of ``_p2_conflicts``, which walks the splits in
+    key order and sets each bucket's first split beside its first split of
+    another value; it holds when there is none.
     """
     if form == "P1":
         cases = _p1_cases(fn)
@@ -363,23 +357,6 @@ def _p1_scan(fn: TableFn) -> Verdict:
     return Verdict("preassociative_P1", witness is None, cases, witness, n)
 
 
-def _p2_cases(fn: TableFn):
-    """``cases_checked`` of ``_check_p2`` (every split) if P2 holds, else None.
-
-    The equivalence sweep reads this bit alone; no witness is built.
-
-    P2 holds iff no two splits x·y with equal (F(x), F(y)) differ in F(x·y).
-    """
-    table = fn._table
-    splits = _context_pairs(fn.domain, fn.max_arity)
-    value_of = {}  # (F(x), F(y)) -> F(x·y) of the first split with that pair
-    for x, y in splits:
-        v = table[x + y]
-        if value_of.setdefault((table[x], table[y]), v) != v:
-            return None
-    return len(splits)
-
-
 def _check_p2(fn: TableFn) -> Verdict:
     """The pair of values (F(x), F(y)) must determine F(x, y).
 
@@ -387,33 +364,38 @@ def _check_p2(fn: TableFn) -> Verdict:
     bucket (F(x), F(y)) is the bucket's least.  If (c, d) with c < d is a
     violation in the bucket, F(a) differs from F(c) or from F(d), so (a, c)
     or (a, d) is a violation with a key no larger: the totals, the chain
-    indices and the lengths each compare part by part.  So a bucket's
-    witness is a beside its first split b of another value, and the rest of
-    the bucket is skipped.  Across buckets the least witness so far is kept,
-    and the walk stops at the first b longer than that witness's total.
+    indices and the lengths each compare part by part.  So the least witness
+    is a ``_p2_conflicts`` one: a bucket's a beside its first split b of
+    another value.
+    """
+    chain, n = fn.domain, fn.max_arity
+    least = min(_p2_conflicts(fn), key=lambda c: _index_key(chain, *c[:4]), default=None)
+    witness = None
+    if least is not None:
+        x, y, xp, yp, vf, vs = least
+        witness = Witness(
+            (("x", x), ("y", y), ("x'", xp), ("y'", yp)), (("F(x,y)", vf), ("F(x',y')", vs))
+        )
+    return Verdict("preassociative_P2", witness is None, len(_context_pairs(chain, n)), witness, n)
+
+
+def _p2_conflicts(fn: TableFn):
+    """Yield (x, y, x', y', F(x·y), F(x'·y')) for each bucket (F(x), F(y)) with a conflict.
+
+    x·y is the bucket's first split and x'·y' its first split of another
+    value, both in the key order of ``_context_pairs``.
     """
     table = fn._table
-    chain, n = fn.domain, fn.max_arity
-    splits = _context_pairs(chain, n)
-    first = {}  # (F(x), F(y)) -> (x, y, F(x·y)) of its first split; () once it has a witness
-    key, witness = (2 * n + 1,), None  # of the least violation so far; totals stay <= 2N
-    for xp, yp in splits:
+    first = {}  # (F(x), F(y)) -> (x, y, F(x·y)) of its first split; () once it has yielded
+    for xp, yp in _context_pairs(fn.domain, fn.max_arity):
         bucket = (table[xp], table[yp])
         vs = table[xp + yp]
         a = first.get(bucket)
         if a is None:
             first[bucket] = (xp, yp, vs)
         elif a and a[2] != vs:
-            if len(xp) + len(yp) > key[0]:
-                break  # so does every later split
             first[bucket] = ()
-            x, y, vf = a
-            if (found := _index_key(chain, x, y, xp, yp)) < key:
-                key, witness = found, Witness(
-                    (("x", x), ("y", y), ("x'", xp), ("y'", yp)),
-                    (("F(x,y)", vf), ("F(x',y')", vs)),
-                )
-    return Verdict("preassociative_P2", witness is None, len(splits), witness, n)
+            yield a[0], a[1], xp, yp, a[2], vs
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import math
 import sys
 
 from . import __version__
-from .checks import CHECKERS, OPERATION_ONLY, PROPERTY_NAMES, run_checks
+from .checks import CHECKERS, EPSILON_DEFAULT_ONLY, OPERATION_ONLY, PROPERTY_NAMES, run_checks
 from .core import EPSILON, Chain, TableFn
 from .enumeration import (
     all_associative_extensions,
@@ -41,7 +41,7 @@ from .serialization import (
     _decode,
     _value_token,
     build_report,
-    dumps_function,
+    dumps_function,  # not called here: bench/tracer.py times only functions imported across modules
     dumps_function_compact,
     dumps_report,
     function_digest,
@@ -124,8 +124,8 @@ def _print_verdicts(verdicts, quiet):
 
 
 def _needs_epsilon_default(fn: TableFn, name: str) -> bool:
-    """The checker of ``name`` refuses ``fn``'s default (A2 and A3 need ε)."""
-    return name in ("associative_A2", "associative_A3") and fn.default is not EPSILON
+    """The checker of ``name`` refuses ``fn``'s default."""
+    return name in EPSILON_DEFAULT_ONLY and fn.default is not EPSILON
 
 
 def _cmd_check(args, parser) -> int:

@@ -1,8 +1,13 @@
 """Exhaustive universes of small table functions and theorem-level sweeps.
 
-Candidate spaces are indexable (a function is the base-k digit expansion of
-its index), so enumeration is deterministic, restartable, and splits cleanly
-across worker processes with bit-identical merged reports.
+The sweep's candidates are indexable: ``epsilon_standard_at`` reads its index
+as base-k digits over the slots (the nonempty tuples in ``tuples_up_to``
+order), the first slot least significant, so the sweep is deterministic,
+restartable, and splits cleanly across worker processes with bit-identical
+merged reports.  ``all_epsilon_standard`` and ``all_operations`` stream in
+product order instead, the last slot varying fastest (``all_operations``
+takes each default in turn, ε last): on the 2-chain at arity 1 the second
+table streamed is F(0)=0, F(1)=1, while index 1 is F(0)=1, F(1)=0.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Iterator
 
 from .checks import (
     _p1_cases,
-    _p2_cases,
+    _p2_conflicts,
     _prepl_mismatches,
     check_associative,
     check_range_idempotent,
@@ -232,7 +237,7 @@ def _function_bits(fn: TableFn) -> dict:
         "A2": a1,  # the A2 verdict holds exactly when A1's does
         "A3": check_associative(fn, "A3").holds,
         "P1": _p1_cases(fn) is not None,
-        "P2": _p2_cases(fn) is not None,
+        "P2": next(_p2_conflicts(fn), None) is None,
         "URI": check_unarily_range_idempotent(fn).holds,
         "UQRI": check_unarily_quasi_range_idempotent(fn).holds,
         "RI": check_range_idempotent(fn).holds,
@@ -409,6 +414,9 @@ def equivalence_sweep(chain_size: int, max_arity: int, workers: int = 1) -> Swee
     alone, so it is bit-identical to a single-process run; each equivalence
     is decided once per distinct bit pattern.
     """
+    for name, value in (("chain_size", chain_size), ("max_arity", max_arity)):
+        if type(value) is not int or value < 1:  # bool is an int subclass
+            raise ValueError(f"{name} must be an integer >= 1")
     blob = _sweep_bits(chain_size, max_arity, workers)
     members = {}  # bit pattern -> the candidates that have it, ascending
     for index, (pattern,) in enumerate(struct.iter_unpack(">H", blob)):

@@ -5,6 +5,8 @@ from itertools import product
 import pytest
 
 from preassoc.checks import (
+    CHECKERS,
+    EPSILON_DEFAULT_ONLY,
     OPERATION_ONLY,
     check_associative,
     check_epsilon_standard,
@@ -13,6 +15,7 @@ from preassoc.checks import (
     run_checks,
 )
 from preassoc.core import EPSILON, TableFn
+from preassoc.enumeration import all_operations, default_chain
 from preassoc.errors import NotAnOperationError
 from preassoc.families import tabulate
 
@@ -95,6 +98,19 @@ class TestAssociative:
     def test_a2_a3_require_epsilon_default(self, remark_b):
         with pytest.raises(ValueError):
             check_associative(remark_b, "A2")
+
+    def test_exactly_the_epsilon_default_checkers_refuse_other_defaults(self):
+        refused = set()
+        for fn in all_operations(default_chain(2), 2):
+            for name, checker in CHECKERS.items():
+                try:
+                    checker(fn)
+                except ValueError:
+                    assert fn.default is not EPSILON
+                    refused.add(name)
+                else:
+                    assert name not in EPSILON_DEFAULT_ONLY or fn.default is EPSILON
+        assert refused == EPSILON_DEFAULT_ONLY
 
     def test_substituted_epsilon_is_reported(self, chain2):
         # nonempty tuple mapping to ε: an operation that is not standard

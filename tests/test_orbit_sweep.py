@@ -132,6 +132,21 @@ def test_orbit_shared_bits_equal_brute_bits_on_whole_universes(chain_size, max_a
     )
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "chain_size, max_arity, name",
+    [(2, 0, "max_arity"), (2, -1, "max_arity"), (0, 2, "chain_size"), (True, 2, "chain_size")],
+)
+def test_sizes_below_one_are_refused_before_any_work(chain_size, max_arity, name, workers):
+    def refuse(*args):
+        raise AssertionError("the sweep started")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enumeration, "_sweep_bits", refuse)
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1$"):
+            equivalence_sweep(chain_size, max_arity, workers=workers)
+
+
 @pytest.fixture(scope="module")
 def sweep_3_2():
     """``equivalence_sweep(3, 2, workers=2)`` and the joined bits it read its report off."""
