@@ -366,16 +366,19 @@ def _check_p2(fn: TableFn) -> Verdict:
     or (a, d) is a violation with a key no larger: the totals, the chain
     indices and the lengths each compare part by part.  So the least witness
     is a ``_p2_conflicts`` one: a bucket's a beside its first split b of
-    another value.
+    another value.  The conflicts come in the key order of x'·y', and each
+    one's total is at least |x'·y'|, so the search stops at the first x'·y'
+    longer than the least total so far.
     """
     chain, n = fn.domain, fn.max_arity
-    least = min(_p2_conflicts(fn), key=lambda c: _index_key(chain, *c[:4]), default=None)
-    witness = None
-    if least is not None:
-        x, y, xp, yp, vf, vs = least
-        witness = Witness(
-            (("x", x), ("y", y), ("x'", xp), ("y'", yp)), (("F(x,y)", vf), ("F(x',y')", vs))
-        )
+    key, witness = (2 * n + 1,), None  # of the least conflict so far; totals stay <= 2N
+    for x, y, xp, yp, vf, vs in _p2_conflicts(fn):
+        if len(xp) + len(yp) > key[0]:
+            break
+        if (found := _index_key(chain, x, y, xp, yp)) < key:
+            key, witness = found, Witness(
+                (("x", x), ("y", y), ("x'", xp), ("y'", yp)), (("F(x,y)", vf), ("F(x',y')", vs))
+            )
     return Verdict("preassociative_P2", witness is None, len(_context_pairs(chain, n)), witness, n)
 
 

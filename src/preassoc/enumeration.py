@@ -4,10 +4,12 @@ The sweep's candidates are indexable: ``epsilon_standard_at`` reads its index
 as base-k digits over the slots (the nonempty tuples in ``tuples_up_to``
 order), the first slot least significant, so the sweep is deterministic,
 restartable, and splits cleanly across worker processes with bit-identical
-merged reports.  ``all_epsilon_standard`` and ``all_operations`` stream in
-product order instead, the last slot varying fastest (``all_operations``
-takes each default in turn, ε last): on the 2-chain at arity 1 the second
-table streamed is F(0)=0, F(1)=1, while index 1 is F(0)=1, F(1)=0.
+merged reports.  Index order is thus product order over the slots taken
+last to first, so the sweep reads each index's digits off ``product``.
+``all_epsilon_standard`` and ``all_operations`` stream in product order over
+the slots as listed, the last slot varying fastest (``all_operations`` takes
+each default in turn, ε last): on the 2-chain at arity 1 the second table
+streamed is F(0)=0, F(1)=1, while index 1 is F(0)=1, F(1)=0.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import struct
 from array import array
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import islice, permutations, product
 from operator import getitem
 from typing import Iterator
 
@@ -272,93 +274,57 @@ class SweepReport:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-#: The image-table entries ``_relabelings`` keeps to for one universe, over
-#: all k! - 1 relabelings, unless runs of one slot exceed it: a wider run
-#: saves a lookup per image, but its tables grow as k^width.
-_IMAGE_ENTRIES = 2**12
-
-
 @lru_cache(maxsize=16)
 def _relabelings(chain_size: int, max_arity: int) -> tuple:
-    """How the non-identity relabelings of the chain move the sweep's indices.
+    """How each non-identity relabeling of the chain moves the sweep's indices.
 
     Relabeling a table's symbols by a permutation σ (F ↦ σ∘F∘σ⁻¹) moves the
     digit d at the slot of tuple t to the digit σ(d) at the slot of σ(t), so
-    the image of an index is a sum of one term per slot.  The slots are cut
-    into runs of w slots, w as large as ``_IMAGE_ENTRIES`` allows, and for
-    each σ one table per run gives the image terms of every digit string of
-    the run.  Returns ``(sizes, images)``: the runs of an index are its
-    digits in the mixed radix ``sizes`` (k^w each, less for a short last
-    run), and its image under the j-th σ is the sum of
-    ``images[j][i][run i]`` over the runs i.
+    the image of an index is a sum of one term per slot.  For each σ this
+    gives ``terms``, one tuple of k terms per slot, most significant slot
+    first: ``terms[j][d]`` is σ(d)·k^position(σ(t_j)), and the image of the
+    index with digits ``ds`` (as ``product`` yields them) is
+    ``sum(map(getitem, terms, ds))``.
     """
     chain = default_chain(chain_size)
     k = chain_size
     code = {e: d for d, e in enumerate(chain.elements)}
     slots = [tuple(code[x] for x in t) for t in chain.tuples_up_to(max_arity)[1:]]
     position = {t: s for s, t in enumerate(slots)}
-    sigmas = [sigma for sigma in permutations(range(k)) if sigma != tuple(range(k))]
-    width = len(slots)
-    while width > 1 and len(sigmas) * -(-len(slots) // width) * k**width > _IMAGE_ENTRIES:
-        width -= 1
-    runs = [range(at, min(at + width, len(slots))) for at in range(0, len(slots), width)]
-    images = []
-    for sigma in sigmas:
-        # terms[s][d]: what digit d at slot s adds to the image index
-        terms = [
-            [sigma[d] * k ** position[tuple(sigma[x] for x in t)] for d in range(k)]
-            for t in slots
-        ]
-        images.append(tuple(_digit_sums([terms[s] for s in run]) for run in runs))
-    return tuple(k ** len(run) for run in runs), tuple(images)
-
-
-def _digit_sums(terms: list) -> list:
-    """The sum of ``terms[s][d_s]`` for every digit string d of ``len(terms)`` slots, in index order."""
-    sums = [0]
-    for column in terms:  # the next slot is the most significant digit so far
-        sums = [term + total for term in column for total in sums]
-    return sums
-
-
-def _sources(chain_size: int, max_arity: int, indices: range) -> array:
-    """For each candidate of ``indices``, the index whose bits it takes.
-
-    That is the candidate itself when it is the least index of its
-    relabeling orbit, and otherwise the first smaller image found, another
-    member of its orbit.
-    """
-    sizes, images = _relabelings(chain_size, max_arity)
-    sources = array("L")
-    for index in indices:
-        runs = []
-        rest = index
-        for size in sizes:
-            rest, run = divmod(rest, size)
-            runs.append(run)
-        source = index
-        for tables in images:
-            image = sum(map(getitem, tables, runs))
-            if image < index:
-                source = image
-                break
-        sources.append(source)
-    return sources
+    return tuple(
+        tuple(
+            tuple(sigma[d] * k ** position[tuple(sigma[x] for x in t)] for d in range(k))
+            for t in reversed(slots)
+        )
+        for sigma in permutations(range(k))
+        if sigma != tuple(range(k))
+    )
 
 
 def _sweep_range(args) -> tuple:
-    """The packed bits of the candidates ``indices`` and the ``_sources`` of each.
+    """The packed bits of the candidates ``indices`` and the source of each.
 
-    Bits take two bytes a candidate, bit i for ``SWEEP_PROPERTIES[i]``, and
-    are computed only for the candidates that are their own source; the
-    others' bytes stay zero for ``_sweep_bits`` to copy.
+    A candidate's source is the first smaller image a relabeling gives, a
+    smaller member of its orbit, or else the candidate itself, its orbit's
+    least index.  Only those get their bits computed, two bytes a candidate,
+    bit i for ``SWEEP_PROPERTIES[i]``; the others' bytes stay zero for
+    ``_sweep_bits`` to copy.  The digits are read off ``product``.
     """
     chain_size, max_arity, indices = args
     chain = default_chain(chain_size)
-    sources = _sources(chain_size, max_arity, indices)
+    images = _relabelings(chain_size, max_arity)
+    digits = product(range(chain_size), repeat=len(chain.tuples_up_to(max_arity)) - 1)
+    digits = islice(digits, indices.start, None, indices.step)  # in step with ``indices``
     blob = bytearray(2 * len(indices))
-    for at, (index, source) in enumerate(zip(indices, sources)):
-        if source == index:
+    sources = array("L")
+    for at, (index, ds) in enumerate(zip(indices, digits)):
+        for terms in images:
+            image = sum(map(getitem, terms, ds))
+            if image < index:
+                sources.append(image)
+                break
+        else:
+            sources.append(index)
             bits = _function_bits(epsilon_standard_at(chain, max_arity, index))
             packed = sum(1 << i for i, name in enumerate(SWEEP_PROPERTIES) if bits[name])
             blob[2 * at : 2 * at + 2] = packed.to_bytes(2, "big")
@@ -374,7 +340,6 @@ def _sweep_bits(chain_size: int, max_arity: int, workers: int) -> bytes:
     evenly where contiguous ranges would not.
     """
     total = epsilon_standard_count(chain_size, max_arity)
-    workers = max(workers, 1)
     jobs = [(chain_size, max_arity, range(w, total, workers)) for w in range(workers)]
     if workers == 1:
         parts = list(map(_sweep_range, jobs))
@@ -414,7 +379,8 @@ def equivalence_sweep(chain_size: int, max_arity: int, workers: int = 1) -> Swee
     alone, so it is bit-identical to a single-process run; each equivalence
     is decided once per distinct bit pattern.
     """
-    for name, value in (("chain_size", chain_size), ("max_arity", max_arity)):
+    sizes = (("chain_size", chain_size), ("max_arity", max_arity), ("workers", workers))
+    for name, value in sizes:
         if type(value) is not int or value < 1:  # bool is an int subclass
             raise ValueError(f"{name} must be an integer >= 1")
     blob = _sweep_bits(chain_size, max_arity, workers)

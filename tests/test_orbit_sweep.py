@@ -9,7 +9,7 @@ index on its own.
 
 import hashlib
 import random
-from itertools import permutations
+from itertools import islice, permutations
 
 import pytest
 
@@ -19,8 +19,8 @@ from preassoc.enumeration import (
     SWEEP_PROPERTIES,
     _function_bits,
     _relabelings,
-    _sources,
     _sweep_bits,
+    _sweep_range,
     default_chain,
     epsilon_standard_at,
     epsilon_standard_count,
@@ -86,26 +86,55 @@ def test_every_sweep_bit_is_relabeling_invariant_on_the_2_chain_at_arity_3():
             assert image[name] == bits[index][name], (name, index)
 
 
+def _digits(index: int, chain_size: int, slots: int) -> tuple:
+    """The base-k digits of an index over the slots, the last (most significant) slot first."""
+    return tuple(index // chain_size**s % chain_size for s in reversed(range(slots)))
+
+
 @pytest.mark.parametrize(
     "chain_size,max_arity", [(1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)]
 )
 def test_index_images_are_the_relabeled_tables(chain_size, max_arity):
     chain = default_chain(chain_size)
-    sizes, images = _relabelings(chain_size, max_arity)
+    slots = len(chain.tuples_up_to(max_arity)) - 1
+    images = _relabelings(chain_size, max_arity)
     sigmas = _relabelings_of(chain)[1:]  # the identity is not among the images
     assert len(images) == len(sigmas)
+    assert all(len(terms) == slots for terms in images)
     total = epsilon_standard_count(chain_size, max_arity)
     rng = random.Random(chain_size * 10 + max_arity)
     indices = range(total) if total <= 4096 else [rng.randrange(total) for _ in range(500)]
     for index in indices:
         fn = epsilon_standard_at(chain, max_arity, index)
-        runs, rest = [], index
-        for size in sizes:
-            rest, run = divmod(rest, size)
-            runs.append(run)
-        for tables, sigma in zip(images, sigmas):
-            image = sum(table[run] for table, run in zip(tables, runs))
+        ds = _digits(index, chain_size, slots)
+        for terms, sigma in zip(images, sigmas):
+            image = sum(terms[j][d] for j, d in enumerate(ds))
             assert image == _index_of(_relabel(fn, sigma))
+
+
+@pytest.mark.parametrize("chain_size,max_arity", [(2, 2), (2, 3), (3, 1), (4, 1)])
+@pytest.mark.parametrize("stride", [2, 3])
+def test_a_stride_reads_the_digits_of_its_indices(chain_size, max_arity, stride):
+    chain = default_chain(chain_size)
+    slots = chain.tuples_up_to(max_arity)[1:]
+    total = epsilon_standard_count(chain_size, max_arity)
+    for start in range(stride):
+        indices = range(start, total, stride)
+        read = []
+
+        def recorded(*args):
+            for ds in islice(*args):
+                read.append(ds)
+                yield ds
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(enumeration, "islice", recorded)
+            _sweep_range((chain_size, max_arity, indices))
+        assert read == [_digits(i, chain_size, len(slots)) for i in indices]
+        for index, ds in zip(indices, read):
+            fn = epsilon_standard_at(chain, max_arity, index)
+            entries = tuple(chain.elements[d] for d in ds)
+            assert entries == tuple(fn.entries[t] for t in reversed(slots)), index
 
 
 @pytest.mark.parametrize("chain_size,max_arity", [(1, 2), (2, 2), (2, 3), (3, 1), (4, 1)])
@@ -116,7 +145,7 @@ def test_only_the_least_index_of_an_orbit_is_its_own_source(chain_size, max_arit
     for index in range(total):
         fn = epsilon_standard_at(chain, max_arity, index)
         least.add(min(_index_of(_relabel(fn, sigma)) for sigma in _relabelings_of(chain)))
-    sources = _sources(chain_size, max_arity, range(total))
+    _, sources = _sweep_range((chain_size, max_arity, range(total)))
     assert {i for i, source in enumerate(sources) if source == i} == least
     assert all(source <= i for i, source in enumerate(sources))
 
@@ -132,10 +161,18 @@ def test_orbit_shared_bits_equal_brute_bits_on_whole_universes(chain_size, max_a
     )
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+_BAD_SIZES = [
+    (2, 0, "max_arity"),
+    (2, -1, "max_arity"),
+    (0, 2, "chain_size"),
+    (True, 2, "chain_size"),
+]
+
+
 @pytest.mark.parametrize(
-    "chain_size, max_arity, name",
-    [(2, 0, "max_arity"), (2, -1, "max_arity"), (0, 2, "chain_size"), (True, 2, "chain_size")],
+    "chain_size, max_arity, name, workers",
+    [(*bad, workers) for workers in (1, 2) for bad in _BAD_SIZES]
+    + [(2, 2, "workers", workers) for workers in (0, -1, True)],
 )
 def test_sizes_below_one_are_refused_before_any_work(chain_size, max_arity, name, workers):
     def refuse(*args):
