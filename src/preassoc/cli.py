@@ -179,8 +179,7 @@ def _cmd_factorize(args, parser) -> int:
         failed = exc.verdict.property
         report["failed_precondition"] = verdict_to_dict(exc.verdict)
     else:
-        save_function(fac.H, args.out_h)
-        report["h_digest"] = function_digest(fac.H)
+        report["h_digest"] = save_function(fac.H, args.out_h)
         report["g"] = _graph_tokens(fac.g)
         report["f"] = _graph_tokens(fac.f)
     text = dumps_report(report)

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from functools import lru_cache
+from itertools import islice
+from json.encoder import encode_basestring
 
 from .core import EPSILON, Chain, TableFn, Verdict, Witness
 from .errors import FunctionFileError, UnknownSymbolError
@@ -94,12 +97,9 @@ def _value_token(value) -> str:
     return EPSILON_TOKEN if value is EPSILON else str(value)
 
 
-def table_to_dict(fn: TableFn) -> dict:
-    """The canonical JSON-ready form of a table function.
-
-    Refuses, with ``FunctionFileError``, a domain or codomain symbol that the
-    loader would not read back: a non-string, or the reserved string "ε".
-    """
+def _refuse_unloadable(fn: TableFn) -> None:
+    """Refuse, with ``FunctionFileError``, a domain or codomain symbol that the
+    loader would not read back: a non-string, or the reserved string "ε"."""
     for field, symbols in (("domain", fn.domain.elements), ("codomain", fn.codomain)):
         for s in symbols:
             if s is not EPSILON and (not isinstance(s, str) or s == EPSILON_TOKEN):
@@ -108,6 +108,15 @@ def table_to_dict(fn: TableFn) -> dict:
                     f"strings other than the reserved {EPSILON_TOKEN!r}",
                     field=field,
                 )
+
+
+def table_to_dict(fn: TableFn) -> dict:
+    """The canonical JSON-ready form of a table function.
+
+    ``dumps_function`` writes the bytes of ``json.dumps`` of this form.  Refuses
+    unloadable symbols, as every serializer does.
+    """
+    _refuse_unloadable(fn)
     return {
         "domain": list(fn.domain.elements),
         "codomain": [_value_token(v) for v in fn.codomain],
@@ -121,14 +130,63 @@ def table_to_dict(fn: TableFn) -> dict:
     }
 
 
+def _layout(indent) -> tuple:
+    """``json.dumps``'s line breaks at nesting levels 0..4 and its key separator."""
+    if indent is None:
+        return ("",) * 5, ":"
+    return tuple("\n" + " " * (indent * level) for level in range(5)), ": "
+
+
+# a head depends on the chain, the arity and the layout, never on the table's values
+@lru_cache(maxsize=32)
+def _entry_heads(chain: Chain, max_arity: int, indent) -> tuple:
+    """Each entry's text up to its value, in ``tuples_up_to`` order without the empty tuple."""
+    br, colon = _layout(indent)
+    symbols = {s: encode_basestring(s) for s in chain.elements}
+    start = br[2] + "{" + br[3] + '"args"' + colon + "[" + br[4]
+    sep = "," + br[4]
+    end = br[3] + "]," + br[3] + '"value"' + colon
+    return tuple(
+        start + sep.join(map(symbols.__getitem__, args)) + end
+        for args in islice(chain.tuples_up_to(max_arity), 1, None)
+    )
+
+
+def _write(fn: TableFn, indent) -> str:
+    """The text of ``json.dumps(table_to_dict(fn), ensure_ascii=False, ...)`` with
+    ``indent``, or with the compact separators for None, built from string pieces."""
+    _refuse_unloadable(fn)
+    br, colon = _layout(indent)
+    tokens = {v: encode_basestring(_value_token(v)) for v in fn.codomain}
+    close = br[2] + "}"
+    tails = {v: token + close for v, token in tokens.items()}
+    table = fn._table
+    keys = islice(fn.domain.tuples_up_to(fn.max_arity), 1, None)
+    heads = _entry_heads(fn.domain, fn.max_arity, indent)
+    entries = ",".join(map(str.__add__, heads, [tails[table[args]] for args in keys]))
+
+    def array(items):
+        return "[" + br[2] + ("," + br[2]).join(items) + br[1] + "]"
+
+    fields = {
+        "domain": array(map(encode_basestring, fn.domain.elements)),
+        "codomain": array(tokens.values()),
+        "default": encode_basestring(_value_token(fn.default)),
+        "max_arity": str(fn.max_arity),
+        "entries": "[" + entries + br[1] + "]",
+    }
+    body = ("," + br[1]).join(f'"{key}"{colon}{text}' for key, text in fields.items())
+    return "{" + br[1] + body + br[0] + "}"
+
+
 def dumps_function(fn: TableFn) -> str:
     """Byte-stable canonical serialization."""
-    return json.dumps(table_to_dict(fn), ensure_ascii=False, indent=1) + "\n"
+    return _write(fn, 1) + "\n"
 
 
 def dumps_function_compact(fn: TableFn) -> str:
     """One-line form for streaming enumeration output."""
-    return json.dumps(table_to_dict(fn), ensure_ascii=False, separators=(",", ":"))
+    return _write(fn, None)
 
 
 def function_digest(fn: TableFn) -> str:
@@ -163,20 +221,17 @@ def table_from_dict(doc) -> TableFn:
         raise FunctionFileError("entries must be a list", field="entries")
     entries = {}
     for i, item in enumerate(entries_doc):
-        where = f"entries[{i}]"
         if not isinstance(item, dict) or "args" not in item or "value" not in item:
-            raise FunctionFileError(
-                f"{where} must be an object with 'args' and 'value'", field=where
-            )
+            raise _entry_error(i, " must be an object with 'args' and 'value'")
         args = item["args"]
         value = item["value"]
         if not isinstance(args, list) or not all(isinstance(s, str) for s in args):
-            raise FunctionFileError(f"{where}.args must be a list of symbols", field=where)
+            raise _entry_error(i, ".args must be a list of symbols")
         if not isinstance(value, str):
-            raise FunctionFileError(f"{where}.value must be a symbol", field=where)
+            raise _entry_error(i, ".value must be a symbol")
         key = tuple(args)
         if key in entries:
-            raise FunctionFileError(f"duplicate entry for args {args!r}", field=where)
+            raise FunctionFileError(f"duplicate entry for args {args!r}", field=f"entries[{i}]")
         entries[key] = _decode(value)
 
     default_doc = doc["default"]
@@ -195,6 +250,11 @@ def table_from_dict(doc) -> TableFn:
         return TableFn(Chain(tuple(domain)), codomain, max_arity, default, entries)
     except (ValueError, UnknownSymbolError) as exc:
         raise FunctionFileError(str(exc)) from None
+
+
+def _entry_error(i: int, fault: str) -> FunctionFileError:
+    where = f"entries[{i}]"
+    return FunctionFileError(where + fault, field=where)
 
 
 def _decode(token: str):
@@ -232,11 +292,13 @@ def load_function(path) -> TableFn:
         return loads_function(fh.read())
 
 
-def save_function(fn: TableFn, path):
-    """Write the canonical form; unloadable symbols are refused before the file opens."""
-    text = dumps_function(fn)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+def save_function(fn: TableFn, path) -> str:
+    """Write the canonical form and return its ``function_digest``, the sha256 of
+    the bytes written; unloadable symbols are refused before the file opens."""
+    data = dumps_function(fn).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior and exit-code contract."""
 
+import hashlib
 import json
 from itertools import product
 
@@ -15,6 +16,7 @@ from preassoc.serialization import (
     FUNCTION_SCHEMA,
     REPORT_SCHEMA,
     dumps_function,
+    function_digest,
     load_function,
     save_function,
 )
@@ -150,6 +152,19 @@ class TestFactorize:
         report = json.loads(out_rep.read_text(encoding="utf-8"))
         assert report["f"] == sigma
         assert set(report["g"]) == {"0", "1", "2"}
+
+    def test_h_digest_is_the_sha256_of_the_written_file(self, tmp_path, chain3, min_file, capsys):
+        # a relabeled min, so that H (the min itself) differs from the input
+        sigma = {"0": "1", "1": "2", "2": "0"}
+        entries = {t: sigma[v] for t, v in load_function(min_file).entries.items()}
+        src = tmp_path / "relabeled.json"
+        save_function(TableFn(chain3, chain3.elements, 3, EPSILON, entries), src)
+        out_h = tmp_path / "H.json"
+        assert main(["factorize", str(src), "--out-h", str(out_h), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["h_digest"] != report["function_digest"]
+        assert report["h_digest"] == function_digest(load_function(out_h))
+        assert report["h_digest"] == hashlib.sha256(out_h.read_bytes()).hexdigest()
 
     def test_precondition_failure_exits_one_with_report(self, tmp_path, length_file, capsys):
         out_h = tmp_path / "H.json"

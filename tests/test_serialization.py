@@ -1,5 +1,6 @@
 """Function/report file round trips, canonical bytes, schema conformance."""
 
+import hashlib
 import json
 
 import jsonschema
@@ -9,8 +10,9 @@ from preassoc import __version__
 from preassoc.cli import main
 from preassoc.checks import check_preassociative, check_standard
 from preassoc.core import EPSILON, Chain, TableFn
+from preassoc.enumeration import all_operations, default_chain
 from preassoc.errors import FunctionFileError
-from preassoc.families import tabulate
+from preassoc.families import MedianParams, make_median_family, make_variadic_seed, tabulate
 from preassoc.serialization import (
     FUNCTION_SCHEMA,
     REPORT_SCHEMA,
@@ -73,6 +75,71 @@ class TestRoundTrip:
             jsonschema.validate(compact, FUNCTION_SCHEMA)
 
 
+def _json_forms(fn):
+    """The reference bytes: ``json.dumps`` of ``table_to_dict`` in both layouts."""
+    doc = table_to_dict(fn)
+    return (
+        json.dumps(doc, ensure_ascii=False, indent=1) + "\n",
+        json.dumps(doc, ensure_ascii=False, separators=(",", ":")),
+    )
+
+
+def _assert_json_bytes(fn):
+    assert (dumps_function(fn), dumps_function_compact(fn)) == _json_forms(fn)
+
+
+def _spread(chain, codomain, max_arity, default):
+    """A table taking the codomain values in turn along the canonical entry order."""
+    keys = [t for t in chain.tuples_up_to(max_arity) if t]
+    entries = {t: codomain[i % len(codomain)] for i, t in enumerate(keys)}
+    return TableFn(chain, codomain, max_arity, default, entries)
+
+
+#: Symbols JSON escapes (quote, backslash, newline, a control character) or keeps as is.
+_ODD_SYMBOLS = ('"', "\\", "\n", "\x01", " ", "é")
+
+
+class TestWriterBytes:
+    def test_every_binary_operation_on_the_2_chain(self):
+        for fn in all_operations(default_chain(2), 2):
+            _assert_json_bytes(fn)
+
+    def test_median_and_grid_tnorm_at_arity_4(self, chain4):
+        _assert_json_bytes(make_median_family(MedianParams("0", "3", "1", "2"), chain4, 4))
+        _assert_json_bytes(make_variadic_seed("tnorm", "min", [0, 0.25, 0.5, 0.75, 1], 4))
+
+    @pytest.mark.parametrize("default", [EPSILON, "é"], ids=["epsilon", "symbol"])
+    def test_escaped_symbols_and_epsilon_values(self, default):
+        chain = Chain(_ODD_SYMBOLS)
+        fn = _spread(chain, chain.elements + (EPSILON,), 2, default)
+        _assert_json_bytes(fn)
+        assert loads_function(dumps_function(fn)) == fn
+        # domain and codomain apart: a foreign codomain of escaped symbols
+        foreign = _spread(Chain(_ODD_SYMBOLS[:3]), _ODD_SYMBOLS[3:] + (EPSILON,), 2, default)
+        _assert_json_bytes(foreign)
+
+    @pytest.mark.parametrize("default", [EPSILON, "s"], ids=["epsilon", "symbol"])
+    def test_one_symbol_chain(self, default):
+        _assert_json_bytes(_spread(Chain(("s",)), ("s",), 3, default))
+
+    def test_cached_heads_follow_the_chain_and_the_arity(self):
+        # alternate renders: a head cache keyed on too little would hand one table another's text
+        fns = [
+            tabulate(Chain(("0", "1")).meet, Chain(("0", "1")), 2),
+            tabulate(Chain(("a", "b")).meet, Chain(("a", "b")), 2),
+            tabulate(Chain(("0", "1")).meet, Chain(("0", "1")), 3),
+        ]
+        for _ in range(2):
+            for fn in fns:
+                _assert_json_bytes(fn)
+
+    def test_save_returns_the_digest_of_the_bytes_written(self, tmp_path, min3_fn):
+        path = tmp_path / "f.json"
+        digest = save_function(min3_fn, path)
+        assert path.read_bytes() == _json_forms(min3_fn)[0].encode("utf-8")
+        assert digest == function_digest(min3_fn) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 class TestValidation:
     def base_doc(self):
         return {
@@ -97,6 +164,27 @@ class TestValidation:
         doc["entries"].append({"args": ["0"], "value": "1"})
         with pytest.raises(FunctionFileError, match="duplicate"):
             table_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (["1"], "entries[1] must be an object with 'args' and 'value'"),
+            ({"args": ["1"]}, "entries[1] must be an object with 'args' and 'value'"),
+            ({"args": "1", "value": "1"}, "entries[1].args must be a list of symbols"),
+            ({"args": [1], "value": "1"}, "entries[1].args must be a list of symbols"),
+            ({"args": ["1"], "value": 1}, "entries[1].value must be a symbol"),
+            ({"args": ["0"], "value": "1"}, "duplicate entry for args ['0']"),
+        ],
+        ids=["not-object", "no-value", "args-not-list", "args-not-strings", "value-not-string",
+             "duplicate"],
+    )
+    def test_entry_fault_names_its_index(self, entry, message):
+        doc = self.base_doc()
+        doc["entries"][1] = entry
+        with pytest.raises(FunctionFileError) as err:
+            table_from_dict(doc)
+        assert str(err.value) == message
+        assert err.value.field == "entries[1]"
 
     def test_unknown_symbol(self):
         doc = self.base_doc()
