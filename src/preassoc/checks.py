@@ -12,7 +12,12 @@ each sets a tuple beside the first of its class (P2: a bucket's first split
 in key order beside its first split of another value) and keeps the least
 violation, and its docstring argues that no other pair is less.
 ``cases_checked`` still counts the whole space.
-A linear test decides a holding P1 verdict; only a failing one runs the scan.
+A linear test decides a holding A1, A2, A3, P1 or P2 verdict, and only a
+failing one runs the scan for its witness.  P1 holds iff each tuple agrees
+with the first of its value class under one-letter extensions; A1 holds iff
+P1 does and F1 ∘ F = F with no nonempty tuple valued ε, the paper's
+"associative iff preassociative and unarily range-idempotent"; A1 implies A2
+and A3, and P1 implies P2.
 Checkers read one total table of every tuple of length 0..N, ε included
 (``TableFn._table``), so a block that may be empty needs no separate case.
 """
@@ -172,7 +177,9 @@ def check_associative(fn: TableFn, form: str = "A1") -> Verdict:
 
     Requires an operation; forms A2 and A3 additionally require default = ε.
     A substituted value of ε for a nonempty inner block is reported as a
-    violation (of ε-standardness) rather than skipped.  Each form returns its
+    violation (of ε-standardness) rather than skipped.  Every form goes
+    decider-then-scan: ``_a1_holds`` decides a holding verdict in linear
+    time, and only a failing one runs the form's scan, which returns its
     first violation in witness-key order; an A2 pair witness sets the
     decomposition (ε, ε, w) beside the first split of w that changes its value.
     """
@@ -192,7 +199,38 @@ def check_associative(fn: TableFn, form: str = "A1") -> Verdict:
 _SUBST_EPS = "substituted-epsilon: nonempty inner block evaluates to ε"
 
 
+def _a1_holds(fn: TableFn) -> bool:
+    """Whether A1 holds, decided in time linear in the table.
+
+    A1 holds iff no nonempty tuple is valued ε, F((v,)) = v for every value
+    v ≠ ε, the default included, and P1 holds.  Necessity: these unary laws
+    are the A1 candidates (ε, y, ε), and A1 implies P1, since F(x·y·z) =
+    F(x·F(y)·z) = F(x·F(y')·z) = F(x·y'·z) for same-class y, y'.
+    Sufficiency: y and (F(y),) share a value class, and the later of the two
+    has length |y| (length 1 for y = ε with a default d ≠ ε), so P1 gives
+    F(x·y·z) = F(x·F(y)·z) for every |x| + |z| <= N - |y|, which covers A1's
+    candidates.  The unary laws are tested first, so failing tables pay little.
+    """
+    table = fn._table
+    values = set(fn.entries.values())
+    if EPSILON in values:
+        return False
+    values.add(fn.default)
+    values.discard(EPSILON)
+    if any(table[(v,)] != v for v in values):
+        return False
+    return _p1_cases(fn) is not None
+
+
 def _check_a1(fn: TableFn) -> Verdict:
+    if _a1_holds(fn):
+        cases = len(_assoc_candidates(fn.domain, fn.max_arity))
+        return Verdict("associative_A1", True, cases, None, fn.max_arity)
+    return _a1_scan(fn)
+
+
+def _a1_scan(fn: TableFn) -> Verdict:
+    """The A1 verdict, from the first violating candidate in witness-key order."""
     table = fn._table
     candidates = _assoc_candidates(fn.domain, fn.max_arity)
     for x, y, z in candidates:
@@ -216,7 +254,9 @@ def _check_a1(fn: TableFn) -> Verdict:
 def _check_a2(fn: TableFn) -> Verdict:
     """All decompositions w = (x, y, z) give the same substituted value.
 
-    Assumes default ε, so (ε, ε, w) gives F(w) and A2 fails where A1 does.
+    Assumes default ε, so (ε, ε, w) gives F(w) and A2 fails where A1 does;
+    A1 implies A2, since each decomposition's value is F(w) by A1.  So A2
+    reads ``_check_a1``: a holding verdict comes from ``_a1_holds`` alone.
     A1 visits the splits with y nonempty word by word in (|x|, |y|) order, so
     its first violation is A2's least witness when it is a substituted ε (the
     first ε-valued tuple, alone as y).  A value mismatch at (x', y', z') on w
@@ -248,6 +288,18 @@ def _check_a2(fn: TableFn) -> Verdict:
 
 
 def _check_a3(fn: TableFn) -> Verdict:
+    """A3 from ``_a1_holds`` when A1 holds, else from the scan.
+
+    A1 implies A3 (default ε): F(x·y) = F(F(x)·y) = F(F(x)·F(y)), and each
+    step is an A1 candidate within N.
+    """
+    if _a1_holds(fn):
+        cases = len(_context_pairs(fn.domain, fn.max_arity))
+        return Verdict("associative_A3", True, cases, None, fn.max_arity)
+    return _a3_scan(fn)
+
+
+def _a3_scan(fn: TableFn) -> Verdict:
     """F(x, y) = F(F(x), F(y)) for all pairs, in witness-key order: w = x·y, then |x|."""
     table = fn._table
     splits = _context_pairs(fn.domain, fn.max_arity)
@@ -274,22 +326,24 @@ def _check_a3(fn: TableFn) -> Verdict:
 def check_preassociative(fn: TableFn, form: str = "P1") -> Verdict:
     """Preassociativity via contexts (P1) or via the two-equality form (P2).
 
-    Works for arbitrary codomains.  P1 goes decider-then-scan: a holding
-    verdict is decided by comparing each tuple with the first of its value
-    class under one-letter extensions, and a failing one comes from the scan,
-    which sets each tuple beside the first of its class in all its contexts.
-    P2's verdict is the least of ``_p2_conflicts``, which walks the splits in
-    key order and sets each bucket's first split beside its first split of
-    another value; it holds when there is none.
+    Works for arbitrary codomains.  Both forms go decider-then-scan on
+    ``_p1_cases``: a holding verdict is decided by comparing each tuple with
+    the first of its value class under one-letter extensions.  P1 implies
+    P2: from x·y to x'·y' (F(x) = F(x'), F(y) = F(y')) through x·y' or x'·y,
+    one of which fits N since |x·y| + |x'·y'| <= 2N.  A failing P1 comes from
+    ``_p1_scan``, which sets each tuple beside the first of its class in all
+    its contexts; a failing P2 from ``_p2_scan``, the least of
+    ``_p2_conflicts``, which walks the splits in key order and sets each
+    bucket's first split beside its first split of another value.
     """
-    if form == "P1":
-        cases = _p1_cases(fn)
-        if cases is None:
-            return _p1_scan(fn)
-        return Verdict("preassociative_P1", True, cases, None, fn.max_arity)
+    if form not in ("P1", "P2"):
+        raise ValueError(f"unknown preassociativity form {form!r}")
+    cases = _p1_cases(fn)
+    if cases is None:
+        return _p1_scan(fn) if form == "P1" else _p2_scan(fn)
     if form == "P2":
-        return _check_p2(fn)
-    raise ValueError(f"unknown preassociativity form {form!r}")
+        cases = len(_context_pairs(fn.domain, fn.max_arity))
+    return Verdict(f"preassociative_{form}", True, cases, None, fn.max_arity)
 
 
 def _p1_cases(fn: TableFn):
@@ -357,7 +411,7 @@ def _p1_scan(fn: TableFn) -> Verdict:
     return Verdict("preassociative_P1", witness is None, cases, witness, n)
 
 
-def _check_p2(fn: TableFn) -> Verdict:
+def _p2_scan(fn: TableFn) -> Verdict:
     """The pair of values (F(x), F(y)) must determine F(x, y).
 
     The splits x·y come in witness-key order, so the first split a of each

@@ -14,9 +14,16 @@ A1, A2, A3 and the idempotence, replication, order and symmetry laws visit
 their candidates in witness-key order and stop at the first violation.  Their
 verdicts must likewise equal those of the exhaustive scans that race every
 violation for the least key; a refusal must raise the same exception type.
+
+A1, A2, A3, P1 and P2 decide a holding verdict by a linear test
+(``_a1_holds``, ``_p1_cases``) and scan only when it refuses.  The public
+checkers are held to the references on universes that reach every refusal,
+and the scans themselves on holding tables, which the checkers no longer
+scan.
 """
 
 import random
+from collections import Counter
 from functools import cache
 from itertools import combinations, product
 from math import comb
@@ -30,6 +37,7 @@ from preassoc.enumeration import (
     all_operations,
     default_chain,
     epsilon_standard_at,
+    equivalence_sweep,
 )
 from preassoc.errors import NotAnOperationError
 from preassoc.families import MedianParams, make_median_family
@@ -246,6 +254,22 @@ def test_p1_scan_matches_reference_on_holding_tables():
         assert checks._p1_scan(fn) == _reference_p1(fn)
 
 
+def test_p2_scan_matches_reference_on_holding_tables():
+    # the P2 checker answers tables that hold P1 from ``_p1_cases``; the scan must agree
+    tables = [
+        fn
+        for universe in ("foreign-2-3", "sample-3-2")
+        for fn in UNIVERSES[universe]()
+        if checks._p1_cases(fn) is not None
+    ]
+    assert len(tables) > 100
+    assert any(not fn.is_operation for fn in tables)  # foreign codomains among them
+    for fn in tables:
+        ref = _reference_p2(fn)
+        assert ref.holds
+        assert checks._p2_scan(fn) == ref
+
+
 def test_near_constant_p1_witnesses_have_long_contexts():
     contexts = {
         len(w.part("x")) + len(w.part("z"))
@@ -276,11 +300,12 @@ def test_p2_witness_is_the_least_split_pair(index, x, y, xp, yp, vf, vs):
 
 
 def test_holding_tables_never_enter_the_scans(monkeypatch):
-    # only P1 has a separate scan to enter; for the others the counts are checked
+    # PREPL has no separate scan to enter; for it the counts are checked
     def refuse(fn):
         raise AssertionError("the exhaustive scan was entered")
 
-    monkeypatch.setattr(checks, "_p1_scan", refuse)
+    for scan in ("_p1_scan", "_p2_scan", "_a1_scan", "_a3_scan"):
+        monkeypatch.setattr(checks, scan, refuse)
     chain4 = default_chain(4)
     constant = TableFn(
         chain4, chain4.elements, 5, EPSILON,
@@ -293,13 +318,17 @@ def test_holding_tables_never_enter_the_scans(monkeypatch):
             "preassociative_P1": 1614254,
             "preassociative_P2": 7737,
             "replication_preinvariant": 208,
+            "associative_A1": 19949,
             "associative_A2": 245052,
+            "associative_A3": 7737,
         },
         "median": {
             "preassociative_P1": 763160,
             "preassociative_P2": 7737,
             "replication_preinvariant": 58,
+            "associative_A1": 19949,
             "associative_A2": 245052,
+            "associative_A3": 7737,
         },
     }
     for name, fn in (("constant", constant), ("median", median)):
@@ -420,6 +449,7 @@ def test_key_ordered_scan_matches_reference(form, universe):
             continue
         ref = reference(fn)
         assert checks.check_associative(fn, form) == ref
+        assert checks._a1_holds(fn) == ref.holds  # A1 ⇔ A2 ⇔ A3 at default ε
         tested += 1
         holding += ref.holds
     assert holding > 0
@@ -427,6 +457,56 @@ def test_key_ordered_scan_matches_reference(form, universe):
         assert holding == tested == 164
     else:
         assert holding < tested
+
+
+def test_operations_reach_every_refusal_of_the_assoc_decider():
+    # the first law each table breaks, in the order ``_a1_holds`` tests them
+    reasons = Counter()
+    for fn in UNIVERSES["operations-2-2"]():
+        values = set(fn.entries.values())
+        if EPSILON in values:
+            reasons["nonempty tuple valued ε"] += 1
+        elif fn.default is not EPSILON and fn((fn.default,)) != fn.default:
+            reasons["F((d,)) != d"] += 1
+        elif any(fn((v,)) != v for v in values):
+            reasons["F((v,)) != v"] += 1
+        elif checks._p1_cases(fn) is None:
+            reasons["P1 fails"] += 1
+        else:
+            reasons["holds"] += 1
+    assert len(reasons) == 5 and min(reasons.values()) > 0, reasons
+
+
+@pytest.mark.parametrize("form", ["A1", "A3"])
+def test_assoc_scan_matches_reference_on_holding_tables(form):
+    # the A1 and A3 checkers answer holding tables from ``_a1_holds``; the scans must agree
+    reference = {"A1": _reference_a1, "A3": _reference_a3}[form]
+    scan = {"A1": checks._a1_scan, "A3": checks._a3_scan}[form]
+    tables = [
+        fn
+        for universe in ("operations-2-2", "extensions-3-3")
+        for fn in ASSOC_UNIVERSES[universe]()
+        if (form == "A1" or fn.default is EPSILON) and checks._a1_holds(fn)
+    ]
+    assert len(tables) > 164
+    assert (form == "A1") == any(fn.default is not EPSILON for fn in tables)
+    for fn in tables:
+        ref = reference(fn)
+        assert ref.holds
+        assert scan(fn) == ref
+
+
+def test_sweep_bits_do_not_read_the_assoc_decider(monkeypatch):
+    # A1_iff_P1_and_URI, A1_iff_A3 and P1_iff_P2 must compare independent computations
+    def refuse(fn):
+        raise AssertionError("the sweep read the A1 decider")
+
+    monkeypatch.setattr(checks, "_a1_holds", refuse)
+    report = equivalence_sweep(2, 3, workers=1)
+    assert report.bits_digest == (
+        "6e2403e89b309aa51a3cc0cd519566639f18299222cfce82407d78fc1d342e91"
+    )
+    assert report.all_equivalences_hold()
 
 
 def _split_universe(chain, n, parts):
