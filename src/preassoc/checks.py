@@ -17,7 +17,9 @@ failing one runs the scan for its witness.  P1 holds iff each tuple agrees
 with the first of its value class under one-letter extensions; A1 holds iff
 P1 does and F1 ∘ F = F with no nonempty tuple valued ε, the paper's
 "associative iff preassociative and unarily range-idempotent"; A1 implies A2
-and A3, and P1 implies P2.
+and A3, and P1 implies P2.  The linear P1 test runs once per table: its
+answer and the A1 verdict are kept on the table (``TableFn._decided``), so
+these five laws and ``factorize``'s precondition share one pass.
 Checkers read one total table of every tuple of length 0..N, ε included
 (``TableFn._table``), so a block that may be empty needs no separate case.
 """
@@ -129,6 +131,20 @@ def _require_operation(fn: TableFn, prop: str):
         )
 
 
+def _once(fn: TableFn, law: str, decide):
+    """``decide(fn)``, kept in the table's ``_decided`` so a law is decided once per table.
+
+    The table is immutable, so the answer stays valid for its lifetime.
+    """
+    decided = fn._decided
+    if decided is None:  # made on first use, so a table read only once (the sweep's) costs nothing
+        decided = {}
+        object.__setattr__(fn, "_decided", decided)
+    if law not in decided:
+        decided[law] = decide(fn)
+    return decided[law]
+
+
 def _wrap(value):
     """A value as a tuple fragment: ε contributes nothing, symbols one slot."""
     return () if value is EPSILON else (value,)
@@ -223,6 +239,11 @@ def _a1_holds(fn: TableFn) -> bool:
 
 
 def _check_a1(fn: TableFn) -> Verdict:
+    """The A1 verdict, made once per table: A2 reads it too."""
+    return _once(fn, "A1", _a1_verdict)
+
+
+def _a1_verdict(fn: TableFn) -> Verdict:
     if _a1_holds(fn):
         cases = len(_assoc_candidates(fn.domain, fn.max_arity))
         return Verdict("associative_A1", True, cases, None, fn.max_arity)
@@ -256,14 +277,15 @@ def _check_a2(fn: TableFn) -> Verdict:
 
     Assumes default ε, so (ε, ε, w) gives F(w) and A2 fails where A1 does;
     A1 implies A2, since each decomposition's value is F(w) by A1.  So A2
-    reads ``_check_a1``: a holding verdict comes from ``_a1_holds`` alone.
-    A1 visits the splits with y nonempty word by word in (|x|, |y|) order, so
-    its first violation is A2's least witness when it is a substituted ε (the
-    first ε-valued tuple, alone as y).  A value mismatch at (x', y', z') on w
-    gives the least pair witness, (ε, ε, w) beside it, with key total 2|w|; a
-    substituted ε on a tuple of length up to 2|w| may still have a smaller
-    key.  ``cases_checked`` counts the C(m, 2) pairs of the
-    m = (n+1)(n+2)/2 decompositions of each n-tuple.
+    reads ``_check_a1``, the A1 verdict kept on the table, and a table is
+    scanned for A1 at most once.  A1 visits the splits with y nonempty word
+    by word in (|x|, |y|) order, so its first violation is A2's least
+    witness when it is a substituted ε (the first ε-valued tuple, alone as
+    y).  A value mismatch at (x', y', z') on w gives the least pair witness,
+    (ε, ε, w) beside it, with key total 2|w|; a substituted ε on a tuple of
+    length up to 2|w| may still have a smaller key.  ``cases_checked``
+    counts the C(m, 2) pairs of the m = (n+1)(n+2)/2 decompositions of each
+    n-tuple.
     """
     chain, n = fn.domain, fn.max_arity
     k = len(chain.elements)
@@ -347,6 +369,11 @@ def check_preassociative(fn: TableFn, form: str = "P1") -> Verdict:
 
 
 def _p1_cases(fn: TableFn):
+    """``_p1_pass``'s answer, made once per table: A1, A2, A3, P1 and P2 all read it."""
+    return _once(fn, "P1", _p1_pass)
+
+
+def _p1_pass(fn: TableFn):
     """``cases_checked`` of the P1 scan if P1 holds, else None.
 
     P1 holds iff F(u·y) = F(u·r) and F(y·u) = F(r·u) for every symbol u and
@@ -616,19 +643,21 @@ def _check_monotone(fn: TableFn, prop: str) -> Verdict:
     """
     table = fn._table
     chain = fn.domain
-    cod = {v: i for i, v in enumerate(fn.codomain)}
-    k = len(chain.elements)
+    elements = chain.elements
+    successor = dict(zip(elements, elements[1:]))  # the top has none
+    sign = 1 if prop == "nondecreasing" else -1
+    rank = {v: sign * i for i, v in enumerate(fn.codomain)}  # a violation lowers the rank
+    k = len(elements)
     cases = sum(n * (k - 1) * k ** (n - 1) for n in range(1, fn.max_arity + 1))
-    want_leq = prop == "nondecreasing"
     for n in range(1, fn.max_arity + 1):
         for t in chain.tuples(n):
+            a = rank[table[t]]
             for i in reversed(range(n)):
-                s = chain.successor(t[i])
+                s = successor.get(t[i])
                 if s is None:
                     continue
                 t2 = t[:i] + (s,) + t[i + 1 :]
-                a, b = cod[table[t]], cod[table[t2]]
-                if a > b if want_leq else a < b:
+                if a > rank[table[t2]]:
                     witness = Witness(
                         (("x", t), ("x'", t2)),
                         (("F(x)", table[t]), ("F(x')", table[t2])),

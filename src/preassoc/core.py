@@ -189,7 +189,9 @@ class TableFn:
     listing of the admissible entry values; its listing order is the codomain
     order used by monotonicity and convexity checks.  Within the package,
     ``_table`` is the one total table of every tuple, ε included, that
-    evaluation and the checkers read.
+    evaluation and the checkers read, and ``_decided`` is where ``checks``
+    keeps the answers it derives from the table alone, made on first use;
+    a rebuilt or unpickled table starts without them.
     """
 
     domain: Chain
@@ -198,6 +200,7 @@ class TableFn:
     default: object
     entries: Mapping
     _table: dict = field(init=False, repr=False, compare=False)
+    _decided: Optional[dict] = field(init=False, repr=False, compare=False, default=None)
 
     __hash__ = None  # equal by value, but the entries are not hashable
 

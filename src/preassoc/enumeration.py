@@ -27,7 +27,7 @@ from typing import Iterator
 from .checks import (
     _a1_scan,
     _a3_scan,
-    _p1_cases,
+    _p1_pass,
     _p2_conflicts,
     _prepl_mismatches,
     check_range_idempotent,
@@ -212,11 +212,11 @@ SWEEP_PROPERTIES = (
 #: A1 does (``checks._check_a2`` reads A1's first violation), so the sweep
 #: takes its A2 bit from the A1 verdict and this line guards only that.
 #: The public A1, A3 and P2 checkers decide a holding verdict from
-#: ``checks._a1_holds`` (unary laws and ``_p1_cases``) or ``_p1_cases``
-#: itself, so the sweep reads A1 and A3 off their scans (``_a1_scan``,
-#: ``_a3_scan``) and P2 off ``_p2_conflicts``: otherwise ``A1_iff_P1_and_URI``,
+#: ``checks._a1_holds`` (unary laws and the P1 pass) or the P1 pass itself,
+#: so the sweep reads A1 and A3 off their scans (``_a1_scan``, ``_a3_scan``)
+#: and P2 off ``_p2_conflicts``: otherwise ``A1_iff_P1_and_URI``,
 #: ``A1_iff_A3`` and ``P1_iff_P2`` would check the decider against itself.
-#: P1 alone comes from its decider, ``_p1_cases``, and PREPL from
+#: P1 alone comes from its decider, ``_p1_pass``, and PREPL from
 #: ``_prepl_mismatches``.
 SWEEP_EQUIVALENCES = {
     "A1_iff_P1_and_URI": lambda p: p["A1"] == (p["P1"] and p["URI"]),
@@ -239,7 +239,9 @@ SWEEP_EQUIVALENCES = {
 
 def _function_bits(fn: TableFn) -> dict:
     # the sweep needs only the bits, so P1, P2 and PREPL skip the witness
-    # scan; A1 and A3 run theirs, not the decider (see SWEEP_EQUIVALENCES)
+    # scan; A1 and A3 run theirs, not the decider (see SWEEP_EQUIVALENCES).
+    # P1 reads the raw pass, not the per-table ``_p1_cases``: each table is
+    # read once, so keeping its answer would only cost time
     table = fn._table
     elements = fn.domain.elements
     a1 = _a1_scan(fn).holds
@@ -247,7 +249,7 @@ def _function_bits(fn: TableFn) -> dict:
         "A1": a1,
         "A2": a1,  # the A2 verdict holds exactly when A1's does
         "A3": _a3_scan(fn).holds,
-        "P1": _p1_cases(fn) is not None,
+        "P1": _p1_pass(fn) is not None,
         "P2": next(_p2_conflicts(fn), None) is None,
         "URI": check_unarily_range_idempotent(fn).holds,
         "UQRI": check_unarily_quasi_range_idempotent(fn).holds,

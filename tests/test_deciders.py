@@ -7,7 +7,7 @@ its first split of another value (P2, the ``_p2_conflicts``).  Their
 verdicts, witness and ``cases_checked`` included, must equal those of
 exhaustive scans that race every same-class pair for the least key (P2:
 every pair of splits in one bucket), kept here as the reference.  The
-sweep's bit for each (``_p1_cases``, the first of ``_p2_conflicts`` and of
+sweep's bit for each (``_p1_pass``, the first of ``_p2_conflicts`` and of
 ``_prepl_mismatches``) must say "holds" exactly when the reference does.
 
 A1, A2, A3 and the idempotence, replication, order and symmetry laws visit
@@ -19,9 +19,13 @@ A1, A2, A3, P1 and P2 decide a holding verdict by a linear test
 (``_a1_holds``, ``_p1_cases``) and scan only when it refuses.  The public
 checkers are held to the references on universes that reach every refusal,
 and the scans themselves on holding tables, which the checkers no longer
-scan.
+scan.  The P1 pass and the A1 verdict are made once per table and kept on
+it; verdicts read off a table's kept answers must equal those of a fresh
+copy, and the sweep must never read them.
 """
 
+import copy
+import pickle
 import random
 from collections import Counter
 from functools import cache
@@ -40,6 +44,7 @@ from preassoc.enumeration import (
     equivalence_sweep,
 )
 from preassoc.errors import NotAnOperationError
+from preassoc.factorize import factorize
 from preassoc.families import MedianParams, make_median_family
 
 
@@ -223,7 +228,7 @@ def _reference_prepl(fn):
 
 #: property -> (reference, the sweep's bit)
 PAIR_LAWS = {
-    "preassociative_P1": (_reference_p1, lambda fn: checks._p1_cases(fn) is not None),
+    "preassociative_P1": (_reference_p1, lambda fn: checks._p1_pass(fn) is not None),
     "preassociative_P2": (_reference_p2, lambda fn: next(checks._p2_conflicts(fn), None) is None),
     "replication_preinvariant": (
         _reference_prepl, lambda fn: next(checks._prepl_mismatches(fn), None) is None
@@ -497,16 +502,91 @@ def test_assoc_scan_matches_reference_on_holding_tables(form):
 
 
 def test_sweep_bits_do_not_read_the_assoc_decider(monkeypatch):
-    # A1_iff_P1_and_URI, A1_iff_A3 and P1_iff_P2 must compare independent computations
-    def refuse(fn):
-        raise AssertionError("the sweep read the A1 decider")
+    # A1_iff_P1_and_URI, A1_iff_A3 and P1_iff_P2 must compare independent
+    # computations; and the sweep reads each table once, so it calls the raw
+    # P1 pass and never the answers kept on the table
+    def refuse(*args):
+        raise AssertionError("the sweep read the A1 decider or a kept answer")
 
-    monkeypatch.setattr(checks, "_a1_holds", refuse)
+    for name in ("_a1_holds", "_p1_cases", "_once"):
+        monkeypatch.setattr(checks, name, refuse)
     report = equivalence_sweep(2, 3, workers=1)
     assert report.bits_digest == (
         "6e2403e89b309aa51a3cc0cd519566639f18299222cfce82407d78fc1d342e91"
     )
     assert report.all_equivalences_hold()
+
+
+def _counted(monkeypatch, name):
+    """Wrap ``checks.<name>`` so that its calls are counted; returns the list of tables."""
+    calls = []
+    inner = getattr(checks, name)
+
+    def counting(fn):
+        calls.append(fn)
+        return inner(fn)
+
+    monkeypatch.setattr(checks, name, counting)
+    return calls
+
+
+def _median_4_5():
+    return make_median_family(MedianParams("0", "3", "1", "2"), default_chain(4), 5)
+
+
+def test_one_p1_pass_per_table(monkeypatch):
+    # A1, A2, A3, P1, P2 and factorize's precondition read F's one pass; H is a new table
+    passes = _counted(monkeypatch, "_p1_pass")
+    fn = _median_4_5()
+    verdicts = checks.run_checks(fn, checks.PROPERTY_NAMES)
+    assert all(verdicts[p].holds for p in ("associative_A1", "preassociative_P1"))
+    assert len(passes) == 1
+    fac = factorize(fn)
+    assert len(passes) == 2
+    assert passes[0] is fn and passes[1] is fac.H
+
+
+def test_a2_reads_the_a1_verdict_once(monkeypatch):
+    scans = _counted(monkeypatch, "_a1_scan")
+    median = _median_4_5()
+    entries = dict(median.entries)
+    entries[("3", "3", "3", "3", "2")] = "0"
+    fn = TableFn(median.domain, median.codomain, 5, EPSILON, entries)
+    verdicts = checks.run_checks(fn, checks.PROPERTY_NAMES)
+    assert not verdicts["associative_A1"].holds and not verdicts["associative_A2"].holds
+    assert scans == [fn]
+    fresh = copy.copy(fn)
+    assert checks.check_associative(fresh, "A2") == verdicts["associative_A2"]
+    assert scans == [fn, fresh]
+
+
+def test_kept_answers_are_invisible(monkeypatch):
+    fn = _median_4_5()
+    before = (repr(fn), pickle.dumps(fn))
+    checks.run_checks(fn, checks.PROPERTY_NAMES)
+    assert fn._decided  # the run kept its answers
+    assert (repr(fn), pickle.dumps(fn)) == before
+    passes = _counted(monkeypatch, "_p1_pass")
+    for rebuilt in (copy.copy(fn), copy.deepcopy(fn), pickle.loads(pickle.dumps(fn))):
+        assert rebuilt == fn and rebuilt._decided is None
+        assert checks.check_preassociative(rebuilt) == checks.check_preassociative(fn)
+        assert passes[-1] is rebuilt  # a rebuilt table decides afresh
+    assert len(passes) == 3
+
+
+def test_kept_answers_equal_fresh_ones():
+    # run_checks shares one P1 pass and one A1 verdict among the laws; each
+    # checker on its own rebuilt copy of the table must give the same verdict
+    tested = 0
+    for fn in UNIVERSES["operations-2-2"]():
+        names = [
+            n for n in checks.PROPERTY_NAMES
+            if fn.default is EPSILON or n not in checks.EPSILON_DEFAULT_ONLY
+        ]
+        shared = checks.run_checks(fn, names)
+        assert shared == {n: checks.CHECKERS[n](copy.copy(fn)) for n in names}
+        tested += 1
+    assert tested == 2187
 
 
 def _split_universe(chain, n, parts):
