@@ -20,6 +20,13 @@ P1 does and F1 ∘ F = F with no nonempty tuple valued ε, the paper's
 and A3, and P1 implies P2.  The linear P1 test runs once per table: its
 answer and the A1 verdict are kept on the table (``TableFn._decided``), so
 these five laws and ``factorize``'s precondition share one pass.
+The order and one-value laws go decider-then-scan too.  The order laws
+read the table one arity at a time as a list in product order
+(``_layer``), where a step up at position i is a fixed stride: monotonicity
+compares aligned slices, symmetry compares a layer with itself read at the
+sorted tuples, and convexity tests each distinct section once.  A law on
+single values (standard, epsilon_standard, unarily_range_idempotent,
+unarily_quasi_range_idempotent) holds iff no attained value fails it.
 Checkers read one total table of every tuple of length 0..N, ε included
 (``TableFn._table``), so a block that may be empty needs no separate case.
 """
@@ -28,8 +35,9 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import islice, product
+from itertools import combinations_with_replacement, islice, product
 from math import comb
+from operator import gt, mul, ne
 
 from .core import EPSILON, Chain, TableFn, Verdict, Witness, ranges
 from .errors import NotAnOperationError
@@ -99,9 +107,21 @@ def _index_key(chain: Chain, *tuples_):
 def _first_failure(prop, fn: TableFn, fails, values, note="", extra=()) -> Verdict:
     """The verdict of a law on single values, from the first nonempty tuple failing it.
 
-    Tuples are tested in canonical order, so the first failure is the minimal
-    witness; ``values(F(x))`` gives its named values, and ``cases_checked``
-    counts the tuples tested.
+    The law holds iff no attained value fails it, so a holding verdict is
+    decided on the set of entry values, and only a failing one runs
+    ``_first_failure_scan`` for its witness.
+    """
+    if any(map(fails, set(fn.entries.values()))):
+        return _first_failure_scan(prop, fn, fails, values, note, extra)
+    cases = len(fn.domain.tuples_up_to(fn.max_arity)) - 1
+    return Verdict(prop, True, cases, None, fn.max_arity, extra)
+
+
+def _first_failure_scan(prop, fn: TableFn, fails, values, note="", extra=()) -> Verdict:
+    """The verdict of a law on single values, walking the nonempty tuples in canonical order.
+
+    The first failure is the minimal witness; ``values(F(x))`` gives its
+    named values, and ``cases_checked`` counts the tuples tested.
     """
     table = fn._table
     tuples = fn.domain.tuples_up_to(fn.max_arity)
@@ -635,8 +655,66 @@ def check_nonincreasing(fn: TableFn) -> Verdict:
     return _check_monotone(fn, "nonincreasing")
 
 
+def _layer(fn: TableFn, n: int, code=None) -> list:
+    """F(t) for every n-tuple t in product order, each through ``code`` if given.
+
+    In product order, raising position i of t by one chain step adds
+    k^(n-1-i) to its index.
+    """
+    values = map(fn._table.__getitem__, fn.domain.tuples(n))
+    return list(values if code is None else map(code.__getitem__, values))
+
+
+def _digit_slices(layer: list, k: int, n: int):
+    """Yield lists of k aligned slices of an n-tuple layer, each position of the tuple in turn.
+
+    The j-th slice holds tuples with the digit j at that position, each
+    beside the same tuple with the digit j + 1 in slice j + 1; zipping the k
+    slices gives the position's one-argument sections.  A position of
+    stride s is cut block by block (k^i blocks of k·s entries) or residue by
+    residue (s slices of step k·s), whichever makes fewer slices.
+    """
+    for i in range(n):
+        s = k ** (n - 1 - i)
+        step = k * s
+        if k**i <= s:
+            for a in range(0, len(layer), step):
+                yield [layer[a + j * s : a + (j + 1) * s] for j in range(k)]
+        else:
+            for r in range(s):
+                yield [layer[r + j * s :: step] for j in range(k)]
+
+
 def _check_monotone(fn: TableFn, prop: str) -> Verdict:
     """Monotone in each argument; only adjacent chain elements are compared.
+
+    A holding verdict is decided by comparing each layer's aligned slices,
+    and only a failing one runs ``_monotone_scan`` for its witness.
+    """
+    rank = _ranks(fn, prop)
+    k = len(fn.domain)
+    for n in range(1, fn.max_arity + 1):
+        for parts in _digit_slices(_layer(fn, n, rank), k, n):
+            for low, high in zip(parts, parts[1:]):
+                if any(map(gt, low, high)):
+                    return _monotone_scan(fn, prop)
+    return Verdict(prop, True, _monotone_cases(fn), None, fn.max_arity)
+
+
+def _monotone_cases(fn: TableFn) -> int:
+    """The steps up compared: at each of n positions, the (k-1)·k^(n-1) n-tuples not topped there."""
+    k = len(fn.domain)
+    return sum(n * (k - 1) * k ** (n - 1) for n in range(1, fn.max_arity + 1))
+
+
+def _ranks(fn: TableFn, prop: str) -> dict:
+    """Codomain positions, negated for nonincreasing: a violation lowers the rank."""
+    sign = 1 if prop == "nondecreasing" else -1
+    return {v: sign * i for i, v in enumerate(fn.codomain)}
+
+
+def _monotone_scan(fn: TableFn, prop: str) -> Verdict:
+    """The monotone verdict, from the first violation in witness-key order.
 
     Raising a later position gives a smaller x', so positions are visited
     last to first and the first violation is the minimal witness.
@@ -645,10 +723,8 @@ def _check_monotone(fn: TableFn, prop: str) -> Verdict:
     chain = fn.domain
     elements = chain.elements
     successor = dict(zip(elements, elements[1:]))  # the top has none
-    sign = 1 if prop == "nondecreasing" else -1
-    rank = {v: sign * i for i, v in enumerate(fn.codomain)}  # a violation lowers the rank
-    k = len(elements)
-    cases = sum(n * (k - 1) * k ** (n - 1) for n in range(1, fn.max_arity + 1))
+    rank = _ranks(fn, prop)
+    cases = _monotone_cases(fn)
     for n in range(1, fn.max_arity + 1):
         for t in chain.tuples(n):
             a = rank[table[t]]
@@ -668,11 +744,39 @@ def _check_monotone(fn: TableFn, prop: str) -> Verdict:
 
 
 def check_symmetric(fn: TableFn) -> Verdict:
-    """Invariant under argument permutations, via sorted-tuple canonicalization."""
+    """Invariant under argument permutations, via sorted-tuple canonicalization.
+
+    A holding verdict is decided by comparing each layer with itself read at
+    the sorted tuples, and only a failing one runs ``_symmetric_scan`` for
+    its witness.
+    """
+    k = len(fn.domain)
+    for n in range(2, fn.max_arity + 1):
+        layer = _layer(fn, n)
+        if any(map(ne, layer, map(layer.__getitem__, _sorted_index(k, n)))):
+            return _symmetric_scan(fn)
+    return Verdict("symmetric", True, _symmetric_cases(fn), None, fn.max_arity)
+
+
+def _symmetric_cases(fn: TableFn) -> int:
+    """The tuples of length 2..N, each compared with its sorted tuple."""
+    return sum(len(fn.domain) ** n for n in range(2, fn.max_arity + 1))
+
+
+@lru_cache(maxsize=128)
+def _sorted_index(k: int, n: int) -> tuple:
+    """For each n-tuple over a k-chain, in product order, the index of its sorted tuple."""
+    weights = [k ** (n - 1 - j) for j in range(n)]
+    first = {c: sum(map(mul, c, weights)) for c in combinations_with_replacement(range(k), n)}
+    return tuple(map(first.__getitem__, map(tuple, map(sorted, product(range(k), repeat=n)))))
+
+
+def _symmetric_scan(fn: TableFn) -> Verdict:
+    """The symmetric verdict, from the first tuple whose value differs from its sorted tuple's."""
     table = fn._table
     chain = fn.domain
     idx = chain.index
-    cases = sum(len(chain.elements) ** n for n in range(2, fn.max_arity + 1))
+    cases = _symmetric_cases(fn)
     for n in range(2, fn.max_arity + 1):
         for t in chain.tuples(n):
             canon = tuple(sorted(t, key=idx))
@@ -686,7 +790,27 @@ def check_symmetric(fn: TableFn) -> Verdict:
 
 
 def check_convex_sections(fn: TableFn) -> Verdict:
-    """Every one-argument section has a gap-free image in the codomain order."""
+    """Every one-argument section has a gap-free image in the codomain order.
+
+    A holding verdict is decided layer by layer, each distinct section (its
+    k codomain positions in chain order) tested once, and only a failing one
+    runs ``_convex_scan`` for its witness.  The test stops at the first
+    layer with a gap, so a failing table pays for its lowest failing arity.
+    """
+    cod = {v: i for i, v in enumerate(fn.codomain)}
+    k = len(fn.domain)
+    for n in range(1, fn.max_arity + 1):
+        sections = set()
+        for parts in _digit_slices(_layer(fn, n, cod), k, n):
+            sections.update(zip(*parts))
+        if any(max(s) - min(s) >= len(set(s)) for s in sections):
+            return _convex_scan(fn)
+    cases = len(_context_pairs(fn.domain, fn.max_arity - 1))
+    return Verdict("convex_sections", True, cases, None, fn.max_arity)
+
+
+def _convex_scan(fn: TableFn) -> Verdict:
+    """The convex-sections verdict, from the first section with a gap in witness-key order."""
     table = fn._table
     elements = fn.domain.elements
     cod = {v: i for i, v in enumerate(fn.codomain)}

@@ -528,6 +528,24 @@ def median_formula(chain: Chain, params: MedianParams, xs: Sequence) -> object:
     return chain.med(a, inner, b)
 
 
+def _median_entries(params: MedianParams, chain: Chain, max_arity: int) -> dict:
+    """``median_formula`` at every tuple of length 1..N, computed on chain indices.
+
+    With a <= c∧d <= c∨d <= b (``MedianParams.validate``), each median of
+    the formula is a clamp: med(a, v, b) = min(max(a, v), b).
+    """
+    a, b, c, d = (chain._index[p] for p in (params.a, params.b, params.c, params.d))
+    cd = min(c, d)
+    elements = chain.elements
+    entries = {}
+    for n in range(1, max_arity + 1):
+        digits = product(range(len(elements)), repeat=n)  # chain.tuples(n) as indices
+        for t, x in zip(chain.tuples(n), digits):
+            inner = max(min(c, x[0]), min(max(min(x), cd), max(x)), min(d, x[-1]))
+            entries[t] = elements[min(max(a, inner), b)]
+    return entries
+
+
 def make_median_family(
     params: MedianParams,
     chain: Chain,
@@ -542,10 +560,7 @@ def make_median_family(
     gap-free range; it relabels every entry.
     """
     params.validate(chain)
-    entries = {}
-    for n in range(1, max_arity + 1):
-        for t in chain.tuples(n):
-            entries[t] = median_formula(chain, params, t)
+    entries = _median_entries(params, chain, max_arity)
     if f is None:
         return TableFn(chain, chain.elements, max_arity, EPSILON, entries)
 

@@ -13,6 +13,7 @@ import json
 from functools import lru_cache
 from itertools import islice
 from json.encoder import encode_basestring
+from operator import itemgetter
 
 from .core import EPSILON, Chain, TableFn, Verdict, Witness
 from .errors import FunctionFileError, UnknownSymbolError
@@ -219,20 +220,24 @@ def table_from_dict(doc) -> TableFn:
     entries_doc = doc["entries"]
     if not isinstance(entries_doc, list):
         raise FunctionFileError("entries must be a list", field="entries")
-    entries = {}
-    for i, item in enumerate(entries_doc):
-        if not isinstance(item, dict) or "args" not in item or "value" not in item:
-            raise _entry_error(i, " must be an object with 'args' and 'value'")
-        args = item["args"]
-        value = item["value"]
-        if not isinstance(args, list) or not all(isinstance(s, str) for s in args):
-            raise _entry_error(i, ".args must be a list of symbols")
-        if not isinstance(value, str):
-            raise _entry_error(i, ".value must be a symbol")
-        key = tuple(args)
-        if key in entries:
-            raise FunctionFileError(f"duplicate entry for args {args!r}", field=f"entries[{i}]")
-        entries[key] = _decode(value)
+    entries = _bulk_entries(entries_doc)
+    if entries is None:  # walk a faulty list entry by entry to name its first fault
+        entries = {}
+        for i, item in enumerate(entries_doc):
+            if not isinstance(item, dict) or "args" not in item or "value" not in item:
+                raise _entry_error(i, " must be an object with 'args' and 'value'")
+            args = item["args"]
+            value = item["value"]
+            if not isinstance(args, list) or not all(isinstance(s, str) for s in args):
+                raise _entry_error(i, ".args must be a list of symbols")
+            if not isinstance(value, str):
+                raise _entry_error(i, ".value must be a symbol")
+            key = tuple(args)
+            if key in entries:
+                raise FunctionFileError(
+                    f"duplicate entry for args {args!r}", field=f"entries[{i}]"
+                )
+            entries[key] = _decode(value)
 
     default_doc = doc["default"]
     if not isinstance(default_doc, str):
@@ -250,6 +255,29 @@ def table_from_dict(doc) -> TableFn:
         return TableFn(Chain(tuple(domain)), codomain, max_arity, default, entries)
     except (ValueError, UnknownSymbolError) as exc:
         raise FunctionFileError(str(exc)) from None
+
+
+def _bulk_entries(entries_doc: list):
+    """The entries, if a check of the whole list finds its shape right, else None.
+
+    Right means every item a dict with "args" and "value", every args a
+    list of strings, every value a string, and no args twice.  ``str.join``
+    refuses a non-string with TypeError, as ``isinstance(s, str)`` does.
+    """
+    if not set(map(type, entries_doc)) <= {dict}:
+        return None
+    try:
+        args = list(map(itemgetter("args"), entries_doc))
+        values = list(map(itemgetter("value"), entries_doc))
+        if not set(map(type, args)) <= {list}:
+            return None
+        "".join(map("".join, args))
+        "".join(values)
+    except (KeyError, TypeError):
+        return None
+    decoded = {v: _decode(v) for v in set(values)}
+    entries = dict(zip(map(tuple, args), map(decoded.__getitem__, values)))
+    return entries if len(entries) == len(entries_doc) else None
 
 
 def _entry_error(i: int, fault: str) -> FunctionFileError:

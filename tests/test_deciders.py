@@ -22,6 +22,12 @@ and the scans themselves on holding tables, which the checkers no longer
 scan.  The P1 pass and the A1 verdict are made once per table and kept on
 it; verdicts read off a table's kept answers must equal those of a fresh
 copy, and the sweep must never read them.
+
+The order laws decide a holding verdict from each arity's values read as
+one list, and the one-value laws from the set of attained values; their
+public verdicts must equal their scans (the one-value laws' walk with the
+decider bypassed) on every universe here and on medians, catalog seeds and
+near-monotone and near-symmetric tables.
 """
 
 import copy
@@ -43,9 +49,17 @@ from preassoc.enumeration import (
     epsilon_standard_at,
     equivalence_sweep,
 )
-from preassoc.errors import NotAnOperationError
+from preassoc.errors import GridClosureError, NotAnOperationError
 from preassoc.factorize import factorize
-from preassoc.families import MedianParams, make_median_family
+from preassoc.families import (
+    TCONORMS,
+    TNORMS,
+    UNINORMS,
+    MedianParams,
+    lift_tnorm,
+    make_median_family,
+    make_variadic_seed,
+)
 
 
 def _operations_2_2():
@@ -304,12 +318,21 @@ def test_p2_witness_is_the_least_split_pair(index, x, y, xp, yp, vf, vs):
     assert _reference_p2(fn).witness == least
 
 
+#: The laws on single attained values, decided on the set of entry values.
+ONE_VALUE_LAWS = (
+    "standard", "epsilon_standard", "unarily_range_idempotent", "unarily_quasi_range_idempotent"
+)
+
+
 def test_holding_tables_never_enter_the_scans(monkeypatch):
     # PREPL has no separate scan to enter; for it the counts are checked
     def refuse(fn):
         raise AssertionError("the exhaustive scan was entered")
 
-    for scan in ("_p1_scan", "_p2_scan", "_a1_scan", "_a3_scan"):
+    for scan in (
+        "_p1_scan", "_p2_scan", "_a1_scan", "_a3_scan",
+        "_monotone_scan", "_symmetric_scan", "_convex_scan", "_first_failure_scan",
+    ):
         monkeypatch.setattr(checks, scan, refuse)
     chain4 = default_chain(4)
     constant = TableFn(
@@ -317,7 +340,7 @@ def test_holding_tables_never_enter_the_scans(monkeypatch):
         {t: "2" for n in range(1, 6) for t in product(chain4.elements, repeat=n)},
     )
     median = make_median_family(MedianParams("0", "3", "1", "2"), chain4, 5)
-    # cases_checked as the pair races count them (frozen from the races themselves)
+    # cases_checked as the pair races and the walks count them (frozen from them)
     expected = {
         "constant": {
             "preassociative_P1": 1614254,
@@ -326,6 +349,11 @@ def test_holding_tables_never_enter_the_scans(monkeypatch):
             "associative_A1": 19949,
             "associative_A2": 245052,
             "associative_A3": 7737,
+            "nondecreasing": 4779,
+            "nonincreasing": 4779,
+            "symmetric": 1360,
+            "convex_sections": 1593,
+            **dict.fromkeys(ONE_VALUE_LAWS, 1364),
         },
         "median": {
             "preassociative_P1": 763160,
@@ -334,6 +362,9 @@ def test_holding_tables_never_enter_the_scans(monkeypatch):
             "associative_A1": 19949,
             "associative_A2": 245052,
             "associative_A3": 7737,
+            "nondecreasing": 4779,  # c != d, so not symmetric, and not nonincreasing
+            "convex_sections": 1593,
+            **dict.fromkeys(ONE_VALUE_LAWS, 1364),
         },
     }
     for name, fn in (("constant", constant), ("median", median)):
@@ -769,3 +800,132 @@ def test_first_violation_matches_least_key_scan(prop, universe):
         assert set(outcomes) == {True}  # a two-symbol codomain has no gaps
     else:
         assert set(outcomes) == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# Order and one-value laws: deciders against their scans
+# ---------------------------------------------------------------------------
+
+
+def _medians_5():
+    chain = default_chain(5)
+    for params in product(chain.elements, repeat=4):
+        try:
+            yield make_median_family(MedianParams(*params), chain, 3)
+        except ValueError:
+            continue  # a > c∧d or c∨d > b
+
+
+def _catalog_grid_5():
+    # each seed and its negation, which is nonincreasing where the seed is nondecreasing
+    grid = [0, 0.25, 0.5, 0.75, 1]
+    seeds = [(kind, name, None) for kind, names in (("tnorm", TNORMS), ("tconorm", TCONORMS))
+             for name in names]
+    seeds += [("uninorm", name, e) for name in UNINORMS for e in grid[1:-1]]
+    for kind, name, e in seeds:
+        try:
+            seed = make_variadic_seed(kind, name, grid, 4, e=e)
+        except GridClosureError:
+            continue  # product and probabilistic-sum leave the grid
+        yield seed
+        yield lift_tnorm(lambda x: -x, seed)
+
+
+def _near_order_tables():
+    # monotone and symmetric bases (join, meet, clamped sum), the asymmetric
+    # first projection and the non-monotone sum mod k, with 0 to 2 entries
+    # moved one step or to any value of a codomain that may have room for gaps
+    rng = random.Random(20146)
+    bases = (
+        lambda x, k: max(x),
+        lambda x, k: min(x),
+        lambda x, k: min(sum(x), k - 1),
+        lambda x, k: x[0],
+        lambda x, k: sum(x) % k,
+    )
+    for k, n in ((2, 5), (3, 3), (4, 3), (5, 2)):
+        chain = default_chain(k)
+        slots = chain.tuples_up_to(n)[1:]
+        index = {t: [int(s) for s in t] for t in slots}
+        for base in bases:
+            for _ in range(40):
+                width = k + rng.randint(0, 2)  # extra codomain symbols above the chain
+                codomain = tuple(str(i) for i in range(width))
+                entries = {t: codomain[base(index[t], k)] for t in slots}
+                for t in rng.sample(slots, rng.randint(0, 2)):
+                    i = codomain.index(entries[t])
+                    i = rng.choice([i - 1, i + 1, rng.randrange(width)])
+                    entries[t] = codomain[min(max(i, 0), width - 1)]
+                yield TableFn(chain, codomain, n, EPSILON, entries)
+
+
+ORDER_UNIVERSES = {
+    **PAIR_UNIVERSES,
+    "medians-5-3": _once(_medians_5),
+    "catalog-grid-5-4": _once(_catalog_grid_5),
+    "near-order": _once(_near_order_tables),
+}
+
+#: property -> its scan, which the public checker runs only when the decider refuses
+ORDER_SCANS = {
+    "nondecreasing": lambda fn: checks._monotone_scan(fn, "nondecreasing"),
+    "nonincreasing": lambda fn: checks._monotone_scan(fn, "nonincreasing"),
+    "symmetric": lambda fn: checks._symmetric_scan(fn),
+    "convex_sections": lambda fn: checks._convex_scan(fn),
+}
+
+
+def _scanned(monkeypatch, prop, fn):
+    """The verdict of ``prop``'s scan: the one-value laws walk with the decider bypassed."""
+    if prop in ORDER_SCANS:
+        return _outcome(ORDER_SCANS[prop], fn)
+    with monkeypatch.context() as m:
+        m.setattr(checks, "_first_failure", checks._first_failure_scan)
+        return _outcome(checks.CHECKERS[prop], fn)
+
+
+@pytest.mark.parametrize("universe", ORDER_UNIVERSES)
+def test_order_and_one_value_deciders_match_their_scans(universe, monkeypatch):
+    for fn in ORDER_UNIVERSES[universe]():
+        for prop in (*ORDER_SCANS, *ONE_VALUE_LAWS):
+            public = _outcome(checks.CHECKERS[prop], fn)
+            assert public == _scanned(monkeypatch, prop, fn), (prop, fn)
+
+
+@pytest.mark.parametrize("prop", [*ORDER_SCANS, *ONE_VALUE_LAWS])
+def test_order_universes_reach_both_verdicts(prop):
+    # each decider both holds and refuses on the tables made for it
+    outcomes = {
+        getattr(_outcome(checks.CHECKERS[prop], fn), "holds", None)  # None: not an operation
+        for universe in ("medians-5-3", "catalog-grid-5-4", "near-order", "sample-3-2")
+        for fn in ORDER_UNIVERSES[universe]()
+    }
+    assert {True, False} <= outcomes
+
+
+def test_sorted_index_maps_each_tuple_to_its_sorted_tuple():
+    for k, n in [(1, 3), (2, 4), (3, 3), (4, 2)]:
+        chain = default_chain(k)
+        tuples = chain.tuples(n)
+        position = {t: i for i, t in enumerate(tuples)}
+        expected = tuple(position[tuple(sorted(t, key=chain.index))] for t in tuples)
+        assert checks._sorted_index(k, n) == expected
+
+
+def test_digit_slices_pair_each_tuple_with_its_steps():
+    # zipping a position's aligned slices gives its sections, each once
+    for k, n in [(1, 3), (2, 4), (3, 3), (4, 2), (5, 3)]:
+        chain = default_chain(k)
+        tuples = chain.tuples(n)
+        sections = sorted(
+            section
+            for parts in checks._digit_slices(list(tuples), k, n)
+            for section in zip(*parts)
+        )
+        expected = sorted(
+            tuple(t[:i] + (u,) + t[i + 1 :] for u in chain.elements)
+            for i in range(n)
+            for t in tuples
+            if t[i] == chain.bottom
+        )
+        assert sections == expected

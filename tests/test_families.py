@@ -266,6 +266,23 @@ class TestMedianFamily:
         with pytest.raises(GeneratorError):
             make_median_family(MedianParams("0", "3", "1", "1"), chain4, 2, f=gappy)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_table_equals_formula_for_every_valid_params(self, k):
+        # the table is computed on chain indices; the formula is the reference
+        chain = Chain(tuple("zyxwv"[:k]))  # listing order against string order
+        valid = 0
+        for a, b, c, d in product(chain.elements, repeat=4):
+            params = MedianParams(a, b, c, d)
+            try:
+                params.validate(chain)
+            except ValueError:
+                continue
+            valid += 1
+            fn = make_median_family(params, chain, 3)
+            for t, v in fn.entries.items():
+                assert v == median_formula(chain, params, t), (params, t)
+        assert valid == {1: 1, 2: 6, 3: 20, 4: 50, 5: 105}[k]
+
     def test_formula_matches_unary_median(self, chain4):
         params = MedianParams("1", "2", "1", "2")
         for u in chain4.elements:

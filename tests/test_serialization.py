@@ -186,6 +186,29 @@ class TestValidation:
         assert str(err.value) == message
         assert err.value.field == "entries[1]"
 
+    def test_first_faulty_entry_is_named(self):
+        # the whole list is checked at once; a refusal still names the first fault
+        doc = self.base_doc()
+        doc["entries"] += [{"args": ["0"], "value": 1}, {"args": [1], "value": "0"}]
+        doc["entries"][0] = {"args": ["0"]}
+        with pytest.raises(FunctionFileError) as err:
+            table_from_dict(doc)
+        assert str(err.value) == "entries[0] must be an object with 'args' and 'value'"
+        assert err.value.field == "entries[0]"
+
+    def test_entries_read_in_bulk_equal_those_read_one_by_one(self):
+        # a dict subclass item is read entry by entry, as every item once was
+        class Item(dict):
+            pass
+
+        doc = self.base_doc()
+        doc["entries"][1]["value"] = "ε"
+        bulk = table_from_dict(doc)
+        doc["entries"] = [Item(item) for item in doc["entries"]]
+        walked = table_from_dict(doc)
+        assert bulk == walked
+        assert bulk.entries == {("0",): "0", ("1",): EPSILON}
+
     def test_unknown_symbol(self):
         doc = self.base_doc()
         doc["entries"][0]["args"] = ["7"]
