@@ -20,13 +20,17 @@ P1 does and F1 ∘ F = F with no nonempty tuple valued ε, the paper's
 and A3, and P1 implies P2.  The linear P1 test runs once per table: its
 answer and the A1 verdict are kept on the table (``TableFn._decided``), so
 these five laws and ``factorize``'s precondition share one pass.
-The order and one-value laws go decider-then-scan too.  The order laws
-read the table one arity at a time as a list in product order
-(``_layer``), where a step up at position i is a fixed stride: monotonicity
-compares aligned slices, symmetry compares a layer with itself read at the
-sorted tuples, and convexity tests each distinct section once.  A law on
-single values (standard, epsilon_standard, unarily_range_idempotent,
-unarily_quasi_range_idempotent) holds iff no attained value fails it.
+The order and one-value laws take one pass each: the test that refutes
+the law also names its least witness.  The order laws read the table one
+arity at a time as a list in product order (``_layer``), where a step up
+at position i is a fixed stride: monotonicity compares aligned slices,
+symmetry compares a layer with itself read at the sorted tuples, and
+convexity tests each distinct section once.  Their witness keys order by
+total length first, so the least witness lies in the first failing layer.
+A law on single values (standard, epsilon_standard,
+unarily_range_idempotent, unarily_quasi_range_idempotent) holds iff no
+attained value fails it; else its witness is the first tuple valued in a
+failing one.
 Checkers read one total table of every tuple of length 0..N, ε included
 (``TableFn._table``), so a block that may be empty needs no separate case.
 """
@@ -107,29 +111,19 @@ def _index_key(chain: Chain, *tuples_):
 def _first_failure(prop, fn: TableFn, fails, values, note="", extra=()) -> Verdict:
     """The verdict of a law on single values, from the first nonempty tuple failing it.
 
-    The law holds iff no attained value fails it, so a holding verdict is
-    decided on the set of entry values, and only a failing one runs
-    ``_first_failure_scan`` for its witness.
+    The law holds iff no attained value fails it.  Otherwise the first
+    nonempty tuple in canonical order valued in the failing ones is the
+    minimal witness; ``values(F(x))`` gives its named values, and
+    ``cases_checked`` counts the tuples up to it.
     """
-    if any(map(fails, set(fn.entries.values()))):
-        return _first_failure_scan(prop, fn, fails, values, note, extra)
-    cases = len(fn.domain.tuples_up_to(fn.max_arity)) - 1
-    return Verdict(prop, True, cases, None, fn.max_arity, extra)
-
-
-def _first_failure_scan(prop, fn: TableFn, fails, values, note="", extra=()) -> Verdict:
-    """The verdict of a law on single values, walking the nonempty tuples in canonical order.
-
-    The first failure is the minimal witness; ``values(F(x))`` gives its
-    named values, and ``cases_checked`` counts the tuples tested.
-    """
-    table = fn._table
+    bad = set(filter(fails, fn._attained))
     tuples = fn.domain.tuples_up_to(fn.max_arity)
-    for cases, t in enumerate(islice(tuples, 1, None), 1):
-        if fails(table[t]):
-            witness = Witness((("x", t),), values(table[t]), note=note)
-            return Verdict(prop, False, cases, witness, fn.max_arity, extra)
-    return Verdict(prop, True, len(tuples) - 1, None, fn.max_arity, extra)
+    if not bad:
+        return Verdict(prop, True, len(tuples) - 1, None, fn.max_arity, extra)
+    table = fn._table
+    cases, t = next((i, t) for i, t in enumerate(islice(tuples, 1, None), 1) if table[t] in bad)
+    witness = Witness((("x", t),), values(table[t]), note=note)
+    return Verdict(prop, False, cases, witness, fn.max_arity, extra)
 
 
 def nonassociative_triple(table, elements):
@@ -248,12 +242,10 @@ def _a1_holds(fn: TableFn) -> bool:
     candidates.  The unary laws are tested first, so failing tables pay little.
     """
     table = fn._table
-    values = set(fn.entries.values())
-    if EPSILON in values:
+    d = fn.default
+    if EPSILON in fn._attained:
         return False
-    values.add(fn.default)
-    values.discard(EPSILON)
-    if any(table[(v,)] != v for v in values):
+    if any(table[(v,)] != v for v in fn._attained) or (d is not EPSILON and table[(d,)] != d):
         return False
     return _p1_cases(fn) is not None
 
@@ -688,79 +680,63 @@ def _digit_slices(layer: list, k: int, n: int):
 def _check_monotone(fn: TableFn, prop: str) -> Verdict:
     """Monotone in each argument; only adjacent chain elements are compared.
 
-    A holding verdict is decided by comparing each layer's aligned slices,
-    and only a failing one runs ``_monotone_scan`` for its witness.
+    Each layer's aligned slices are compared, so a holding verdict needs no
+    tuple walk.  A witness (x, x') has key total 2|x|, so the least one lies
+    in the first layer with a step down; there, raising a later position
+    gives a smaller x', so the first violation visiting x in product order
+    and its positions last to first is the least.  ``cases_checked`` counts
+    the steps up: at each of n positions, the (k-1)·k^(n-1) n-tuples not
+    topped there.
     """
-    rank = _ranks(fn, prop)
+    sign = 1 if prop == "nondecreasing" else -1  # a violation lowers the rank
+    rank = {v: sign * i for i, v in enumerate(fn.codomain)}
     k = len(fn.domain)
+    cases = sum(n * (k - 1) * k ** (n - 1) for n in range(1, fn.max_arity + 1))
     for n in range(1, fn.max_arity + 1):
-        for parts in _digit_slices(_layer(fn, n, rank), k, n):
-            for low, high in zip(parts, parts[1:]):
-                if any(map(gt, low, high)):
-                    return _monotone_scan(fn, prop)
-    return Verdict(prop, True, _monotone_cases(fn), None, fn.max_arity)
-
-
-def _monotone_cases(fn: TableFn) -> int:
-    """The steps up compared: at each of n positions, the (k-1)·k^(n-1) n-tuples not topped there."""
-    k = len(fn.domain)
-    return sum(n * (k - 1) * k ** (n - 1) for n in range(1, fn.max_arity + 1))
-
-
-def _ranks(fn: TableFn, prop: str) -> dict:
-    """Codomain positions, negated for nonincreasing: a violation lowers the rank."""
-    sign = 1 if prop == "nondecreasing" else -1
-    return {v: sign * i for i, v in enumerate(fn.codomain)}
-
-
-def _monotone_scan(fn: TableFn, prop: str) -> Verdict:
-    """The monotone verdict, from the first violation in witness-key order.
-
-    Raising a later position gives a smaller x', so positions are visited
-    last to first and the first violation is the minimal witness.
-    """
-    table = fn._table
-    chain = fn.domain
-    elements = chain.elements
-    successor = dict(zip(elements, elements[1:]))  # the top has none
-    rank = _ranks(fn, prop)
-    cases = _monotone_cases(fn)
-    for n in range(1, fn.max_arity + 1):
-        for t in chain.tuples(n):
-            a = rank[table[t]]
-            for i in reversed(range(n)):
-                s = successor.get(t[i])
-                if s is None:
-                    continue
-                t2 = t[:i] + (s,) + t[i + 1 :]
-                if a > rank[table[t2]]:
-                    witness = Witness(
-                        (("x", t), ("x'", t2)),
-                        (("F(x)", table[t]), ("F(x')", table[t2])),
-                        (("position", i),),
-                    )
-                    return Verdict(prop, False, cases, witness, fn.max_arity)
+        layer = _layer(fn, n, rank)
+        if not any(
+            any(map(gt, low, high))
+            for parts in _digit_slices(layer, k, n)
+            for low, high in zip(parts, parts[1:])
+        ):
+            continue
+        strides = [(i, k ** (n - 1 - i)) for i in reversed(range(n))]
+        a, i, s = next(
+            (a, i, s)
+            for a, r in enumerate(layer)
+            for i, s in strides
+            if a // s % k < k - 1 and r > layer[a + s]  # digit i of a is not the top
+        )
+        x, xp = fn.domain.tuples(n)[a], fn.domain.tuples(n)[a + s]
+        values = (("F(x)", fn._table[x]), ("F(x')", fn._table[xp]))
+        witness = Witness((("x", x), ("x'", xp)), values, (("position", i),))
+        return Verdict(prop, False, cases, witness, fn.max_arity)
     return Verdict(prop, True, cases, None, fn.max_arity)
 
 
 def check_symmetric(fn: TableFn) -> Verdict:
     """Invariant under argument permutations, via sorted-tuple canonicalization.
 
-    A holding verdict is decided by comparing each layer with itself read at
-    the sorted tuples, and only a failing one runs ``_symmetric_scan`` for
-    its witness.
+    Each layer is compared with itself read at the sorted tuples.  A witness
+    (x, sorted(x)) has key total 2|x|, then x's chain indices, so the least
+    is the first differing tuple of the first layer with one.
+    ``cases_checked`` counts the tuples of length 2..N.
     """
+    tuples = fn.domain.tuples
     k = len(fn.domain)
+    cases = sum(k**n for n in range(2, fn.max_arity + 1))
     for n in range(2, fn.max_arity + 1):
         layer = _layer(fn, n)
-        if any(map(ne, layer, map(layer.__getitem__, _sorted_index(k, n)))):
-            return _symmetric_scan(fn)
-    return Verdict("symmetric", True, _symmetric_cases(fn), None, fn.max_arity)
-
-
-def _symmetric_cases(fn: TableFn) -> int:
-    """The tuples of length 2..N, each compared with its sorted tuple."""
-    return sum(len(fn.domain) ** n for n in range(2, fn.max_arity + 1))
+        index = _sorted_index(k, n)
+        differs = list(map(ne, layer, map(layer.__getitem__, index)))
+        if True in differs:
+            a = differs.index(True)
+            witness = Witness(
+                (("x", tuples(n)[a]), ("sorted(x)", tuples(n)[index[a]])),
+                (("F(x)", layer[a]), ("F(sorted(x))", layer[index[a]])),
+            )
+            return Verdict("symmetric", False, cases, witness, fn.max_arity)
+    return Verdict("symmetric", True, cases, None, fn.max_arity)
 
 
 @lru_cache(maxsize=128)
@@ -771,63 +747,39 @@ def _sorted_index(k: int, n: int) -> tuple:
     return tuple(map(first.__getitem__, map(tuple, map(sorted, product(range(k), repeat=n)))))
 
 
-def _symmetric_scan(fn: TableFn) -> Verdict:
-    """The symmetric verdict, from the first tuple whose value differs from its sorted tuple's."""
-    table = fn._table
-    chain = fn.domain
-    idx = chain.index
-    cases = _symmetric_cases(fn)
-    for n in range(2, fn.max_arity + 1):
-        for t in chain.tuples(n):
-            canon = tuple(sorted(t, key=idx))
-            if table[t] != table[canon]:
-                witness = Witness(
-                    (("x", t), ("sorted(x)", canon)),
-                    (("F(x)", table[t]), ("F(sorted(x))", table[canon])),
-                )
-                return Verdict("symmetric", False, cases, witness, fn.max_arity)
-    return Verdict("symmetric", True, cases, None, fn.max_arity)
-
-
 def check_convex_sections(fn: TableFn) -> Verdict:
     """Every one-argument section has a gap-free image in the codomain order.
 
-    A holding verdict is decided layer by layer, each distinct section (its
-    k codomain positions in chain order) tested once, and only a failing one
-    runs ``_convex_scan`` for its witness.  The test stops at the first
-    layer with a gap, so a failing table pays for its lowest failing arity.
+    Each layer's distinct sections (their k codomain positions in chain
+    order) are tested once.  A witness (y, z) has key total |y·z|, then the
+    word y·z, then |y|, which is the order of ``_context_pairs``; so the
+    least is the first pair of total n - 1 whose section is gapped, n the
+    first layer with a gapped section.
     """
+    chain, table = fn.domain, fn._table
     cod = {v: i for i, v in enumerate(fn.codomain)}
-    k = len(fn.domain)
+    k = len(chain)
+    cases = len(_context_pairs(chain, fn.max_arity - 1))
     for n in range(1, fn.max_arity + 1):
         sections = set()
         for parts in _digit_slices(_layer(fn, n, cod), k, n):
             sections.update(zip(*parts))
-        if any(max(s) - min(s) >= len(set(s)) for s in sections):
-            return _convex_scan(fn)
-    cases = len(_context_pairs(fn.domain, fn.max_arity - 1))
+        gapped = {s for s in sections if max(s) - min(s) >= len(set(s))}
+        if not gapped:
+            continue
+        for y, z in _context_pairs(chain, n - 1):  # shorter pairs have no gapped section
+            image = tuple(cod[table[y + (u,) + z]] for u in chain.elements)
+            if image in gapped:
+                break
+        missing = next(j for j in range(min(image), max(image)) if j not in image)
+        witness = Witness(
+            (("y", y), ("z", z)),
+            (("missing", fn.codomain[missing]),),
+            (("arity", n), ("position", len(y))),
+            note="section image has a gap",
+        )
+        return Verdict("convex_sections", False, cases, witness, fn.max_arity)
     return Verdict("convex_sections", True, cases, None, fn.max_arity)
-
-
-def _convex_scan(fn: TableFn) -> Verdict:
-    """The convex-sections verdict, from the first section with a gap in witness-key order."""
-    table = fn._table
-    elements = fn.domain.elements
-    cod = {v: i for i, v in enumerate(fn.codomain)}
-    sections = _context_pairs(fn.domain, fn.max_arity - 1)  # in witness-key order
-    for pre, post in sections:
-        image = {cod[table[pre + (u,) + post]] for u in elements}
-        lo, hi = min(image), max(image)
-        if hi - lo >= len(image):
-            missing = next(j for j in range(lo, hi) if j not in image)
-            witness = Witness(
-                (("y", pre), ("z", post)),
-                (("missing", fn.codomain[missing]),),
-                (("arity", len(pre) + len(post) + 1), ("position", len(pre))),
-                note="section image has a gap",
-            )
-            return Verdict("convex_sections", False, len(sections), witness, fn.max_arity)
-    return Verdict("convex_sections", True, len(sections), None, fn.max_arity)
 
 
 # ---------------------------------------------------------------------------

@@ -189,9 +189,10 @@ class TableFn:
     listing of the admissible entry values; its listing order is the codomain
     order used by monotonicity and convexity checks.  Within the package,
     ``_table`` is the one total table of every tuple, ε included, that
-    evaluation and the checkers read, and ``_decided`` is where ``checks``
-    keeps the answers it derives from the table alone, made on first use;
-    a rebuilt or unpickled table starts without them.
+    evaluation and the checkers read, ``_attained`` the set of entry values,
+    and ``_decided`` is where ``checks`` keeps the answers it derives from
+    the table alone, made on first use; a rebuilt or unpickled table starts
+    without them.
     """
 
     domain: Chain
@@ -200,6 +201,7 @@ class TableFn:
     default: object
     entries: Mapping
     _table: dict = field(init=False, repr=False, compare=False)
+    _attained: frozenset = field(init=False, repr=False, compare=False)
     _decided: Optional[dict] = field(init=False, repr=False, compare=False, default=None)
 
     __hash__ = None  # equal by value, but the entries are not hashable
@@ -217,7 +219,7 @@ class TableFn:
         if self.default is not EPSILON and self.default not in values:
             raise ValueError(f"default {self.default!r} is outside the codomain")
         dom = set(self.domain.elements)
-        for key, value in entries.items():
+        for key in entries:
             if not isinstance(key, tuple):
                 raise ValueError(f"entry key {key!r} is not a tuple")
             if not 1 <= len(key) <= self.max_arity:
@@ -225,8 +227,10 @@ class TableFn:
             for s in key:
                 if s not in dom:
                     raise UnknownSymbolError(f"entry {key!r} uses unknown domain symbol {s!r}")
-            if value not in values:
-                raise ValueError(f"entry value {value!r} at {key!r} is outside the codomain")
+        attained = frozenset(entries.values())
+        if not attained <= values:
+            key, value = next((t, v) for t, v in entries.items() if v not in values)
+            raise ValueError(f"entry value {value!r} at {key!r} is outside the codomain")
         k, expected = len(dom), 0
         for n in range(1, self.max_arity + 1):  # stops past len(entries), however large N is
             expected += k**n
@@ -239,6 +243,7 @@ class TableFn:
             raise ValueError(f"entries not total at arity {n}: expected {k**n}, found {have[n]}")
         object.__setattr__(self, "entries", MappingProxyType(entries))
         object.__setattr__(self, "_table", {(): self.default, **entries})
+        object.__setattr__(self, "_attained", attained)
 
     def __reduce__(self):
         # a mapping proxy does not pickle; rebuild from a plain copy
@@ -273,11 +278,7 @@ class TableFn:
     @property
     def is_epsilon_standard(self) -> bool:
         """Operation with ε default that attains ε at the empty tuple only."""
-        return (
-            self.is_operation
-            and self.default is EPSILON
-            and all(v is not EPSILON for v in self.entries.values())
-        )
+        return self.is_operation and self.default is EPSILON and EPSILON not in self._attained
 
 
 def ranges(fn: TableFn) -> tuple:
@@ -287,8 +288,7 @@ def ranges(fn: TableFn) -> tuple:
     of the second.
     """
     ran1 = frozenset(fn.entries[(u,)] for u in fn.domain.elements)
-    ranflat = frozenset(fn.entries.values())
-    return ran1, ranflat
+    return ran1, fn._attained
 
 
 def left_fold(chain: Chain, unary: Mapping, binary: Mapping, max_arity: int) -> dict:

@@ -80,7 +80,7 @@ def factorize(fn: TableFn, pins=None) -> Factorization:
     h_entries = {t: g.graph[v] for t, v in fn.entries.items()}
     H = TableFn(chain, chain.elements, fn.max_arity, EPSILON, h_entries)
 
-    ran_h = tuple(u for u in chain.elements if u in set(h_entries.values()))
+    ran_h = tuple(u for u in chain.elements if u in H._attained)
     f = FiniteMap(ran_h, fn.codomain, {u: f1.graph[u] for u in ran_h})
 
     _verify_factorization(fn, g, H, f)

@@ -317,7 +317,11 @@ def loads_function(text: str) -> TableFn:
 
 def load_function(path) -> TableFn:
     with open(path, encoding="utf-8") as fh:
-        return loads_function(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise FunctionFileError(f"not UTF-8 text: {exc}") from None
+    return loads_function(text)
 
 
 def save_function(fn: TableFn, path) -> str:

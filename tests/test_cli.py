@@ -91,6 +91,15 @@ class TestCheck:
         assert code == 2
         assert "entries not total at arity 2" in err
 
+    def test_file_not_utf8_exits_two(self, tmp_path, min_file, capsys):
+        # a UTF-16 byte-order mark: an input error, not a failing property (exit 1)
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + min_file.read_bytes())
+        code = main(["check", str(path), "--properties", "assoc"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: not UTF-8 text") and "Traceback" not in err
+
     def test_json_report_validates(self, min_file, capsys):
         code = main(["check", str(min_file), "--properties", "assoc", "--json"])
         out = capsys.readouterr().out
@@ -165,6 +174,16 @@ class TestFactorize:
         assert report["h_digest"] != report["function_digest"]
         assert report["h_digest"] == function_digest(load_function(out_h))
         assert report["h_digest"] == hashlib.sha256(out_h.read_bytes()).hexdigest()
+
+    def test_file_not_utf8_exits_two(self, tmp_path, min_file, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(min_file.read_text(encoding="utf-8").encode("utf-16"))
+        out_h = tmp_path / "H.json"
+        code = main(["factorize", str(path), "--out-h", str(out_h)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: not UTF-8 text")
+        assert not out_h.exists()
 
     def test_precondition_failure_exits_one_with_report(self, tmp_path, length_file, capsys):
         out_h = tmp_path / "H.json"

@@ -89,6 +89,14 @@ class TestEval:
         with pytest.raises(ValueError, match="not a tuple"):
             TableFn(chain2, ("0", "1"), 2, EPSILON, entries)
 
+    def test_entry_values_must_be_in_the_codomain(self, chain2):
+        # the first entry valued outside the codomain is named
+        entries = {("0",): "0", ("1",): "2", ("0", "0"): "3", ("0", "1"): "0"}
+        entries.update({("1", "0"): "0", ("1", "1"): "1"})
+        message = r"^entry value '2' at \('1',\) is outside the codomain$"
+        with pytest.raises(ValueError, match=message):
+            TableFn(chain2, ("0", "1"), 2, EPSILON, entries)
+
     @pytest.mark.parametrize("bad", [True, 1.0, 0])
     def test_max_arity_must_be_a_positive_int(self, chain2, bad):
         entries = {(u,): u for u in chain2.elements}

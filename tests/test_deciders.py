@@ -23,18 +23,20 @@ scan.  The P1 pass and the A1 verdict are made once per table and kept on
 it; verdicts read off a table's kept answers must equal those of a fresh
 copy, and the sweep must never read them.
 
-The order laws decide a holding verdict from each arity's values read as
-one list, and the one-value laws from the set of attained values; their
-public verdicts must equal their scans (the one-value laws' walk with the
-decider bypassed) on every universe here and on medians, catalog seeds and
-near-monotone and near-symmetric tables.
+The order laws read each arity's values as one list, and the one-value
+laws the set of attained values; the test that refutes a law also names
+its least witness.  Their public verdicts must equal exhaustive references
+(the racing loops of the order laws, and a walk over every nonempty tuple
+for the one-value laws) on every universe here and on medians, catalog
+seeds and near-monotone and near-symmetric tables.  Hand-built tables whose
+lowest failing arity holds several violations pin the tie-breaks.
 """
 
 import copy
 import pickle
 import random
 from collections import Counter
-from functools import cache
+from functools import cache, partial
 from itertools import combinations, product
 from math import comb
 
@@ -323,16 +325,16 @@ ONE_VALUE_LAWS = (
     "standard", "epsilon_standard", "unarily_range_idempotent", "unarily_quasi_range_idempotent"
 )
 
+#: The laws on the order of the chain and the codomain, decided layer by layer.
+ORDER_LAWS = ("nondecreasing", "nonincreasing", "symmetric", "convex_sections")
+
 
 def test_holding_tables_never_enter_the_scans(monkeypatch):
     # PREPL has no separate scan to enter; for it the counts are checked
     def refuse(fn):
         raise AssertionError("the exhaustive scan was entered")
 
-    for scan in (
-        "_p1_scan", "_p2_scan", "_a1_scan", "_a3_scan",
-        "_monotone_scan", "_symmetric_scan", "_convex_scan", "_first_failure_scan",
-    ):
+    for scan in ("_p1_scan", "_p2_scan", "_a1_scan", "_a3_scan"):
         monkeypatch.setattr(checks, scan, refuse)
     chain4 = default_chain(4)
     constant = TableFn(
@@ -803,7 +805,7 @@ def test_first_violation_matches_least_key_scan(prop, universe):
 
 
 # ---------------------------------------------------------------------------
-# Order and one-value laws: deciders against their scans
+# Order and one-value laws against their references
 # ---------------------------------------------------------------------------
 
 
@@ -866,33 +868,74 @@ ORDER_UNIVERSES = {
     "near-order": _once(_near_order_tables),
 }
 
-#: property -> its scan, which the public checker runs only when the decider refuses
-ORDER_SCANS = {
-    "nondecreasing": lambda fn: checks._monotone_scan(fn, "nondecreasing"),
-    "nonincreasing": lambda fn: checks._monotone_scan(fn, "nonincreasing"),
-    "symmetric": lambda fn: checks._symmetric_scan(fn),
-    "convex_sections": lambda fn: checks._convex_scan(fn),
+def _first_failure_walk(prop, fn, fails, values, note="", extra=()):
+    """``checks._first_failure`` as a walk over every nonempty tuple in canonical order."""
+    table = fn._table
+    tuples = fn.domain.tuples_up_to(fn.max_arity)
+    for cases, t in enumerate(tuples[1:], 1):
+        if fails(table[t]):
+            witness = Witness((("x", t),), values(table[t]), note=note)
+            return Verdict(prop, False, cases, witness, fn.max_arity, extra)
+    return Verdict(prop, True, len(tuples) - 1, None, fn.max_arity, extra)
+
+
+def _reference_one_value(prop, fn):
+    """The one-value law's checker with the walk in place of the attained-value test."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(checks, "_first_failure", _first_failure_walk)
+        return checks.CHECKERS[prop](fn)
+
+
+#: property -> its exhaustive reference
+ORDER_AND_ONE_VALUE = {
+    **{prop: FIRST_VIOLATION[prop] for prop in ORDER_LAWS},
+    **{prop: partial(_reference_one_value, prop) for prop in ONE_VALUE_LAWS},
 }
 
 
-def _scanned(monkeypatch, prop, fn):
-    """The verdict of ``prop``'s scan: the one-value laws walk with the decider bypassed."""
-    if prop in ORDER_SCANS:
-        return _outcome(ORDER_SCANS[prop], fn)
-    with monkeypatch.context() as m:
-        m.setattr(checks, "_first_failure", checks._first_failure_scan)
-        return _outcome(checks.CHECKERS[prop], fn)
-
-
 @pytest.mark.parametrize("universe", ORDER_UNIVERSES)
-def test_order_and_one_value_deciders_match_their_scans(universe, monkeypatch):
+def test_order_and_one_value_deciders_match_their_scans(universe):
+    # the scans are the exhaustive references: the racing loops and the walk
     for fn in ORDER_UNIVERSES[universe]():
-        for prop in (*ORDER_SCANS, *ONE_VALUE_LAWS):
-            public = _outcome(checks.CHECKERS[prop], fn)
-            assert public == _scanned(monkeypatch, prop, fn), (prop, fn)
+        for prop, reference in ORDER_AND_ONE_VALUE.items():
+            assert _outcome(checks.CHECKERS[prop], fn) == _outcome(reference, fn), (prop, fn)
 
 
-@pytest.mark.parametrize("prop", [*ORDER_SCANS, *ONE_VALUE_LAWS])
+def _max_table(chain, n, changes):
+    """The n-ary join on ``chain`` into its own symbols, with the given entries changed."""
+    entries = {t: max(t, key=chain.index) for t in chain.tuples_up_to(n)[1:]}
+    entries.update({tuple(t): v for t, v in changes.items()})
+    return TableFn(chain, chain.elements, n, EPSILON, entries)
+
+
+@pytest.mark.parametrize(
+    "prop, changes, parts, scalars",
+    [
+        # (0,0,0) steps down at every position: the last gives the least x'
+        ("nondecreasing", {"000": "2"}, (("x", "000"), ("x'", "001")), (("position", 2),)),
+        # (0,0,2) → (0,1,2) at position 1 comes before (0,1,1)'s steps at 2 and 1
+        ("nondecreasing", {"012": "0", "021": "0"}, (("x", "002"), ("x'", "012")),
+         (("position", 1),)),
+        # symmetric at arity 2; at arity 3, (0,2,0), (1,0,0) and (2,0,0) differ
+        # from their sorted tuples
+        ("symmetric", {"002": "1", "100": "2"}, (("x", "020"), ("sorted(x)", "002")), ()),
+        # the sections (·,1,1) and (0,·,1) have gaps too, and (·,1,1) is the first cut
+        ("convex_sections", {"011": "0", "111": "0", "001": "2"}, (("y", "00"), ("z", "")),
+         (("arity", 3), ("position", 2))),
+    ],
+)
+def test_least_witness_in_a_layer_of_several_violations(prop, changes, parts, scalars):
+    chain = default_chain(3)
+    fn = _max_table(chain, 3, changes)
+    low = TableFn(chain, chain.elements, 2, EPSILON, {t: fn(t) for t in chain.tuples_up_to(2)[1:]})
+    assert checks.CHECKERS[prop](low).holds  # arities 1 and 2 hold
+    verdict = checks.CHECKERS[prop](fn)
+    assert verdict == FIRST_VIOLATION[prop](fn)
+    assert verdict.witness.parts == tuple((name, tuple(t)) for name, t in parts)
+    assert verdict.witness.scalars == scalars
+
+
+@pytest.mark.parametrize("prop", ORDER_AND_ONE_VALUE)
 def test_order_universes_reach_both_verdicts(prop):
     # each decider both holds and refuses on the tables made for it
     outcomes = {
