@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -219,23 +219,28 @@ class TableFn:
         if self.default is not EPSILON and self.default not in values:
             raise ValueError(f"default {self.default!r} is outside the codomain")
         dom = set(self.domain.elements)
-        for key in entries:
-            if not isinstance(key, tuple):
-                raise ValueError(f"entry key {key!r} is not a tuple")
-            if not 1 <= len(key) <= self.max_arity:
-                raise ValueError(f"entry arity {len(key)} outside 1..{self.max_arity}")
-            for s in key:
-                if s not in dom:
-                    raise UnknownSymbolError(f"entry {key!r} uses unknown domain symbol {s!r}")
-        attained = frozenset(entries.values())
-        if not attained <= values:
-            key, value = next((t, v) for t, v in entries.items() if v not in values)
-            raise ValueError(f"entry value {value!r} at {key!r} is outside the codomain")
         k, expected = len(dom), 0
         for n in range(1, self.max_arity + 1):  # stops past len(entries), however large N is
             expected += k**n
             if expected > len(entries):
                 break
+        # as many keys as tuples of length 1..N, and each such tuple a key: the
+        # keys are exactly those tuples, so none is at fault.  Otherwise the
+        # walk names the first fault, if there is one
+        universe = self.domain.tuples_up_to(self.max_arity) if expected == len(entries) else ()
+        if not universe or not all(map(entries.__contains__, islice(universe, 1, None))):
+            for key in entries:
+                if not isinstance(key, tuple):
+                    raise ValueError(f"entry key {key!r} is not a tuple")
+                if not 1 <= len(key) <= self.max_arity:
+                    raise ValueError(f"entry arity {len(key)} outside 1..{self.max_arity}")
+                for s in key:
+                    if s not in dom:
+                        raise UnknownSymbolError(f"entry {key!r} uses unknown domain symbol {s!r}")
+        attained = frozenset(entries.values())
+        if not attained <= values:
+            key, value = next((t, v) for t, v in entries.items() if v not in values)
+            raise ValueError(f"entry value {value!r} at {key!r} is outside the codomain")
         if expected != len(entries):
             # every key is a distinct tuple of length 1..N, so some arity falls short
             have = Counter(map(len, entries))

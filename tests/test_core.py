@@ -89,6 +89,33 @@ class TestEval:
         with pytest.raises(ValueError, match="not a tuple"):
             TableFn(chain2, ("0", "1"), 2, EPSILON, entries)
 
+    @pytest.mark.parametrize(
+        "bad,error,message",
+        [
+            ("10", ValueError, r"^entry key '10' is not a tuple$"),
+            ((), ValueError, r"^entry arity 0 outside 1\.\.2$"),
+            (("1", "0", "0"), ValueError, r"^entry arity 3 outside 1\.\.2$"),
+            (("1", "9"), UnknownSymbolError, r"^entry \('1', '9'\) uses unknown domain symbol"),
+        ],
+    )
+    def test_a_key_fault_is_named_when_the_entry_count_is_total(
+        self, chain2, bad, error, message
+    ):
+        # six keys, as many as the tuples of length 1..2, with ("1", "0") replaced;
+        # a later fault of another kind is not the one named
+        entries = {("0",): "0", ("1",): "1", ("0", "0"): "0", ("0", "1"): "0"}
+        entries.update({bad: "0", ("1", "7"): "1"})
+        with pytest.raises(error, match=message):
+            TableFn(chain2, ("0", "1"), 2, EPSILON, entries)
+
+    def test_tuple_subclass_keys_are_accepted(self, chain2):
+        class Args(tuple):
+            pass
+
+        entries = {Args(t): t[0] for n in (1, 2) for t in product(chain2.elements, repeat=n)}
+        fn = TableFn(chain2, chain2.elements, 2, EPSILON, entries)
+        assert fn.eval(("1", "0")) == "1"
+
     def test_entry_values_must_be_in_the_codomain(self, chain2):
         # the first entry valued outside the codomain is named
         entries = {("0",): "0", ("1",): "2", ("0", "0"): "3", ("0", "1"): "0"}

@@ -1,10 +1,11 @@
 """The orbit-shared theorem sweep against per-index bits.
 
-``equivalence_sweep`` computes the property bits once per relabeling orbit
-(F ↦ σ∘F∘σ⁻¹ for a permutation σ of the chain symbols) and copies them to the
-orbit's other members.  These tests check the invariance it rests on, the
-index images it moves along, and its output against bits computed for every
-index on its own.
+``equivalence_sweep`` computes the property bits once per orbit under
+relabeling (F ↦ σ∘F∘σ⁻¹ for a permutation σ of the chain symbols) and
+reversal of the argument order (F ↦ G, G(x₁…xₙ) = F(xₙ…x₁)), and copies them
+to the orbit's other members.  These tests check the invariance it rests on,
+the index images it moves along, and its output against bits computed for
+every index on its own.
 """
 
 import hashlib
@@ -18,7 +19,7 @@ from preassoc.core import EPSILON, TableFn
 from preassoc.enumeration import (
     SWEEP_PROPERTIES,
     _function_bits,
-    _relabelings,
+    _symmetries,
     _sweep_bits,
     _sweep_range,
     default_chain,
@@ -28,15 +29,24 @@ from preassoc.enumeration import (
 )
 
 
-def _relabel(fn: TableFn, sigma: dict) -> TableFn:
-    """σ∘F∘σ⁻¹: the table of F with every chain symbol x renamed σ(x)."""
-    entries = {tuple(sigma[x] for x in t): sigma[v] for t, v in fn.entries.items()}
+def _relabel(fn: TableFn, sigma: dict, step: int = 1) -> TableFn:
+    """σ∘F∘σ⁻¹, its arguments reversed when ``step`` is -1.
+
+    The table of F with every chain symbol x renamed σ(x) and, for step -1,
+    every tuple read back to front.
+    """
+    entries = {tuple(sigma[x] for x in t)[::step]: sigma[v] for t, v in fn.entries.items()}
     return TableFn(fn.domain, fn.codomain, fn.max_arity, EPSILON, entries)
 
 
 def _relabelings_of(chain) -> list:
     """Every permutation of the chain symbols as a dict, the identity first."""
     return [dict(zip(chain.elements, image)) for image in permutations(chain.elements)]
+
+
+def _symmetries_of(chain) -> list:
+    """Every (σ, step) of relabeling × reversal, the reversing ones (step -1) first."""
+    return [(sigma, step) for step in (-1, 1) for sigma in _relabelings_of(chain)]
 
 
 def _index_of(fn: TableFn) -> int:
@@ -60,6 +70,18 @@ def _brute_bits(chain_size: int, max_arity: int, indices) -> bytes:
     )
 
 
+def _bits_at(blob: bytes, index: int) -> dict:
+    """The named bits of an index, read back off packed bits."""
+    value = int.from_bytes(blob[2 * index : 2 * index + 2], "big")
+    return {name: bool(value >> i & 1) for i, name in enumerate(SWEEP_PROPERTIES)}
+
+
+@pytest.fixture(scope="module")
+def brute_2_3():
+    """The packed bits of every table of the 2-chain/arity-3 universe, each checked on its own."""
+    return _brute_bits(2, 3, range(epsilon_standard_count(2, 3)))
+
+
 @pytest.mark.parametrize("max_arity,samples", [(2, 300), (3, 200)])
 def test_every_sweep_bit_is_relabeling_invariant_on_the_3_chain(max_arity, samples):
     chain = default_chain(3)
@@ -74,16 +96,36 @@ def test_every_sweep_bit_is_relabeling_invariant_on_the_3_chain(max_arity, sampl
                 assert image[name] == bits[name], (name, fn.entries, sigma)
 
 
-def test_every_sweep_bit_is_relabeling_invariant_on_the_2_chain_at_arity_3():
+@pytest.mark.parametrize("max_arity,samples", [(2, 150), (3, 100)])
+def test_every_sweep_bit_is_invariant_under_reversal_and_relabeling_on_the_3_chain(
+    max_arity, samples
+):
+    chain = default_chain(3)
+    rng = random.Random(23 + max_arity)
+    total = epsilon_standard_count(3, max_arity)
+    for _ in range(samples):
+        fn = epsilon_standard_at(chain, max_arity, rng.randrange(total))
+        bits = _function_bits(fn)
+        # the relabelings alone are the test above; here every σ with reversal
+        for sigma in _relabelings_of(chain):
+            assert _function_bits(_relabel(fn, sigma, -1)) == bits, (fn.entries, sigma)
+
+
+def _assert_invariant_on_2_chain_arity_3(brute_2_3, sigma, step):
     chain = default_chain(2)
-    (_, swap) = _relabelings_of(chain)
-    total = epsilon_standard_count(2, 3)
-    tables = [epsilon_standard_at(chain, 3, i) for i in range(total)]
-    bits = [_function_bits(fn) for fn in tables]
-    for index, fn in enumerate(tables):
-        image = bits[_index_of(_relabel(fn, swap))]
-        for name in SWEEP_PROPERTIES:
-            assert image[name] == bits[index][name], (name, index)
+    for index in range(epsilon_standard_count(2, 3)):
+        image = _index_of(_relabel(epsilon_standard_at(chain, 3, index), sigma, step))
+        assert _bits_at(brute_2_3, image) == _bits_at(brute_2_3, index), index
+
+
+def test_every_sweep_bit_is_relabeling_invariant_on_the_2_chain_at_arity_3(brute_2_3):
+    (_, swap) = _relabelings_of(default_chain(2))
+    _assert_invariant_on_2_chain_arity_3(brute_2_3, swap, 1)
+
+
+def test_every_sweep_bit_is_reversal_invariant_on_the_2_chain_at_arity_3(brute_2_3):
+    (identity, _) = _relabelings_of(default_chain(2))
+    _assert_invariant_on_2_chain_arity_3(brute_2_3, identity, -1)
 
 
 def _digits(index: int, chain_size: int, slots: int) -> tuple:
@@ -96,20 +138,26 @@ def _digits(index: int, chain_size: int, slots: int) -> tuple:
 )
 def test_index_images_are_the_relabeled_tables(chain_size, max_arity):
     chain = default_chain(chain_size)
-    slots = len(chain.tuples_up_to(max_arity)) - 1
-    images = _relabelings(chain_size, max_arity)
-    sigmas = _relabelings_of(chain)[1:]  # the identity is not among the images
-    assert len(images) == len(sigmas)
-    assert all(len(terms) == slots for terms in images)
+    slots = chain.tuples_up_to(max_arity)[1:]
+    # each (σ, step) as the map (t, v) -> (its tuple, its value); one image per
+    # distinct map other than the identity's, in the order they first come
+    actions = {}
+    for sigma, step in _symmetries_of(chain):
+        moved = tuple((tuple(sigma[x] for x in t)[::step], sigma[v]) for t in slots for v in chain)
+        actions.setdefault(moved, (sigma, step))
+    del actions[tuple((t, v) for t in slots for v in chain)]
+    images = _symmetries(chain_size, max_arity)
+    assert len(images) == len(actions)
+    assert all(len(terms) == len(slots) for terms in images)
     total = epsilon_standard_count(chain_size, max_arity)
     rng = random.Random(chain_size * 10 + max_arity)
     indices = range(total) if total <= 4096 else [rng.randrange(total) for _ in range(500)]
     for index in indices:
         fn = epsilon_standard_at(chain, max_arity, index)
-        ds = _digits(index, chain_size, slots)
-        for terms, sigma in zip(images, sigmas):
+        ds = _digits(index, chain_size, len(slots))
+        for terms, (sigma, step) in zip(images, actions.values()):
             image = sum(terms[j][d] for j, d in enumerate(ds))
-            assert image == _index_of(_relabel(fn, sigma))
+            assert image == _index_of(_relabel(fn, sigma, step)), (index, sigma, step)
 
 
 @pytest.mark.parametrize("chain_size,max_arity", [(2, 2), (2, 3), (3, 1), (4, 1)])
@@ -141,24 +189,43 @@ def test_a_stride_reads_the_digits_of_its_indices(chain_size, max_arity, stride)
 def test_only_the_least_index_of_an_orbit_is_its_own_source(chain_size, max_arity):
     chain = default_chain(chain_size)
     total = epsilon_standard_count(chain_size, max_arity)
+    group = _symmetries_of(chain)
     least = set()
     for index in range(total):
         fn = epsilon_standard_at(chain, max_arity, index)
-        least.add(min(_index_of(_relabel(fn, sigma)) for sigma in _relabelings_of(chain)))
+        least.add(min(_index_of(_relabel(fn, sigma, step)) for sigma, step in group))
     _, sources = _sweep_range((chain_size, max_arity, range(total)))
     assert {i for i, source in enumerate(sources) if source == i} == least
     assert all(source <= i for i, source in enumerate(sources))
+    if (chain_size, max_arity) == (2, 3):
+        # (16 384 + 128 + 2 048 + 0) / 4 by Burnside: the fixed tables of the
+        # identity, the swap, reversal and the swap with reversal
+        assert len(least) == 4640
+
+
+def test_the_3_chain_at_arity_2_has_46026_orbit_least_indices():
+    # only the source search runs: no table is built or checked
+    no_bits = dict.fromkeys(SWEEP_PROPERTIES, False)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enumeration, "epsilon_standard_at", lambda *args: None)
+        mp.setattr(enumeration, "_function_bits", lambda fn: no_bits)
+        _, sources = _sweep_range((3, 2, range(epsilon_standard_count(3, 2))))
+    assert sum(source == i for i, source in enumerate(sources)) == 46026
 
 
 @pytest.mark.parametrize(
-    "chain_size,max_arity", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1), (4, 1)]
+    "chain_size,max_arity", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (4, 1)]
 )
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_orbit_shared_bits_equal_brute_bits_on_whole_universes(chain_size, max_arity, workers):
-    total = epsilon_standard_count(chain_size, max_arity)
-    assert _sweep_bits(chain_size, max_arity, workers) == _brute_bits(
-        chain_size, max_arity, range(total)
-    )
+def test_orbit_shared_bits_equal_brute_bits_on_whole_universes(
+    chain_size, max_arity, workers, request
+):
+    if (chain_size, max_arity) == (2, 3):
+        brute = request.getfixturevalue("brute_2_3")
+    else:
+        total = epsilon_standard_count(chain_size, max_arity)
+        brute = _brute_bits(chain_size, max_arity, range(total))
+    assert _sweep_bits(chain_size, max_arity, workers) == brute
 
 
 _BAD_SIZES = [
