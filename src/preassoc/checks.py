@@ -13,13 +13,15 @@ in key order beside its first split of another value) and keeps the least
 violation, and its docstring argues that no other pair is less.
 ``cases_checked`` still counts the whole space.
 A linear test decides a holding A1, A2, A3, P1 or P2 verdict, and only a
-failing one runs the scan for its witness.  P1 holds iff each tuple agrees
-with the first of its value class under one-letter extensions; A1 holds iff
-P1 does and F1 ∘ F = F with no nonempty tuple valued ε, the paper's
-"associative iff preassociative and unarily range-idempotent"; A1 implies A2
-and A3, and P1 implies P2.  The linear P1 test runs once per table: its
-answer and the A1 verdict are kept on the table (``TableFn._decided``), so
-these five laws and ``factorize``'s precondition share one pass.
+failing one runs the scan for its witness.  P1 holds iff, over the tuples y
+shorter than N, F(y) determines the one-letter signature (F(u·y) and F(y·u)
+for every symbol u): one set count over the values, read once as a list,
+decides it without a tuple walk.  A1 holds iff P1 does and F1 ∘ F = F with
+no nonempty tuple valued ε, the paper's "associative iff preassociative and
+unarily range-idempotent"; A1 implies A2 and A3, and P1 implies P2.  The
+linear P1 test runs once per table: its answer and the A1 verdict are kept
+on the table (``TableFn._decided``), so these five laws and ``factorize``'s
+precondition share one pass.
 The order and one-value laws take one pass each: the test that refutes
 the law also names its least witness.  The order laws read the table one
 arity at a time as a list in product order (``_layer``), where a step up
@@ -37,6 +39,7 @@ Checkers read one total table of every tuple of length 0..N, ε included
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations_with_replacement, islice, product
@@ -361,8 +364,8 @@ def check_preassociative(fn: TableFn, form: str = "P1") -> Verdict:
     """Preassociativity via contexts (P1) or via the two-equality form (P2).
 
     Works for arbitrary codomains.  Both forms go decider-then-scan on
-    ``_p1_cases``: a holding verdict is decided by comparing each tuple with
-    the first of its value class under one-letter extensions.  P1 implies
+    ``_p1_cases``: a holding verdict is decided by counting the distinct
+    one-letter signatures of each value class (``_p1_pass``).  P1 implies
     P2: from x·y to x'·y' (F(x) = F(x'), F(y) = F(y')) through x·y' or x'·y,
     one of which fits N since |x·y| + |x'·y'| <= 2N.  A failing P1 comes from
     ``_p1_scan``, which sets each tuple beside the first of its class in all
@@ -393,28 +396,58 @@ def _p1_pass(fn: TableFn):
     y's value class.  Necessity: these are contexts of length 1 within the
     budget N - |y|.  Sufficiency, by induction on |x| + |z|: peel one letter u
     off x (or z); then u·y and u·r share a class and the longer of the pair,
-    u·y, has budget N - |y| - 1 for the rest of the context.  The scan counts
-    every context within N - |y'| for each same-class pair (y, y'), y' the
-    later one.
+    u·y, has budget N - |y| - 1 for the rest of the context.
+    So P1 holds iff, over the tuples y with |y| < N, F(y) determines the
+    signature ((F(u·y))_u, (F(y·u))_u): the first r of a short y's class is
+    itself short (|r| <= |y|), so every short member of a class has r's
+    signature iff the class's short members share one.  The pairs
+    (F(y), signature) project onto the values F(y), so that holds iff there
+    are as many distinct pairs as distinct values: one set count, with the
+    signatures read off the values in ``tuples_up_to`` order at
+    ``_extension_index``.
+    The scan counts every context within N - |y'| for each same-class pair
+    (y, y'), y' the later one.  Tuples come shortest first, so the j-th
+    m-tuple valued v (from j = 0) follows b_m(v) + j members of its class,
+    b_m(v) the tuples shorter than m valued v; the c_m(v) m-tuples valued v
+    add c_m(v)·b_m(v) + C(c_m(v), 2) pairs, each with the contexts within N - m.
     """
-    table = fn._table
-    n, chain = fn.max_arity, fn.domain
-    contexts = [len(_context_pairs(chain, b)) for b in range(n + 1)]
-    first = {}  # value -> first tuple of its class
-    size = {}  # value -> members of its class seen so far
-    cases = 0
-    for y in chain.tuples_up_to(n):
-        v = table[y]
-        r = first.setdefault(v, y)
-        b = size.get(v, 0)
-        size[v] = b + 1
-        cases += b * contexts[n - len(y)]
-        if b == 0 or len(y) == n:
-            continue
-        for u in chain.elements:
-            if table[(u,) + y] != table[(u,) + r] or table[y + (u,)] != table[r + (u,)]:
-                return None
+    k, n = len(fn.domain), fn.max_arity
+    values = list(map(fn._table.__getitem__, fn.domain.tuples_up_to(n)))
+    index = _extension_index(k, n)
+    short = values[: len(index) // (2 * k)]
+    extensions = map(values.__getitem__, index)
+    # zip reads the one iterator 2k times per row: each short y's signature
+    if len(set(zip(short, *[extensions] * (2 * k)))) != len(set(short)):
+        return None
+    before = Counter()  # value -> tuples shorter than the layer with it
+    cases = start = 0
+    for m in range(n + 1):
+        layer = Counter(values[start : start + k**m])
+        contexts = len(_context_pairs(fn.domain, n - m))
+        cases += contexts * sum(c * before[v] + comb(c, 2) for v, c in layer.items())
+        before.update(layer)
+        start += k**m
     return cases
+
+
+@lru_cache(maxsize=128)
+def _extension_index(k: int, n: int) -> array:
+    """For each tuple y with |y| < n over a k-chain, the ``tuples_up_to`` indices of u·y, then y·u.
+
+    The i-th m-tuple y sits at off(m) + i, off(m) = k^0 + ... + k^(m-1), so
+    u·y (symbol index u) sits at off(m+1) + u·k^m + i and y·u at
+    off(m+1) + i·k + u.  The 2k indices of each y follow in ``tuples_up_to``
+    order.
+    """
+    index = array("l")
+    off = 1  # off(m + 1)
+    for m in range(n):
+        width = k**m
+        for i in range(width):
+            index.extend(off + u * width + i for u in range(k))
+            index.extend(off + i * k + u for u in range(k))
+        off += width * k
+    return index
 
 
 def _p1_scan(fn: TableFn) -> Verdict:

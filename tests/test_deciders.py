@@ -21,7 +21,11 @@ checkers are held to the references on universes that reach every refusal,
 and the scans themselves on holding tables, which the checkers no longer
 scan.  The P1 pass and the A1 verdict are made once per table and kept on
 it; verdicts read off a table's kept answers must equal those of a fresh
-copy, and the sweep must never read them.
+copy, and the sweep must never read them.  The P1 pass counts distinct
+(value, one-letter signature) pairs over the tuples shorter than N: its
+answer, None or the scan's ``cases_checked``, must equal the scan's on
+tables whose classes span every layer, and its index array must locate
+each one-letter extension.
 
 The order laws read each arity's values as one list, and the one-value
 laws the set of attained values; the test that refutes a law also names
@@ -809,11 +813,11 @@ def test_first_violation_matches_least_key_scan(prop, universe):
 # ---------------------------------------------------------------------------
 
 
-def _medians_5():
-    chain = default_chain(5)
+def _medians(k, n):
+    chain = default_chain(k)
     for params in product(chain.elements, repeat=4):
         try:
-            yield make_median_family(MedianParams(*params), chain, 3)
+            yield make_median_family(MedianParams(*params), chain, n)
         except ValueError:
             continue  # a > c∧d or c∨d > b
 
@@ -863,7 +867,7 @@ def _near_order_tables():
 
 ORDER_UNIVERSES = {
     **PAIR_UNIVERSES,
-    "medians-5-3": _once(_medians_5),
+    "medians-5-3": _once(partial(_medians, 5, 3)),
     "catalog-grid-5-4": _once(_catalog_grid_5),
     "near-order": _once(_near_order_tables),
 }
@@ -972,3 +976,59 @@ def test_digit_slices_pair_each_tuple_with_its_steps():
             if t[i] == chain.bottom
         )
         assert sections == expected
+
+
+# ---------------------------------------------------------------------------
+# The P1 set count against the scan
+# ---------------------------------------------------------------------------
+
+
+def _f_of_h_3_4():
+    # f∘H, H associative on the 3-chain and f merging two of its values into
+    # a foreign codomain: classes of up to all 121 tuples that span layers,
+    # P1 holding or not; the default is ε or a symbol, which may join a class
+    rng = random.Random(20147)
+    codomain = ("p", "q", "r", "s")
+    for h in all_associative_extensions(default_chain(3), 4):
+        for _ in range(3):
+            a, b = rng.sample(codomain, 2)
+            f = dict(zip(h.domain.elements, rng.sample([a, a, b], 3)))
+            entries = {t: f[v] for t, v in h.entries.items()}
+            for default in (EPSILON, rng.choice(codomain)):
+                yield TableFn(h.domain, codomain, 4, default, entries)
+
+
+#: universe -> (tables, how many hold P1)
+P1_PASS_UNIVERSES = {
+    "f-of-h-3-4": (_once(_f_of_h_3_4), 984, 578),
+    "medians-4-5": (_once(partial(_medians, 4, 5)), 50, 50),
+    "catalog-grid-5-4": (ORDER_UNIVERSES["catalog-grid-5-4"], 22, 22),
+}
+
+
+@pytest.mark.parametrize("universe", P1_PASS_UNIVERSES)
+def test_p1_pass_matches_the_scan_on_large_classes(universe):
+    # the pass counts distinct (value, one-letter signature) pairs and the
+    # cases from per-layer class sizes; the scan sets every tuple beside the
+    # first of its class in every context and counts each pair's contexts.
+    # The scan is held to the exhaustive pair race in the tests above
+    tables, size, holding = P1_PASS_UNIVERSES[universe]
+    outcomes = []
+    for fn in tables():
+        scan = checks._p1_scan(fn)
+        assert checks._p1_pass(fn) == (scan.cases_checked if scan.holds else None), fn
+        outcomes.append(scan.holds)
+    assert (len(outcomes), sum(outcomes)) == (size, holding)
+
+
+@pytest.mark.parametrize("k, n", list(product(range(1, 5), range(1, 6))))
+def test_extension_index_locates_the_one_letter_extensions(k, n):
+    # for each tuple y shorter than n, in order: where u·y, then y·u, sit in tuples_up_to
+    chain = default_chain(k)
+    position = {t: i for i, t in enumerate(chain.tuples_up_to(n))}
+    expected = [
+        position[e]
+        for y in chain.tuples_up_to(n - 1)
+        for e in [(u,) + y for u in chain.elements] + [y + (u,) for u in chain.elements]
+    ]
+    assert list(checks._extension_index(k, n)) == expected
