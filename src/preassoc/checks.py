@@ -404,7 +404,8 @@ def _p1_pass(fn: TableFn):
     (F(y), signature) project onto the values F(y), so that holds iff there
     are as many distinct pairs as distinct values: one set count, with the
     signatures read off the values in ``tuples_up_to`` order at
-    ``_extension_index``.
+    ``_extension_index``.  ``enumeration.preassociative_tables`` solves the
+    same ties, read at the same index, one layer at a time.
     The scan counts every context within N - |y'| for each same-class pair
     (y, y'), y' the later one.  Tuples come shortest first, so the j-th
     m-tuple valued v (from j = 0) follows b_m(v) + j members of its class,
@@ -437,7 +438,8 @@ def _extension_index(k: int, n: int) -> array:
     The i-th m-tuple y sits at off(m) + i, off(m) = k^0 + ... + k^(m-1), so
     u·y (symbol index u) sits at off(m+1) + u·k^m + i and y·u at
     off(m+1) + i·k + u.  The 2k indices of each y follow in ``tuples_up_to``
-    order.
+    order.  ``_p1_pass`` reads the one-letter signatures here, and
+    ``enumeration.preassociative_tables`` the ties it solves.
     """
     index = array("l")
     off = 1  # off(m + 1)

@@ -20,6 +20,7 @@ from .enumeration import (
     all_operations,
     associative_tables,
     default_chain,
+    preassociative_tables,
 )
 from .errors import PreassocError, PreconditionError
 from .factorize import extend_unary_binary, factorize
@@ -316,27 +317,33 @@ def _candidates(chain: Chain, n: int, filters, binary: bool):
     """The tables of ``enumerate``'s universe that can pass ``filters``, in universe order.
 
     For associative_binary these are the identity extensions of the
-    associative binary tables.  When the filters include A1 at arity 3 or
-    more, they come from the associative extensions, exactly the A1 tables of
-    the default-ε standard universe (see ``all_associative_extensions``).
+    associative binary tables.  Otherwise the universe holds the default-ε
+    standard tables, widened to every default when a filter is checkable
+    beyond operations.  When the filters include A1 at arity 3 or more, the
+    candidates come from the associative extensions, exactly the A1 tables
+    of the default-ε standard universe (see ``all_associative_extensions``).
     With any default, each default (chain order, then ε) is paired with each
     extension's entries, in ``all_operations`` order: a nonempty y with
     F(y) = ε violates A1; the conditions with y nonempty never read F(ε), so
     the entries form a default-ε A1 table, an extension; and y = ε only adds
-    that the default is neutral.  Otherwise the candidates are the whole
-    universe: properties checkable beyond operations widen it to every default.
+    that the default is neutral.  Otherwise, when they include P1, the
+    candidates are the universe's P1 tables, built layer by layer
+    (``preassociative_tables``); else they are the whole universe.
     """
     if binary:
         identity = FiniteMap.identity(chain.elements)
         return (extend_unary_binary(identity, t, n) for t in associative_tables(chain))
     any_default = any(name not in OPERATION_ONLY for name in filters)
-    if "associative_A1" not in filters or n < 3:
-        return all_operations(chain, n) if any_default else all_epsilon_standard(chain, n)
-    if not any_default:
-        return all_associative_extensions(chain, n)
-    codomain = chain.elements + (EPSILON,)
-    extensions = [ext.entries for ext in all_associative_extensions(chain, n)]  # built once
-    return (TableFn(chain, codomain, n, d, entries) for d in codomain for entries in extensions)
+    codomain = chain.elements + (EPSILON,) if any_default else chain.elements
+    defaults = codomain if any_default else (EPSILON,)
+    if "associative_A1" in filters and n >= 3:
+        if not any_default:
+            return all_associative_extensions(chain, n)
+        extensions = [ext.entries for ext in all_associative_extensions(chain, n)]  # built once
+        return (TableFn(chain, codomain, n, d, entries) for d in defaults for entries in extensions)
+    if "preassociative_P1" in filters:
+        return preassociative_tables(chain, n, codomain, defaults)
+    return all_operations(chain, n) if any_default else all_epsilon_standard(chain, n)
 
 
 def _cmd_enumerate(args, parser) -> int:

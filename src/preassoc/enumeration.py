@@ -10,6 +10,8 @@ last to first, so the sweep reads each index's digits off ``product``.
 the slots as listed, the last slot varying fastest (``all_operations`` takes
 each default in turn, ε last): on the 2-chain at arity 1 the second table
 streamed is F(0)=0, F(1)=1, while index 1 is F(0)=1, F(1)=0.
+``preassociative_tables`` streams, in the same order, only the tables of
+such a universe that satisfy P1, built one arity at a time.
 
 ``equivalence_sweep`` computes each candidate's bits once per orbit under
 relabeling the chain symbols and reversing the argument order, on the
@@ -32,6 +34,7 @@ from typing import Iterator
 from .checks import (
     _a1_scan,
     _a3_scan,
+    _extension_index,
     _p1_pass,
     _p2_conflicts,
     _prepl_mismatches,
@@ -90,6 +93,64 @@ def _all_tables(chain: Chain, max_arity: int, values: tuple, defaults: tuple) ->
     for default in defaults:
         for entry_values in product(values, repeat=len(slots)):
             yield TableFn(chain, values, max_arity, default, dict(zip(slots, entry_values)))
+
+
+def preassociative_tables(
+    chain: Chain, max_arity: int, values: tuple, defaults: tuple
+) -> Iterator[TableFn]:
+    """The tables of ``_all_tables`` on which P1 holds, in its order, built layer by layer.
+
+    By ``checks._p1_pass``, P1 at arity N holds iff F(u·y) = F(u·r) and
+    F(y·u) = F(r·u) for every symbol u and every tuple y with |y| < N, r the
+    first tuple of y's value class.  Given the layers below m (the tuples
+    shorter than m), the ties from the (m-1)-tuples constrain layer m alone,
+    so a depth-first walk fixes one layer at a time: the default, then
+    layer 1, which only the empty tuple (the first of its class) could tie,
+    then each layer m in turn.
+    There the ties, read at ``_extension_index``, join the m-tuples into
+    classes; a tie to a shorter tuple w joins the class to the first tuple
+    valued F(w), which fixes its value, and a class so joined to two values
+    ends the branch.  Each free class takes each of ``values`` in turn,
+    listed by first member: where two tables of a layer first differ is such
+    a member, so the walk keeps product order.
+    """
+    tuples = chain.tuples_up_to(max_arity)
+    k = len(chain)
+    index = _extension_index(k, max_arity)
+    row = []  # the values fixed so far, in ``tuples_up_to`` order
+
+    def walk(m, lo):  # layer m holds the positions lo .. lo + k^m - 1
+        if m > max_arity:  # TableFn refuses a max_arity below 1 here
+            yield TableFn(chain, values, max_arity, row[0], dict(zip(tuples[1:], row[1:])))
+            return
+        first = dict(zip(reversed(row[:lo]), range(lo - 1, -1, -1)))  # value -> first position
+        parent = {}  # a position of layer m -> an earlier one of its class
+
+        def root(p):  # the class's first member, or the first position of its fixed value
+            while p in parent:
+                p = parent[p]
+            return p
+
+        for y in range(lo - k ** (m - 1), lo):
+            r = first[row[y]]
+            if r == y:
+                continue
+            ties = zip(index[2 * k * y : 2 * k * (y + 1)], index[2 * k * r : 2 * k * (r + 1)])
+            for a, b in ties:
+                a, b = sorted((root(a), root(b) if b >= lo else first[row[b]]))
+                if a != b:
+                    if b < lo:  # the class is tied to two values
+                        return
+                    parent[b] = a
+        roots = [root(p) for p in range(lo, lo + k**m)]
+        free = {r: j for j, r in enumerate(sorted({r for r in roots if r >= lo}))}
+        for choice in product(values, repeat=len(free)):
+            row[lo : lo + k**m] = [choice[free[r]] if r >= lo else row[r] for r in roots]
+            yield from walk(m + 1, lo + k**m)
+
+    for default in defaults:
+        row[:] = [default]
+        yield from walk(1, 1)
 
 
 def all_binary_tables(chain: Chain) -> Iterator[dict]:

@@ -24,6 +24,7 @@ from preassoc.enumeration import (
     all_binary_tables,
     default_chain,
     equivalence_sweep,
+    preassociative_tables,
 )
 from preassoc.factorize import extend_unary_binary, factorize
 from preassoc.families import (
@@ -94,6 +95,12 @@ def test_criterion_1_theorem_equivalence_sweep(sweep):
         f"equivalences exact over {report.total} candidates in {elapsed:.1f}s "
         f"(associative count {report.property_counts['A1']})",
     )
+
+
+def test_sweep_p1_count_equals_the_p1_tables_built_layer_by_layer(sweep):
+    report, _ = sweep
+    tables = preassociative_tables(CHAIN2, 3, CHAIN2.elements, (EPSILON,))
+    assert sum(1 for _ in tables) == report.property_counts["P1"] == 22
 
 
 def test_criterion_2_associative_binary_count(associative_binaries):

@@ -451,6 +451,57 @@ class TestEnumerate:
         assert captured.out == expected
         assert "scanned 14348907 candidates; emitted 16" in captured.err
 
+    def test_assoc_with_preassoc_at_arity_3_takes_the_associative_extensions(
+        self, monkeypatch, capsys
+    ):
+        # 3 defaults x 10 extensions, not the 159 P1 tables
+        calls = []
+        a1 = cli.CHECKERS["associative_A1"]
+        monkeypatch.setitem(cli.CHECKERS, "associative_A1", lambda fn: calls.append(fn) or a1(fn))
+        code = main(["enumerate", "--chain-size", "2", "--max-arity", "3",
+                     "--filter", "assoc,preassoc", "--force"])
+        assert code == 0
+        assert "scanned 14348907 candidates; emitted 16" in capsys.readouterr().err
+        assert len(calls) == 30
+
+    def test_preassoc_walks_only_the_p1_tables(self, monkeypatch, capsys):
+        from preassoc.enumeration import all_operations, default_chain
+        from preassoc.serialization import dumps_function_compact
+
+        names = ["preassociative_P1", "unarily_quasi_range_idempotent"]
+        expected = "".join(
+            dumps_function_compact(fn) + "\n"
+            for fn in all_operations(default_chain(2), 2)
+            if cli._passes_filters(fn, names)
+        )
+        calls = []
+        p1 = cli.CHECKERS["preassociative_P1"]
+        monkeypatch.setitem(cli.CHECKERS, "preassociative_P1", lambda fn: calls.append(fn) or p1(fn))
+        code = main(["enumerate", "--chain-size", "2", "--max-arity", "2",
+                     "--filter", "preassoc,uqri"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out == expected
+        assert "scanned 2187 candidates; emitted 129" in captured.err
+        assert len(calls) == 543  # the P1 tables among the 2 187
+
+    @pytest.mark.parametrize(
+        "filters", ["preassoc", "preassoc,assoc", "preassoc,symmetric,idempotent"]
+    )
+    def test_preassoc_filters_match_the_brute_loop(self, filters, capsys):
+        from preassoc.enumeration import all_operations, default_chain
+        from preassoc.serialization import dumps_function_compact
+
+        names = cli._resolve_properties(filters.split(","), None)
+        expected = "".join(
+            dumps_function_compact(fn) + "\n"
+            for fn in all_operations(default_chain(2), 2)
+            if cli._passes_filters(fn, names)
+        )
+        code = main(["enumerate", "--chain-size", "2", "--max-arity", "2", "--filter", filters])
+        assert code == 0
+        assert capsys.readouterr().out == expected
+
     @pytest.mark.parametrize("max_arity", [3, 4])
     @pytest.mark.parametrize("filters", ["assoc,preassoc", "assoc,symmetric", "assoc,uqri"])
     def test_assoc_with_any_default_filters_on_the_1_chain(self, max_arity, filters, capsys):

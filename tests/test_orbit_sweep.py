@@ -26,6 +26,7 @@ from preassoc.enumeration import (
     epsilon_standard_at,
     epsilon_standard_count,
     equivalence_sweep,
+    preassociative_tables,
 )
 
 
@@ -293,6 +294,13 @@ def test_3_chain_arity_2_universe_matches_the_brute_reference(sweep_3_2):
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
         "17ebcbcfade3744a6b77114e71f4ac91135f6e2a984e0f343a7c6cb21826c761"
     )
+
+
+def test_3_chain_arity_2_p1_count_equals_the_p1_tables_built_layer_by_layer(sweep_3_2):
+    report, _ = sweep_3_2
+    chain = default_chain(3)
+    tables = preassociative_tables(chain, 2, chain.elements, (EPSILON,))
+    assert sum(1 for _ in tables) == report.property_counts["P1"] == 119565
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
