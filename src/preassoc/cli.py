@@ -8,6 +8,7 @@ violated), 2 on input or usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -382,7 +383,9 @@ def _cmd_enumerate(args, parser) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``preassoc`` parser, built on the first call and shared by every later one."""
     json_report = argparse.ArgumentParser(add_help=False)  # check and factorize print a report
     json_report.add_argument("--json", action="store_true", help="emit a machine-readable report")
     shared = argparse.ArgumentParser(add_help=False)
@@ -447,6 +450,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one ``preassoc`` command and return its exit code.
+
+    ``main`` may be called any number of times in one process.  The parser is
+    built on the first call and only read afterwards (``parse_args`` leaves
+    it as it is), so nothing may ``add_argument`` or ``set_defaults`` on it
+    after ``build_parser`` returns.
+    """
     args = build_parser().parse_args(argv)
     parser = args.parser  # usage errors print the subcommand's usage
     if args.max_arity is not None and args.max_arity < 1:

@@ -153,22 +153,12 @@ def preassociative_tables(
         yield from walk(1, 1)
 
 
-def all_binary_tables(chain: Chain) -> Iterator[dict]:
-    """Every binary operation table on the chain, lexicographically.
-
-    The exhaustive reference for ``associative_tables``.
-    """
-    pairs = chain.tuples(2)
-    for values in product(chain.elements, repeat=len(pairs)):
-        yield dict(zip(pairs, values))
-
-
 def associative_tables(chain: Chain) -> Iterator[dict]:
-    """Every associative binary table on the chain, in ``all_binary_tables`` order.
+    """Every associative binary table on the chain, in lexicographic order.
 
-    A backtracking search fills the k² cells in row-major order, each with
-    values ascending, which is the lexicographic order of
-    ``all_binary_tables``.  After each cell it rechecks only the triples
+    The order reads each table's k² cells in row-major order, values
+    ascending.  A backtracking search fills the cells in that order, so it
+    emits the tables in it.  After each cell it rechecks only the triples
     (u, v, w) that read the new cell and whose four lookups uv, (uv)w, vw and
     u(vw) are all filled.  Every triple is so checked once its last lookup is
     filled, and no later cell changes its verdict, so the search emits

@@ -58,10 +58,6 @@ class FiniteMap:
         """All x with f(x) = y, in domain order."""
         return tuple(x for x in self.domain if self.graph[x] == y)
 
-    def restrict(self, subdomain) -> "FiniteMap":
-        sub = tuple(subdomain)
-        return FiniteMap(sub, self.codomain, {x: self.graph[x] for x in sub})
-
     @classmethod
     def identity(cls, values) -> "FiniteMap":
         vals = tuple(values)

@@ -63,3 +63,14 @@ def xor_table(chain):
         for u in chain.elements
         for v in chain.elements
     }
+
+
+def all_binary_tables(chain):
+    """Every binary operation table on the chain, lexicographically.
+
+    The k² cells in row-major order, values ascending: the exhaustive
+    reference for ``enumeration.associative_tables``.
+    """
+    pairs = chain.tuples(2)
+    for values in product(chain.elements, repeat=len(pairs)):
+        yield dict(zip(pairs, values))

@@ -10,10 +10,10 @@ from itertools import product
 
 import pytest
 
+from conftest import all_binary_tables
 from preassoc.checks import check_associative, nonassociative_triple
 from preassoc.enumeration import (
     all_associative_extensions,
-    all_binary_tables,
     all_epsilon_standard,
     associative_tables,
     default_chain,

@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -682,3 +686,72 @@ class TestUsageErrors:
         assert err_text.startswith(f"usage: preassoc {command} [-h]")
         assert f"preassoc {command}: error: {message}" in err_text
         assert not (tmp_path / "t.json").exists() and not (tmp_path / "H.json").exists()
+
+
+class TestRepeatedCalls:
+    """``main`` shares one parser across calls and leaves nothing behind."""
+
+    _MIN_TNORM = ["generate", "--family", "tnorm", "--name", "min", "--grid", "0,1",
+                  "--max-arity", "2", "--out"]
+
+    def test_the_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_importing_the_cli_builds_no_parser(self):
+        # a probe on ArgumentParser.__init__ in a fresh interpreter; building
+        # the parser afterwards shows that the probe sees a build
+        probe = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counted(self, *args, **kwargs):\n"
+            "    built.append(kwargs.get('prog'))\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "import preassoc.cli\n"
+            "assert built == [], built\n"
+            "preassoc.cli.build_parser()\n"
+            "assert 'preassoc' in built, built\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
+    def test_json_does_not_carry_over(self, min_file, capsys):
+        argv = ["check", str(min_file), "--properties", "assoc"]
+        assert main(argv + ["--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("associative_A1  holds  cases=")
+
+    def test_quiet_does_not_carry_over(self, tmp_path, capsys):
+        out = tmp_path / "t.json"
+        assert main(self._MIN_TNORM + [str(out), "--quiet"]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(self._MIN_TNORM + [str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote tnorm table (6 entries) to {out}\n"
+
+    def test_usage_error_after_a_successful_call(self, tmp_path, capsys):
+        out = tmp_path / "t.json"
+        assert main(self._MIN_TNORM + [str(out)]) == 0
+        capsys.readouterr()
+        out.unlink()
+        with pytest.raises(SystemExit) as err:
+            main([a for a in self._MIN_TNORM if a not in ("--max-arity", "2")] + [str(out)])
+        assert err.value.code == 2
+        err_text = capsys.readouterr().err
+        assert err_text.startswith("usage: preassoc generate [-h]")
+        assert "preassoc generate: error: generate needs --max-arity" in err_text
+        assert not out.exists()
+
+    def test_help_is_the_same_twice(self, capsys):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as err:
+                main(["enumerate", "--help"])
+            assert err.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0].startswith("usage: preassoc enumerate [-h]")
+        assert texts[0] == texts[1]

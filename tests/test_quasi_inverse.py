@@ -136,5 +136,6 @@ class TestEnumeratedAlgebra:
                         # restriction of g to ran(f) is g itself here; f|ran(g)
                         # and g|ran(f) are one-to-one
                         assert g.is_one_to_one()
-                        f_restricted = f.restrict(g.range)
+                        sub = g.range
+                        f_restricted = FiniteMap(sub, f.codomain, {x: f.graph[x] for x in sub})
                         assert f_restricted.is_one_to_one()
