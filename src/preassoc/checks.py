@@ -154,7 +154,7 @@ def _once(fn: TableFn, law: str, decide):
     The table is immutable, so the answer stays valid for its lifetime.
     """
     decided = fn._decided
-    if decided is None:  # made on first use, so a table read only once (the sweep's) costs nothing
+    if decided is None:  # made on first use, so a table read only once costs nothing
         decided = {}
         object.__setattr__(fn, "_decided", decided)
     if law not in decided:

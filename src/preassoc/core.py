@@ -88,29 +88,6 @@ class Chain:
     def join(self, u, v):
         return u if self.index(u) >= self.index(v) else v
 
-    def med(self, u, v, w):
-        """Ternary median: the middle element of the three under the chain order."""
-        return sorted((u, v, w), key=self.index)[1]
-
-    def min_of(self, symbols):
-        return min(symbols, key=self.index)
-
-    def max_of(self, symbols):
-        return max(symbols, key=self.index)
-
-    def successor(self, u):
-        """The next-larger element, or None at the top."""
-        i = self.index(u)
-        return self.elements[i + 1] if i + 1 < len(self.elements) else None
-
-    @property
-    def bottom(self):
-        return self.elements[0]
-
-    @property
-    def top(self):
-        return self.elements[-1]
-
     def tuples(self, length: int) -> tuple:
         """All tuples of exactly the given length, in lexicographic order (cached)."""
         return _tuples(self.elements, length)

@@ -2,10 +2,8 @@
 
 The sweep's candidates are indexable: ``epsilon_standard_at`` reads its index
 as base-k digits over the slots (the nonempty tuples in ``tuples_up_to``
-order), the first slot least significant, so the sweep is deterministic,
-restartable, and splits cleanly across worker processes with bit-identical
-merged reports.  Index order is thus product order over the slots taken
-last to first, so the sweep reads each index's digits off ``product``.
+order), the first slot least significant, so the sweep is deterministic and
+its report is bit-identical however its work is shared out.
 ``all_epsilon_standard`` and ``all_operations`` stream in product order over
 the slots as listed, the last slot varying fastest (``all_operations`` takes
 each default in turn, ε last): on the 2-chain at arity 1 the second table
@@ -13,10 +11,10 @@ streamed is F(0)=0, F(1)=1, while index 1 is F(0)=1, F(1)=0.
 ``preassociative_tables`` streams, in the same order, only the tables of
 such a universe that satisfy P1, built one arity at a time.
 
-``equivalence_sweep`` computes each candidate's bits once per orbit under
-relabeling the chain symbols and reversing the argument order, on the
-orbit's least index: 4 640 of the 16 384 candidates on the 2-chain at
-arity 3, 46 026 of the 531 441 on the 3-chain at arity 2.
+``equivalence_sweep`` builds no table: bit i of an int stands for candidate
+i, each slot's value is k such masks in closed form, and each law an AND/OR
+of them over its own quantifier space (``_Universe``), a few hundred
+operations on 16 384-bit ints on the 2-chain at arity 3.
 """
 
 from __future__ import annotations
@@ -24,25 +22,14 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from array import array
+from collections import defaultdict
 from dataclasses import asdict, dataclass
-from functools import lru_cache
-from itertools import islice, permutations, product
-from operator import getitem
+from functools import reduce
+from itertools import product, repeat
+from operator import and_, or_
 from typing import Iterator
 
-from .checks import (
-    _a1_scan,
-    _a3_scan,
-    _extension_index,
-    _p1_pass,
-    _p2_conflicts,
-    _prepl_mismatches,
-    check_range_idempotent,
-    check_replication_invariant,
-    check_unarily_quasi_range_idempotent,
-    check_unarily_range_idempotent,
-)
+from .checks import _assoc_candidates, _context_pairs, _extension_index
 from .core import EPSILON, Chain, TableFn
 from .errors import ConditionError
 from .factorize import extend_unary_binary
@@ -238,58 +225,25 @@ def all_associative_extensions(chain: Chain, max_arity: int) -> Iterator[TableFn
 # The theorem-equivalence sweep
 # ---------------------------------------------------------------------------
 
-#: ``equivalence_sweep`` shares each bit across an orbit of S_k × {identity,
-#: reversal} and relies on this for every name here:
-#: - Relabeling.  Every bit is an equality between values with ε fixed, so
-#:   relabeling the chain symbols (F ↦ σ∘F∘σ⁻¹) leaves it unchanged.
-#: - Reversal.  Let G(x) = F(rev x), with rev () = () and so G(ε) = F(ε).
-#:   G attains what F attains and has F's unary part, and rev preserves
-#:   length, so it maps each law's truncated quantifier set onto itself and
-#:   turns G's instance into F's:
-#:   A1's candidates (x, y, z) ↦ (rev z, rev y, rev x), since G(x·y·z) =
-#:   F(rev z·rev y·rev x) and G(x·G(y)·z) = F(rev z·F(rev y)·rev x), with
-#:   |x| + |z| < N and |x·y·z| <= N kept; A3's splits and P2's pairs
-#:   (x, y) ↦ (rev y, rev x), within |x·y| <= N; P1's contexts (x, y, y', z)
-#:   ↦ (rev z, rev y, rev y', rev x), within |x·y·z|, |x·y'·z| <= N; PREPL's
-#:   pairs (x, y) at k ↦ (rev x, rev y), since rev (k·x) = k·rev x, and
-#:   REPL's tuples likewise.  URI, UQRI and F1F1 read only the unary part
-#:   and the attained values, RI only constant tuples k·v over attained v,
-#:   and FF2 only the pairs (F(u), F(u)): reversal fixes all of these.
-#:   A2's bit is A1's, and P1's is read off ``_p1_pass``, which decides
-#:   the P1 law above.  So each bit holds on G exactly when it holds on F.
+#: The laws the sweep decides, bit i of a candidate's two bytes for the i-th
+#: name.  Each is decided from its own definition (``_LAWS``), never by a
+#: checker, so the lines below compare independent computations; the tests
+#: hold every checker to these bits.  A2's bit is A1's (``A1_iff_A2``).
 SWEEP_PROPERTIES = (
-    "A1",
-    "A2",
-    "A3",
-    "P1",
-    "P2",
-    "URI",
-    "UQRI",
-    "F1F1",
-    "RI",
-    "FF2",
-    "REPL",
-    "PREPL",
+    "A1", "A2", "A3", "P1", "P2", "URI", "UQRI", "F1F1", "RI", "FF2", "REPL", "PREPL"
 )
 
-#: name -> (label, predicate over the per-function property dict).
+#: name -> predicate over one candidate's property dict.
 #: The lines the sweep tests are theorems the paper states or recalls, each
-#: side read off its own checker: the associativity forms A1 ⇔ A3, A1 ⇔ P1 ∧
-#: URI and with it A1 ⇒ P1, P1 ⇔ P2, URI ⇔ UQRI ∧ F1∘F1 = F1, the
+#: side decided from its own definition: the associativity forms A1 ⇔ A3,
+#: A1 ⇔ P1 ∧ URI and with it A1 ⇒ P1, P1 ⇔ P2, URI ⇔ UQRI ∧ F1∘F1 = F1, the
 #: range-idempotence lemma (i) ⇔ (ii), (iii), (iv), and A1 ∧ REPL ⇔ A1 ∧ RI.
 #: ``REPL_implies_PREPL`` and ``P1_implies_PREPL`` follow from the
 #: definitions in a step: F(k·x) = F(x) = F(y) = F(k·y), and in k·x the copies
 #: of x turn into y one at a time.
 #: ``A1_iff_A2`` holds by construction: with default ε, A2 holds exactly when
 #: A1 does (``checks._check_a2`` reads A1's first violation), so the sweep
-#: takes its A2 bit from the A1 verdict and this line guards only that.
-#: The public A1, A3 and P2 checkers decide a holding verdict from
-#: ``checks._a1_holds`` (unary laws and the P1 pass) or the P1 pass itself,
-#: so the sweep reads A1 and A3 off their scans (``_a1_scan``, ``_a3_scan``)
-#: and P2 off ``_p2_conflicts``: otherwise ``A1_iff_P1_and_URI``,
-#: ``A1_iff_A3`` and ``P1_iff_P2`` would check the decider against itself.
-#: P1 alone comes from its decider, ``_p1_pass``, and PREPL from
-#: ``_prepl_mismatches``.
+#: takes its A2 bit from A1's and this line guards only that.
 SWEEP_EQUIVALENCES = {
     "A1_iff_P1_and_URI": lambda p: p["A1"] == (p["P1"] and p["URI"]),
     "A1_iff_A2": lambda p: p["A1"] == p["A2"],
@@ -307,36 +261,6 @@ SWEEP_EQUIVALENCES = {
     "A1_and_REPL_iff_A1_and_RI": lambda p: (p["A1"] and p["REPL"])
     == (p["A1"] and p["RI"]),
 }
-
-
-def _function_bits(fn: TableFn) -> dict:
-    # the sweep needs only the bits, so P1, P2 and PREPL skip the witness
-    # scan; A1 and A3 run theirs, not the decider (see SWEEP_EQUIVALENCES).
-    # P1 reads the raw pass, not the per-table ``_p1_cases``: each table is
-    # read once, so keeping its answer would only cost time
-    table = fn._table
-    elements = fn.domain.elements
-    a1 = _a1_scan(fn).holds
-    return {
-        "A1": a1,
-        "A2": a1,  # the A2 verdict holds exactly when A1's does
-        "A3": _a3_scan(fn).holds,
-        "P1": _p1_pass(fn) is not None,
-        "P2": next(_p2_conflicts(fn), None) is None,
-        "URI": check_unarily_range_idempotent(fn).holds,
-        "UQRI": check_unarily_quasi_range_idempotent(fn).holds,
-        "RI": check_range_idempotent(fn).holds,
-        "REPL": check_replication_invariant(fn).holds,
-        "PREPL": next(_prepl_mismatches(fn), None) is None,
-        "F1F1": all(
-            table[(table[(u,)],)] == table[(u,)] for u in elements
-        ),
-        "FF2": all(
-            table[(table[(u,)], table[(u,)])] == table[(u,)] for u in elements
-        )
-        if fn.max_arity >= 2
-        else True,
-    }
 
 
 @dataclass
@@ -357,123 +281,216 @@ class SweepReport:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-@lru_cache(maxsize=16)
-def _symmetries(chain_size: int, max_arity: int) -> tuple:
-    """How each non-identity relabeling, reversed or not, moves the sweep's indices.
+class _Universe:
+    """Every default-ε standard candidate on a chain up to ``max_arity``, as slot masks.
 
-    The group is S_k × {identity, reversal}.  Relabeling a table's symbols by
-    a permutation σ (F ↦ σ∘F∘σ⁻¹) moves the digit d at the slot of tuple t to
-    the digit σ(d) at the slot of σ(t); reversing the argument order as well
-    (F ↦ G, G(x₁…xₙ) = σ(F(σ⁻¹(xₙ)…σ⁻¹(x₁)))) moves it to the slot of σ(t)
-    reversed.  Either way the image of an index is a sum of one term per
-    slot.  For each element this gives ``terms``, one tuple of k terms per
-    slot, most significant slot first: ``terms[j][d]`` is σ(d)·k^position of
-    the image of t_j, and the image of the index with digits ``ds`` (as
-    ``product`` yields them) is ``sum(map(getitem, terms, ds))``.
+    A mask is an int whose bit i stands for candidate i.  Candidate i has
+    F(t_s) = the j-th chain symbol, t_s the s-th nonempty tuple in
+    ``tuples_up_to`` order, when digit s of i in base k is j
+    (``epsilon_standard_at``).  That digit runs through 0 .. k-1 with period
+    k^(s+1), holding each for k^s indices, so ``masks[t_s][j]`` is the
+    repunit with a one at every multiple of the period, times 2^(k^s) - 1
+    (a run of k^s ones), shifted up by j·k^s.
 
-    Each distinct non-identity action is listed once: at max arity 1, and on
-    the 1-chain, reversal fixes every tuple, so it adds no image there.  The
-    reversing elements come first: on the 3-chain at arity 2 they find a
-    smaller image sooner (1 464 581 image sums in all, against 1 571 164
-    with each σ beside its reversal).
+    Each law is an AND/OR of these masks over its own quantifier space.
+    Pairs with ε are vacuous there: the default makes F(ε) = ε and every
+    entry is a chain symbol, so F(t) = F(ε) only at t = ε.  So no nonempty
+    block substitutes ε (the A1, A2 and A3 violations of that kind never
+    occur), and a pair of equal values with ε on one side has ε on both.
     """
-    chain = default_chain(chain_size)
-    k = chain_size
-    code = {e: d for d, e in enumerate(chain.elements)}
-    slots = [tuple(code[x] for x in t) for t in chain.tuples_up_to(max_arity)[1:]]
-    position = {t: s for s, t in enumerate(slots)}
 
-    def terms(sigma, step):
-        return tuple(
-            tuple(sigma[d] * k ** position[tuple(sigma[x] for x in t)[::step]] for d in range(k))
-            for t in reversed(slots)
-        )
+    def __init__(self, chain: Chain, max_arity: int):
+        self.chain, self.max_arity = chain, max_arity
+        k = len(chain)
+        self.slots = chain.tuples_up_to(max_arity)[1:]
+        self.full = (1 << k ** len(self.slots)) - 1  # every candidate
+        self.masks = {}
+        repunit = 1  # a one at every multiple of k^(s+1), the period of digit s
+        for s in reversed(range(len(self.slots))):
+            run = k**s
+            ones = (repunit << run) - repunit
+            self.masks[self.slots[s]] = tuple(ones << (j * run) for j in range(k))
+            repunit = sum(repunit << (j * run) for j in range(k))
 
-    actions = dict.fromkeys(
-        terms(sigma, step) for step in (-1, 1) for sigma in permutations(range(k))
+    def values(self, t: tuple) -> tuple:
+        """Each value F(t) may take, as a tuple fragment (ε as ()), with its candidates."""
+        if not t:
+            return (((), self.full),)
+        return tuple(zip(((u,) for u in self.chain), self.masks[t]))
+
+    def same(self, s: tuple, t: tuple) -> int:
+        """The candidates with F(s) = F(t)."""
+        if s == t or not s or not t:  # F(t) = ε only at t = ε
+            return self.full if s == t else 0
+        return reduce(or_, map(and_, self.masks[s], self.masks[t]))
+
+    def attained(self, tuples) -> list:
+        """For each chain symbol, the candidates that take it at some tuple of ``tuples``."""
+        return [reduce(or_, column) for column in zip(*map(self.masks.__getitem__, tuples))]
+
+    def constant(self, *times: int) -> list:
+        """For each chain symbol v, the candidates with F(r·v) = v for every r in ``times``."""
+        fixed = ([self.masks[(v,) * r][j] for r in times] for j, v in enumerate(self.chain))
+        return [reduce(and_, masks) for masks in fixed]
+
+    def wherever(self, ranges: list, holds: list) -> int:
+        """The candidates on which ``holds[j]`` holds wherever ``ranges[j]`` does, for every j."""
+        return self.full ^ reduce(or_, map(lambda r, h: r & ~h, ranges, holds))
+
+
+def _clashes(cells) -> int:
+    """The candidates on which a key comes with two values; ``cells`` yields (key, value, mask)."""
+    joined = defaultdict(int)
+    for key, value, mask in cells:
+        joined[key, value] |= mask
+    seen, twice = defaultdict(int), 0
+    for (key, _), mask in joined.items():
+        twice |= seen[key] & mask
+        seen[key] |= mask
+    return twice
+
+
+def _a1(u: _Universe) -> int:
+    """F(x·y·z) = F(x·F(y)·z) over ``_assoc_candidates``; y = ε compares F(x·z) to itself."""
+    bad = 0
+    for x, y, z in _assoc_candidates(u.chain, u.max_arity):
+        if y:
+            for v, at in u.values(y):
+                bad |= at & ~u.same(x + y + z, x + v + z)
+    return u.full ^ bad
+
+
+def _a3(u: _Universe) -> int:
+    """F(x·y) = F(F(x)·F(y)) over the splits of ``_context_pairs``."""
+    bad = 0
+    for x, y in _context_pairs(u.chain, u.max_arity):
+        for a, at_x in u.values(x):
+            for b, at_y in u.values(y):
+                bad |= at_x & at_y & ~u.same(x + y, a + b)
+    return u.full ^ bad
+
+
+def _p1(u: _Universe) -> int:
+    """F(y) = F(y') ⇒ F(x·y·z) = F(x·y'·z) for every pair and context within N.
+
+    In each context (x, z) the nonempty y with |x·y·z| <= N are keyed by
+    F(y): two of one key valued apart at x·y·z are a violating pair.
+    """
+    n = u.max_arity
+    return u.full ^ _clashes(
+        ((x, z, a), c, at & at_c)
+        for x, z in _context_pairs(u.chain, n - 1)
+        for y in u.chain.tuples_up_to(n - len(x) - len(z))[1:]
+        for a, at in u.values(y)
+        for c, at_c in u.values(x + y + z)
     )
-    del actions[terms(range(k), 1)]
-    return tuple(actions)
 
 
-def _sweep_range(args) -> tuple:
-    """The packed bits of the candidates ``indices`` and the source of each.
+def _p2(u: _Universe) -> int:
+    """(F(x), F(y)) determines F(x·y) over the splits of ``_context_pairs``."""
+    return u.full ^ _clashes(
+        ((a, b), c, at_x & at_y & at_c)
+        for x, y in _context_pairs(u.chain, u.max_arity)
+        for a, at_x in u.values(x)
+        for b, at_y in u.values(y)
+        for c, at_c in u.values(x + y)
+    )
 
-    A candidate's source is the first smaller image a ``_symmetries`` action
-    gives, a smaller member of its orbit, or else the candidate itself, its
-    orbit's least index.  Only those get their bits computed, two bytes a
-    candidate, bit i for ``SWEEP_PROPERTIES[i]``; the others' bytes stay zero
-    for ``_sweep_bits`` to copy.  The digits are read off ``product``.
+
+def _prepl(u: _Universe) -> int:
+    """F(x) = F(y) ⇒ F(k·x) = F(k·y) for every k >= 2 with k·|x|, k·|y| <= N."""
+    n = u.max_arity
+    return u.full ^ _clashes(
+        ((k, a), c, at & at_c)
+        for k in range(2, n + 1)
+        for y in u.chain.tuples_up_to(n // k)[1:]
+        for a, at in u.values(y)
+        for c, at_c in u.values(y * k)
+    )
+
+
+def _repl(u: _Universe) -> int:
+    """F(k·x) = F(x) for every nonempty x and k >= 2 with k·|x| <= N."""
+    n = u.max_arity
+    replicas = (u.same(x * k, x) for k in range(2, n + 1) for x in u.chain.tuples_up_to(n // k)[1:])
+    return reduce(and_, replicas, u.full)
+
+
+#: Each sweep law but A2 (A1's bit), deciding it for every candidate at once.
+_LAWS = {
+    "A1": _a1,
+    "A3": _a3,
+    "P1": _p1,
+    "P2": _p2,
+    # F1 fixes every value F attains
+    "URI": lambda u: u.wherever(u.attained(u.slots), u.constant(1)),
+    # F1 attains every value F attains
+    "UQRI": lambda u: u.wherever(u.attained(u.slots), u.attained(u.chain.tuples(1))),
+    # F1 fixes its own range
+    "F1F1": lambda u: u.wherever(u.attained(u.chain.tuples(1)), u.constant(1)),
+    # F(k·v) = v for every value v that F attains and every k <= N
+    "RI": lambda u: u.wherever(u.attained(u.slots), u.constant(*range(1, u.max_arity + 1))),
+    # F(v, v) = v for every v in the range of F1, nothing to test at N = 1
+    "FF2": lambda u: u.wherever(u.attained(u.chain.tuples(1)), u.constant(2))
+    if u.max_arity > 1
+    else u.full,
+    "REPL": _repl,
+    "PREPL": _prepl,
+}
+
+_forked = None  # a sweep worker's universe, taken over from its parent at the fork
+
+
+def _adopt(universe: _Universe):
+    global _forked
+    _forked = universe
+
+
+def _forked_law(name: str) -> int:
+    return _LAWS[name](_forked)
+
+
+def _law_masks(chain_size: int, max_arity: int, workers: int) -> dict:
+    """Each sweep property's mask over the whole universe, in ``SWEEP_PROPERTIES`` order.
+
+    With ``workers`` > 1 a pool of forked processes shares out the laws; the
+    slot masks are built before the fork, so no worker rebuilds or unpickles them.
     """
-    chain_size, max_arity, indices = args
-    chain = default_chain(chain_size)
-    images = _symmetries(chain_size, max_arity)
-    digits = product(range(chain_size), repeat=len(chain.tuples_up_to(max_arity)) - 1)
-    digits = islice(digits, indices.start, None, indices.step)  # in step with ``indices``
-    blob = bytearray(2 * len(indices))
-    sources = array("L")
-    for at, (index, ds) in enumerate(zip(indices, digits)):
-        for terms in images:
-            image = sum(map(getitem, terms, ds))
-            if image < index:
-                sources.append(image)
-                break
-        else:
-            sources.append(index)
-            bits = _function_bits(epsilon_standard_at(chain, max_arity, index))
-            packed = sum(1 << i for i, name in enumerate(SWEEP_PROPERTIES) if bits[name])
-            blob[2 * at : 2 * at + 2] = packed.to_bytes(2, "big")
-    return blob, sources
-
-
-def _sweep_bits(chain_size: int, max_arity: int, workers: int) -> bytes:
-    """The packed bits of every candidate, in index order, computed once per orbit.
-
-    Worker w takes the indices w, w + workers, w + 2·workers, ...: the least
-    members of the orbits crowd the low indices (44 292 of the 46 026 on the
-    3-chain at arity 2 lie in its lower half), and striding shares them out
-    evenly where contiguous ranges would not.
-    """
-    total = epsilon_standard_count(chain_size, max_arity)
-    jobs = [(chain_size, max_arity, range(w, total, workers)) for w in range(workers)]
+    universe = _Universe(default_chain(chain_size), max_arity)
     if workers == 1:
-        parts = list(map(_sweep_range, jobs))
+        masks = [law(universe) for law in _LAWS.values()]
     else:
         import multiprocessing
 
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            parts = pool.map(_sweep_range, jobs)
-    blob = bytearray(2 * total)
-    packed = memoryview(blob).cast("H")  # one two-byte item a candidate
-    sources = array("L", [0]) * total
-    for w, (bits, part_sources) in enumerate(parts):
-        packed[w::workers] = memoryview(bits).cast("H")
-        sources[w::workers] = part_sources
-    # a source is smaller than its candidate, so in ascending order it is
-    # resolved first: every copy ends at its orbit's least index, the one
-    # member whose bits a worker computed
-    for index, source in enumerate(sources):
-        if source != index:
-            packed[index] = packed[source]
-    return bytes(blob)
+        with multiprocessing.get_context("fork").Pool(workers, _adopt, (universe,)) as pool:
+            masks = pool.map(_forked_law, _LAWS, chunksize=1)
+    masks = dict(zip(_LAWS, masks))
+    return {name: masks["A1" if name == "A2" else name] for name in SWEEP_PROPERTIES}
+
+
+def _sweep_bits(chain_size: int, max_arity: int, workers: int) -> bytes:
+    """The packed bits of every candidate, in index order.
+
+    Two bytes a candidate, big-endian, bit i for ``SWEEP_PROPERTIES[i]``.  A
+    law's mask in binary, reversed, lists its bit of each candidate in index
+    order; side by side, the last law first, these digit strings spell each
+    candidate's bits in base 2.
+    """
+    masks = _law_masks(chain_size, max_arity, workers)
+    total = epsilon_standard_count(chain_size, max_arity)
+    digits = [f"{masks[name]:0{total}b}"[::-1] for name in reversed(SWEEP_PROPERTIES)]
+    return struct.pack(f">{total}H", *map(int, map("".join, zip(*digits)), repeat(2)))
 
 
 def equivalence_sweep(chain_size: int, max_arity: int, workers: int = 1) -> SweepReport:
     """Check the associativity/preassociativity equivalences over a whole universe.
 
-    Every sweep property holds on F exactly when it holds on σ∘F∘σ⁻¹ for any
-    permutation σ of the chain symbols, and exactly when it holds on F with
-    its arguments reversed (the argument above ``SWEEP_PROPERTIES``).  The
-    bits are therefore computed once per orbit of those symmetries, on its
-    least index, and copied to the orbit's other members.
-
-    The index space is split into one strided range per worker, each range
-    run in its own process when ``workers`` > 1.  A worker computes the bits
-    of the orbits' least indices in its range and names, for each other
-    candidate, a smaller member of its orbit; the copies are made after the
-    join, in ascending index order.  The report is read off the joined bits
-    alone, so it is bit-identical to a single-process run; each equivalence
-    is decided once per distinct bit pattern.
+    Every candidate's bits are decided at once, law by law, as masks over
+    the candidate indices (``_Universe``); no table is built and no checker
+    runs.  With ``workers`` > 1 the laws are shared out among forked
+    processes.  The report is read off the packed bits alone, so it is
+    bit-identical however the laws were shared out; each equivalence is
+    decided once per distinct bit pattern.
     """
     sizes = (("chain_size", chain_size), ("max_arity", max_arity), ("workers", workers))
     for name, value in sizes:

@@ -518,21 +518,12 @@ class MedianParams:
             raise ValueError(f"need c∨d <= b, got c∨d={cd_join!r}, b={self.b!r}")
 
 
-def median_formula(chain: Chain, params: MedianParams, xs: Sequence) -> object:
-    """med(a, (c∧x1) ∨ med(⋀x, c∧d, ⋁x) ∨ (d∧xn), b) under the chain order."""
-    a, b, c, d = params.a, params.b, params.c, params.d
-    lo = chain.min_of(xs)
-    hi = chain.max_of(xs)
-    inner = chain.med(lo, chain.meet(c, d), hi)
-    inner = chain.join(chain.join(chain.meet(c, xs[0]), inner), chain.meet(d, xs[-1]))
-    return chain.med(a, inner, b)
-
-
 def _median_entries(params: MedianParams, chain: Chain, max_arity: int) -> dict:
-    """``median_formula`` at every tuple of length 1..N, computed on chain indices.
+    """The median family's value at every tuple of length 1..N, on chain indices.
 
-    With a <= c∧d <= c∨d <= b (``MedianParams.validate``), each median of
-    the formula is a clamp: med(a, v, b) = min(max(a, v), b).
+    The value at x is med(a, (c∧x1) ∨ med(⋀x, c∧d, ⋁x) ∨ (d∧xn), b) under
+    the chain order.  With a <= c∧d <= c∨d <= b (``MedianParams.validate``),
+    each median of the formula is a clamp: med(a, v, b) = min(max(a, v), b).
     """
     a, b, c, d = (chain._index[p] for p in (params.a, params.b, params.c, params.d))
     cd = min(c, d)

@@ -293,7 +293,7 @@ def test_criterion_9_performance_and_parallel_determinism(sweep):
     entries = {}
     for n in range(1, 5):
         for t in product(c3.elements, repeat=n):
-            entries[t] = c3.min_of(t)
+            entries[t] = min(t, key=c3.index)
     fn = TableFn(c3, c3.elements, 4, EPSILON, entries)
     assert len(fn.entries) == 120
     t0 = time.perf_counter()

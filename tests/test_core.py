@@ -21,9 +21,6 @@ class TestChain:
         assert c.leq("a", "c") and not c.leq("c", "a")
         assert c.meet("c", "a") == "a"
         assert c.join("c", "a") == "c"
-        assert c.med("c", "a", "b") == "b"
-        assert c.bottom == "a" and c.top == "c"
-        assert c.successor("b") == "c" and c.successor("c") is None
 
     def test_rejects_duplicates_and_empty(self):
         with pytest.raises(ValueError):

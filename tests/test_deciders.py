@@ -6,9 +6,10 @@ replication-preinvariance) or each bucket's first split in key order beside
 its first split of another value (P2, the ``_p2_conflicts``).  Their
 verdicts, witness and ``cases_checked`` included, must equal those of
 exhaustive scans that race every same-class pair for the least key (P2:
-every pair of splits in one bucket), kept here as the reference.  The
-sweep's bit for each (``_p1_pass``, the first of ``_p2_conflicts`` and of
-``_prepl_mismatches``) must say "holds" exactly when the reference does.
+every pair of splits in one bucket), kept here as the reference.  The bit
+the sweep's reference reads for each (``_p1_pass``, the first of
+``_p2_conflicts`` and of ``_prepl_mismatches``) must say "holds" exactly
+when the reference does.
 
 A1, A2, A3 and the idempotence, replication, order and symmetry laws visit
 their candidates in witness-key order and stop at the first violation.  Their
@@ -21,11 +22,11 @@ checkers are held to the references on universes that reach every refusal,
 and the scans themselves on holding tables, which the checkers no longer
 scan.  The P1 pass and the A1 verdict are made once per table and kept on
 it; verdicts read off a table's kept answers must equal those of a fresh
-copy, and the sweep must never read them.  The P1 pass counts distinct
-(value, one-letter signature) pairs over the tuples shorter than N: its
-answer, None or the scan's ``cases_checked``, must equal the scan's on
-tables whose classes span every layer, and its index array must locate
-each one-letter extension.
+copy.  The sweep, which decides its laws on masks, must run none of these.
+The P1 pass counts distinct (value, one-letter signature) pairs over the
+tuples shorter than N: its answer, None or the scan's ``cases_checked``,
+must equal the scan's on tables whose classes span every layer, and its
+index array must locate each one-letter extension.
 
 The order laws read each arity's values as one list, and the one-value
 laws the set of attained values; the test that refutes a law also names
@@ -46,7 +47,7 @@ from math import comb
 
 import pytest
 
-from preassoc import checks
+from preassoc import checks, enumeration
 from preassoc.core import EPSILON, TableFn, Verdict, Witness
 from preassoc.enumeration import (
     all_associative_extensions,
@@ -246,7 +247,7 @@ def _reference_prepl(fn):
     return _least("replication_preinvariant", fn, cases, violations)
 
 
-#: property -> (reference, the sweep's bit)
+#: property -> (reference, the bit the sweep's reference reads in ``test_orbit_sweep``)
 PAIR_LAWS = {
     "preassociative_P1": (_reference_p1, lambda fn: checks._p1_pass(fn) is not None),
     "preassociative_P2": (_reference_p2, lambda fn: next(checks._p2_conflicts(fn), None) is None),
@@ -539,14 +540,29 @@ def test_assoc_scan_matches_reference_on_holding_tables(form):
 
 
 def test_sweep_bits_do_not_read_the_assoc_decider(monkeypatch):
-    # A1_iff_P1_and_URI, A1_iff_A3 and P1_iff_P2 must compare independent
-    # computations; and the sweep reads each table once, so it calls the raw
-    # P1 pass and never the answers kept on the table
+    # the sweep decides every law from its definition over the candidate
+    # indices: it builds no table and runs no decider, scan or checker, so
+    # A1_iff_P1_and_URI, A1_iff_A3 and P1_iff_P2 compare independent
+    # computations, and the tests hold the checkers to its bits
     def refuse(*args):
-        raise AssertionError("the sweep read the A1 decider or a kept answer")
+        raise AssertionError("the sweep ran a checker or built a table")
 
-    for name in ("_a1_holds", "_p1_cases", "_once"):
+    for name in (
+        "_a1_holds",
+        "_p1_cases",
+        "_once",
+        "_a1_scan",
+        "_a3_scan",
+        "_p1_pass",
+        "_p2_conflicts",
+        "_prepl_mismatches",
+        "check_unarily_range_idempotent",
+        "check_unarily_quasi_range_idempotent",
+        "check_range_idempotent",
+        "check_replication_invariant",
+    ):
         monkeypatch.setattr(checks, name, refuse)
+    monkeypatch.setattr(enumeration, "epsilon_standard_at", refuse)
     report = equivalence_sweep(2, 3, workers=1)
     assert report.bits_digest == (
         "6e2403e89b309aa51a3cc0cd519566639f18299222cfce82407d78fc1d342e91"
@@ -720,9 +736,10 @@ def _reference_monotone(prop, fn):
     for n in range(1, fn.max_arity + 1):
         for t in chain.tuples(n):
             for i in range(n):
-                s = chain.successor(t[i])
-                if s is None:
+                j = chain.index(t[i]) + 1
+                if j == len(chain):  # t[i] is the top
                     continue
+                s = chain.elements[j]
                 cases += 1
                 t2 = t[:i] + (s,) + t[i + 1 :]
                 a, b = cod[table[t]], cod[table[t2]]
@@ -973,7 +990,7 @@ def test_digit_slices_pair_each_tuple_with_its_steps():
             tuple(t[:i] + (u,) + t[i + 1 :] for u in chain.elements)
             for i in range(n)
             for t in tuples
-            if t[i] == chain.bottom
+            if t[i] == chain.elements[0]
         )
         assert sections == expected
 

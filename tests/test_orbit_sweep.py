@@ -1,33 +1,72 @@
-"""The orbit-shared theorem sweep against per-index bits.
+"""The theorem sweep's law masks against per-table reference bits.
 
-``equivalence_sweep`` computes the property bits once per orbit under
-relabeling (F ↦ σ∘F∘σ⁻¹ for a permutation σ of the chain symbols) and
-reversal of the argument order (F ↦ G, G(x₁…xₙ) = F(xₙ…x₁)), and copies them
-to the orbit's other members.  These tests check the invariance it rests on,
-the index images it moves along, and its output against bits computed for
-every index on its own.
+``equivalence_sweep`` decides each law for every candidate at once, as a
+mask over the candidate indices, from the law's definition.  The reference
+here builds each table and reads the checkers' scans (``_function_bits``), so
+the tests hold the masks and the checkers to each other, law by law.  The
+reference's bits are also checked to be invariant under relabeling
+(F ↦ σ∘F∘σ⁻¹ for a permutation σ of the chain symbols) and reversal of the
+argument order (F ↦ G, G(x₁…xₙ) = F(xₙ…x₁)), as every law's definition is.
 """
 
 import hashlib
 import random
-from itertools import islice, permutations
+from array import array
+from functools import lru_cache
+from itertools import permutations
 
 import pytest
 
 from preassoc import enumeration
+from preassoc.checks import (
+    _a1_scan,
+    _a3_scan,
+    _p1_pass,
+    _p2_conflicts,
+    _prepl_mismatches,
+    check_range_idempotent,
+    check_replication_invariant,
+    check_unarily_quasi_range_idempotent,
+    check_unarily_range_idempotent,
+)
 from preassoc.core import EPSILON, TableFn
 from preassoc.enumeration import (
     SWEEP_PROPERTIES,
-    _function_bits,
-    _symmetries,
+    _law_masks,
     _sweep_bits,
-    _sweep_range,
     default_chain,
     epsilon_standard_at,
     epsilon_standard_count,
     equivalence_sweep,
     preassociative_tables,
 )
+
+
+def _function_bits(fn: TableFn) -> dict:
+    """The sweep properties of one table, each read off its checker's scan.
+
+    A1 and A3 run their scans, not the decider, and P1, P2 and PREPL the raw
+    passes, so no answer is kept on the table.
+    """
+    table = fn._table
+    elements = fn.domain.elements
+    a1 = _a1_scan(fn).holds
+    return {
+        "A1": a1,
+        "A2": a1,  # the A2 verdict holds exactly when A1's does
+        "A3": _a3_scan(fn).holds,
+        "P1": _p1_pass(fn) is not None,
+        "P2": next(_p2_conflicts(fn), None) is None,
+        "URI": check_unarily_range_idempotent(fn).holds,
+        "UQRI": check_unarily_quasi_range_idempotent(fn).holds,
+        "RI": check_range_idempotent(fn).holds,
+        "REPL": check_replication_invariant(fn).holds,
+        "PREPL": next(_prepl_mismatches(fn), None) is None,
+        "F1F1": all(table[(table[(u,)],)] == table[(u,)] for u in elements),
+        "FF2": all(table[(table[(u,)], table[(u,)])] == table[(u,)] for u in elements)
+        if fn.max_arity >= 2
+        else True,
+    }
 
 
 def _relabel(fn: TableFn, sigma: dict, step: int = 1) -> TableFn:
@@ -45,11 +84,6 @@ def _relabelings_of(chain) -> list:
     return [dict(zip(chain.elements, image)) for image in permutations(chain.elements)]
 
 
-def _symmetries_of(chain) -> list:
-    """Every (σ, step) of relabeling × reversal, the reversing ones (step -1) first."""
-    return [(sigma, step) for step in (-1, 1) for sigma in _relabelings_of(chain)]
-
-
 def _index_of(fn: TableFn) -> int:
     """The index of a default-ε standard table, its base-k digits over the slots."""
     elements = fn.domain.elements
@@ -58,17 +92,34 @@ def _index_of(fn: TableFn) -> int:
     return sum(elements.index(fn.entries[t]) * k**s for s, t in enumerate(slots))
 
 
-def _packed(index_bits: dict) -> bytes:
-    value = sum(1 << i for i, name in enumerate(SWEEP_PROPERTIES) if index_bits[name])
-    return value.to_bytes(2, "big")
+def _pattern(bits: dict) -> int:
+    """A candidate's two bytes as an int: bit i for ``SWEEP_PROPERTIES[i]``."""
+    return sum(1 << i for i, name in enumerate(SWEEP_PROPERTIES) if bits[name])
 
 
-def _brute_bits(chain_size: int, max_arity: int, indices) -> bytes:
-    """The packed bits of each index, every table checked on its own."""
+def _patterns(chain_size: int, max_arity: int, indices) -> array:
+    """The pattern of each index, every table checked on its own."""
     chain = default_chain(chain_size)
-    return b"".join(
-        _packed(_function_bits(epsilon_standard_at(chain, max_arity, i))) for i in indices
-    )
+    bits = (_function_bits(epsilon_standard_at(chain, max_arity, i)) for i in indices)
+    return array("H", map(_pattern, bits))
+
+
+@lru_cache(maxsize=None)
+def _universe_patterns(chain_size: int, max_arity: int) -> array:
+    return _patterns(chain_size, max_arity, range(epsilon_standard_count(chain_size, max_arity)))
+
+
+def _blob(patterns) -> bytes:
+    """The patterns packed as the sweep packs them, two bytes each, big-endian."""
+    return b"".join(p.to_bytes(2, "big") for p in patterns)
+
+
+def _masks(patterns) -> dict:
+    """Each property's mask over ``patterns``: bit j set where the j-th pattern has it."""
+    return {
+        name: sum(1 << j for j, p in enumerate(patterns) if p >> i & 1)
+        for i, name in enumerate(SWEEP_PROPERTIES)
+    }
 
 
 def _bits_at(blob: bytes, index: int) -> dict:
@@ -80,7 +131,7 @@ def _bits_at(blob: bytes, index: int) -> dict:
 @pytest.fixture(scope="module")
 def brute_2_3():
     """The packed bits of every table of the 2-chain/arity-3 universe, each checked on its own."""
-    return _brute_bits(2, 3, range(epsilon_standard_count(2, 3)))
+    return _blob(_universe_patterns(2, 3))
 
 
 @pytest.mark.parametrize("max_arity,samples", [(2, 300), (3, 200)])
@@ -129,104 +180,25 @@ def test_every_sweep_bit_is_reversal_invariant_on_the_2_chain_at_arity_3(brute_2
     _assert_invariant_on_2_chain_arity_3(brute_2_3, identity, -1)
 
 
-def _digits(index: int, chain_size: int, slots: int) -> tuple:
-    """The base-k digits of an index over the slots, the last (most significant) slot first."""
-    return tuple(index // chain_size**s % chain_size for s in reversed(range(slots)))
+WHOLE_UNIVERSES = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (4, 1)]
 
 
-@pytest.mark.parametrize(
-    "chain_size,max_arity", [(1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)]
-)
-def test_index_images_are_the_relabeled_tables(chain_size, max_arity):
-    chain = default_chain(chain_size)
-    slots = chain.tuples_up_to(max_arity)[1:]
-    # each (σ, step) as the map (t, v) -> (its tuple, its value); one image per
-    # distinct map other than the identity's, in the order they first come
-    actions = {}
-    for sigma, step in _symmetries_of(chain):
-        moved = tuple((tuple(sigma[x] for x in t)[::step], sigma[v]) for t in slots for v in chain)
-        actions.setdefault(moved, (sigma, step))
-    del actions[tuple((t, v) for t in slots for v in chain)]
-    images = _symmetries(chain_size, max_arity)
-    assert len(images) == len(actions)
-    assert all(len(terms) == len(slots) for terms in images)
-    total = epsilon_standard_count(chain_size, max_arity)
-    rng = random.Random(chain_size * 10 + max_arity)
-    indices = range(total) if total <= 4096 else [rng.randrange(total) for _ in range(500)]
-    for index in indices:
-        fn = epsilon_standard_at(chain, max_arity, index)
-        ds = _digits(index, chain_size, len(slots))
-        for terms, (sigma, step) in zip(images, actions.values()):
-            image = sum(terms[j][d] for j, d in enumerate(ds))
-            assert image == _index_of(_relabel(fn, sigma, step)), (index, sigma, step)
-
-
-@pytest.mark.parametrize("chain_size,max_arity", [(2, 2), (2, 3), (3, 1), (4, 1)])
-@pytest.mark.parametrize("stride", [2, 3])
-def test_a_stride_reads_the_digits_of_its_indices(chain_size, max_arity, stride):
-    chain = default_chain(chain_size)
-    slots = chain.tuples_up_to(max_arity)[1:]
-    total = epsilon_standard_count(chain_size, max_arity)
-    for start in range(stride):
-        indices = range(start, total, stride)
-        read = []
-
-        def recorded(*args):
-            for ds in islice(*args):
-                read.append(ds)
-                yield ds
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(enumeration, "islice", recorded)
-            _sweep_range((chain_size, max_arity, indices))
-        assert read == [_digits(i, chain_size, len(slots)) for i in indices]
-        for index, ds in zip(indices, read):
-            fn = epsilon_standard_at(chain, max_arity, index)
-            entries = tuple(chain.elements[d] for d in ds)
-            assert entries == tuple(fn.entries[t] for t in reversed(slots)), index
-
-
-@pytest.mark.parametrize("chain_size,max_arity", [(1, 2), (2, 2), (2, 3), (3, 1), (4, 1)])
-def test_only_the_least_index_of_an_orbit_is_its_own_source(chain_size, max_arity):
-    chain = default_chain(chain_size)
-    total = epsilon_standard_count(chain_size, max_arity)
-    group = _symmetries_of(chain)
-    least = set()
-    for index in range(total):
-        fn = epsilon_standard_at(chain, max_arity, index)
-        least.add(min(_index_of(_relabel(fn, sigma, step)) for sigma, step in group))
-    _, sources = _sweep_range((chain_size, max_arity, range(total)))
-    assert {i for i, source in enumerate(sources) if source == i} == least
-    assert all(source <= i for i, source in enumerate(sources))
-    if (chain_size, max_arity) == (2, 3):
-        # (16 384 + 128 + 2 048 + 0) / 4 by Burnside: the fixed tables of the
-        # identity, the swap, reversal and the swap with reversal
-        assert len(least) == 4640
-
-
-def test_the_3_chain_at_arity_2_has_46026_orbit_least_indices():
-    # only the source search runs: no table is built or checked
-    no_bits = dict.fromkeys(SWEEP_PROPERTIES, False)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(enumeration, "epsilon_standard_at", lambda *args: None)
-        mp.setattr(enumeration, "_function_bits", lambda fn: no_bits)
-        _, sources = _sweep_range((3, 2, range(epsilon_standard_count(3, 2))))
-    assert sum(source == i for i, source in enumerate(sources)) == 46026
-
-
-@pytest.mark.parametrize(
-    "chain_size,max_arity", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (4, 1)]
-)
+@pytest.mark.parametrize("chain_size,max_arity", WHOLE_UNIVERSES)
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_orbit_shared_bits_equal_brute_bits_on_whole_universes(
-    chain_size, max_arity, workers, request
-):
-    if (chain_size, max_arity) == (2, 3):
-        brute = request.getfixturevalue("brute_2_3")
-    else:
-        total = epsilon_standard_count(chain_size, max_arity)
-        brute = _brute_bits(chain_size, max_arity, range(total))
-    assert _sweep_bits(chain_size, max_arity, workers) == brute
+def test_each_law_mask_equals_the_reference_on_whole_universes(chain_size, max_arity, workers):
+    reference = _masks(_universe_patterns(chain_size, max_arity))
+    masks = _law_masks(chain_size, max_arity, workers)
+    assert list(masks) == list(SWEEP_PROPERTIES)
+    wrong = [name for name in SWEEP_PROPERTIES if masks[name] != reference[name]]
+    assert not wrong, f"masks differ from the reference for {wrong}"
+
+
+@pytest.mark.parametrize("chain_size,max_arity", WHOLE_UNIVERSES)
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_orbit_shared_bits_equal_brute_bits_on_whole_universes(chain_size, max_arity, workers):
+    # the packed bits the report is read off, against the reference packed alike
+    expected = _blob(_universe_patterns(chain_size, max_arity))
+    assert _sweep_bits(chain_size, max_arity, workers) == expected
 
 
 _BAD_SIZES = [
@@ -303,9 +275,19 @@ def test_3_chain_arity_2_p1_count_equals_the_p1_tables_built_layer_by_layer(swee
     assert sum(1 for _ in tables) == report.property_counts["P1"] == 119565
 
 
+@pytest.fixture(scope="module")
+def masks_3_2():
+    return _law_masks(3, 2, 1)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_3_chain_arity_2_slices_equal_brute_bits(sweep_3_2, seed):
+def test_3_chain_arity_2_slices_equal_brute_bits(sweep_3_2, masks_3_2, seed):
     _, blob = sweep_3_2
     rng = random.Random(seed)
     lo = rng.randrange(531441 - 400)
-    assert blob[2 * lo : 2 * lo + 800] == _brute_bits(3, 2, range(lo, lo + 400))
+    patterns = _patterns(3, 2, range(lo, lo + 400))
+    reference = _masks(patterns)
+    window = (1 << 400) - 1
+    wrong = [name for name in SWEEP_PROPERTIES if masks_3_2[name] >> lo & window != reference[name]]
+    assert not wrong, f"masks differ from the reference for {wrong} at {lo}..{lo + 399}"
+    assert blob[2 * lo : 2 * lo + 800] == _blob(patterns)

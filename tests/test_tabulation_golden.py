@@ -56,7 +56,8 @@ def _tconorm_on_a_symbolic_chain():
 
 def _nonassociative_chain_fold():
     # a non-associative op: the fold left to right is the only reading
-    return tabulate(lambda u, v: C3.meet(C3.successor(u) or u, v), C3, 3, default="2")
+    up = dict(zip(C3.elements, C3.elements[1:] + C3.elements[-1:]))  # one step up, the top fixed
+    return tabulate(lambda u, v: C3.meet(up[u], v), C3, 3, default="2")
 
 
 CASES = {
