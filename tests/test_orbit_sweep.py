@@ -32,6 +32,7 @@ from preassoc.checks import (
 from preassoc.core import EPSILON, TableFn
 from preassoc.enumeration import (
     SWEEP_PROPERTIES,
+    _Universe,
     _law_masks,
     _sweep_bits,
     default_chain,
@@ -178,6 +179,37 @@ def test_every_sweep_bit_is_relabeling_invariant_on_the_2_chain_at_arity_3(brute
 def test_every_sweep_bit_is_reversal_invariant_on_the_2_chain_at_arity_3(brute_2_3):
     (identity, _) = _relabelings_of(default_chain(2))
     _assert_invariant_on_2_chain_arity_3(brute_2_3, identity, -1)
+
+
+def _digits(index: int, chain_size: int, slots: int) -> tuple:
+    """The base-k digits of an index over the slots, the last (most significant) slot first."""
+    return tuple(index // chain_size**s % chain_size for s in reversed(range(slots)))
+
+
+@pytest.mark.parametrize("chain_size,max_arity", [(2, 2), (2, 3), (3, 1), (4, 1)])
+@pytest.mark.parametrize("stride", [2, 3])
+def test_a_stride_reads_the_digits_of_its_indices(chain_size, max_arity, stride):
+    # the slot masks, read at every stride-th index from each offset, give
+    # the base-k digits of the index, and read last slot first they are the
+    # entries of ``epsilon_standard_at`` at that index
+    chain = default_chain(chain_size)
+    universe = _Universe(chain, max_arity)
+    slots = universe.slots
+    total = epsilon_standard_count(chain_size, max_arity)
+    assert universe.full == (1 << total) - 1
+    # each mask's bits in index order, one digit string per (slot, symbol)
+    columns = {t: [f"{m:0{total}b}"[::-1] for m in universe.masks[t]] for t in slots}
+    assert all(len(c) == total for cs in columns.values() for c in cs)
+    for start in range(stride):
+        for index in range(start, total, stride):
+            read = []
+            for t in reversed(slots):
+                (digit,) = [j for j, c in enumerate(columns[t]) if c[index] == "1"]
+                read.append(digit)
+            assert tuple(read) == _digits(index, chain_size, len(slots)), index
+            fn = epsilon_standard_at(chain, max_arity, index)
+            entries = tuple(chain.elements[d] for d in read)
+            assert entries == tuple(fn.entries[t] for t in reversed(slots)), index
 
 
 WHOLE_UNIVERSES = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (4, 1)]
