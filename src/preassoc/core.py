@@ -36,7 +36,7 @@ class _EpsilonMarker:
         return "ε"
 
     def __reduce__(self):
-        # unpickling (e.g. across worker processes) must return the singleton
+        # a pickled ε (say, a table a user pickles) must unpickle to the singleton
         return (_EpsilonMarker, ())
 
 

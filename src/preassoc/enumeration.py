@@ -2,8 +2,7 @@
 
 The sweep's candidates are indexable: ``epsilon_standard_at`` reads its index
 as base-k digits over the slots (the nonempty tuples in ``tuples_up_to``
-order), the first slot least significant, so the sweep is deterministic and
-its report is bit-identical however its work is shared out.
+order), the first slot least significant, so the sweep is deterministic.
 ``all_epsilon_standard`` and ``all_operations`` stream in product order over
 the slots as listed, the last slot varying fastest (``all_operations`` takes
 each default in turn, ε last): on the 2-chain at arity 1 the second table
@@ -233,7 +232,7 @@ SWEEP_PROPERTIES = (
     "A1", "A2", "A3", "P1", "P2", "URI", "UQRI", "F1F1", "RI", "FF2", "REPL", "PREPL"
 )
 
-#: name -> predicate over one candidate's property dict.
+#: name -> the candidates on which the line fails, from the property masks.
 #: The lines the sweep tests are theorems the paper states or recalls, each
 #: side decided from its own definition: the associativity forms A1 ⇔ A3,
 #: A1 ⇔ P1 ∧ URI and with it A1 ⇒ P1, P1 ⇔ P2, URI ⇔ UQRI ∧ F1∘F1 = F1, the
@@ -244,22 +243,22 @@ SWEEP_PROPERTIES = (
 #: ``A1_iff_A2`` holds by construction: with default ε, A2 holds exactly when
 #: A1 does (``checks._check_a2`` reads A1's first violation), so the sweep
 #: takes its A2 bit from A1's and this line guards only that.
+#: An equivalence fails where its sides differ (``^``), an implication where
+#: its premise holds and its conclusion does not (``& ~``).
 SWEEP_EQUIVALENCES = {
-    "A1_iff_P1_and_URI": lambda p: p["A1"] == (p["P1"] and p["URI"]),
-    "A1_iff_A2": lambda p: p["A1"] == p["A2"],
-    "A1_iff_A3": lambda p: p["A1"] == p["A3"],
-    "P1_iff_P2": lambda p: p["P1"] == p["P2"],
-    "URI_iff_UQRI_and_F1F1": lambda p: p["URI"] == (p["UQRI"] and p["F1F1"]),
-    "RI_lemma_i_iff_ii": lambda p: (p["A1"] and p["RI"]) == (p["A1"] and p["FF2"]),
-    "RI_lemma_i_iff_iii": lambda p: (p["A1"] and p["RI"])
-    == (p["P1"] and p["UQRI"] and p["RI"]),
-    "RI_lemma_i_iff_iv": lambda p: (p["A1"] and p["RI"])
-    == (p["P1"] and p["UQRI"] and p["F1F1"] and p["FF2"]),
-    "A1_implies_P1": lambda p: (not p["A1"]) or p["P1"],
-    "REPL_implies_PREPL": lambda p: (not p["REPL"]) or p["PREPL"],
-    "P1_implies_PREPL": lambda p: (not p["P1"]) or p["PREPL"],
-    "A1_and_REPL_iff_A1_and_RI": lambda p: (p["A1"] and p["REPL"])
-    == (p["A1"] and p["RI"]),
+    "A1_iff_P1_and_URI": lambda p: p["A1"] ^ (p["P1"] & p["URI"]),
+    "A1_iff_A2": lambda p: p["A1"] ^ p["A2"],
+    "A1_iff_A3": lambda p: p["A1"] ^ p["A3"],
+    "P1_iff_P2": lambda p: p["P1"] ^ p["P2"],
+    "URI_iff_UQRI_and_F1F1": lambda p: p["URI"] ^ (p["UQRI"] & p["F1F1"]),
+    "RI_lemma_i_iff_ii": lambda p: (p["A1"] & p["RI"]) ^ (p["A1"] & p["FF2"]),
+    "RI_lemma_i_iff_iii": lambda p: (p["A1"] & p["RI"]) ^ (p["P1"] & p["UQRI"] & p["RI"]),
+    "RI_lemma_i_iff_iv": lambda p: (p["A1"] & p["RI"])
+    ^ (p["P1"] & p["UQRI"] & p["F1F1"] & p["FF2"]),
+    "A1_implies_P1": lambda p: p["A1"] & ~p["P1"],
+    "REPL_implies_PREPL": lambda p: p["REPL"] & ~p["PREPL"],
+    "P1_implies_PREPL": lambda p: p["P1"] & ~p["PREPL"],
+    "A1_and_REPL_iff_A1_and_RI": lambda p: (p["A1"] & p["REPL"]) ^ (p["A1"] & p["RI"]),
 }
 
 
@@ -438,48 +437,28 @@ _LAWS = {
     "PREPL": _prepl,
 }
 
-_forked = None  # a sweep worker's universe, taken over from its parent at the fork
-
-
-def _adopt(universe: _Universe):
-    global _forked
-    _forked = universe
-
-
-def _forked_law(name: str) -> int:
-    return _LAWS[name](_forked)
-
-
-def _law_masks(chain_size: int, max_arity: int, workers: int) -> dict:
-    """Each sweep property's mask over the whole universe, in ``SWEEP_PROPERTIES`` order.
-
-    With ``workers`` > 1 a pool of forked processes shares out the laws; the
-    slot masks are built before the fork, so no worker rebuilds or unpickles them.
-    """
+def _law_masks(chain_size: int, max_arity: int) -> dict:
+    """Each sweep property's mask over the whole universe, in ``SWEEP_PROPERTIES`` order."""
     universe = _Universe(default_chain(chain_size), max_arity)
-    if workers == 1:
-        masks = [law(universe) for law in _LAWS.values()]
-    else:
-        import multiprocessing
-
-        with multiprocessing.get_context("fork").Pool(workers, _adopt, (universe,)) as pool:
-            masks = pool.map(_forked_law, _LAWS, chunksize=1)
-    masks = dict(zip(_LAWS, masks))
+    masks = {name: law(universe) for name, law in _LAWS.items()}
     return {name: masks["A1" if name == "A2" else name] for name in SWEEP_PROPERTIES}
 
 
-def _sweep_bits(chain_size: int, max_arity: int, workers: int) -> bytes:
-    """The packed bits of every candidate, in index order.
+def _sweep_bits(masks: dict, total: int) -> bytes:
+    """The packed bits of each of the ``total`` candidates, in index order.
 
     Two bytes a candidate, big-endian, bit i for ``SWEEP_PROPERTIES[i]``.  A
     law's mask in binary, reversed, lists its bit of each candidate in index
     order; side by side, the last law first, these digit strings spell each
     candidate's bits in base 2.
     """
-    masks = _law_masks(chain_size, max_arity, workers)
-    total = epsilon_standard_count(chain_size, max_arity)
     digits = [f"{masks[name]:0{total}b}"[::-1] for name in reversed(SWEEP_PROPERTIES)]
     return struct.pack(f">{total}H", *map(int, map("".join, zip(*digits)), repeat(2)))
+
+
+def _indices(mask: int) -> list:
+    """The set bits of ``mask``, ascending."""
+    return [i for i, digit in enumerate(f"{mask:b}"[::-1]) if digit == "1"]
 
 
 def equivalence_sweep(chain_size: int, max_arity: int, workers: int = 1) -> SweepReport:
@@ -487,34 +466,24 @@ def equivalence_sweep(chain_size: int, max_arity: int, workers: int = 1) -> Swee
 
     Every candidate's bits are decided at once, law by law, as masks over
     the candidate indices (``_Universe``); no table is built and no checker
-    runs.  With ``workers`` > 1 the laws are shared out among forked
-    processes.  The report is read off the packed bits alone, so it is
-    bit-identical however the laws were shared out; each equivalence is
-    decided once per distinct bit pattern.
+    runs.  The report is read off the masks: each count is a mask's set bits,
+    each line's failures the set bits of its failure mask, and the digest
+    that of the masks packed two bytes a candidate.  ``workers`` is checked
+    like the sizes and has no other effect; it stays for callers that pass it.
     """
     sizes = (("chain_size", chain_size), ("max_arity", max_arity), ("workers", workers))
     for name, value in sizes:
         if type(value) is not int or value < 1:  # bool is an int subclass
             raise ValueError(f"{name} must be an integer >= 1")
-    blob = _sweep_bits(chain_size, max_arity, workers)
-    members = {}  # bit pattern -> the candidates that have it, ascending
-    for index, (pattern,) in enumerate(struct.iter_unpack(">H", blob)):
-        members.setdefault(pattern, []).append(index)
-    bits = {
-        pattern: {name: bool(pattern >> i & 1) for i, name in enumerate(SWEEP_PROPERTIES)}
-        for pattern in members
-    }
+    masks = _law_masks(chain_size, max_arity)
+    total = epsilon_standard_count(chain_size, max_arity)
     return SweepReport(
         chain_size=chain_size,
         max_arity=max_arity,
-        total=len(blob) // 2,
-        property_counts={
-            name: sum(len(ix) for p, ix in members.items() if bits[p][name])
-            for name in SWEEP_PROPERTIES
-        },
+        total=total,
+        property_counts={name: masks[name].bit_count() for name in SWEEP_PROPERTIES},
         equivalence_failures={
-            name: sorted(i for p, ix in members.items() if not pred(bits[p]) for i in ix)
-            for name, pred in SWEEP_EQUIVALENCES.items()
+            name: _indices(line(masks)) for name, line in SWEEP_EQUIVALENCES.items()
         },
-        bits_digest=hashlib.sha256(blob).hexdigest(),
+        bits_digest=hashlib.sha256(_sweep_bits(masks, total)).hexdigest(),
     )

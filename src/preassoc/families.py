@@ -244,10 +244,17 @@ _INF_WINDOW = 8.0
 
 
 def _sample_grid(interval: Interval, n: int = _SAMPLES) -> list:
-    lo = interval.lo if math.isfinite(interval.lo) else -_INF_WINDOW
-    hi = interval.hi if math.isfinite(interval.hi) else _INF_WINDOW
-    if lo > hi:
-        lo, hi = hi, lo
+    """``n`` evenly spaced points inside ``interval``, nudged off an open end.
+
+    An infinite end is cut off ``_INF_WINDOW`` past the finite end or past 0,
+    whichever lies further out.  The last point is the upper end itself, so
+    rounding the steps carries no point past it.
+    """
+    lo, hi = float(interval.lo), float(interval.hi)
+    if not math.isfinite(lo):
+        lo = min(hi, 0.0) - _INF_WINDOW
+    if not math.isfinite(hi):
+        hi = max(lo, 0.0) + _INF_WINDOW
     span = hi - lo
     if span == 0:
         return [lo]
@@ -257,7 +264,7 @@ def _sample_grid(interval: Interval, n: int = _SAMPLES) -> list:
     if interval.hi_open or not math.isfinite(interval.hi):
         hi -= nudge
     step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
+    return [lo + i * step for i in range(n - 1)] + [hi]
 
 
 def make_quasi_sum(phi: Callable, psi: Callable, interval: Interval) -> GeneratedFn:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from functools import lru_cache
 from itertools import islice
 from json.encoder import encode_basestring
@@ -299,9 +300,11 @@ def _inferred_codomain(values: set, default, domain: list) -> tuple:
         ordered = [v for v in domain if v in values]
     else:
         try:
-            ordered = sorted(values, key=float)
+            numeric = not any(math.isnan(float(v)) for v in values)
         except ValueError:
-            ordered = sorted(values)
+            numeric = False
+        # string order unless every value is a number; NaN compares false both ways
+        ordered = sorted(values, key=float) if numeric else sorted(values)
     if eps:
         ordered.append(EPSILON)
     return tuple(ordered)

@@ -310,11 +310,12 @@ def test_criterion_9_performance_and_parallel_determinism(sweep):
     elapsed_const = time.perf_counter() - t0
     assert elapsed_const < 1.0, f"P1 single-class took {elapsed_const:.3f}s"
 
-    parallel_report = equivalence_sweep(2, 3, workers=2)
-    assert parallel_report.to_json() == serial_report.to_json()
+    # the sweep runs in one process; ``workers`` is validated and changes nothing
+    other_report = equivalence_sweep(2, 3, workers=2)
+    assert other_report.to_json() == serial_report.to_json()
     assert equivalence_sweep(2, 2, workers=3).to_json() == equivalence_sweep(2, 2).to_json()
     _report(
         9,
-        f"P1 on 120 tuples in {elapsed * 1000:.0f}ms; parallel sweep bit-identical "
-        f"(digest {parallel_report.bits_digest[:12]})",
+        f"P1 on 120 tuples in {elapsed * 1000:.0f}ms; sweep report independent of workers "
+        f"(digest {other_report.bits_digest[:12]})",
     )

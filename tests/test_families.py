@@ -77,6 +77,25 @@ class TestQuasiSum:
         with pytest.raises(GeneratorError):
             make_quasi_sum(lambda x: x * x, lambda t: t, Interval(-1, 1))
 
+    @pytest.mark.parametrize(
+        "interval",
+        [Interval(10, math.inf), Interval(-math.inf, -20), Interval(-math.inf, 5)],
+        ids=["from-10", "up-to-minus-20", "up-to-5"],
+    )
+    def test_every_grid_point_of_a_half_line_lies_inside_it(self, interval):
+        # the finite end lies past the ±8 window in the first two
+        grid = families._sample_grid(interval)
+        assert all(interval.lo <= x <= interval.hi for x in grid), grid
+        assert grid == sorted(set(grid))
+
+    def test_phi_defined_only_past_the_window_is_accepted(self):
+        phi = lambda x: math.sqrt(x - 9.5)  # noqa: E731
+        gen = make_quasi_sum(phi, lambda t: t, Interval(10, math.inf))
+        assert gen.eval((10.5, 13.5)) == pytest.approx(3.0, abs=1e-12)
+        phi = lambda x: math.sqrt(-19.5 - x)  # noqa: E731
+        gen = make_quasi_sum(phi, lambda t: t, Interval(-math.inf, -20))
+        assert gen.eval((-20.5, -23.5)) == pytest.approx(3.0, abs=1e-12)
+
 
 class TestLing:
     def test_lukasiewicz_shape(self):

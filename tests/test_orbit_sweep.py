@@ -31,6 +31,7 @@ from preassoc.checks import (
 )
 from preassoc.core import EPSILON, TableFn
 from preassoc.enumeration import (
+    SWEEP_EQUIVALENCES,
     SWEEP_PROPERTIES,
     _Universe,
     _law_masks,
@@ -216,21 +217,73 @@ WHOLE_UNIVERSES = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (4, 1
 
 
 @pytest.mark.parametrize("chain_size,max_arity", WHOLE_UNIVERSES)
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_each_law_mask_equals_the_reference_on_whole_universes(chain_size, max_arity, workers):
+def test_each_law_mask_equals_the_reference_on_whole_universes(chain_size, max_arity):
     reference = _masks(_universe_patterns(chain_size, max_arity))
-    masks = _law_masks(chain_size, max_arity, workers)
+    masks = _law_masks(chain_size, max_arity)
     assert list(masks) == list(SWEEP_PROPERTIES)
     wrong = [name for name in SWEEP_PROPERTIES if masks[name] != reference[name]]
     assert not wrong, f"masks differ from the reference for {wrong}"
 
 
 @pytest.mark.parametrize("chain_size,max_arity", WHOLE_UNIVERSES)
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_orbit_shared_bits_equal_brute_bits_on_whole_universes(chain_size, max_arity, workers):
-    # the packed bits the report is read off, against the reference packed alike
+def test_packed_bits_equal_the_reference_on_whole_universes(chain_size, max_arity):
+    # the packed bits the digest is taken of, against the reference packed alike
     expected = _blob(_universe_patterns(chain_size, max_arity))
-    assert _sweep_bits(chain_size, max_arity, workers) == expected
+    total = epsilon_standard_count(chain_size, max_arity)
+    assert _sweep_bits(_law_masks(chain_size, max_arity), total) == expected
+    report = equivalence_sweep(chain_size, max_arity)
+    assert report.bits_digest == hashlib.sha256(expected).hexdigest()
+
+
+#: Each sweep line as a predicate over one candidate's bits, the theorem as stated.
+THEOREMS = {
+    "A1_iff_P1_and_URI": lambda p: p["A1"] == (p["P1"] and p["URI"]),
+    "A1_iff_A2": lambda p: p["A1"] == p["A2"],
+    "A1_iff_A3": lambda p: p["A1"] == p["A3"],
+    "P1_iff_P2": lambda p: p["P1"] == p["P2"],
+    "URI_iff_UQRI_and_F1F1": lambda p: p["URI"] == (p["UQRI"] and p["F1F1"]),
+    "RI_lemma_i_iff_ii": lambda p: (p["A1"] and p["RI"]) == (p["A1"] and p["FF2"]),
+    "RI_lemma_i_iff_iii": lambda p: (p["A1"] and p["RI"]) == (p["P1"] and p["UQRI"] and p["RI"]),
+    "RI_lemma_i_iff_iv": lambda p: (p["A1"] and p["RI"])
+    == (p["P1"] and p["UQRI"] and p["F1F1"] and p["FF2"]),
+    "A1_implies_P1": lambda p: (not p["A1"]) or p["P1"],
+    "REPL_implies_PREPL": lambda p: (not p["REPL"]) or p["PREPL"],
+    "P1_implies_PREPL": lambda p: (not p["P1"]) or p["PREPL"],
+    "A1_and_REPL_iff_A1_and_RI": lambda p: (p["A1"] and p["REPL"]) == (p["A1"] and p["RI"]),
+}
+
+
+def test_each_line_fails_exactly_where_the_patched_reference_breaks_it(monkeypatch):
+    # the laws are right, so no line fails on its own; flip some candidates'
+    # bits of every law, set and cleared alike, in the sweep and in the
+    # reference, and each line must fail on exactly the candidates where the
+    # theorem, evaluated on the reference's bits, breaks
+    assert list(THEOREMS) == list(SWEEP_EQUIVALENCES)
+    total = epsilon_standard_count(2, 3)
+    rng = random.Random(28)
+    flips = {name: rng.sample(range(total), 2000) for name in enumeration._LAWS}
+    for name, indices in flips.items():
+        flip = sum(1 << i for i in indices)
+        law = enumeration._LAWS[name]
+        monkeypatch.setitem(enumeration._LAWS, name, lambda u, law=law, flip=flip: law(u) ^ flip)
+    report = equivalence_sweep(2, 3)
+
+    flips["A2"] = flips["A1"]  # the sweep reads A2 off A1's mask
+    patterns = array("H", _universe_patterns(2, 3))
+    for name, indices in flips.items():
+        bit = 1 << SWEEP_PROPERTIES.index(name)
+        for i in indices:
+            patterns[i] ^= bit
+    bits = [{name: bool(p >> i & 1) for i, name in enumerate(SWEEP_PROPERTIES)} for p in patterns]
+    expected = {
+        line: [i for i, b in enumerate(bits) if not holds(b)] for line, holds in THEOREMS.items()
+    }
+    # every line but A1_iff_A2, whose sides are one mask, is broken somewhere
+    unbroken = [line for line, failing in expected.items() if not failing]
+    assert unbroken == ["A1_iff_A2"], unbroken
+    assert report.equivalence_failures == expected
+    assert report.property_counts == {name: sum(b[name] for b in bits) for name in SWEEP_PROPERTIES}
+    assert report.bits_digest == hashlib.sha256(_blob(patterns)).hexdigest()
 
 
 _BAD_SIZES = [
@@ -251,30 +304,30 @@ def test_sizes_below_one_are_refused_before_any_work(chain_size, max_arity, name
         raise AssertionError("the sweep started")
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(enumeration, "_sweep_bits", refuse)
+        mp.setattr(enumeration, "_law_masks", refuse)
         with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1$"):
             equivalence_sweep(chain_size, max_arity, workers=workers)
 
 
 @pytest.fixture(scope="module")
 def sweep_3_2():
-    """``equivalence_sweep(3, 2, workers=2)`` and the joined bits it read its report off."""
-    joined = []
+    """``equivalence_sweep(3, 2)``, the law masks it read its report off and their packed bits."""
+    packed = []
     real = enumeration._sweep_bits
 
-    def keep(*args):
-        joined.append(real(*args))
-        return joined[-1]
+    def keep(masks, total):
+        packed.append((masks, real(masks, total)))
+        return packed[-1][1]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(enumeration, "_sweep_bits", keep)
-        report = equivalence_sweep(3, 2, workers=2)
-    (blob,) = joined
-    return report, blob
+        report = equivalence_sweep(3, 2)
+    ((masks, blob),) = packed
+    return report, masks, blob
 
 
 def test_3_chain_arity_2_universe_matches_the_brute_reference(sweep_3_2):
-    report, blob = sweep_3_2
+    report, _, blob = sweep_3_2
     assert report.total == 531441
     # frozen from a brute sweep that checked every one of the 531 441 tables
     assert report.property_counts == {
@@ -301,25 +354,20 @@ def test_3_chain_arity_2_universe_matches_the_brute_reference(sweep_3_2):
 
 
 def test_3_chain_arity_2_p1_count_equals_the_p1_tables_built_layer_by_layer(sweep_3_2):
-    report, _ = sweep_3_2
+    report, _, _ = sweep_3_2
     chain = default_chain(3)
     tables = preassociative_tables(chain, 2, chain.elements, (EPSILON,))
     assert sum(1 for _ in tables) == report.property_counts["P1"] == 119565
 
 
-@pytest.fixture(scope="module")
-def masks_3_2():
-    return _law_masks(3, 2, 1)
-
-
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_3_chain_arity_2_slices_equal_brute_bits(sweep_3_2, masks_3_2, seed):
-    _, blob = sweep_3_2
+def test_3_chain_arity_2_slices_equal_brute_bits(sweep_3_2, seed):
+    _, masks, blob = sweep_3_2
     rng = random.Random(seed)
     lo = rng.randrange(531441 - 400)
     patterns = _patterns(3, 2, range(lo, lo + 400))
     reference = _masks(patterns)
     window = (1 << 400) - 1
-    wrong = [name for name in SWEEP_PROPERTIES if masks_3_2[name] >> lo & window != reference[name]]
+    wrong = [name for name in SWEEP_PROPERTIES if masks[name] >> lo & window != reference[name]]
     assert not wrong, f"masks differ from the reference for {wrong} at {lo}..{lo + 399}"
     assert blob[2 * lo : 2 * lo + 800] == _blob(patterns)

@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
-from preassoc import __version__
+from preassoc import __version__, serialization
 from preassoc.cli import main
 from preassoc.checks import check_preassociative, check_standard
 from preassoc.core import EPSILON, Chain, TableFn
@@ -277,6 +281,31 @@ class TestValidation:
         fn = table_from_dict(doc)
         assert fn.codomain == codomain
         assert loads_function(dumps_function(fn)) == fn
+
+    def test_codomain_inferred_with_nan_is_the_same_under_any_hash_seed(self, tmp_path):
+        # NaN compares false both ways, so a float order would follow set order
+        doc = self.base_doc()
+        doc["domain"] = ["0", "1", "2", "3"]
+        doc["entries"] = [
+            {"args": [u], "value": v} for u, v in zip(doc["domain"], ["2", "nan", "0", "1"])
+        ]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        probe = (
+            "import sys\n"
+            "from preassoc.serialization import load_function\n"
+            "print(load_function(sys.argv[1]).codomain)\n"
+        )
+        src = str(Path(serialization.__file__).parents[1])
+        seen = set()
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            done = subprocess.run(
+                [sys.executable, "-c", probe, str(path)], env=env, capture_output=True, text=True
+            )
+            assert done.returncode == 0, done.stderr
+            seen.add(done.stdout)
+        assert seen == {"('0', '1', '2', 'nan')\n"}
 
 
 def _fault(edit):
