@@ -24,7 +24,7 @@ from .enumeration import (
     preassociative_tables,
 )
 from .errors import PreassocError, PreconditionError
-from .factorize import extend_unary_binary, factorize
+from .factorize import factorize
 from .families import (
     TCONORMS,
     TNORMS,
@@ -61,7 +61,8 @@ ALIASES = {
     "uqri": "unarily_quasi_range_idempotent",
 }
 
-#: The options each ``generate`` family reads; passing another is a usage error.
+#: The options each ``generate`` family reads.  Passing another is a usage
+#: error, and so is leaving out one but --phi and --psi, which default to id.
 FAMILY_OPTIONS = {
     "median": ("chain", "a", "b", "c", "d"),
     "tnorm": ("grid", "name"),
@@ -244,25 +245,18 @@ def _cmd_generate(args, parser) -> int:
 def _generated_table(args, parser) -> TableFn:
     family = args.family
     n = args.max_arity
-    for option in sorted(set().union(*FAMILY_OPTIONS.values()) - set(FAMILY_OPTIONS[family])):
+    reads = FAMILY_OPTIONS[family]
+    for option in sorted(set().union(*FAMILY_OPTIONS.values()) - set(reads)):
         if getattr(args, option) is not None:
             parser.error(f"--family {family} does not read --{option}")
+    for option in reads:
+        if option not in ("phi", "psi") and not getattr(args, option):
+            parser.error(f"--family {family} needs --{option}")
     if family == "median":
-        if not args.chain:
-            parser.error("--family median needs --chain")
-        for p in ("a", "b", "c", "d"):
-            if getattr(args, p) is None:
-                parser.error(f"--family median needs --{p}")
         chain = Chain(tuple(_tokens(args.chain)))
         return make_median_family(MedianParams(args.a, args.b, args.c, args.d), chain, n)
-    if not args.grid:
-        parser.error(f"--family {family} needs --grid")
     grid = _csv_floats(args.grid, parser, "--grid")
     if family in ("tnorm", "tconorm", "uninorm"):
-        if not args.name:
-            parser.error(f"--family {family} needs --name")
-        if family == "uninorm" and args.e is None:
-            parser.error("--family uninorm needs --e")
         e = _float_option(args.e, "--e") if args.e is not None else None
         return make_variadic_seed(family, args.name, grid, n, e=e)
     phi = _named_unary(args.phi or "id", parser, "--phi")
@@ -270,8 +264,6 @@ def _generated_table(args, parser) -> TableFn:
     if family == "quasi-sum":
         gen = make_quasi_sum(phi, psi, Interval(min(grid), max(grid)))
     else:  # ling, the last of the family choices
-        if args.a is None or args.b is None:
-            parser.error("--family ling needs --a and --b")
         gen = make_ling(phi, psi, _float_option(args.a, "--a"), _float_option(args.b, "--b"))
     return tabulate(gen, grid, n)
 
@@ -318,7 +310,8 @@ def _candidates(chain: Chain, n: int, filters, binary: bool):
     """The tables of ``enumerate``'s universe that can pass ``filters``, in universe order.
 
     For associative_binary these are the identity extensions of the
-    associative binary tables.  Otherwise the universe holds the default-ε
+    associative binary tables, folded by ``tabulate`` (each is associative
+    by construction).  Otherwise the universe holds the default-ε
     standard tables, widened to every default when a filter is checkable
     beyond operations.  When the filters include A1 at arity 3 or more, the
     candidates come from the associative extensions, exactly the A1 tables
@@ -332,8 +325,7 @@ def _candidates(chain: Chain, n: int, filters, binary: bool):
     (``preassociative_tables``); else they are the whole universe.
     """
     if binary:
-        identity = FiniteMap.identity(chain.elements)
-        return (extend_unary_binary(identity, t, n) for t in associative_tables(chain))
+        return (tabulate(lambda u, v, t=t: t[u, v], chain, n) for t in associative_tables(chain))
     any_default = any(name not in OPERATION_ONLY for name in filters)
     codomain = chain.elements + (EPSILON,) if any_default else chain.elements
     defaults = codomain if any_default else (EPSILON,)

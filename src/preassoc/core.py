@@ -286,6 +286,16 @@ def left_fold(chain: Chain, unary: Mapping, binary: Mapping, max_arity: int) -> 
     return entries
 
 
+def compose(f, H: TableFn) -> TableFn:
+    """The default-ε table of f(H(x)) on H's nonempty tuples, into f's codomain.
+
+    ``f`` is a ``quasi_inverse.FiniteMap`` defined on every value H attains.
+    """
+    graph = f.graph
+    entries = {t: graph[v] for t, v in H.entries.items()}
+    return TableFn(H.domain, f.codomain, H.max_arity, EPSILON, entries)
+
+
 def canonical_symbol(value: float) -> str:
     """Render a real value as its canonical 12-significant-digit symbol."""
     v = float(value)

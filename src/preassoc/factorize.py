@@ -18,7 +18,7 @@ from .checks import (
     check_unarily_quasi_range_idempotent,
     nonassociative_triple,
 )
-from .core import EPSILON, Chain, TableFn, left_fold
+from .core import EPSILON, Chain, TableFn, compose, left_fold
 from .errors import (
     ConditionError,
     DomainMismatchError,
@@ -40,14 +40,6 @@ class Factorization:
     g: FiniteMap
     H: TableFn
     f: FiniteMap
-
-
-def _unary_finite_map(fn: TableFn) -> FiniteMap:
-    return FiniteMap(
-        fn.domain.elements,
-        fn.codomain,
-        {u: fn.entries[(u,)] for u in fn.domain.elements},
-    )
 
 
 def factorize(fn: TableFn, pins=None) -> Factorization:
@@ -73,21 +65,19 @@ def factorize(fn: TableFn, pins=None) -> Factorization:
                 verdict, f"factorization precondition failed: {verdict.property}"
             )
 
-    f1 = _unary_finite_map(fn)
+    elements = fn.domain.elements
+    f1 = FiniteMap(elements, fn.codomain, {u: fn.entries[(u,)] for u in elements})
     g = canonical_quasi_inverse(f1, pins)
+    H = compose(g, fn)  # g's codomain is F1's domain, the chain
 
-    chain = fn.domain
-    h_entries = {t: g.graph[v] for t, v in fn.entries.items()}
-    H = TableFn(chain, chain.elements, fn.max_arity, EPSILON, h_entries)
-
-    ran_h = tuple(u for u in chain.elements if u in H._attained)
+    ran_h = tuple(u for u in elements if u in H._attained)
     f = FiniteMap(ran_h, fn.codomain, {u: f1.graph[u] for u in ran_h})
 
-    _verify_factorization(fn, g, H, f)
+    _verify_factorization(fn, f1, g, H, f)
     return Factorization(g=g, H=H, f=f)
 
 
-def _verify_factorization(fn: TableFn, g: FiniteMap, H: TableFn, f: FiniteMap):
+def _verify_factorization(fn: TableFn, f1: FiniteMap, g: FiniteMap, H: TableFn, f: FiniteMap):
     for t, v in fn.entries.items():
         if f.graph[H.entries[t]] != v:
             raise InternalVerificationError(
@@ -95,7 +85,7 @@ def _verify_factorization(fn: TableFn, g: FiniteMap, H: TableFn, f: FiniteMap):
             )
     if not f.is_one_to_one():
         raise InternalVerificationError("restricted unary part is not one-to-one")
-    ok, _ = is_quasi_inverse(_unary_finite_map(fn), g)
+    ok, _ = is_quasi_inverse(f1, g)
     if not ok:
         raise InternalVerificationError("chosen g is not a quasi-inverse of F1")
     verdict = check_associative(H, "A1")
@@ -170,11 +160,8 @@ def build_from_f1_h2(f1: FiniteMap, h2, max_arity: int) -> TableFn:
     """
     if not f1.is_one_to_one():
         raise ValueError("unary part must be one-to-one")
-    identity = FiniteMap.identity(f1.domain)
-    H = extend_unary_binary(identity, h2, max_arity)  # raises on non-associative h2
-    codomain = f1.codomain
-    entries = {t: f1.graph[v] for t, v in H.entries.items()}
-    return TableFn(H.domain, codomain, max_arity, EPSILON, entries)
+    # extend_unary_binary, not tabulate: it refuses a non-associative h2
+    return compose(f1, extend_unary_binary(FiniteMap.identity(f1.domain), h2, max_arity))
 
 
 def recursive_eval(f1: FiniteMap, f2, g: FiniteMap, xs) -> object:

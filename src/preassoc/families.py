@@ -25,8 +25,9 @@ from numbers import Real
 from typing import Callable, Iterable, Optional, Sequence
 
 from .checks import nonassociative_triple
-from .core import EPSILON, Chain, TableFn, canonical_symbol, left_fold
+from .core import EPSILON, Chain, TableFn, canonical_symbol, compose, left_fold
 from .errors import AxiomError, GeneratorError, GridClosureError
+from .quasi_inverse import FiniteMap
 
 #: Package-wide float comparison tolerances, applied symmetrically.
 REL_TOL = 1e-9
@@ -47,7 +48,11 @@ FAMILIES = ("quasi_sum", "ling")
 
 @dataclass(frozen=True)
 class Interval:
-    """A real interval with endpoint openness flags; infinities allowed."""
+    """A real interval with endpoint openness flags; infinities allowed.
+
+    It must hold a real number: its ends are numbers, lo <= hi, and when
+    they meet, at a finite point of a closed interval.
+    """
 
     lo: float = -math.inf
     hi: float = math.inf
@@ -55,8 +60,12 @@ class Interval:
     hi_open: bool = False
 
     def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+        if math.isnan(self.lo) or math.isnan(self.hi):
+            raise ValueError("interval end nan is not a number")
+        if self.lo > self.hi or (
+            self.lo == self.hi and (self.lo_open or self.hi_open or math.isinf(self.lo))
+        ):
+            raise ValueError(f"interval {self} holds no real number")
 
     def contains(self, x: float) -> bool:
         if self.lo_open:
@@ -135,7 +144,10 @@ class _ValueCanon:
 
 
 def _as_grid(carrier) -> list[float]:
-    grid = sorted(float(x) for x in carrier)
+    grid = [float(x) for x in carrier]
+    if any(map(math.isnan, grid)):
+        raise ValueError("grid point nan is not a number")
+    grid.sort()
     if not grid:
         raise ValueError("empty grid")
     for u, v in zip(grid, grid[1:]):
@@ -429,8 +441,7 @@ def make_variadic_seed(kind: str, op, carrier, max_arity: int, *, e=None) -> Tab
     chain = Chain(tuple(map(canonical_symbol, values))) if on_grid else carrier
     symbol = dict(zip(values, chain.elements))
     table = {(symbol[u], symbol[v]): symbol[w] for (u, v), w in snapped.items()}
-    entries = left_fold(chain, dict(zip(chain, chain)), table, max_arity)
-    return TableFn(chain, chain.elements, max_arity, EPSILON, entries)
+    return tabulate(lambda u, v: table[u, v], chain, max_arity)
 
 
 def _seed_neutral(kind, values, e, on_grid):
@@ -487,16 +498,11 @@ def lift_tnorm(f: Callable, seed: TableFn) -> TableFn:
     except ValueError:
         raise TypeError("lift needs a seed tabulated on a numeric grid") from None
     _require_strictly_monotone(f, carrier, "f")
-    decode = dict(zip(seed.domain.elements, carrier))
-    relabel = {}
-    for s, x in decode.items():
-        relabel[s] = canonical_symbol(float(f(x)))
-    if len(set(relabel.values())) != len(relabel):
+    relabel = {s: canonical_symbol(float(f(x))) for s, x in zip(seed.domain, carrier)}
+    codomain = tuple(sorted(set(relabel.values()), key=float))
+    if len(codomain) != len(relabel):
         raise GeneratorError("f collapses grid values at the rendering tolerance")
-    entries = {t: relabel[v] for t, v in seed.entries.items()}
-    observed = sorted({float(v) for v in relabel.values()})
-    codomain = tuple(canonical_symbol(v) for v in observed)
-    return TableFn(seed.domain, codomain, seed.max_arity, EPSILON, entries)
+    return compose(FiniteMap(seed.domain.elements, codomain, relabel), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -559,26 +565,19 @@ def make_median_family(
     """
     params.validate(chain)
     entries = _median_entries(params, chain, max_arity)
+    median = TableFn(chain, chain.elements, max_arity, EPSILON, entries)
     if f is None:
-        return TableFn(chain, chain.elements, max_arity, EPSILON, entries)
+        return median
 
-    window = [
-        u
-        for u in chain.elements
-        if chain.leq(params.a, u) and chain.leq(u, params.b)
-    ]
-    if tuple(f.domain) != tuple(window):
+    window = chain.elements[chain.index(params.a) : chain.index(params.b) + 1]
+    if f.domain != window:
         raise ValueError(
             f"f must be defined exactly on the window [{params.a!r}, {params.b!r}]"
         )
-    cod_pos = {v: i for i, v in enumerate(f.codomain)}
-    images = [cod_pos[f.graph[u]] for u in window]
+    images = [f.codomain.index(f.graph[u]) for u in window]
     if any(p >= q for p, q in zip(images, images[1:])):
         raise GeneratorError("f must be strictly increasing on the window")
-    attained = set(images)
-    if any(
-        j not in attained for j in range(min(images), max(images) + 1)
-    ):
+    # strictly increasing images leave no gap exactly when the ends are len - 1 apart
+    if images[-1] - images[0] != len(images) - 1:
         raise GeneratorError("range of f has a gap in the codomain order")
-    relabeled = {t: f.graph[v] for t, v in entries.items()}
-    return TableFn(chain, f.codomain, max_arity, EPSILON, relabeled)
+    return compose(f, median)

@@ -87,13 +87,9 @@ def is_quasi_inverse(f: FiniteMap, g: FiniteMap):
             return False, witness
     ran_g_restricted = {g.graph[y] for y in ran_f}
     if ran_g_restricted != ran_g:
-        missing = sorted(
-            (v for v in ran_g - ran_g_restricted),
-            key=lambda v: g.codomain.index(v) if v in g.codomain else -1,
-        )
         witness = {
             "condition": "range-preservation",
-            "value": missing[0],
+            "value": min(ran_g - ran_g_restricted, key=g.codomain.index),
         }
         return False, witness
     return True, None

@@ -344,15 +344,51 @@ class TestGenerate:
         assert f"--family {args[1]} does not read {option}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_uninorm_without_e_is_a_usage_error(self, tmp_path, capsys):
-        out = tmp_path / "u.json"
+    #: every option each family reads, set to a value it accepts
+    COMPLETE = {
+        "median": {"chain": "0,1,2", "a": "0", "b": "2", "c": "1", "d": "1"},
+        "tnorm": {"grid": "0,0.5,1", "name": "min"},
+        "tconorm": {"grid": "0,0.5,1", "name": "max"},
+        "uninorm": {"grid": "0,0.5,1", "name": "idempotent-min", "e": "0.5"},
+        "quasi-sum": {"grid": "0,1", "phi": "id", "psi": "id"},
+        "ling": {"grid": "0,1", "phi": "one-minus", "psi": "one-minus", "a": "0", "b": "1"},
+    }
+
+    @pytest.mark.parametrize("family,option", [
+        (family, option)
+        for family, options in cli.FAMILY_OPTIONS.items()
+        for option in options
+        if option not in ("phi", "psi")
+    ])
+    def test_leaving_out_a_needed_option_is_a_usage_error(
+        self, tmp_path, family, option, capsys
+    ):
+        given = self.COMPLETE[family]
+        assert tuple(given) == cli.FAMILY_OPTIONS[family]
+        out = tmp_path / "fn.json"
+        argv = ["generate", "--family", family, "--max-arity", "2", "--out", str(out)]
+        assert main(argv + [f"--{k}={v}" for k, v in given.items()]) == 0
+        out.unlink()
         with pytest.raises(SystemExit) as err:
-            main(["generate", "--family", "uninorm", "--name", "idempotent-min",
-                  "--grid", "0,0.5,1", "--max-arity", "2", "--out", str(out)])
+            main(argv + [f"--{k}={v}" for k, v in given.items() if k != option])
         assert err.value.code == 2
         err_text = capsys.readouterr().err
         assert err_text.startswith("usage: preassoc generate ")
-        assert "preassoc generate: error: --family uninorm needs --e" in err_text
+        assert f"preassoc generate: error: --family {family} needs --{option}\n" in err_text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("family,grid,message", [
+        ("quasi-sum", "nan,1", "interval end nan is not a number"),
+        ("quasi-sum", "0,nan,1", "grid point nan is not a number"),
+        ("tnorm", "0,nan,1", "grid point nan is not a number"),
+    ])
+    def test_nan_grid_point_is_named(self, tmp_path, family, grid, message, capsys):
+        out = tmp_path / "nan.json"
+        name = ["--name", "min"] if family == "tnorm" else []
+        code = main(["generate", "--family", family, *name, f"--grid={grid}",
+                     "--max-arity", "2", "--out", str(out)])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_quasi_sum_and_ling(self, tmp_path):

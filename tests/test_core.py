@@ -223,6 +223,10 @@ class TestTabulate:
         assert fn.default == "1" and fn.codomain == ("0", "1")
         assert loads_function(dumps_function(fn)) == fn
 
+    def test_nan_grid_point_is_refused(self):
+        with pytest.raises(ValueError, match="grid point nan is not a number"):
+            tabulate(min, [0, math.nan, 1], 2)
+
     def test_rejects_generated_on_chain(self, chain2):
         gen = GeneratedFn(family="quasi_sum", interval=Interval(), phi=abs, psi=abs)
         with pytest.raises(TypeError):

@@ -35,6 +35,9 @@ its least witness.  Their public verdicts must equal exhaustive references
 for the one-value laws) on every universe here and on medians, catalog
 seeds and near-monotone and near-symmetric tables.  Hand-built tables whose
 lowest failing arity holds several violations pin the tie-breaks.
+
+Every table of those universes that ``factorize`` accepts is rebuilt by
+``core.compose`` from its factors.
 """
 
 import copy
@@ -48,7 +51,7 @@ from math import comb
 import pytest
 
 from preassoc import checks, enumeration
-from preassoc.core import EPSILON, TableFn, Verdict, Witness
+from preassoc.core import EPSILON, TableFn, Verdict, Witness, compose
 from preassoc.enumeration import (
     all_associative_extensions,
     all_operations,
@@ -56,7 +59,7 @@ from preassoc.enumeration import (
     epsilon_standard_at,
     equivalence_sweep,
 )
-from preassoc.errors import GridClosureError, NotAnOperationError
+from preassoc.errors import GridClosureError, NotAnOperationError, PreconditionError
 from preassoc.factorize import factorize
 from preassoc.families import (
     TCONORMS,
@@ -916,10 +919,40 @@ ORDER_AND_ONE_VALUE = {
 
 @pytest.mark.parametrize("universe", ORDER_UNIVERSES)
 def test_order_and_one_value_deciders_match_their_scans(universe):
-    # the scans are the exhaustive references: the racing loops and the walk
+    # the scans are the exhaustive references: the racing loops and the walk.
+    # On UNIVERSES the order laws are compared by test_first_violation_matches_least_key_scan
+    laws = ONE_VALUE_LAWS if universe in UNIVERSES else ORDER_AND_ONE_VALUE
     for fn in ORDER_UNIVERSES[universe]():
-        for prop, reference in ORDER_AND_ONE_VALUE.items():
+        for prop in laws:
+            reference = ORDER_AND_ONE_VALUE[prop]
             assert _outcome(checks.CHECKERS[prop], fn) == _outcome(reference, fn), (prop, fn)
+
+
+#: universe -> how many of its tables ``factorize`` accepts
+FACTORIZED = {
+    "operations-2-2": 102,
+    "epsilon-standard-2-3": 18,
+    "foreign-2-3": 2,
+    "sample-3-2": 183,
+    "three-values-3-3": 0,
+    "near-constant-2-5": 4,
+    "medians-5-3": 105,
+    "catalog-grid-5-4": 22,
+    "near-order": 422,
+}
+
+
+@pytest.mark.parametrize("universe", ORDER_UNIVERSES)
+def test_compose_rebuilds_every_factorized_table(universe):
+    accepted = 0
+    for fn in ORDER_UNIVERSES[universe]():
+        try:
+            fac = factorize(fn)
+        except PreconditionError:
+            continue
+        assert compose(fac.f, fac.H).entries == fn.entries, fn
+        accepted += 1
+    assert accepted == FACTORIZED[universe]
 
 
 def _max_table(chain, n, changes):

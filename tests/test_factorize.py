@@ -9,7 +9,8 @@ from preassoc.checks import (
     check_preassociative,
     check_unarily_quasi_range_idempotent,
 )
-from preassoc.core import EPSILON, TableFn
+from preassoc.core import EPSILON, TableFn, compose
+from preassoc.enumeration import associative_tables
 from preassoc.errors import (
     ConditionError,
     DomainMismatchError,
@@ -171,6 +172,22 @@ class TestBuildFromF1H2:
             build_from_f1_h2(f1, sub, 3)
         assert err.value.condition == "iii"
         assert err.value.witness is not None
+
+    def test_is_f1_composed_with_the_identity_extension_of_h2(self, chain3):
+        identity = FiniteMap.identity(chain3.elements)
+        maps = [
+            identity,
+            FiniteMap(chain3.elements, chain3.elements, SIGMA),
+            FiniteMap(chain3.elements, ("s", "q", "r", "p"), {"0": "p", "1": "s", "2": "q"}),
+        ]
+        count = 0
+        for h2 in associative_tables(chain3):
+            for f1 in maps:
+                built = build_from_f1_h2(f1, h2, 3)
+                assert built == compose(f1, extend_unary_binary(identity, h2, 3))
+                assert built.codomain == f1.codomain
+                count += 1
+        assert count == 3 * 113
 
     def test_non_injective_unary_rejected(self, chain2):
         const = FiniteMap(chain2.elements, chain2.elements, {"0": "0", "1": "0"})

@@ -54,6 +54,33 @@ def median_formula(chain: Chain, params: MedianParams, xs) -> object:
     return _med(chain, a, inner, b)
 
 
+class TestInterval:
+    @pytest.mark.parametrize(
+        "interval",
+        [
+            dict(lo=math.inf, hi=math.inf),
+            dict(lo=-math.inf, hi=-math.inf),
+            dict(lo=1, hi=1, lo_open=True),
+            dict(lo=1, hi=1, hi_open=True),
+            dict(lo=2, hi=1),
+        ],
+        ids=["plus-infinity", "minus-infinity", "lo-open-point", "hi-open-point", "reversed"],
+    )
+    def test_an_interval_without_a_real_number_is_refused(self, interval):
+        with pytest.raises(ValueError, match="holds no real number"):
+            Interval(**interval)
+
+    @pytest.mark.parametrize("lo, hi", [(math.nan, 1), (0, math.nan)], ids=["lo", "hi"])
+    def test_a_nan_end_is_refused(self, lo, hi):
+        with pytest.raises(ValueError, match="interval end nan is not a number"):
+            Interval(lo, hi)
+
+    def test_a_closed_point_and_half_lines_are_intervals(self):
+        assert Interval(1, 1).contains(1)
+        assert Interval(-math.inf, 0).contains(-1e300)
+        assert Interval(0, math.inf, lo_open=True).contains(1e300)
+
+
 class TestQuasiSum:
     def test_log_exp_is_product(self):
         gen = make_quasi_sum(math.log, math.exp, Interval(0, 1, lo_open=True))
