@@ -276,13 +276,18 @@ def ranges(fn: TableFn) -> tuple:
 def left_fold(chain: Chain, unary: Mapping, binary: Mapping, max_arity: int) -> dict:
     """The entries of F(x1) = unary[x1], F(x1..xn) = binary[F(x1..x_{n-1}), xn].
 
-    ``binary`` must hold every pair (F(x1..x_{n-1}), xn) the fold reads; the
-    entries cover tuples of length 1..max_arity, shortest first.
+    ``binary`` must hold every pair (F(x1..x_{n-1}), xn) the fold reads (a
+    missing one raises KeyError); the entries cover tuples of length
+    1..max_arity in ``chain.tuples_up_to`` order.  A layer is one list: with
+    ``row`` the values of ``chain.tuples(n - 1)``, ``product(row, elements)``
+    lists the pairs the fold reads in the order of ``chain.tuples(n)``.
     """
-    entries = {(x,): unary[x] for x in chain.elements}
+    elements = chain.elements
+    row = [unary[x] for x in elements]
+    entries = dict(zip(chain.tuples(1), row))
     for n in range(2, max_arity + 1):
-        for t in chain.tuples(n):
-            entries[t] = binary[(entries[t[:-1]], t[-1])]
+        row = list(map(binary.__getitem__, product(row, elements)))
+        entries.update(zip(chain.tuples(n), row))
     return entries
 
 

@@ -221,6 +221,10 @@ def _tabulate_grid(source, carrier, max_arity, default) -> TableFn:
     for n in range(1, max_arity + 1):
         for t in product(grid, repeat=n):
             raw[t] = float(evalf(t))
+    # NaN is close to no representative, so each NaN value would get a symbol "nan" of its own
+    nan = next((t for t, v in raw.items() if math.isnan(v)), None)
+    if nan is not None:
+        raise ValueError(f"value at ({','.join(map(canonical_symbol, nan))}) is not a number")
 
     canon = _ValueCanon(grid)
     rep_of = {v: canon.rep(v) for v in sorted(set(raw.values()))}
@@ -532,22 +536,37 @@ class MedianParams:
 
 
 def _median_entries(params: MedianParams, chain: Chain, max_arity: int) -> dict:
-    """The median family's value at every tuple of length 1..N, on chain indices.
+    """The median family's value at every tuple of length 1..N.
 
-    The value at x is med(a, (c∧x1) ∨ med(⋀x, c∧d, ⋁x) ∨ (d∧xn), b) under
-    the chain order.  With a <= c∧d <= c∨d <= b (``MedianParams.validate``),
-    each median of the formula is a clamp: med(a, v, b) = min(max(a, v), b).
+    The value at x is F(x) = med(a, I(x), b) with I(x) = (c∧x1) ∨ med(⋀x,
+    c∧d, ⋁x) ∨ (d∧xn) under the chain order.  The formula is worked out on
+    chain indices for the tuples of length 1 and 2 only; the rest is
+    ``core.left_fold`` of those two parts, which equals the formula because
+    F(x·u) = F(F(x)·u) for every nonempty x and element u (A1).
+
+    Proof.  Write m = c∧d, L = ⋀x and U = ⋁x.  As L <= U, med(L, m, U) =
+    L ∨ (m∧U), so I(x) = (c∧x1) ∨ L ∨ (m∧U) ∨ (d∧xn), and I(u) = u for a
+    single element.  For x·u the meet is L∧u and the join U∨u; m∧u <= d∧u,
+    so I(x·u) = (c∧x1) ∨ (L∧u) ∨ (m∧U) ∨ (d∧u).  Meeting I(x) with c∨u
+    keeps c∧x1 (<= c) and m∧U (m <= c), turns L into (L∧c) ∨ (L∧u), where
+    L∧c <= c∧x1, and d∧xn into (m∧xn) ∨ (d∧xn∧u), where m∧xn <= m∧U and
+    d∧xn∧u <= d∧u.  Hence I(x·u) = (I(x) ∧ (c∨u)) ∨ (d∧u), and with x = v
+    alone, I(v·u) = (v ∧ (c∨u)) ∨ (d∧u).  The clamp g(v) = med(a, v, b) =
+    (a∨v)∧b (a <= b) preserves ∧ and ∨ on a chain and g∘g = g, so with
+    v = F(x) = g(I(x)), where g(v) = g(I(x)):  F(v·u) = (g(v) ∧ g(c∨u)) ∨
+    g(d∧u) = g((I(x) ∧ (c∨u)) ∨ (d∧u)) = g(I(x·u)) = F(x·u).  ∎
     """
     a, b, c, d = (chain._index[p] for p in (params.a, params.b, params.c, params.d))
     cd = min(c, d)
     elements = chain.elements
-    entries = {}
-    for n in range(1, max_arity + 1):
-        digits = product(range(len(elements)), repeat=n)  # chain.tuples(n) as indices
-        for t, x in zip(chain.tuples(n), digits):
-            inner = max(min(c, x[0]), min(max(min(x), cd), max(x)), min(d, x[-1]))
-            entries[t] = elements[min(max(a, inner), b)]
-    return entries
+
+    def value(*x):  # F at a tuple of chain indices
+        inner = max(min(c, x[0]), min(max(min(x), cd), max(x)), min(d, x[-1]))
+        return elements[min(max(a, inner), b)]
+
+    unary = {u: value(i) for i, u in enumerate(elements)}
+    binary = {(u, v): value(i, j) for (i, u), (j, v) in product(enumerate(elements), repeat=2)}
+    return left_fold(chain, unary, binary, max_arity)
 
 
 def make_median_family(

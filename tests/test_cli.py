@@ -391,6 +391,15 @@ class TestGenerate:
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_nan_value_is_named(self, tmp_path, capsys):
+        # phi(-inf) + phi(inf) is NaN: an input error, not a traceback
+        out = tmp_path / "nan.json"
+        code = main(["generate", "--family", "quasi-sum", "--grid=-inf,inf",
+                     "--max-arity", "2", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: value at (-inf,inf) is not a number\n"
+        assert not out.exists()
+
     def test_quasi_sum_and_ling(self, tmp_path):
         out = tmp_path / "qs.json"
         code = main([

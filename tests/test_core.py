@@ -4,11 +4,12 @@ import copy
 import dataclasses
 import math
 import pickle
-from itertools import product
+import re
+from itertools import islice, product
 
 import pytest
 
-from preassoc.core import EPSILON, Chain, TableFn, canonical_symbol, ranges
+from preassoc.core import EPSILON, Chain, TableFn, canonical_symbol, left_fold, ranges
 from preassoc.errors import ArityError, GeneratorError, UnknownSymbolError
 from preassoc.families import GeneratedFn, Interval, tabulate
 from preassoc.quasi_inverse import FiniteMap
@@ -227,6 +228,20 @@ class TestTabulate:
         with pytest.raises(ValueError, match="grid point nan is not a number"):
             tabulate(min, [0, math.nan, 1], 2)
 
+    @pytest.mark.parametrize(
+        "source, grid, where",
+        [
+            (GeneratedFn("quasi_sum", Interval(), lambda x: x, lambda t: t),
+             [-math.inf, 0, math.inf], "(-inf,inf)"),
+            (lambda u, v: u - v, [0, math.inf], "(inf,inf)"),
+        ],
+        ids=["quasi-sum", "binary"],
+    )
+    def test_nan_value_is_refused_naming_its_tuple(self, source, grid, where):
+        # the least tuple valued NaN, shortest first, is named
+        with pytest.raises(ValueError, match=re.escape(f"value at {where} is not a number")):
+            tabulate(source, grid, 3)
+
     def test_rejects_generated_on_chain(self, chain2):
         gen = GeneratedFn(family="quasi_sum", interval=Interval(), phi=abs, psi=abs)
         with pytest.raises(TypeError):
@@ -238,6 +253,59 @@ class TestTabulate:
         )
         with pytest.raises(GeneratorError):
             tabulate(gen, [-0.5, 0.0, 0.5], 2)
+
+
+class TestLeftFold:
+    @staticmethod
+    def per_tuple(chain, unary, binary, max_arity):
+        """The fold's definition, one tuple at a time off its prefix."""
+        entries = {(x,): unary[x] for x in chain.elements}
+        for t in chain.tuples_up_to(max_arity):
+            if len(t) >= 2:
+                entries[t] = binary[entries[t[:-1]], t[-1]]
+        return entries
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("max_arity", [1, 2, 3, 4])
+    def test_equals_its_per_tuple_definition(self, k, max_arity):
+        chain = Chain(tuple("cba"[:k]))  # listing order against string order
+        elements = chain.elements
+        identity = dict(zip(elements, elements))
+        shift = dict(zip(elements, elements[1:] + elements[:1]))
+        # every binary table on the 1- and 2-chain, associative or not; a sample on the 3-chain
+        binaries = [
+            dict(zip(chain.tuples(2), values))
+            for values in islice(product(elements, repeat=k * k), 0, None, 1 if k < 3 else 997)
+        ]
+        for binary in binaries:
+            for unary in (identity, shift):
+                entries = left_fold(chain, unary, binary, max_arity)
+                assert entries == self.per_tuple(chain, unary, binary, max_arity)
+                assert list(entries) == list(chain.tuples_up_to(max_arity)[1:])
+
+    def test_binary_into_foreign_labels(self, chain3):
+        # the unary part and the binary's values are labels, its pairs keyed by them
+        labels = ("p", "q", "r", "s")
+        unary = dict(zip(chain3.elements, labels))
+        binary = {
+            (v, x): labels[(labels.index(v) * 3 + chain3.index(x) + 1) % 4]
+            for v in labels
+            for x in chain3.elements
+        }
+        entries = left_fold(chain3, unary, binary, 4)
+        assert entries == self.per_tuple(chain3, unary, binary, 4)
+        assert list(entries) == list(chain3.tuples_up_to(4)[1:])
+        assert set(entries.values()) == set(labels)
+
+    def test_missing_pair_raises_key_error(self, chain2):
+        unary = {"0": "0", "1": "1"}
+        binary = {("0", "0"): "0", ("0", "1"): "1", ("1", "0"): "1"}
+        assert len(left_fold(chain2, unary, binary, 1)) == 2  # arity 1 reads no pair
+        with pytest.raises(KeyError) as err:
+            left_fold(chain2, unary, binary, 2)
+        assert err.value.args == (("1", "1"),)
+        with pytest.raises(KeyError):
+            left_fold(chain2, {"0": "0"}, binary, 1)
 
 
 class TestGeneratedEval:

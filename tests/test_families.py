@@ -331,8 +331,10 @@ class TestMedianFamily:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_table_equals_formula_for_every_valid_params(self, k):
-        # the table is computed on chain indices; the formula is the reference
+        # the table is the left fold of its unary and binary parts; the
+        # formula, evaluated at every tuple, is the reference
         chain = Chain(tuple("zyxwv"[:k]))  # listing order against string order
+        top = 5 if k <= 4 else 4
         valid = 0
         for a, b, c, d in product(chain.elements, repeat=4):
             params = MedianParams(a, b, c, d)
@@ -341,9 +343,19 @@ class TestMedianFamily:
             except ValueError:
                 continue
             valid += 1
-            fn = make_median_family(params, chain, 3)
-            for t, v in fn.entries.items():
-                assert v == median_formula(chain, params, t), (params, t)
+            expected = {t: median_formula(chain, params, t) for t in chain.tuples_up_to(top)[1:]}
+            for n in range(1, top + 1):
+                entries = make_median_family(params, chain, n).entries
+                assert list(entries) == list(chain.tuples_up_to(n)[1:])
+                mismatch = next((t for t in entries if entries[t] != expected[t]), None)
+                assert mismatch is None, (params, n, mismatch)
+            if k == 4:  # relabeled into foreign labels, the range one past the least
+                window = chain.elements[chain.index(a) : chain.index(b) + 1]
+                labels = tuple("PQRST")
+                f = FiniteMap(window, labels, dict(zip(window, labels[1:])))
+                relabeled = make_median_family(params, chain, top, f=f)
+                assert relabeled.codomain == labels
+                assert relabeled.entries == {t: f.graph[v] for t, v in expected.items()}, params
         assert valid == {1: 1, 2: 6, 3: 20, 4: 50, 5: 105}[k]
 
     def test_formula_matches_unary_median(self, chain4):
