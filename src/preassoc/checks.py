@@ -33,8 +33,11 @@ A law on single values (standard, epsilon_standard,
 unarily_range_idempotent, unarily_quasi_range_idempotent) holds iff no
 attained value fails it; else its witness is the first tuple valued in a
 failing one.
-Checkers read one total table of every tuple of length 0..N, ε included
-(``TableFn._table``), so a block that may be empty needs no separate case.
+Whole-table reads (the P1 pass, the layers, the one-value witnesses,
+range-idempotence) take the values of every tuple of length 0..N, ε
+included, as one row in ``tuples_up_to`` order (``TableFn._row``); the
+witness scans look tuples up in the total table (``TableFn._table``), so a
+block that may be empty needs no separate case.
 """
 
 from __future__ import annotations
@@ -120,12 +123,12 @@ def _first_failure(prop, fn: TableFn, fails, values, note="", extra=()) -> Verdi
     ``cases_checked`` counts the tuples up to it.
     """
     bad = set(filter(fails, fn._attained))
-    tuples = fn.domain.tuples_up_to(fn.max_arity)
+    row = fn._row
     if not bad:
-        return Verdict(prop, True, len(tuples) - 1, None, fn.max_arity, extra)
-    table = fn._table
-    cases, t = next((i, t) for i, t in enumerate(islice(tuples, 1, None), 1) if table[t] in bad)
-    witness = Witness((("x", t),), values(table[t]), note=note)
+        return Verdict(prop, True, len(row) - 1, None, fn.max_arity, extra)
+    cases = next(i for i in range(1, len(row)) if row[i] in bad)
+    t = fn.domain.tuples_up_to(fn.max_arity)[cases]
+    witness = Witness((("x", t),), values(row[cases]), note=note)
     return Verdict(prop, False, cases, witness, fn.max_arity, extra)
 
 
@@ -413,7 +416,7 @@ def _p1_pass(fn: TableFn):
     add c_m(v)·b_m(v) + C(c_m(v), 2) pairs, each with the contexts within N - m.
     """
     k, n = len(fn.domain), fn.max_arity
-    values = list(map(fn._table.__getitem__, fn.domain.tuples_up_to(n)))
+    values = fn._row
     index = _extension_index(k, n)
     short = values[: len(index) // (2 * k)]
     extensions = map(values.__getitem__, index)
@@ -571,21 +574,17 @@ def check_unarily_quasi_range_idempotent(fn: TableFn) -> Verdict:
 def check_range_idempotent(fn: TableFn) -> Verdict:
     """F(k · F(x)) = F(x) for every tuple x and every repetition count k <= N."""
     _require_operation(fn, "range_idempotent")
-    table = fn._table
+    table, row = fn._table, fn._row
     witness = None  # the first failure in canonical tuple order is the least
     cases = 0
-    seen = set()
-    for t in fn.domain.tuples_up_to(fn.max_arity):
-        v = table[t]
-        if v in seen:
-            continue
-        seen.add(v)
+    for v in dict.fromkeys(row):  # each value once, in the order of its first tuple
         # k copies of ε are the empty tuple, so ε takes the one case k = 1
         for k in range(1, 2 if v is EPSILON else fn.max_arity + 1):
             cases += 1
             rep = table[_wrap(v) * k]
             if rep != v:
                 if witness is None:
+                    t = fn.domain.tuples_up_to(fn.max_arity)[row.index(v)]
                     witness = Witness((("x", t),), (("F(x)", v), ("F(k·F(x))", rep)), (("k", k),))
                 break
     return Verdict("range_idempotent", witness is None, cases, witness, fn.max_arity)
@@ -605,11 +604,14 @@ def check_idempotent(fn: TableFn) -> Verdict:
 
 
 def check_replication_invariant(fn: TableFn) -> Verdict:
-    """F(k · x) = F(x) whenever the replicated tuple still fits the arity."""
+    """F(k · x) = F(x) whenever the replicated tuple still fits the arity.
+
+    Only tuples up to length N // 2 fit a k >= 2 (k·|x| <= N).
+    """
     table = fn._table
     witness = None  # the first failure in canonical tuple order is the least
     cases = 0
-    for t in islice(fn.domain.tuples_up_to(fn.max_arity), 1, None):
+    for t in islice(fn.domain.tuples_up_to(fn.max_arity // 2), 1, None):
         v = table[t]
         for k in range(2, fn.max_arity // len(t) + 1):
             cases += 1
@@ -685,10 +687,13 @@ def check_nonincreasing(fn: TableFn) -> Verdict:
 def _layer(fn: TableFn, n: int, code=None) -> list:
     """F(t) for every n-tuple t in product order, each through ``code`` if given.
 
-    In product order, raising position i of t by one chain step adds
-    k^(n-1-i) to its index.
+    The n-tuples follow the k^0 + ... + k^(n-1) shorter ones in the row (a
+    sum, not (k^n - 1)/(k - 1), so the 1-chain fits).  In product order,
+    raising position i of t by one chain step adds k^(n-1-i) to its index.
     """
-    values = map(fn._table.__getitem__, fn.domain.tuples(n))
+    k = len(fn.domain)
+    start = sum(k**m for m in range(n))
+    values = fn._row[start : start + k**n]
     return list(values if code is None else map(code.__getitem__, values))
 
 

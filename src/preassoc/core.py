@@ -165,11 +165,14 @@ class TableFn:
     it is given and exposes the copy read-only.  ``codomain`` is an ordered
     listing of the admissible entry values; its listing order is the codomain
     order used by monotonicity and convexity checks.  Within the package,
-    ``_table`` is the one total table of every tuple, ε included, that
-    evaluation and the checkers read, ``_attained`` the set of entry values,
-    and ``_decided`` is where ``checks`` keeps the answers it derives from
-    the table alone, made on first use; a rebuilt or unpickled table starts
-    without them.
+    ``_row`` holds the values of every tuple in ``domain.tuples_up_to``
+    order, F(ε) first, which whole-table reads (the checkers' passes, the
+    writer, ``compose``) take as one tuple; ``_table`` is the total table
+    of every tuple, ε included, for evaluation and the witness scans'
+    random access; ``_attained`` is the set of entry values; and
+    ``_decided`` is where ``checks`` keeps the answers it derives from the
+    table alone, made on first use.  A rebuilt or unpickled table rebuilds
+    ``_row`` and starts without ``_decided``.
     """
 
     domain: Chain
@@ -177,6 +180,7 @@ class TableFn:
     max_arity: int
     default: object
     entries: Mapping
+    _row: tuple = field(init=False, repr=False, compare=False)
     _table: dict = field(init=False, repr=False, compare=False)
     _attained: frozenset = field(init=False, repr=False, compare=False)
     _decided: Optional[dict] = field(init=False, repr=False, compare=False, default=None)
@@ -202,10 +206,15 @@ class TableFn:
             if expected > len(entries):
                 break
         # as many keys as tuples of length 1..N, and each such tuple a key: the
-        # keys are exactly those tuples, so none is at fault.  Otherwise the
-        # walk names the first fault, if there is one
+        # keys are exactly those tuples, so none is at fault.  Keys listed in
+        # ``tuples_up_to`` order (every builder's) show it in one comparison,
+        # and their values are then the row as listed.  Otherwise the walk
+        # names the first fault, if there is one
         universe = self.domain.tuples_up_to(self.max_arity) if expected == len(entries) else ()
-        if not universe or not all(map(entries.__contains__, islice(universe, 1, None))):
+        in_order = ((), *entries) == universe
+        if not in_order and (
+            not universe or not all(map(entries.__contains__, islice(universe, 1, None)))
+        ):
             for key in entries:
                 if not isinstance(key, tuple):
                     raise ValueError(f"entry key {key!r} is not a tuple")
@@ -223,8 +232,14 @@ class TableFn:
             have = Counter(map(len, entries))
             n = next(n for n in range(1, self.max_arity + 1) if have[n] != k**n)
             raise ValueError(f"entries not total at arity {n}: expected {k**n}, found {have[n]}")
+        table = {(): self.default, **entries}
+        if in_order:
+            row = (self.default, *entries.values())
+        else:
+            row = tuple(map(table.__getitem__, universe))
         object.__setattr__(self, "entries", MappingProxyType(entries))
-        object.__setattr__(self, "_table", {(): self.default, **entries})
+        object.__setattr__(self, "_row", row)
+        object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_attained", attained)
 
     def __reduce__(self):
@@ -296,8 +311,8 @@ def compose(f, H: TableFn) -> TableFn:
 
     ``f`` is a ``quasi_inverse.FiniteMap`` defined on every value H attains.
     """
-    graph = f.graph
-    entries = {t: graph[v] for t, v in H.entries.items()}
+    tuples = islice(H.domain.tuples_up_to(H.max_arity), 1, None)
+    entries = dict(zip(tuples, map(f.graph.__getitem__, islice(H._row, 1, None))))
     return TableFn(H.domain, f.codomain, H.max_arity, EPSILON, entries)
 
 

@@ -125,8 +125,8 @@ def table_to_dict(fn: TableFn) -> dict:
         "default": _value_token(fn.default),
         "max_arity": fn.max_arity,
         "entries": [
-            {"args": list(args), "value": _value_token(fn.entries[args])}
-            for args in fn.domain.tuples_up_to(fn.max_arity)
+            {"args": list(args), "value": _value_token(value)}
+            for args, value in zip(fn.domain.tuples_up_to(fn.max_arity), fn._row)
             if args
         ],
     }
@@ -162,10 +162,8 @@ def _write(fn: TableFn, indent) -> str:
     tokens = {v: encode_basestring(_value_token(v)) for v in fn.codomain}
     close = br[2] + "}"
     tails = {v: token + close for v, token in tokens.items()}
-    table = fn._table
-    keys = islice(fn.domain.tuples_up_to(fn.max_arity), 1, None)
     heads = _entry_heads(fn.domain, fn.max_arity, indent)
-    entries = ",".join(map(str.__add__, heads, [tails[table[args]] for args in keys]))
+    entries = ",".join(map(str.__add__, heads, map(tails.__getitem__, islice(fn._row, 1, None))))
 
     def array(items):
         return "[" + br[2] + ("," + br[2]).join(items) + br[1] + "]"

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import random
 import re
 from itertools import islice, product
 
@@ -160,6 +161,88 @@ class TestImmutability:
     def test_finite_map_unhashable(self):
         with pytest.raises(TypeError):
             hash(FiniteMap.identity(("0", "1")))
+
+
+def _listed(entries, order):
+    """The same entries listed in canonical, reversed or shuffled order."""
+    items = list(entries.items())
+    if order == "reversed":
+        items.reverse()
+    elif order == "shuffled":
+        random.Random(20310).shuffle(items)
+    return dict(items)
+
+
+def _valued(chain, n, value):
+    return {t: value(t) for t in chain.tuples_up_to(n)[1:]}
+
+
+#: case -> (chain, codomain, max arity, default, entries in canonical order)
+ROW_CASES = {
+    "symbol-default": lambda: (
+        Chain(("0", "1")), ("0", "1", "2", "3"), 3, "0",
+        _valued(Chain(("0", "1")), 3, lambda t: str(len(t))),
+    ),
+    "foreign-codomain": lambda: (
+        Chain(("0", "1", "2")), ("p", "q", "r"), 3, EPSILON,
+        _valued(Chain(("0", "1", "2")), 3, lambda t: "pqr"[len(set(t)) - 1]),
+    ),
+    "epsilon-values": lambda: (
+        Chain(("0", "1")), ("0", "1", EPSILON), 2, "1",
+        _valued(Chain(("0", "1")), 2, lambda t: EPSILON if t[-1] == "1" else t[0]),
+    ),
+    "1-chain": lambda: (
+        Chain(("a",)), ("a", "b"), 4, "b", _valued(Chain(("a",)), 4, lambda t: "ab"[len(t) % 2]),
+    ),
+}
+
+
+class TestRow:
+    """``_row``: every tuple's value in ``tuples_up_to`` order, however the entries were listed."""
+
+    @pytest.mark.parametrize("order", ["canonical", "reversed", "shuffled"])
+    @pytest.mark.parametrize("case", ROW_CASES)
+    def test_row_lists_every_value_in_tuple_order(self, case, order):
+        chain, codomain, n, default, entries = ROW_CASES[case]()
+        given = _listed(entries, order)
+        fn = TableFn(chain, codomain, n, default, given)
+        assert fn._row == tuple(fn._table[t] for t in chain.tuples_up_to(n))
+        assert fn._row[0] == default
+        assert list(fn.entries.items()) == list(given.items())  # the caller's order is kept
+        restored = pickle.loads(pickle.dumps(fn))
+        assert restored == fn and restored._row == fn._row
+
+    def test_row_is_outside_equality_and_repr(self):
+        chain, codomain, n, default, entries = ROW_CASES["symbol-default"]()
+        fn = TableFn(chain, codomain, n, default, entries)
+        other = TableFn(chain, codomain, n, default, _listed(entries, "reversed"))
+        assert fn == other and "_row" not in repr(fn)
+
+    @pytest.mark.parametrize("order", ["canonical", "reversed"])
+    @pytest.mark.parametrize(
+        "fault,error,message",
+        [
+            ("10", ValueError, r"^entry key '10' is not a tuple$"),
+            (("1", "0", "0"), ValueError, r"^entry arity 3 outside 1\.\.2$"),
+            (("1", "9"), UnknownSymbolError, r"^entry \('1', '9'\) uses unknown domain symbol"),
+            (None, ValueError, r"^entries not total at arity 2: expected 4, found 3$"),
+            ("value", ValueError, r"^entry value '7' at \('1', '0'\) is outside the codomain$"),
+        ],
+    )
+    def test_each_refusal_keeps_its_message_in_any_order(
+        self, chain2, order, fault, error, message
+    ):
+        # one fault at the place of ("1", "0"): a key in its stead, no entry, or a foreign value
+        items = []
+        for t, v in _valued(chain2, 2, lambda t: t[0]).items():
+            if t != ("1", "0"):
+                items.append((t, v))
+            elif fault == "value":
+                items.append((t, "7"))
+            elif fault is not None:
+                items.append((fault, v))
+        with pytest.raises(error, match=message):
+            TableFn(chain2, chain2.elements, 2, EPSILON, _listed(dict(items), order))
 
 
 class TestRanges:

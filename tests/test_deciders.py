@@ -38,6 +38,13 @@ lowest failing arity holds several violations pin the tie-breaks.
 
 Every table of those universes that ``factorize`` accepts is rebuilt by
 ``core.compose`` from its factors.
+
+Replication-invariance visits only the tuples up to length N // 2, the
+ones a replica fits; its verdict must equal the reference's walk over
+every nonempty tuple, on medians too.  A table built from entries out of
+tuple order reads its value row through the dict; its verdicts, function
+digest and factorization must equal those of the same table built in
+order.
 """
 
 import copy
@@ -70,6 +77,7 @@ from preassoc.families import (
     make_median_family,
     make_variadic_seed,
 )
+from preassoc.serialization import function_digest
 
 
 def _operations_2_2():
@@ -828,6 +836,17 @@ def test_first_violation_matches_least_key_scan(prop, universe):
         assert set(outcomes) == {True, False}
 
 
+def test_replication_invariant_on_medians_matches_the_walk():
+    # the checker visits the tuples up to length N // 2, the reference every
+    # nonempty tuple (on UNIVERSES, test_first_violation_matches_least_key_scan);
+    # every median holds the law, so its walk runs to the end
+    medians = list(_medians(4, 5))
+    for fn in medians:
+        verdict = checks.check_replication_invariant(fn)
+        assert verdict == _reference_replication_invariant(fn) and verdict.holds, fn
+    assert len(medians) == 50
+
+
 # ---------------------------------------------------------------------------
 # Order and one-value laws against their references
 # ---------------------------------------------------------------------------
@@ -953,6 +972,53 @@ def test_compose_rebuilds_every_factorized_table(universe):
         assert compose(fac.f, fac.H).entries == fn.entries, fn
         accepted += 1
     assert accepted == FACTORIZED[universe]
+
+
+# ---------------------------------------------------------------------------
+# Tables whose entries come out of tuple order
+# ---------------------------------------------------------------------------
+
+
+def _backwards(fn):
+    """``fn`` built from its entries listed last to first, so its row is read through the dict."""
+    entries = dict(reversed(fn.entries.items()))
+    return TableFn(fn.domain, fn.codomain, fn.max_arity, fn.default, entries)
+
+
+def _factorized(fn):
+    try:
+        return factorize(fn)
+    except PreconditionError as exc:
+        return exc.verdict
+
+
+#: universe -> its tables: on the 2-chain every operation up to arity 2 and every
+#: default-ε table at arity 3, on the 3-chain every 149th default-ε table at arity 2
+ROW_ORDER_UNIVERSES = {
+    "operations-2-1": lambda: all_operations(default_chain(2), 1),
+    "operations-2-2": UNIVERSES["operations-2-2"],
+    "epsilon-standard-2-3": UNIVERSES["epsilon-standard-2-3"],
+    "epsilon-standard-3-2-every-149th": lambda: (
+        epsilon_standard_at(default_chain(3), 2, i) for i in range(0, 3**12, 149)
+    ),
+}
+
+
+@pytest.mark.parametrize("universe", ROW_ORDER_UNIVERSES)
+def test_out_of_order_entries_give_the_same_answers(universe):
+    # no builder lists entries out of order: the row is then the dict read in
+    # tuple order, and every answer must be that of the in-order table
+    for fn in ROW_ORDER_UNIVERSES[universe]():
+        backwards = _backwards(fn)
+        assert backwards._row == fn._row and backwards == fn
+        names = [
+            n for n in checks.PROPERTY_NAMES
+            if (fn.is_operation or n not in checks.OPERATION_ONLY)
+            and (fn.default is EPSILON or n not in checks.EPSILON_DEFAULT_ONLY)
+        ]
+        assert checks.run_checks(backwards, names) == checks.run_checks(fn, names), fn
+        assert function_digest(backwards) == function_digest(fn), fn
+        assert _factorized(backwards) == _factorized(fn), fn
 
 
 def _max_table(chain, n, changes):

@@ -1,5 +1,6 @@
 """Factorization through associative operations, seed extension, recursion."""
 
+import re
 from itertools import product
 
 import pytest
@@ -14,9 +15,11 @@ from preassoc.enumeration import associative_tables
 from preassoc.errors import (
     ConditionError,
     DomainMismatchError,
+    InternalVerificationError,
     PreconditionError,
 )
 from preassoc.factorize import (
+    _verify_factorization,
     build_from_f1_h2,
     extend_unary_binary,
     factorize,
@@ -87,6 +90,19 @@ class TestFactorize:
             assert fac.f.graph[fac.H.entries[t]] == v
         assert fac.f.is_one_to_one()
         assert fac.H.is_epsilon_standard
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_a_broken_identity_names_its_first_tuple(self, sigma_min, order):
+        # F changed at two tuples, its entries in or out of tuple order: the
+        # check of f ∘ H = F names the first changed tuple of those entries
+        fac = factorize(sigma_min)
+        f1 = FiniteMap(sigma_min.domain.elements, sigma_min.codomain, SIGMA)
+        changed = dict(list(sigma_min.entries.items())[::order])
+        changed[("1", "2")] = changed[("2", "1", "0")] = "0"  # were "2" and "1"
+        fn = TableFn(sigma_min.domain, sigma_min.codomain, 3, EPSILON, changed)
+        first = "('1', '2')" if order == 1 else "('2', '1', '0')"
+        with pytest.raises(InternalVerificationError, match=re.escape(f"failed at {first}:")):
+            _verify_factorization(fn, f1, fac.g, fac.H, fac.f)
 
 
 class TestExtendUnaryBinary:
