@@ -24,11 +24,12 @@ on the table (``TableFn._decided``), so these five laws and ``factorize``'s
 precondition share one pass.
 The order and one-value laws take one pass each: the test that refutes
 the law also names its least witness.  The order laws read the table one
-arity at a time as a list in product order (``_layer``), where a step up
-at position i is a fixed stride: monotonicity compares aligned slices,
-symmetry compares a layer with itself read at the sorted tuples, and
-convexity tests each distinct section once.  Their witness keys order by
-total length first, so the least witness lies in the first failing layer.
+arity at a time as a tuple in product order (``_layer``): monotonicity
+compares each tuple with its steps up and convexity tests each distinct
+section once, both read at cached indices (``_section_getters``), and
+symmetry compares a layer with itself read at the sorted tuples.  Their
+witness keys order by total length first, so the least lies in the first
+failing layer.
 A law on single values (standard, epsilon_standard,
 unarily_range_idempotent, unarily_quasi_range_idempotent) holds iff no
 attained value fails it; else its witness is the first tuple valued in a
@@ -45,9 +46,9 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations_with_replacement, islice, product
+from itertools import combinations_with_replacement, islice, product, repeat
 from math import comb
-from operator import gt, mul, ne
+from operator import gt, itemgetter, mul, ne
 
 from .core import EPSILON, Chain, TableFn, Verdict, Witness, ranges
 from .errors import NotAnOperationError
@@ -406,32 +407,39 @@ def _p1_pass(fn: TableFn):
     signature iff the class's short members share one.  The pairs
     (F(y), signature) project onto the values F(y), so that holds iff there
     are as many distinct pairs as distinct values: one set count, with the
-    signatures read off the values in ``tuples_up_to`` order at
-    ``_extension_index``.  ``enumeration.preassociative_tables`` solves the
+    signatures read off the values in ``tuples_up_to`` order in one call of
+    ``_extension_getter``.  ``enumeration.preassociative_tables`` solves the
     same ties, read at the same index, one layer at a time.
     The scan counts every context within N - |y'| for each same-class pair
     (y, y'), y' the later one.  Tuples come shortest first, so the j-th
     m-tuple valued v (from j = 0) follows b_m(v) + j members of its class,
     b_m(v) the tuples shorter than m valued v; the c_m(v) m-tuples valued v
-    add c_m(v)·b_m(v) + C(c_m(v), 2) pairs, each with the contexts within N - m.
+    add c_m(v)·b_m(v) + C(c_m(v), 2) pairs, each with the contexts within
+    N - m.  As C(b + c, 2) = C(b, 2) + c·b + C(c, 2), that sums over v to
+    S_m - S_(m-1), S_m the same-class pairs among the tuples up to length m:
+    cases = Σ_m |contexts(N - m)|·(S_m - S_(m-1)), S_m off one running count.
     """
     k, n = len(fn.domain), fn.max_arity
     values = fn._row
-    index = _extension_index(k, n)
-    short = values[: len(index) // (2 * k)]
-    extensions = map(values.__getitem__, index)
+    short = values[: sum(k**m for m in range(n))]
+    extensions = iter(_extension_getter(k, n)(values))
     # zip reads the one iterator 2k times per row: each short y's signature
     if len(set(zip(short, *[extensions] * (2 * k)))) != len(set(short)):
         return None
-    before = Counter()  # value -> tuples shorter than the layer with it
-    cases = start = 0
+    seen = Counter()  # value -> tuples up to the layer with it
+    cases = pairs = start = 0
     for m in range(n + 1):
-        layer = Counter(values[start : start + k**m])
-        contexts = len(_context_pairs(fn.domain, n - m))
-        cases += contexts * sum(c * before[v] + comb(c, 2) for v, c in layer.items())
-        before.update(layer)
+        seen.update(values[start : start + k**m])
         start += k**m
+        below, pairs = pairs, sum(map(comb, seen.values(), repeat(2)))
+        cases += len(_context_pairs(fn.domain, n - m)) * (pairs - below)
     return cases
+
+
+@lru_cache(maxsize=128)
+def _extension_getter(k: int, n: int) -> itemgetter:
+    """A row's values at ``_extension_index(k, n)``, a tuple: it has 2k >= 2 indices."""
+    return itemgetter(*_extension_index(k, n))
 
 
 @lru_cache(maxsize=128)
@@ -684,7 +692,7 @@ def check_nonincreasing(fn: TableFn) -> Verdict:
     return _check_monotone(fn, "nonincreasing")
 
 
-def _layer(fn: TableFn, n: int, code=None) -> list:
+def _layer(fn: TableFn, n: int, code=None) -> tuple:
     """F(t) for every n-tuple t in product order, each through ``code`` if given.
 
     The n-tuples follow the k^0 + ... + k^(n-1) shorter ones in the row (a
@@ -694,39 +702,37 @@ def _layer(fn: TableFn, n: int, code=None) -> list:
     k = len(fn.domain)
     start = sum(k**m for m in range(n))
     values = fn._row[start : start + k**n]
-    return list(values if code is None else map(code.__getitem__, values))
+    return tuple(values if code is None else map(code.__getitem__, values))
 
 
-def _digit_slices(layer: list, k: int, n: int):
-    """Yield lists of k aligned slices of an n-tuple layer, each position of the tuple in turn.
+@lru_cache(maxsize=128)
+def _section_getters(k: int, n: int) -> tuple:
+    """k getters reading the one-argument sections of an n-tuple layer in product order.
 
-    The j-th slice holds tuples with the digit j at that position, each
-    beside the same tuple with the digit j + 1 in slice j + 1; zipping the k
-    slices gives the position's one-argument sections.  A position of
-    stride s is cut block by block (k^i blocks of k·s entries) or residue by
-    residue (s slices of step k·s), whichever makes fewer slices.
+    The j-th reads, at every position i (stride s = k^(n-1-i)) and for every
+    tuple a with digit 0 there, the tuple a + j·s, which has digit j there.
+    So the reads of getters j and j + 1 set each tuple beside its step up at
+    one position, and zipping all k reads gives every section once.  Read
+    from a layer (a tuple), each getter returns a tuple, also over the one
+    index of a layer with n = 1.
     """
-    for i in range(n):
-        s = k ** (n - 1 - i)
-        step = k * s
-        if k**i <= s:
-            for a in range(0, len(layer), step):
-                yield [layer[a + j * s : a + (j + 1) * s] for j in range(k)]
-        else:
-            for r in range(s):
-                yield [layer[r + j * s :: step] for j in range(k)]
+    strides = [k ** (n - 1 - i) for i in range(n)]
+    starts = [(a, s) for s in strides for a in range(k**n) if a // s % k == 0]
+    if len(starts) == 1:  # itemgetter over one index returns the item, a slice a tuple
+        return tuple(itemgetter(slice(j, j + 1)) for j in range(k))
+    return tuple(itemgetter(*[a + j * s for a, s in starts]) for j in range(k))
 
 
 def _check_monotone(fn: TableFn, prop: str) -> Verdict:
     """Monotone in each argument; only adjacent chain elements are compared.
 
-    Each layer's aligned slices are compared, so a holding verdict needs no
-    tuple walk.  A witness (x, x') has key total 2|x|, so the least one lies
-    in the first layer with a step down; there, raising a later position
-    gives a smaller x', so the first violation visiting x in product order
-    and its positions last to first is the least.  ``cases_checked`` counts
-    the steps up: at each of n positions, the (k-1)·k^(n-1) n-tuples not
-    topped there.
+    The reads of adjacent ``_section_getters`` are compared, so a holding
+    verdict needs no tuple walk.  A witness (x, x') has key total 2|x|, so
+    the least lies in the first layer with a step down; there, raising a
+    later position gives a smaller x', so the first violation visiting x in
+    product order and its positions last to first is the least.
+    ``cases_checked`` counts the steps up: at each of n positions, the
+    (k-1)·k^(n-1) n-tuples not topped there.
     """
     sign = 1 if prop == "nondecreasing" else -1  # a violation lowers the rank
     rank = {v: sign * i for i, v in enumerate(fn.codomain)}
@@ -734,11 +740,8 @@ def _check_monotone(fn: TableFn, prop: str) -> Verdict:
     cases = sum(n * (k - 1) * k ** (n - 1) for n in range(1, fn.max_arity + 1))
     for n in range(1, fn.max_arity + 1):
         layer = _layer(fn, n, rank)
-        if not any(
-            any(map(gt, low, high))
-            for parts in _digit_slices(layer, k, n)
-            for low, high in zip(parts, parts[1:])
-        ):
+        reads = [read(layer) for read in _section_getters(k, n)]
+        if not any(any(map(gt, low, high)) for low, high in zip(reads, reads[1:])):
             continue
         strides = [(i, k ** (n - 1 - i)) for i in reversed(range(n))]
         a, i, s = next(
@@ -791,19 +794,18 @@ def check_convex_sections(fn: TableFn) -> Verdict:
     """Every one-argument section has a gap-free image in the codomain order.
 
     Each layer's distinct sections (their k codomain positions in chain
-    order) are tested once.  A witness (y, z) has key total |y·z|, then the
-    word y·z, then |y|, which is the order of ``_context_pairs``; so the
-    least is the first pair of total n - 1 whose section is gapped, n the
-    first layer with a gapped section.
+    order), read by ``_section_getters``, are tested once.  A witness (y, z)
+    has key total |y·z|, then the word y·z, then |y|, which is the order of
+    ``_context_pairs``; so the least is the first pair of total n - 1 whose
+    section is gapped, n the first layer with a gapped section.
     """
     chain, table = fn.domain, fn._table
     cod = {v: i for i, v in enumerate(fn.codomain)}
     k = len(chain)
     cases = len(_context_pairs(chain, fn.max_arity - 1))
     for n in range(1, fn.max_arity + 1):
-        sections = set()
-        for parts in _digit_slices(_layer(fn, n, cod), k, n):
-            sections.update(zip(*parts))
+        layer = _layer(fn, n, cod)
+        sections = set(zip(*[read(layer) for read in _section_getters(k, n)]))
         gapped = {s for s in sections if max(s) - min(s) >= len(set(s))}
         if not gapped:
             continue

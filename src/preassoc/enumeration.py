@@ -29,10 +29,7 @@ from operator import and_, or_
 from typing import Iterator
 
 from .checks import _assoc_candidates, _context_pairs, _extension_index
-from .core import EPSILON, Chain, TableFn
-from .errors import ConditionError
-from .factorize import extend_unary_binary
-from .quasi_inverse import FiniteMap
+from .core import EPSILON, Chain, TableFn, left_fold
 
 
 def default_chain(size: int) -> Chain:
@@ -191,12 +188,14 @@ def associative_tables(chain: Chain) -> Iterator[dict]:
 def all_associative_extensions(chain: Chain, max_arity: int) -> Iterator[TableFn]:
     """Each (F1, F2) pair that extends to an associative operation, extended to ``max_arity``.
 
-    By the theorem behind ``extend_unary_binary``, F1 and F2 are the unary
-    and binary parts of an associative default-ε operation, then unique,
-    exactly when F1 is idempotent and fixes ran(F2), F2 absorbs F1 and F2 is
-    associative.  So only idempotent F1 are tried, each with the
-    ``associative_tables`` whose range it fixes, in ``all_epsilon_standard``
-    order (unary part first).
+    By the theorem behind ``factorize.extend_unary_binary``, F1 and F2 are
+    the unary and binary parts of an associative default-ε operation, then
+    unique, exactly when (i) F1 is idempotent and fixes ran(F2), (ii) F2
+    absorbs F1 and (iii) F2 is associative.  Only idempotent F1 are tried,
+    each with the ``associative_tables`` whose range it fixes, so (i) and
+    (iii) hold by construction and only (ii) is tested; each pair that
+    passes is the left fold of ``core.left_fold``.  The tables come in
+    ``all_epsilon_standard`` order (unary part first).
 
     For ``max_arity`` >= 3 these are exactly that universe's A1 tables: A1
     up to arity 3 already gives the three conditions and the fold.  Below
@@ -211,13 +210,12 @@ def all_associative_extensions(chain: Chain, max_arity: int) -> Iterator[TableFn
         fixed = set(values)  # an idempotent map fixes exactly its range
         if any(unary[w] != w for w in fixed):
             continue
-        f1 = FiniteMap(elements, elements, unary)
         for table, table_range in tables:
-            if table_range <= fixed:
-                try:
-                    yield extend_unary_binary(f1, table, max_arity)
-                except ConditionError:  # F2 does not absorb F1
-                    continue
+            if table_range <= fixed and all(
+                table[unary[u], v] == w == table[u, unary[v]] for (u, v), w in table.items()
+            ):
+                entries = left_fold(chain, unary, table, max_arity)
+                yield TableFn(chain, elements, max_arity, EPSILON, entries)
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,42 @@ def test_extensions_on_the_3_chain_match_every_unary_map_reference():
     assert set(got) == reference
 
 
+def _extensions_through_extend_unary_binary(chain, max_arity):
+    # the former loop: extend_unary_binary on every idempotent unary map and
+    # every associative table whose range it fixes, skipping ConditionError;
+    # each pair that does not absorb must fail there on condition (ii)
+    elements = chain.elements
+    tables = list(associative_tables(chain))
+    for values in product(elements, repeat=len(elements)):
+        unary = dict(zip(elements, values))
+        if any(unary[w] != w for w in values):
+            continue
+        f1 = FiniteMap(elements, elements, unary)
+        for table in tables:
+            if not set(table.values()) <= set(values):
+                continue
+            absorbs = all(
+                table[unary[u], v] == w == table[u, unary[v]] for (u, v), w in table.items()
+            )
+            try:
+                ext = extend_unary_binary(f1, table, max_arity)
+            except ConditionError as err:
+                assert not absorbs and err.condition == "ii", (unary, table)
+                continue
+            assert absorbs, (unary, table)
+            yield ext
+
+
+@pytest.mark.parametrize("max_arity", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_extensions_match_extend_unary_binary_in_order(k, max_arity):
+    chain = default_chain(k)
+    got = list(all_associative_extensions(chain, max_arity))
+    reference = list(_extensions_through_extend_unary_binary(chain, max_arity))
+    assert got == reference
+    assert [dumps_function(fn) for fn in got] == [dumps_function(fn) for fn in reference]
+
+
 def test_extensions_below_arity_3_are_truncations():
     # A1 does not see (xy)z = x(yz) below arity 3, so the extensions cover
     # only part of the A1 tables at arity 2 and repeat unary tables at arity 1

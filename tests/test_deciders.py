@@ -1075,16 +1075,15 @@ def test_sorted_index_maps_each_tuple_to_its_sorted_tuple():
         assert checks._sorted_index(k, n) == expected
 
 
-def test_digit_slices_pair_each_tuple_with_its_steps():
-    # zipping a position's aligned slices gives its sections, each once
-    for k, n in [(1, 3), (2, 4), (3, 3), (4, 2), (5, 3)]:
+def test_section_getters_pair_each_tuple_with_its_steps():
+    # zipping the k getters' reads gives every section once; at n = 1 each
+    # getter reads one index and must still return a tuple
+    for k, n in [(1, 1), (2, 1), (3, 1), (1, 3), (2, 4), (3, 3), (4, 2), (5, 3)]:
         chain = default_chain(k)
         tuples = chain.tuples(n)
-        sections = sorted(
-            section
-            for parts in checks._digit_slices(list(tuples), k, n)
-            for section in zip(*parts)
-        )
+        reads = [read(tuples) for read in checks._section_getters(k, n)]
+        assert all(type(r) is tuple and len(r) == n * k ** (n - 1) for r in reads)
+        sections = sorted(zip(*reads))
         expected = sorted(
             tuple(t[:i] + (u,) + t[i + 1 :] for u in chain.elements)
             for i in range(n)

@@ -130,18 +130,25 @@ class TestExtendUnaryBinary:
         assert err.value.condition == "i"
 
     def test_absorption_failure_is_condition_ii(self, chain2):
-        # F1 constant 0 with XOR: F1∘F1 = F1 and F1∘F2 != F2 at (0,1) -> condition i;
-        # use F2 = max with F1 = constant-0 instead: F1∘F2 fails too... build a
-        # genuine (ii) failure: F1 = id except F2 not absorbing is impossible
-        # with F1 = id, so take F1(x) = 0 and F2 = min: (i) holds since
-        # min values are 0-fixed only if... check the real failure kind below.
+        # F1 constant 0 with min: F1 is idempotent, but it does not fix
+        # min(1, 1) = 1, so condition (i) fails before (ii) is tested;
+        # test_nonabsorbing_binary_fails_condition_ii below reaches (ii)
         const0 = FiniteMap(chain2.elements, chain2.elements, {"0": "0", "1": "0"})
         f2 = {(u, v): chain2.meet(u, v) for u in chain2.elements for v in chain2.elements}
         with pytest.raises(ConditionError) as err:
             extend_unary_binary(const0, f2, 3)
-        # min(1,1) = 1 is not fixed by the constant map: condition (i); the
-        # absorbing variant min(F1(1), 1) = 0 != 1 would be (ii)
         assert err.value.condition in ("i", "ii")
+
+    def test_nonabsorbing_binary_fails_condition_ii(self, chain3):
+        # F1 idempotent and fixing ran F2 = {0, 1}, so (i) holds; but
+        # F2(F1(2), 0) = F2(1, 0) = 1 while F2(2, 0) = 0
+        f1 = FiniteMap(chain3.elements, chain3.elements, {"0": "0", "1": "1", "2": "1"})
+        f2 = {(u, v): "0" if u == "2" else "1" for u in chain3.elements for v in chain3.elements}
+        message = "F2 does not absorb F1 at ('2','0')"
+        with pytest.raises(ConditionError, match=re.escape(message)) as err:
+            extend_unary_binary(f1, f2, 3)
+        assert err.value.condition == "ii"
+        assert err.value.witness == ("2", "0")
 
     def test_nonassociative_binary_fails_condition_iii(self, chain3):
         sub = {
