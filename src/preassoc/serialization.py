@@ -2,8 +2,9 @@
 
 A function file lists the domain chain, an optional codomain listing, the
 default value ("ε" for the marker), the max arity, and one entry per tuple.
-Canonical serialization sorts entries by arity then lexicographic arguments
-and is byte-stable, so digests and golden-file comparisons are meaningful.
+Canonical serialization lists entries by arity, then lexicographically in the
+domain's listing order, and is byte-stable, so digests and golden-file
+comparisons are meaningful.  The loader reads that layout without ``json``.
 """
 
 from __future__ import annotations
@@ -193,17 +194,16 @@ def function_digest(fn: TableFn) -> str:
     return hashlib.sha256(dumps_function(fn).encode("utf-8")).hexdigest()
 
 
-def table_from_dict(doc) -> TableFn:
-    """Parse a function document into a validated table function.
-
-    The loader checks the document's shape; ``Chain`` and ``TableFn`` refuse
-    an invalid table, and their refusal becomes a ``FunctionFileError``.
-    """
+def _fields(doc) -> tuple:
+    """A document's shape-checked domain, max_arity, default and codomain (or None)."""
     if not isinstance(doc, dict):
         raise FunctionFileError("function document must be a JSON object")
-    for key in ("domain", "default", "max_arity", "entries"):
+    for key in FUNCTION_SCHEMA["required"]:
         if key not in doc:
             raise FunctionFileError(f"missing required field {key!r}", field=key)
+    for key in doc:
+        if key not in FUNCTION_SCHEMA["properties"]:
+            raise FunctionFileError(f"unknown field {key!r}", field=key)
     domain = doc["domain"]
     if not isinstance(domain, list) or not all(isinstance(s, str) for s in domain):
         raise FunctionFileError("domain must be a list of strings", field="domain")
@@ -215,7 +215,23 @@ def table_from_dict(doc) -> TableFn:
     max_arity = doc["max_arity"]
     if type(max_arity) is not int or max_arity < 1:  # bool is an int subclass
         raise FunctionFileError("max_arity must be an integer >= 1", field="max_arity")
+    default = doc["default"]
+    if not isinstance(default, str):
+        raise FunctionFileError("default must be a symbol string", field="default")
+    codomain = doc.get("codomain", [])  # null is refused; an omitted one is inferred
+    if not isinstance(codomain, list) or not all(isinstance(s, str) for s in codomain):
+        raise FunctionFileError("codomain must be a list of strings", field="codomain")
+    codomain = tuple(map(_decode, codomain)) if "codomain" in doc else None
+    return domain, max_arity, _decode(default), codomain
 
+
+def table_from_dict(doc) -> TableFn:
+    """Parse a function document into a validated table function.
+
+    The loader checks the document's shape; ``Chain`` and ``TableFn`` refuse
+    an invalid table, and their refusal becomes a ``FunctionFileError``.
+    """
+    domain, max_arity, default, codomain = _fields(doc)
     entries_doc = doc["entries"]
     if not isinstance(entries_doc, list):
         raise FunctionFileError("entries must be a list", field="entries")
@@ -225,6 +241,8 @@ def table_from_dict(doc) -> TableFn:
         for i, item in enumerate(entries_doc):
             if not isinstance(item, dict) or "args" not in item or "value" not in item:
                 raise _entry_error(i, " must be an object with 'args' and 'value'")
+            if len(item) != 2:
+                raise _entry_error(i, " must hold only 'args' and 'value'")
             args = item["args"]
             value = item["value"]
             if not isinstance(args, list) or not all(isinstance(s, str) for s in args):
@@ -237,19 +255,12 @@ def table_from_dict(doc) -> TableFn:
                     f"duplicate entry for args {args!r}", field=f"entries[{i}]"
                 )
             entries[key] = _decode(value)
-
-    default_doc = doc["default"]
-    if not isinstance(default_doc, str):
-        raise FunctionFileError("default must be a symbol string", field="default")
-    default = _decode(default_doc)
-
-    codomain_doc = doc.get("codomain")
-    if codomain_doc is None:
+    if codomain is None:
         codomain = _inferred_codomain(set(entries.values()), default, domain)
-    elif isinstance(codomain_doc, list) and all(isinstance(s, str) for s in codomain_doc):
-        codomain = tuple(map(_decode, codomain_doc))
-    else:
-        raise FunctionFileError("codomain must be a list of strings", field="codomain")
+    return _table(domain, codomain, max_arity, default, entries)
+
+
+def _table(domain, codomain: tuple, max_arity: int, default, entries: dict) -> TableFn:
     try:
         return TableFn(Chain(tuple(domain)), codomain, max_arity, default, entries)
     except (ValueError, UnknownSymbolError) as exc:
@@ -259,11 +270,11 @@ def table_from_dict(doc) -> TableFn:
 def _bulk_entries(entries_doc: list):
     """The entries, if a check of the whole list finds its shape right, else None.
 
-    Right means every item a dict with "args" and "value", every args a
+    Right means every item a dict of "args" and "value" alone, every args a
     list of strings, every value a string, and no args twice.  ``str.join``
     refuses a non-string with TypeError, as ``isinstance(s, str)`` does.
     """
-    if not set(map(type, entries_doc)) <= {dict}:
+    if not set(map(type, entries_doc)) <= {dict} or not set(map(len, entries_doc)) <= {2}:
         return None
     try:
         args = list(map(itemgetter("args"), entries_doc))
@@ -308,7 +319,41 @@ def _inferred_codomain(values: set, default, domain: list) -> tuple:
     return tuple(ordered)
 
 
+def _canonical_fields(text: str):
+    """``_table``'s arguments for a text in ``dumps_function``'s layout, else None.
+
+    Taken only when each entry is its cached head and a codomain token, in
+    ``tuples_up_to`` order: the writer's bytes, which ``json.loads`` reads back
+    to the same fields and entries, so ``table_from_dict`` would give the same
+    table or refusal.  Heads are built only for an entry count that fits.
+    """
+    header, found, body = text.partition(',\n "entries": [')
+    body, tail, end = body.rpartition("\n  }\n ]\n}\n")
+    if not (found and tail) or end:
+        return None
+    try:  # the last "entries" key wins, in this header as in the whole text
+        domain, max_arity, default, codomain = _fields(json.loads(header + ',"entries":[]}'))
+        chain = Chain(tuple(domain))
+    except (ValueError, FunctionFileError):  # JSONDecodeError is a ValueError
+        return None
+    pieces = body.split("\n  },")
+    expected = 0
+    for n in range(1, max_arity + 1):  # stops past len(pieces), however large max_arity is
+        expected += len(domain) ** n
+        if expected > len(pieces):
+            return None
+    heads = _entry_heads(chain, max_arity, 1) if expected == len(pieces) else ()
+    tokens = {encode_basestring(_value_token(v)): v for v in codomain or ()}
+    values = list(map(tokens.get, map(str.removeprefix, pieces, heads)))
+    if not heads or None in values or not all(map(str.startswith, pieces, heads)):
+        return None
+    entries = dict(zip(islice(chain.tuples_up_to(max_arity), 1, None), values))
+    return domain, codomain, max_arity, default, entries
+
+
 def loads_function(text: str) -> TableFn:
+    if (fields := _canonical_fields(text)) is not None:
+        return _table(*fields)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -144,6 +144,104 @@ class TestWriterBytes:
         assert digest == function_digest(min3_fn) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _read_back_tables(chain4):
+    """Tables whose canonical texts must take the direct read: every operation on
+    the 2-chain at arity 2, a median and a grid t-norm at arity 4, symbols JSON
+    escapes or that look like the layout's own separators, ε values, a foreign
+    codomain, and a chain listed against string order."""
+    yield from all_operations(default_chain(2), 2)
+    yield make_median_family(MedianParams("0", "3", "1", "2"), chain4, 4)
+    yield make_variadic_seed("tnorm", "min", [0, 0.25, 0.5, 0.75, 1], 4)
+    odd = Chain(_ODD_SYMBOLS + ("},", "\n  },", ',\n "entries": ['))
+    for default in (EPSILON, "é"):
+        yield _spread(odd, odd.elements + (EPSILON,), 2, default)
+        yield _spread(Chain(_ODD_SYMBOLS[:3]), _ODD_SYMBOLS[3:] + (EPSILON,), 2, default)
+    yield tabulate(Chain(("b", "a")).meet, Chain(("b", "a")), 3)
+
+
+def _outcome(read, text):
+    """The table ``read`` makes of ``text``, or the type and message of its refusal."""
+    try:
+        return read(text)
+    except Exception as exc:  # every refusal is compared, whatever its type
+        return type(exc), str(exc)
+
+
+def _through_json(text):
+    """The general read: ``json.loads`` (its refusal worded as the loader's), then
+    ``table_from_dict``."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FunctionFileError(f"invalid JSON: {exc}") from None
+    return table_from_dict(doc)
+
+
+def _near_canonical():
+    """Texts one edit away from the canonical layout, by name."""
+    fn = tabulate(Chain(("0", "1")).meet, Chain(("0", "1")), 2)
+    text = dumps_function(fn)
+    doc = table_to_dict(fn)
+    entries = doc["entries"]
+    last = text.rindex('"value": "1"')
+    header = text.partition(',\n "entries": [')[0]
+    tokens = ['"%s"' % entry["value"] for entry in entries]
+    return {
+        "crlf": text.replace("\n", "\r\n"),
+        "no-final-newline": text[:-1],
+        "extra-space-in-header": text.replace('"max_arity": ', '"max_arity":  '),
+        "extra-space-in-entries": text.replace('"value": ', '"value":  ', 1),
+        "extra-space-at-end": text + " ",
+        "args-swapped": json.dumps(  # the layout kept, two entries' args traded
+            {**doc, "entries": [{**entries[0], "args": ["1"]}, {**entries[1], "args": ["0"]}]
+             + entries[2:]}, ensure_ascii=False, indent=1
+        ) + "\n",
+        # each entry's value in place of the whole entry: not JSON
+        "values-without-heads": header + ',\n "entries": [' + "\n  },".join(tokens)
+        + "\n  }\n ]\n}\n",
+        "entries-reversed": json.dumps(
+            {**doc, "entries": entries[::-1]}, ensure_ascii=False, indent=1
+        ) + "\n",
+        "entries-key-first": text.replace("{\n", '{\n "entries": 5,\n', 1),
+        "entries-key-twice": text.replace('\n "codomain"', '\n "entries": [],\n "codomain"', 1),
+        "extra-header-key": text.replace('\n "default"', '\n "extra": 1,\n "default"', 1),
+        "codomain-omitted": json.dumps(
+            {key: v for key, v in doc.items() if key != "codomain"}, ensure_ascii=False, indent=1
+        ) + "\n",
+        "duplicate-domain-symbol": text.replace('"1"\n ],', '"1",\n  "0"\n ],', 1),
+        "value-outside-codomain": text[:last] + text[last:].replace('"1"', '"7"', 1),
+        "max-arity-not-an-integer": text.replace('"max_arity": 2', '"max_arity": true'),
+    }
+
+
+_NEAR_CANONICAL = _near_canonical()
+
+
+class TestReadPaths:
+    def test_canonical_and_compact_texts_read_back_the_table(self, chain4):
+        for fn in _read_back_tables(chain4):
+            text = dumps_function(fn)
+            assert serialization._canonical_fields(text) is not None, fn
+            assert loads_function(text) == fn == _through_json(text)
+            compact = dumps_function_compact(fn)
+            assert loads_function(compact) == fn == _through_json(compact)
+
+    @pytest.mark.parametrize("case", _NEAR_CANONICAL)
+    def test_near_canonical_text_reads_as_json_does(self, case):
+        text = _NEAR_CANONICAL[case]
+        assert _outcome(loads_function, text) == _outcome(_through_json, text)
+
+    def test_a_huge_max_arity_is_refused_before_any_head_is_built(self):
+        text = dumps_function(_spread(Chain(("0", "1")), ("0", "1"), 1, EPSILON))
+        text = text.replace('"max_arity": 1', '"max_arity": 60')
+        before = serialization._entry_heads.cache_info()
+        with pytest.raises(FunctionFileError) as info:
+            loads_function(text)
+        assert str(info.value) == "entries not total at arity 2: expected 4, found 0"
+        after = serialization._entry_heads.cache_info()
+        assert (after.currsize, after.misses) == (before.currsize, before.misses)
+
+
 class TestValidation:
     def base_doc(self):
         return {
@@ -178,9 +276,10 @@ class TestValidation:
             ({"args": [1], "value": "1"}, "entries[1].args must be a list of symbols"),
             ({"args": ["1"], "value": 1}, "entries[1].value must be a symbol"),
             ({"args": ["0"], "value": "1"}, "duplicate entry for args ['0']"),
+            ({"args": ["1"], "value": "1", "x": 2}, "entries[1] must hold only 'args' and 'value'"),
         ],
         ids=["not-object", "no-value", "args-not-list", "args-not-strings", "value-not-string",
-             "duplicate"],
+             "duplicate", "extra-key"],
     )
     def test_entry_fault_names_its_index(self, entry, message):
         doc = self.base_doc()
@@ -312,6 +411,38 @@ def _fault(edit):
     doc = TestValidation().base_doc()
     edit(doc)
     return doc
+
+
+#: Documents ``FUNCTION_SCHEMA`` refuses, with the field the loader names.
+_OFF_SCHEMA = {
+    "extra-field": (lambda d: d.update(extra=1), "extra"),
+    "extra-entry-key": (lambda d: d["entries"][1].update(x=2), "entries[1]"),
+    "null-codomain": (lambda d: d.update(codomain=None), "codomain"),
+}
+
+
+@pytest.mark.parametrize("fault", _OFF_SCHEMA)
+def test_loader_refuses_what_the_schema_refuses(fault):
+    edit, field = _OFF_SCHEMA[fault]
+    doc = _fault(edit)
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, FUNCTION_SCHEMA)
+    with pytest.raises(FunctionFileError) as info:
+        table_from_dict(doc)
+    assert info.value.field == field
+    with pytest.raises(FunctionFileError) as info:
+        loads_function(json.dumps(doc, indent=1))
+    assert info.value.field == field
+
+
+def test_readme_example_loads_and_validates():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Function files", 1)[1]
+    text = section.split("```json\n", 1)[1].split("```", 1)[0]
+    jsonschema.validate(json.loads(text), FUNCTION_SCHEMA)
+    fn = loads_function(text)
+    assert fn == table_from_dict(json.loads(text))
+    assert fn.entries[("0", "1")] == "0" and fn.default is EPSILON
 
 
 #: One function document per table-level fault, which ``Chain`` or ``TableFn`` refuses.
