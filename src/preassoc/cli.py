@@ -47,7 +47,7 @@ from .serialization import (
     dumps_function_compact,
     dumps_report,
     function_digest,
-    load_function,
+    read_function,
     save_function,
     verdict_to_dict,
 )
@@ -103,15 +103,17 @@ def _resolve_properties(tokens, parser) -> list:
     return names
 
 
-def _truncate(fn: TableFn, max_arity: int) -> TableFn:
-    if max_arity == fn.max_arity:
-        return fn
-    if max_arity > fn.max_arity:
-        raise PreassocError(
-            f"cannot raise max arity from {fn.max_arity} to {max_arity}: entries missing"
-        )
-    entries = {t: v for t, v in fn.entries.items() if len(t) <= max_arity}
-    return TableFn(fn.domain, fn.codomain, max_arity, fn.default, entries)
+def _read_table(args) -> tuple:
+    """The file's table, truncated to --max-arity, and its ``function_digest``."""
+    fn, digest = read_function(args.file)
+    n = args.max_arity
+    if not n or n == fn.max_arity:
+        return fn, digest
+    if n > fn.max_arity:
+        raise PreassocError(f"cannot raise max arity from {fn.max_arity} to {n}: entries missing")
+    entries = {t: v for t, v in fn.entries.items() if len(t) <= n}
+    fn = TableFn(fn.domain, fn.codomain, n, fn.default, entries)
+    return fn, function_digest(fn)
 
 
 def _print_verdicts(verdicts, quiet):
@@ -135,15 +137,13 @@ def _cmd_check(args, parser) -> int:
     names = _resolve_properties(_tokens(args.properties), parser)
     if not names:
         parser.error("property selection is empty")
-    fn = load_function(args.file)
-    if args.max_arity:
-        fn = _truncate(fn, args.max_arity)
+    fn, digest = _read_table(args)
     refused = [name for name in names if _needs_epsilon_default(fn, name)]
     if refused:
         raise PreassocError(f"{', '.join(refused)}: defined only for operations with default ε")
     verdicts = run_checks(fn, names)
     if args.json:
-        report = build_report(fn, verdicts.values(), __version__)
+        report = build_report(digest, verdicts.values(), __version__)
         print(dumps_report(report), end="")
     else:
         _print_verdicts(verdicts, args.quiet)
@@ -166,14 +166,12 @@ def _graph_tokens(fmap: FiniteMap) -> dict:
 
 
 def _cmd_factorize(args, parser) -> int:
-    fn = load_function(args.file)
-    if args.max_arity:
-        fn = _truncate(fn, args.max_arity)
+    fn, digest = _read_table(args)
     pins = _parse_pins(args.pins) if args.pins else None
     report = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
-        "function_digest": function_digest(fn),
+        "function_digest": digest,
     }
     failed = None
     try:

@@ -4,7 +4,11 @@ A function file lists the domain chain, an optional codomain listing, the
 default value ("ε" for the marker), the max arity, and one entry per tuple.
 Canonical serialization lists entries by arity, then lexicographically in the
 domain's listing order, and is byte-stable, so digests and golden-file
-comparisons are meaningful.  The loader reads that layout without ``json``.
+comparisons are meaningful.  The loader reads that layout without ``json``,
+and ``read_function`` takes a canonical file's digest from the bytes it read.
+A file may begin with a UTF-8 byte-order mark, which the reader drops.
+Reports are the bytes of ``json.dumps(report, ensure_ascii=False, indent=1)``
+and a newline, written directly rather than by ``json``'s indent encoder.
 """
 
 from __future__ import annotations
@@ -155,29 +159,33 @@ def _entry_heads(chain: Chain, max_arity: int, indent) -> tuple:
     )
 
 
-def _write(fn: TableFn, indent) -> str:
-    """The text of ``json.dumps(table_to_dict(fn), ensure_ascii=False, ...)`` with
-    ``indent``, or with the compact separators for None, built from string pieces."""
-    _refuse_unloadable(fn)
+def _header(domain, codomain, default, max_arity: int, indent) -> str:
+    """The writer's text up to the "entries" field: "{" and the four fields before it."""
     br, colon = _layout(indent)
-    tokens = {v: encode_basestring(_value_token(v)) for v in fn.codomain}
-    close = br[2] + "}"
-    tails = {v: token + close for v, token in tokens.items()}
-    heads = _entry_heads(fn.domain, fn.max_arity, indent)
-    entries = ",".join(map(str.__add__, heads, map(tails.__getitem__, islice(fn._row, 1, None))))
 
     def array(items):
         return "[" + br[2] + ("," + br[2]).join(items) + br[1] + "]"
 
     fields = {
-        "domain": array(map(encode_basestring, fn.domain.elements)),
-        "codomain": array(tokens.values()),
-        "default": encode_basestring(_value_token(fn.default)),
-        "max_arity": str(fn.max_arity),
-        "entries": "[" + entries + br[1] + "]",
+        "domain": array(map(encode_basestring, domain)),
+        "codomain": array(encode_basestring(_value_token(v)) for v in codomain),
+        "default": encode_basestring(_value_token(default)),
+        "max_arity": str(max_arity),
     }
-    body = ("," + br[1]).join(f'"{key}"{colon}{text}' for key, text in fields.items())
-    return "{" + br[1] + body + br[0] + "}"
+    return "{" + br[1] + ("," + br[1]).join(f'"{key}"{colon}{text}' for key, text in fields.items())
+
+
+def _write(fn: TableFn, indent) -> str:
+    """The text of ``json.dumps(table_to_dict(fn), ensure_ascii=False, ...)`` with
+    ``indent``, or with the compact separators for None, built from string pieces."""
+    _refuse_unloadable(fn)
+    br, colon = _layout(indent)
+    close = br[2] + "}"
+    tails = {v: encode_basestring(_value_token(v)) + close for v in fn.codomain}
+    heads = _entry_heads(fn.domain, fn.max_arity, indent)
+    entries = ",".join(map(str.__add__, heads, map(tails.__getitem__, islice(fn._row, 1, None))))
+    header = _header(fn.domain.elements, fn.codomain, fn.default, fn.max_arity, indent)
+    return header + "," + br[1] + '"entries"' + colon + "[" + entries + br[1] + "]" + br[0] + "}"
 
 
 def dumps_function(fn: TableFn) -> str:
@@ -322,19 +330,23 @@ def _inferred_codomain(values: set, default, domain: list) -> tuple:
 def _canonical_fields(text: str):
     """``_table``'s arguments for a text in ``dumps_function``'s layout, else None.
 
-    Taken only when each entry is its cached head and a codomain token, in
-    ``tuples_up_to`` order: the writer's bytes, which ``json.loads`` reads back
-    to the same fields and entries, so ``table_from_dict`` would give the same
-    table or refusal.  Heads are built only for an entry count that fits.
+    Taken only when the text up to the entries is the writer's header for its
+    fields and each entry is its cached head and a codomain token, in
+    ``tuples_up_to`` order: the text is then ``dumps_function`` of the table
+    these arguments make, byte for byte, which ``json.loads`` reads back to the
+    same fields and entries, so ``table_from_dict`` would give the same table
+    or refusal.  Heads are built only for an entry count that fits.
     """
     header, found, body = text.partition(',\n "entries": [')
     body, tail, end = body.rpartition("\n  }\n ]\n}\n")
     if not (found and tail) or end:
         return None
-    try:  # the last "entries" key wins, in this header as in the whole text
+    try:
         domain, max_arity, default, codomain = _fields(json.loads(header + ',"entries":[]}'))
         chain = Chain(tuple(domain))
     except (ValueError, FunctionFileError):  # JSONDecodeError is a ValueError
+        return None
+    if codomain is None or header != _header(domain, codomain, default, max_arity, 1):
         return None
     pieces = body.split("\n  },")
     expected = 0
@@ -343,7 +355,7 @@ def _canonical_fields(text: str):
         if expected > len(pieces):
             return None
     heads = _entry_heads(chain, max_arity, 1) if expected == len(pieces) else ()
-    tokens = {encode_basestring(_value_token(v)): v for v in codomain or ()}
+    tokens = {encode_basestring(_value_token(v)): v for v in codomain}
     values = list(map(tokens.get, map(str.removeprefix, pieces, heads)))
     if not heads or None in values or not all(map(str.startswith, pieces, heads)):
         return None
@@ -361,13 +373,36 @@ def loads_function(text: str) -> TableFn:
     return table_from_dict(doc)
 
 
+def _read(path) -> tuple:
+    """A function file's table, and its bytes if they are the canonical text, else None.
+
+    The file is read as bytes and decoded as strict UTF-8.  A text in the
+    canonical layout is ``dumps_function`` of its table byte for byte (see
+    ``_canonical_fields``).  Any other text drops one leading byte-order
+    mark, has its line ends translated to "\\n" as a text-mode read would,
+    and goes through ``loads_function``.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FunctionFileError(f"not UTF-8 text: {exc}") from None
+    if (fields := _canonical_fields(text)) is not None:
+        return _table(*fields), data
+    text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+    return loads_function(text), None
+
+
+def read_function(path) -> tuple:
+    """A function file's table and its ``function_digest``: the sha256 of the
+    bytes read when they are the canonical text, else computed from the table."""
+    fn, canonical = _read(path)
+    return fn, function_digest(fn) if canonical is None else hashlib.sha256(canonical).hexdigest()
+
+
 def load_function(path) -> TableFn:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise FunctionFileError(f"not UTF-8 text: {exc}") from None
-    return loads_function(text)
+    return _read(path)[0]
 
 
 def save_function(fn: TableFn, path) -> str:
@@ -409,14 +444,43 @@ def verdict_to_dict(v: Verdict) -> dict:
     return doc
 
 
-def build_report(fn: TableFn, verdicts, tool_version: str) -> dict:
+def build_report(digest: str, verdicts, tool_version: str) -> dict:
+    """The ``check`` report on the table whose ``function_digest`` is ``digest``."""
     return {
         "schema_version": SCHEMA_VERSION,
         "tool_version": tool_version,
-        "function_digest": function_digest(fn),
+        "function_digest": digest,
         "results": [verdict_to_dict(v) for v in verdicts],
     }
 
 
+#: Every leaf but a str, int, bool or None; its text does not depend on the indent.
+_encode_leaf = json.JSONEncoder(ensure_ascii=False).encode
+
+_LEAVES = {
+    str: encode_basestring,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _report_text(value, br: str) -> str:
+    """``json.dumps(value, ensure_ascii=False, indent=1)`` nested where ``br`` breaks a line."""
+    leaf = _LEAVES.get(type(value))
+    if leaf is not None:
+        return leaf(value)
+    inner = br + " "
+    if isinstance(value, dict):
+        items = [encode_basestring(k) + ": " + _report_text(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + br + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [_report_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + br + "]" if items else "[]"
+    return _encode_leaf(value)
+
+
 def dumps_report(report: dict) -> str:
-    return json.dumps(report, ensure_ascii=False, indent=1) + "\n"
+    """The bytes of ``json.dumps(report, ensure_ascii=False, indent=1) + "\\n"`` for a
+    report whose keys are strings, written without ``json``'s pure-Python indent encoder."""
+    return _report_text(report, "\n") + "\n"

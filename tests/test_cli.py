@@ -15,7 +15,7 @@ from preassoc.checks import PROPERTY_NAMES
 from preassoc import cli
 from preassoc.cli import main
 from preassoc.core import EPSILON, TableFn
-from preassoc.families import tabulate
+from preassoc.families import MedianParams, make_median_family, tabulate
 from preassoc.serialization import (
     FUNCTION_SCHEMA,
     REPORT_SCHEMA,
@@ -678,6 +678,63 @@ class TestEnumerate:
             assert "scanned 1 " in captured.err  # the one default-ε table
         else:
             assert "scanned 4 " in captured.err  # (1+ε)^1 entries x (1+ε) defaults
+
+
+def _report(argv, tmp_path, capsys) -> dict:
+    """The report ``check --json`` prints or ``factorize`` writes, whatever the exit code."""
+    if argv[0] == "check":
+        assert main(argv + ["--properties", ",".join(PROPERTY_NAMES), "--json"]) in (0, 1)
+        return json.loads(capsys.readouterr().out)
+    out_rep = tmp_path / "rep.json"
+    assert main(argv + ["--out-h", str(tmp_path / "H.json"), "--out-report", str(out_rep)]) in (0, 1)
+    return json.loads(out_rep.read_text(encoding="utf-8"))
+
+
+class TestReportDigest:
+    """The report's ``function_digest`` is that of the table the command read."""
+
+    @pytest.fixture
+    def median_file(self, tmp_path, chain4):
+        path = tmp_path / "median.json"
+        save_function(make_median_family(MedianParams("0", "3", "1", "2"), chain4, 4), path)
+        return path
+
+    @pytest.mark.parametrize("command", ["check", "factorize"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["canonical", "crlf"])
+    def test_digest_of_the_file_read(self, tmp_path, median_file, command, newline, capsys):
+        path = tmp_path / "in.json"
+        path.write_bytes(median_file.read_bytes().replace(b"\n", newline.encode()))
+        report = _report([command, str(path)], tmp_path, capsys)
+        assert report["function_digest"] == function_digest(load_function(path))
+
+    @pytest.mark.parametrize("command", ["check", "factorize"])
+    def test_digest_of_the_truncated_table(self, tmp_path, median_file, command, capsys):
+        report = _report([command, str(median_file), "--max-arity", "2"], tmp_path, capsys)
+        fn = load_function(median_file)
+        truncated = TableFn(fn.domain, fn.codomain, 2, fn.default,
+                            {t: v for t, v in fn.entries.items() if len(t) <= 2})
+        assert report["function_digest"] == function_digest(truncated)
+        assert report["function_digest"] != function_digest(fn)
+
+    def test_a_file_with_a_byte_order_mark_checks(self, tmp_path, min_file, capsys):
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xef\xbb\xbf" + min_file.read_bytes())
+        assert main(["check", str(path), "--properties", "assoc", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["function_digest"] == function_digest(
+            load_function(min_file)
+        )
+
+    @pytest.mark.parametrize(
+        "fixture, code", [("min_file", 0), ("length_file", 1)], ids=["factors", "precondition"]
+    )
+    def test_factorize_report_is_json_dumps_text(self, tmp_path, fixture, code, request, capsys):
+        # exit 1: the report holds the failed precondition in place of f, g and H
+        out_rep = tmp_path / "rep.json"
+        argv = ["factorize", str(request.getfixturevalue(fixture)),
+                "--out-h", str(tmp_path / "H.json"), "--out-report", str(out_rep)]
+        assert main(argv) == code
+        text = out_rep.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), ensure_ascii=False, indent=1) + "\n"
 
 
 class TestJsonOption:

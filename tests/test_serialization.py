@@ -12,7 +12,13 @@ import pytest
 
 from preassoc import __version__, serialization
 from preassoc.cli import main
-from preassoc.checks import check_preassociative, check_standard
+from preassoc.checks import (
+    EPSILON_DEFAULT_ONLY,
+    PROPERTY_NAMES,
+    check_preassociative,
+    check_standard,
+    run_checks,
+)
 from preassoc.core import EPSILON, Chain, TableFn
 from preassoc.enumeration import all_operations, default_chain
 from preassoc.errors import FunctionFileError
@@ -23,8 +29,11 @@ from preassoc.serialization import (
     build_report,
     dumps_function,
     dumps_function_compact,
+    dumps_report,
     function_digest,
+    load_function,
     loads_function,
+    read_function,
     save_function,
     table_from_dict,
     table_to_dict,
@@ -211,6 +220,13 @@ def _near_canonical():
         "duplicate-domain-symbol": text.replace('"1"\n ],', '"1",\n  "0"\n ],', 1),
         "value-outside-codomain": text[:last] + text[last:].replace('"1"', '"7"', 1),
         "max-arity-not-an-integer": text.replace('"max_arity": 2', '"max_arity": true'),
+        # the entries kept in the writer's layout, the header laid out otherwise
+        "header-crlf": header.replace("\n", "\r\n") + text[len(header):],
+        "header-compact": json.dumps(
+            {key: v for key, v in doc.items() if key != "entries"}, ensure_ascii=False
+        )[:-1] + text[len(header):],
+        "header-keys-reordered": text.replace('{\n "domain"', '{\n "max_arity": 2,\n "domain"', 1)
+        .replace(',\n "max_arity": 2,\n "entries"', ',\n "entries"', 1),
     }
 
 
@@ -231,6 +247,12 @@ class TestReadPaths:
         text = _NEAR_CANONICAL[case]
         assert _outcome(loads_function, text) == _outcome(_through_json, text)
 
+    @pytest.mark.parametrize("case", _NEAR_CANONICAL)
+    def test_only_the_writers_text_takes_the_direct_read(self, case):
+        # read_function hashes the bytes of a text the direct read takes
+        text = _NEAR_CANONICAL[case]
+        assert serialization._canonical_fields(text) is None
+
     def test_a_huge_max_arity_is_refused_before_any_head_is_built(self):
         text = dumps_function(_spread(Chain(("0", "1")), ("0", "1"), 1, EPSILON))
         text = text.replace('"max_arity": 1', '"max_arity": 60')
@@ -240,6 +262,53 @@ class TestReadPaths:
         assert str(info.value) == "entries not total at arity 2: expected 4, found 0"
         after = serialization._entry_heads.cache_info()
         assert (after.currsize, after.misses) == (before.currsize, before.misses)
+
+
+def _entries_reversed(fn):
+    doc = table_to_dict(fn)
+    doc["entries"].reverse()
+    return json.dumps(doc, ensure_ascii=False, indent=1) + "\n"
+
+
+#: Each layout the loader reads, as the text it makes of a table.
+_LAYOUTS = {
+    "canonical": dumps_function,
+    "compact": dumps_function_compact,
+    "crlf": lambda fn: dumps_function(fn).replace("\n", "\r\n"),
+    "lone-cr": lambda fn: dumps_function(fn).replace("\n", "\r"),
+    "bom": lambda fn: "\ufeff" + dumps_function(fn),
+    "hand-laid": lambda fn: json.dumps(table_to_dict(fn), ensure_ascii=False, indent=2),
+    "entries-reversed": _entries_reversed,
+}
+
+
+class TestReadFunction:
+    @pytest.mark.parametrize("layout", _LAYOUTS)
+    def test_digest_is_function_digest_in_every_layout(self, tmp_path, chain4, layout):
+        for fn in (
+            make_median_family(MedianParams("0", "3", "1", "2"), chain4, 4),
+            make_variadic_seed("tnorm", "min", [0, 0.25, 0.5, 0.75, 1], 4),
+        ):
+            path = tmp_path / "f.json"
+            path.write_bytes(_LAYOUTS[layout](fn).encode("utf-8"))
+            table, digest = read_function(path)
+            assert table == load_function(path) == fn
+            assert digest == function_digest(table)
+
+    def test_a_byte_order_mark_is_dropped(self, tmp_path):
+        text = _readme_example()
+        plain, marked = tmp_path / "plain.json", tmp_path / "bom.json"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert read_function(marked) == read_function(plain)
+        with pytest.raises(FunctionFileError, match="BOM"):  # a text keeps its mark
+            loads_function("\ufeff" + text)
+
+    def test_not_utf8_is_refused(self, tmp_path, min3_fn):
+        path = tmp_path / "f.json"
+        path.write_bytes(dumps_function(min3_fn).encode("utf-16"))
+        with pytest.raises(FunctionFileError, match="^not UTF-8 text"):
+            read_function(path)
 
 
 class TestValidation:
@@ -435,10 +504,15 @@ def test_loader_refuses_what_the_schema_refuses(fault):
     assert info.value.field == field
 
 
-def test_readme_example_loads_and_validates():
+def _readme_example() -> str:
+    """The example function file under "## Function files" in README.md."""
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Function files", 1)[1]
-    text = section.split("```json\n", 1)[1].split("```", 1)[0]
+    return section.split("```json\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_example_loads_and_validates():
+    text = _readme_example()
     jsonschema.validate(json.loads(text), FUNCTION_SCHEMA)
     fn = loads_function(text)
     assert fn == table_from_dict(json.loads(text))
@@ -520,12 +594,28 @@ class TestReports:
             check_standard(remark_b),
             check_preassociative(remark_b, "P1"),
         ]
-        report = build_report(remark_b, verdicts, __version__)
+        report = build_report(function_digest(remark_b), verdicts, __version__)
         jsonschema.validate(report, REPORT_SCHEMA)
         assert report["schema_version"] == 1
         assert not report["results"][0]["holds"]
         assert report["results"][0]["witness"]["parts"]["x"] == ["a"]
 
-    def test_digest_matches_input(self, min3_fn):
-        report = build_report(min3_fn, [check_standard(min3_fn)], __version__)
+    def test_digest_matches_input(self, tmp_path, min3_fn):
+        path = tmp_path / "f.json"
+        save_function(min3_fn, path)
+        report = build_report(read_function(path)[1], [check_standard(min3_fn)], __version__)
         assert report["function_digest"] == function_digest(min3_fn)
+
+    def test_every_check_report_is_json_dumps_text(self):
+        for fn in all_operations(default_chain(2), 2):
+            names = [n for n in PROPERTY_NAMES
+                     if fn.default is EPSILON or n not in EPSILON_DEFAULT_ONLY]
+            report = build_report(function_digest(fn), run_checks(fn, names).values(), __version__)
+            assert dumps_report(report) == json.dumps(report, ensure_ascii=False, indent=1) + "\n"
+
+    @pytest.mark.parametrize(
+        "value",
+        [{}, [], {"a": []}, [[]], True, 1, None, 0.5, "ε\x01", {"x": ({}, [1, -0.0, False])}],
+    )
+    def test_edge_shapes_are_json_dumps_text(self, value):
+        assert dumps_report(value) == json.dumps(value, ensure_ascii=False, indent=1) + "\n"
