@@ -267,10 +267,10 @@ def _generated_table(args, parser) -> TableFn:
 
 
 def _passes_filters(fn, names) -> bool:
-    # a candidate outside a checker's precondition cannot satisfy the property
-    for name in names:
-        if (name in OPERATION_ONLY and not fn.is_operation) or _needs_epsilon_default(fn, name):
-            return False
+    # every candidate is an operation, so only a default other than ε can fall
+    # outside a checker's precondition, and then the property cannot hold
+    if any(_needs_epsilon_default(fn, name) for name in names):
+        return False
     return all(CHECKERS[name](fn).holds for name in names)
 
 

@@ -2,7 +2,7 @@
 
 
 class PreassocError(Exception):
-    """Base class for all package-specific failures."""
+    """Base class for the package's refusals of a faulty input."""
 
 
 class ArityError(PreassocError):
@@ -59,8 +59,9 @@ class PreconditionError(PreassocError):
         self.verdict = verdict
 
 
-class InternalVerificationError(PreassocError):
-    """Re-verification of a freshly constructed object failed: a library bug."""
+class InternalVerificationError(RuntimeError):
+    """Re-verification of a freshly constructed object failed: a library bug, so
+    not a ``PreassocError``, which the CLI reports as an input error (exit 2)."""
 
 
 class FunctionFileError(PreassocError):

@@ -4,9 +4,11 @@ A function file lists the domain chain, an optional codomain listing, the
 default value ("ε" for the marker), the max arity, and one entry per tuple.
 Canonical serialization lists entries by arity, then lexicographically in the
 domain's listing order, and is byte-stable, so digests and golden-file
-comparisons are meaningful.  The loader reads that layout without ``json``,
-and ``read_function`` takes a canonical file's digest from the bytes it read.
-A file may begin with a UTF-8 byte-order mark, which the reader drops.
+comparisons are meaningful.  Each read makes one canonical attempt: a text
+in that layout is read without ``json``, any other through ``json`` and one
+walk over its entries.  A file may begin with a UTF-8 byte-order mark, which
+the reader drops; ``read_function`` takes the digest from the bytes read when
+they are the canonical text exactly, with no mark dropped or line end changed.
 Reports are the bytes of ``json.dumps(report, ensure_ascii=False, indent=1)``
 and a newline, written directly rather than by ``json``'s indent encoder.
 """
@@ -19,7 +21,6 @@ import math
 from functools import lru_cache
 from itertools import islice
 from json.encoder import encode_basestring
-from operator import itemgetter
 
 from .core import EPSILON, Chain, TableFn, Verdict, Witness
 from .errors import FunctionFileError, UnknownSymbolError
@@ -243,26 +244,22 @@ def table_from_dict(doc) -> TableFn:
     entries_doc = doc["entries"]
     if not isinstance(entries_doc, list):
         raise FunctionFileError("entries must be a list", field="entries")
-    entries = _bulk_entries(entries_doc)
-    if entries is None:  # walk a faulty list entry by entry to name its first fault
-        entries = {}
-        for i, item in enumerate(entries_doc):
-            if not isinstance(item, dict) or "args" not in item or "value" not in item:
-                raise _entry_error(i, " must be an object with 'args' and 'value'")
-            if len(item) != 2:
-                raise _entry_error(i, " must hold only 'args' and 'value'")
-            args = item["args"]
-            value = item["value"]
-            if not isinstance(args, list) or not all(isinstance(s, str) for s in args):
-                raise _entry_error(i, ".args must be a list of symbols")
-            if not isinstance(value, str):
-                raise _entry_error(i, ".value must be a symbol")
-            key = tuple(args)
-            if key in entries:
-                raise FunctionFileError(
-                    f"duplicate entry for args {args!r}", field=f"entries[{i}]"
-                )
-            entries[key] = _decode(value)
+    entries = {}
+    for i, item in enumerate(entries_doc):
+        if not isinstance(item, dict) or "args" not in item or "value" not in item:
+            raise _entry_error(i, " must be an object with 'args' and 'value'")
+        if len(item) != 2:
+            raise _entry_error(i, " must hold only 'args' and 'value'")
+        args = item["args"]
+        value = item["value"]
+        if not isinstance(args, list) or not all(isinstance(s, str) for s in args):
+            raise _entry_error(i, ".args must be a list of symbols")
+        if not isinstance(value, str):
+            raise _entry_error(i, ".value must be a symbol")
+        key = tuple(args)
+        if key in entries:
+            raise FunctionFileError(f"duplicate entry for args {args!r}", field=f"entries[{i}]")
+        entries[key] = _decode(value)
     if codomain is None:
         codomain = _inferred_codomain(set(entries.values()), default, domain)
     return _table(domain, codomain, max_arity, default, entries)
@@ -273,29 +270,6 @@ def _table(domain, codomain: tuple, max_arity: int, default, entries: dict) -> T
         return TableFn(Chain(tuple(domain)), codomain, max_arity, default, entries)
     except (ValueError, UnknownSymbolError) as exc:
         raise FunctionFileError(str(exc)) from None
-
-
-def _bulk_entries(entries_doc: list):
-    """The entries, if a check of the whole list finds its shape right, else None.
-
-    Right means every item a dict of "args" and "value" alone, every args a
-    list of strings, every value a string, and no args twice.  ``str.join``
-    refuses a non-string with TypeError, as ``isinstance(s, str)`` does.
-    """
-    if not set(map(type, entries_doc)) <= {dict} or not set(map(len, entries_doc)) <= {2}:
-        return None
-    try:
-        args = list(map(itemgetter("args"), entries_doc))
-        values = list(map(itemgetter("value"), entries_doc))
-        if not set(map(type, args)) <= {list}:
-            return None
-        "".join(map("".join, args))
-        "".join(values)
-    except (KeyError, TypeError):
-        return None
-    decoded = {v: _decode(v) for v in set(values)}
-    entries = dict(zip(map(tuple, args), map(decoded.__getitem__, values)))
-    return entries if len(entries) == len(entries_doc) else None
 
 
 def _entry_error(i: int, fault: str) -> FunctionFileError:
@@ -363,35 +337,41 @@ def _canonical_fields(text: str):
     return domain, codomain, max_arity, default, entries
 
 
-def loads_function(text: str) -> TableFn:
+def _loads(text: str) -> tuple:
+    """A text's table, and whether the direct read took it (see ``_canonical_fields``)."""
     if (fields := _canonical_fields(text)) is not None:
-        return _table(*fields)
+        return _table(*fields), True
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FunctionFileError(f"invalid JSON: {exc}") from None
-    return table_from_dict(doc)
+    return table_from_dict(doc), False
+
+
+def loads_function(text: str) -> TableFn:
+    return _loads(text)[0]
 
 
 def _read(path) -> tuple:
     """A function file's table, and its bytes if they are the canonical text, else None.
 
-    The file is read as bytes and decoded as strict UTF-8.  A text in the
-    canonical layout is ``dumps_function`` of its table byte for byte (see
-    ``_canonical_fields``).  Any other text drops one leading byte-order
-    mark, has its line ends translated to "\\n" as a text-mode read would,
-    and goes through ``loads_function``.
+    The file is read as bytes and decoded as strict UTF-8; one leading
+    byte-order mark is dropped and line ends are translated to "\\n", as a
+    text-mode read would, and the text takes one canonical attempt.  The
+    bytes come back only when that attempt took the text and nothing was
+    dropped or translated: they are then ``dumps_function`` of the table.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        decoded = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FunctionFileError(f"not UTF-8 text: {exc}") from None
-    if (fields := _canonical_fields(text)) is not None:
-        return _table(*fields), data
-    text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
-    return loads_function(text), None
+    text = decoded.removeprefix("\ufeff")
+    if "\r" in text:  # a canonical text has none; the guard spares it two scans
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    fn, canonical = _loads(text)
+    return fn, data if canonical and text == decoded else None
 
 
 def read_function(path) -> tuple:

@@ -15,6 +15,7 @@ from preassoc.checks import PROPERTY_NAMES
 from preassoc import cli
 from preassoc.cli import main
 from preassoc.core import EPSILON, TableFn
+from preassoc.errors import InternalVerificationError
 from preassoc.families import MedianParams, make_median_family, tabulate
 from preassoc.serialization import (
     FUNCTION_SCHEMA,
@@ -143,6 +144,12 @@ class TestCheck:
         monkeypatch.setitem(cli.CHECKERS, "symmetric", broken)
         with pytest.raises(ValueError, match="checker bug"):
             main(["check", str(min_file), "--properties", "symmetric"])
+
+    def test_factorize_verification_bug_propagates(self, min_file, tmp_path, monkeypatch):
+        # a failed re-verification of a fresh factorization is a bug, not exit 2
+        monkeypatch.setattr("preassoc.factorize.is_quasi_inverse", lambda f1, g: (False, None))
+        with pytest.raises(InternalVerificationError, match="not a quasi-inverse"):
+            main(["factorize", str(min_file), "--out-h", str(tmp_path / "H.json")])
 
 
 class TestFactorize:

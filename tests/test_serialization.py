@@ -295,6 +295,22 @@ class TestReadFunction:
             assert table == load_function(path) == fn
             assert digest == function_digest(table)
 
+    @pytest.mark.parametrize("layout", _LAYOUTS)
+    def test_each_read_makes_one_canonical_attempt(self, tmp_path, chain4, layout, monkeypatch):
+        attempts = []
+        canonical_fields = serialization._canonical_fields
+
+        def counted(text):
+            attempts.append(text)
+            return canonical_fields(text)
+
+        monkeypatch.setattr(serialization, "_canonical_fields", counted)
+        path = tmp_path / "f.json"
+        fn = make_median_family(MedianParams("0", "3", "1", "2"), chain4, 4)
+        path.write_bytes(_LAYOUTS[layout](fn).encode("utf-8"))
+        assert read_function(path)[0] == fn
+        assert len(attempts) == 1
+
     def test_a_byte_order_mark_is_dropped(self, tmp_path):
         text = _readme_example()
         plain, marked = tmp_path / "plain.json", tmp_path / "bom.json"
@@ -359,7 +375,7 @@ class TestValidation:
         assert err.value.field == "entries[1]"
 
     def test_first_faulty_entry_is_named(self):
-        # the whole list is checked at once; a refusal still names the first fault
+        # the entries are walked in order, so a refusal names the first fault
         doc = self.base_doc()
         doc["entries"] += [{"args": ["0"], "value": 1}, {"args": [1], "value": "0"}]
         doc["entries"][0] = {"args": ["0"]}
@@ -368,18 +384,18 @@ class TestValidation:
         assert str(err.value) == "entries[0] must be an object with 'args' and 'value'"
         assert err.value.field == "entries[0]"
 
-    def test_entries_read_in_bulk_equal_those_read_one_by_one(self):
-        # a dict subclass item is read entry by entry, as every item once was
+    def test_the_entry_walk_reads_dict_subclass_items_and_the_marker(self):
+        # the one walk takes any dict item, and an "ε" value decodes to the marker
         class Item(dict):
             pass
 
         doc = self.base_doc()
         doc["entries"][1]["value"] = "ε"
-        bulk = table_from_dict(doc)
+        plain = table_from_dict(doc)
         doc["entries"] = [Item(item) for item in doc["entries"]]
-        walked = table_from_dict(doc)
-        assert bulk == walked
-        assert bulk.entries == {("0",): "0", ("1",): EPSILON}
+        subclassed = table_from_dict(doc)
+        assert plain == subclassed
+        assert plain.entries == {("0",): "0", ("1",): EPSILON}
 
     def test_unknown_symbol(self):
         doc = self.base_doc()
