@@ -111,8 +111,7 @@ def _read_table(args) -> tuple:
         return fn, digest
     if n > fn.max_arity:
         raise PreassocError(f"cannot raise max arity from {fn.max_arity} to {n}: entries missing")
-    entries = {t: v for t, v in fn.entries.items() if len(t) <= n}
-    fn = TableFn(fn.domain, fn.codomain, n, fn.default, entries)
+    fn = TableFn._of_row(fn.domain, fn.codomain, n, fn._row[: len(fn.domain.tuples_up_to(n))])
     return fn, function_digest(fn)
 
 
@@ -330,8 +329,8 @@ def _candidates(chain: Chain, n: int, filters, binary: bool):
     if "associative_A1" in filters and n >= 3:
         if not any_default:
             return all_associative_extensions(chain, n)
-        extensions = [ext.entries for ext in all_associative_extensions(chain, n)]  # built once
-        return (TableFn(chain, codomain, n, d, entries) for d in defaults for entries in extensions)
+        rows = [ext._row[1:] for ext in all_associative_extensions(chain, n)]  # built once
+        return (TableFn._of_row(chain, codomain, n, (d, *row)) for d in defaults for row in rows)
     if "preassociative_P1" in filters:
         return preassociative_tables(chain, n, codomain, defaults)
     return all_operations(chain, n) if any_default else all_epsilon_standard(chain, n)

@@ -165,14 +165,14 @@ class TableFn:
     it is given and exposes the copy read-only.  ``codomain`` is an ordered
     listing of the admissible entry values; its listing order is the codomain
     order used by monotonicity and convexity checks.  Within the package,
-    ``_row`` holds the values of every tuple in ``domain.tuples_up_to``
-    order, F(ε) first, which whole-table reads (the checkers' passes, the
-    writer, ``compose``) take as one tuple; ``_table`` is the total table
-    of every tuple, ε included, for evaluation and the witness scans'
-    random access; ``_attained`` is the set of entry values; and
-    ``_decided`` is where ``checks`` keeps the answers it derives from the
-    table alone, made on first use.  A rebuilt or unpickled table rebuilds
-    ``_row`` and starts without ``_decided``.
+    ``_row`` holds every tuple's value in ``domain.tuples_up_to`` order, F(ε)
+    first: every package builder makes its table from one (``_of_row``), and
+    whole-table reads (the checkers' passes, the writer) take it as one tuple;
+    ``_table`` is the total table of every tuple, ε included, for evaluation
+    and the witness scans' random access; ``_attained`` is the set of entry
+    values; and ``_decided`` is where ``checks`` keeps the answers it derives
+    from the table alone, made on first use.  A rebuilt or unpickled table
+    rebuilds ``_row`` and starts without ``_decided``.
     """
 
     domain: Chain
@@ -207,7 +207,7 @@ class TableFn:
                 break
         # as many keys as tuples of length 1..N, and each such tuple a key: the
         # keys are exactly those tuples, so none is at fault.  Keys listed in
-        # ``tuples_up_to`` order (every builder's) show it in one comparison,
+        # ``tuples_up_to`` order (``_of_row``'s) show it in one comparison,
         # and their values are then the row as listed.  Otherwise the walk
         # names the first fault, if there is one
         universe = self.domain.tuples_up_to(self.max_arity) if expected == len(entries) else ()
@@ -241,6 +241,14 @@ class TableFn:
         object.__setattr__(self, "_row", row)
         object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_attained", attained)
+
+    @classmethod
+    def _of_row(cls, domain: Chain, codomain, max_arity: int, row: Sequence) -> TableFn:
+        """The table whose ``_row`` is ``row``, F(ε) first, keyed by ``domain.tuples_up_to``:
+        the constructor takes it back in one comparison, or refuses it as those entries."""
+        tuples, values = iter(domain.tuples_up_to(max_arity)), iter(row)
+        next(tuples, None)  # the empty tuple; none below arity 0, which the constructor refuses
+        return cls(domain, codomain, max_arity, next(values), dict(zip(tuples, values)))
 
     def __reduce__(self):
         # a mapping proxy does not pickle; rebuild from a plain copy
@@ -288,22 +296,22 @@ def ranges(fn: TableFn) -> tuple:
     return ran1, fn._attained
 
 
-def left_fold(chain: Chain, unary: Mapping, binary: Mapping, max_arity: int) -> dict:
-    """The entries of F(x1) = unary[x1], F(x1..xn) = binary[F(x1..x_{n-1}), xn].
+def left_fold(chain: Chain, unary: Mapping, binary: Mapping, max_arity: int) -> list:
+    """The row of F(x1) = unary[x1], F(x1..xn) = binary[F(x1..x_{n-1}), xn], F(ε) = ε.
 
     ``binary`` must hold every pair (F(x1..x_{n-1}), xn) the fold reads (a
-    missing one raises KeyError); the entries cover tuples of length
-    1..max_arity in ``chain.tuples_up_to`` order.  A layer is one list: with
-    ``row`` the values of ``chain.tuples(n - 1)``, ``product(row, elements)``
-    lists the pairs the fold reads in the order of ``chain.tuples(n)``.
+    missing one raises KeyError); the row, for ``TableFn._of_row``, lists the
+    values of ``chain.tuples_up_to(max_arity)`` in order.  A layer is one
+    list: with ``layer`` the values of ``chain.tuples(n - 1)``,
+    ``product(layer, elements)`` lists the pairs read in ``chain.tuples(n)`` order.
     """
     elements = chain.elements
-    row = [unary[x] for x in elements]
-    entries = dict(zip(chain.tuples(1), row))
-    for n in range(2, max_arity + 1):
-        row = list(map(binary.__getitem__, product(row, elements)))
-        entries.update(zip(chain.tuples(n), row))
-    return entries
+    layer = [unary[x] for x in elements]
+    row = [EPSILON, *layer]
+    for _ in range(2, max_arity + 1):
+        layer = list(map(binary.__getitem__, product(layer, elements)))
+        row += layer
+    return row
 
 
 def compose(f, H: TableFn) -> TableFn:
@@ -311,9 +319,8 @@ def compose(f, H: TableFn) -> TableFn:
 
     ``f`` is a ``quasi_inverse.FiniteMap`` defined on every value H attains.
     """
-    tuples = islice(H.domain.tuples_up_to(H.max_arity), 1, None)
-    entries = dict(zip(tuples, map(f.graph.__getitem__, islice(H._row, 1, None))))
-    return TableFn(H.domain, f.codomain, H.max_arity, EPSILON, entries)
+    row = (EPSILON, *map(f.graph.__getitem__, islice(H._row, 1, None)))
+    return TableFn._of_row(H.domain, f.codomain, H.max_arity, row)
 
 
 def canonical_symbol(value: float) -> str:

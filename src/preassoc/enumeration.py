@@ -46,17 +46,15 @@ def epsilon_standard_count(chain_size: int, max_arity: int) -> int:
 
 def epsilon_standard_at(chain: Chain, max_arity: int, index: int) -> TableFn:
     """The index-th default-ε standard candidate (base-k digits over the slots)."""
-    slots = chain.tuples_up_to(max_arity)[1:]
     k = len(chain.elements)
-    values = []
+    row = [EPSILON]
     i = index
-    for _ in range(len(slots)):
-        values.append(chain.elements[i % k])
+    for _ in range(len(chain.tuples_up_to(max_arity)) - 1):
+        row.append(chain.elements[i % k])
         i //= k
     if i:
         raise IndexError(f"index {index} out of range")
-    entries = dict(zip(slots, values))
-    return TableFn(chain, chain.elements, max_arity, EPSILON, entries)
+    return TableFn._of_row(chain, chain.elements, max_arity, row)
 
 
 def all_epsilon_standard(chain: Chain, max_arity: int) -> Iterator[TableFn]:
@@ -72,10 +70,10 @@ def all_operations(chain: Chain, max_arity: int) -> Iterator[TableFn]:
 
 def _all_tables(chain: Chain, max_arity: int, values: tuple, defaults: tuple) -> Iterator[TableFn]:
     """Every table with codomain ``values``, for each default in turn, entries in product order."""
-    slots = chain.tuples_up_to(max_arity)[1:]
+    slots = len(chain.tuples_up_to(max_arity)) - 1
     for default in defaults:
-        for entry_values in product(values, repeat=len(slots)):
-            yield TableFn(chain, values, max_arity, default, dict(zip(slots, entry_values)))
+        for entry_values in product(values, repeat=slots):
+            yield TableFn._of_row(chain, values, max_arity, (default, *entry_values))
 
 
 def preassociative_tables(
@@ -97,14 +95,13 @@ def preassociative_tables(
     listed by first member: where two tables of a layer first differ is such
     a member, so the walk keeps product order.
     """
-    tuples = chain.tuples_up_to(max_arity)
     k = len(chain)
     index = _extension_index(k, max_arity)
     row = []  # the values fixed so far, in ``tuples_up_to`` order
 
     def walk(m, lo):  # layer m holds the positions lo .. lo + k^m - 1
         if m > max_arity:  # TableFn refuses a max_arity below 1 here
-            yield TableFn(chain, values, max_arity, row[0], dict(zip(tuples[1:], row[1:])))
+            yield TableFn._of_row(chain, values, max_arity, row)
             return
         first = dict(zip(reversed(row[:lo]), range(lo - 1, -1, -1)))  # value -> first position
         parent = {}  # a position of layer m -> an earlier one of its class
@@ -214,8 +211,8 @@ def all_associative_extensions(chain: Chain, max_arity: int) -> Iterator[TableFn
             if table_range <= fixed and all(
                 table[unary[u], v] == w == table[u, unary[v]] for (u, v), w in table.items()
             ):
-                entries = left_fold(chain, unary, table, max_arity)
-                yield TableFn(chain, elements, max_arity, EPSILON, entries)
+                row = left_fold(chain, unary, table, max_arity)
+                yield TableFn._of_row(chain, elements, max_arity, row)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from .checks import (
     check_unarily_quasi_range_idempotent,
     nonassociative_triple,
 )
-from .core import EPSILON, Chain, TableFn, compose, left_fold
+from .core import Chain, TableFn, compose, left_fold
 from .errors import (
     ConditionError,
     DomainMismatchError,
@@ -150,8 +150,8 @@ def extend_unary_binary(f1: FiniteMap, f2, max_arity: int) -> TableFn:
         )
 
     chain = Chain(elements)
-    entries = left_fold(chain, f1.graph, table, max_arity)
-    return TableFn(chain, elements, max_arity, EPSILON, entries)
+    row = left_fold(chain, f1.graph, table, max_arity)
+    return TableFn._of_row(chain, elements, max_arity, row)
 
 
 def build_from_f1_h2(f1: FiniteMap, h2, max_arity: int) -> TableFn:

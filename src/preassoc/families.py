@@ -198,12 +198,13 @@ def _tabulate_chain(source, chain: Chain, max_arity, default) -> TableFn:
             if v not in chain:
                 raise ValueError(f"binary operation left the chain: {t!r} -> {v!r}")
             table[t] = v
-    entries = left_fold(chain, dict(zip(chain, chain)), table, max_arity)
+    row = left_fold(chain, dict(zip(chain, chain)), table, max_arity)
+    row[0] = default
     # the identity unary part attains every element, so the codomain is the chain
     codomain = chain.elements
     if default is not EPSILON and default not in codomain:
         codomain = codomain + (default,)
-    return TableFn(chain, codomain, max_arity, default, entries)
+    return TableFn._of_row(chain, codomain, max_arity, row)
 
 
 def _tabulate_grid(source, carrier, max_arity, default) -> TableFn:
@@ -228,18 +229,12 @@ def _tabulate_grid(source, carrier, max_arity, default) -> TableFn:
 
     canon = _ValueCanon(grid)
     rep_of = {v: canon.rep(v) for v in sorted(set(raw.values()))}
-    sym = {}
-    for g in grid:
-        sym[g] = canonical_symbol(g)
-    for v, r in rep_of.items():
+    sym = {g: canonical_symbol(g) for g in grid}
+    for r in rep_of.values():
         sym.setdefault(r, canonical_symbol(r))
 
     chain = Chain(tuple(sym[g] for g in grid))
-    entries = {
-        tuple(sym[x] for x in t): sym[rep_of[v]] for t, v in raw.items()
-    }
-    cod_values = sorted({rep_of[v] for v in raw.values()})
-    codomain = tuple(sym[r] for r in cod_values)
+    codomain = tuple(sym[r] for r in sorted(set(rep_of.values())))
     if len(set(codomain)) != len(codomain):
         raise AssertionError("canonical value symbols collided; tolerances inconsistent")
     if default is not EPSILON:
@@ -247,7 +242,9 @@ def _tabulate_grid(source, carrier, max_arity, default) -> TableFn:
             default = canonical_symbol(canon.rep(float(default)))
         if default not in codomain:
             codomain = codomain + (default,)
-    return TableFn(chain, codomain, max_arity, default, entries)
+    # ``product`` lists raw's tuples in the chain's ``tuples_up_to`` order
+    row = [default, *(sym[rep_of[v]] for v in raw.values())]
+    return TableFn._of_row(chain, codomain, max_arity, row)
 
 
 # ---------------------------------------------------------------------------
@@ -535,8 +532,8 @@ class MedianParams:
             raise ValueError(f"need c∨d <= b, got c∨d={cd_join!r}, b={self.b!r}")
 
 
-def _median_entries(params: MedianParams, chain: Chain, max_arity: int) -> dict:
-    """The median family's value at every tuple of length 1..N.
+def _median_row(params: MedianParams, chain: Chain, max_arity: int) -> list:
+    """The median family's row: its value at every tuple of length 1..N, after F(ε) = ε.
 
     The value at x is F(x) = med(a, I(x), b) with I(x) = (c∧x1) ∨ med(⋀x,
     c∧d, ⋁x) ∨ (d∧xn) under the chain order.  The formula is worked out on
@@ -583,8 +580,8 @@ def make_median_family(
     gap-free range; it relabels every entry.
     """
     params.validate(chain)
-    entries = _median_entries(params, chain, max_arity)
-    median = TableFn(chain, chain.elements, max_arity, EPSILON, entries)
+    row = _median_row(params, chain, max_arity)
+    median = TableFn._of_row(chain, chain.elements, max_arity, row)
     if f is None:
         return median
 

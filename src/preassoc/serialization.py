@@ -262,12 +262,13 @@ def table_from_dict(doc) -> TableFn:
         entries[key] = _decode(value)
     if codomain is None:
         codomain = _inferred_codomain(set(entries.values()), default, domain)
-    return _table(domain, codomain, max_arity, default, entries)
+    return _table(lambda: TableFn(Chain(tuple(domain)), codomain, max_arity, default, entries))
 
 
-def _table(domain, codomain: tuple, max_arity: int, default, entries: dict) -> TableFn:
+def _table(build) -> TableFn:
+    """``build()``'s table; a ``Chain`` or ``TableFn`` refusal becomes a ``FunctionFileError``."""
     try:
-        return TableFn(Chain(tuple(domain)), codomain, max_arity, default, entries)
+        return build()
     except (ValueError, UnknownSymbolError) as exc:
         raise FunctionFileError(str(exc)) from None
 
@@ -302,7 +303,7 @@ def _inferred_codomain(values: set, default, domain: list) -> tuple:
 
 
 def _canonical_fields(text: str):
-    """``_table``'s arguments for a text in ``dumps_function``'s layout, else None.
+    """``TableFn._of_row``'s arguments for a text in ``dumps_function``'s layout, else None.
 
     Taken only when the text up to the entries is the writer's header for its
     fields and each entry is its cached head and a codomain token, in
@@ -330,17 +331,16 @@ def _canonical_fields(text: str):
             return None
     heads = _entry_heads(chain, max_arity, 1) if expected == len(pieces) else ()
     tokens = {encode_basestring(_value_token(v)): v for v in codomain}
-    values = list(map(tokens.get, map(str.removeprefix, pieces, heads)))
-    if not heads or None in values or not all(map(str.startswith, pieces, heads)):
+    row = [default, *map(tokens.get, map(str.removeprefix, pieces, heads))]
+    if not heads or None in row or not all(map(str.startswith, pieces, heads)):
         return None
-    entries = dict(zip(islice(chain.tuples_up_to(max_arity), 1, None), values))
-    return domain, codomain, max_arity, default, entries
+    return chain, codomain, max_arity, row
 
 
 def _loads(text: str) -> tuple:
     """A text's table, and whether the direct read took it (see ``_canonical_fields``)."""
     if (fields := _canonical_fields(text)) is not None:
-        return _table(*fields), True
+        return _table(lambda: TableFn._of_row(*fields)), True
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -714,12 +714,13 @@ class TestReportDigest:
         report = _report([command, str(path)], tmp_path, capsys)
         assert report["function_digest"] == function_digest(load_function(path))
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("command", ["check", "factorize"])
-    def test_digest_of_the_truncated_table(self, tmp_path, median_file, command, capsys):
-        report = _report([command, str(median_file), "--max-arity", "2"], tmp_path, capsys)
+    def test_digest_of_the_truncated_table(self, tmp_path, median_file, command, n, capsys):
+        report = _report([command, str(median_file), "--max-arity", str(n)], tmp_path, capsys)
         fn = load_function(median_file)
-        truncated = TableFn(fn.domain, fn.codomain, 2, fn.default,
-                            {t: v for t, v in fn.entries.items() if len(t) <= 2})
+        truncated = TableFn(fn.domain, fn.codomain, n, fn.default,
+                            {t: v for t, v in fn.entries.items() if len(t) <= n})
         assert report["function_digest"] == function_digest(truncated)
         assert report["function_digest"] != function_digest(fn)
 

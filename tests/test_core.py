@@ -212,6 +212,38 @@ class TestRow:
         restored = pickle.loads(pickle.dumps(fn))
         assert restored == fn and restored._row == fn._row
 
+    @pytest.mark.parametrize("case", ROW_CASES)
+    def test_of_row_rebuilds_the_table(self, case):
+        chain, codomain, n, default, entries = ROW_CASES[case]()
+        fn = TableFn(chain, codomain, n, default, _listed(entries, "shuffled"))
+        built = TableFn._of_row(chain, codomain, n, fn._row)
+        assert built == fn and built._row == fn._row
+        assert list(built.entries) == list(chain.tuples_up_to(n)[1:])
+        restored = pickle.loads(pickle.dumps(built))
+        assert restored == built and restored._row == built._row
+
+    @pytest.mark.parametrize(
+        "fault,message",
+        [
+            ("short", r"^entries not total at arity 2: expected 4, found 3$"),
+            ("value", r"^entry value '7' at \('1', '0'\) is outside the codomain$"),
+            ("arity-0", r"^max_arity must be an integer >= 1$"),
+            ("arity-negative", r"^max_arity must be an integer >= 1$"),
+        ],
+        ids=["short", "value", "arity-0", "arity-negative"],
+    )
+    def test_of_row_refuses_with_the_key_paths_message(self, chain2, fault, message):
+        entries = _valued(chain2, 2, lambda t: t[0])
+        n = {"arity-0": 0, "arity-negative": -1}.get(fault, 2)
+        if fault == "short":
+            del entries[("1", "1")]  # the row's last value
+        elif fault == "value":
+            entries[("1", "0")] = "7"
+        with pytest.raises(ValueError, match=message):
+            TableFn(chain2, chain2.elements, n, EPSILON, entries)
+        with pytest.raises(ValueError, match=message):
+            TableFn._of_row(chain2, chain2.elements, n, [EPSILON, *entries.values()])
+
     def test_row_is_outside_equality_and_repr(self):
         chain, codomain, n, default, entries = ROW_CASES["symbol-default"]()
         fn = TableFn(chain, codomain, n, default, entries)
@@ -341,12 +373,12 @@ class TestTabulate:
 class TestLeftFold:
     @staticmethod
     def per_tuple(chain, unary, binary, max_arity):
-        """The fold's definition, one tuple at a time off its prefix."""
-        entries = {(x,): unary[x] for x in chain.elements}
+        """The fold's definition, one tuple at a time off its prefix, in tuple order."""
+        values = {(): EPSILON, **{(x,): unary[x] for x in chain.elements}}
         for t in chain.tuples_up_to(max_arity):
             if len(t) >= 2:
-                entries[t] = binary[entries[t[:-1]], t[-1]]
-        return entries
+                values[t] = binary[values[t[:-1]], t[-1]]
+        return [values[t] for t in chain.tuples_up_to(max_arity)]
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("max_arity", [1, 2, 3, 4])
@@ -362,9 +394,9 @@ class TestLeftFold:
         ]
         for binary in binaries:
             for unary in (identity, shift):
-                entries = left_fold(chain, unary, binary, max_arity)
-                assert entries == self.per_tuple(chain, unary, binary, max_arity)
-                assert list(entries) == list(chain.tuples_up_to(max_arity)[1:])
+                row = left_fold(chain, unary, binary, max_arity)
+                assert row == self.per_tuple(chain, unary, binary, max_arity)
+                assert len(row) == len(chain.tuples_up_to(max_arity)) and row[0] is EPSILON
 
     def test_binary_into_foreign_labels(self, chain3):
         # the unary part and the binary's values are labels, its pairs keyed by them
@@ -375,15 +407,15 @@ class TestLeftFold:
             for v in labels
             for x in chain3.elements
         }
-        entries = left_fold(chain3, unary, binary, 4)
-        assert entries == self.per_tuple(chain3, unary, binary, 4)
-        assert list(entries) == list(chain3.tuples_up_to(4)[1:])
-        assert set(entries.values()) == set(labels)
+        row = left_fold(chain3, unary, binary, 4)
+        assert row == self.per_tuple(chain3, unary, binary, 4)
+        assert len(row) == len(chain3.tuples_up_to(4)) and row[0] is EPSILON
+        assert set(row[1:]) == set(labels)
 
     def test_missing_pair_raises_key_error(self, chain2):
         unary = {"0": "0", "1": "1"}
         binary = {("0", "0"): "0", ("0", "1"): "1", ("1", "0"): "1"}
-        assert len(left_fold(chain2, unary, binary, 1)) == 2  # arity 1 reads no pair
+        assert left_fold(chain2, unary, binary, 1) == [EPSILON, "0", "1"]  # arity 1 reads no pair
         with pytest.raises(KeyError) as err:
             left_fold(chain2, unary, binary, 2)
         assert err.value.args == (("1", "1"),)
