@@ -263,9 +263,17 @@ def _check_a1(fn: TableFn) -> Verdict:
 
 
 def _a1_verdict(fn: TableFn) -> Verdict:
+    """A holding A1 from ``_a1_holds``, its ``cases_checked`` in closed form; else the scan.
+
+    The candidates are ``_assoc_candidates``' splits x·y·z with |x·z| < N.
+    A word of length m has C(m + 2, 2) splits, and the only ones with
+    |x·z| = N are the N + 1 splits of an N-word with y = ε, so they number
+    Σ_m k^m·C(m + 2, 2) - (N + 1)·k^N and a holding verdict builds no list.
+    """
     if _a1_holds(fn):
-        cases = len(_assoc_candidates(fn.domain, fn.max_arity))
-        return Verdict("associative_A1", True, cases, None, fn.max_arity)
+        k, n = len(fn.domain), fn.max_arity
+        cases = sum(k**m * comb(m + 2, 2) for m in range(n + 1)) - (n + 1) * k**n
+        return Verdict("associative_A1", True, cases, None, n)
     return _a1_scan(fn)
 
 
@@ -373,9 +381,9 @@ def check_preassociative(fn: TableFn, form: str = "P1") -> Verdict:
     P2: from x·y to x'·y' (F(x) = F(x'), F(y) = F(y')) through x·y' or x'·y,
     one of which fits N since |x·y| + |x'·y'| <= 2N.  A failing P1 comes from
     ``_p1_scan``, which sets each tuple beside the first of its class in all
-    its contexts; a failing P2 from ``_p2_scan``, the least of
-    ``_p2_conflicts``, which walks the splits in key order and sets each
-    bucket's first split beside its first split of another value.
+    its contexts; a failing P2 from ``_p2_scan``, one walk over the splits in
+    key order setting each bucket's first split beside its first split of
+    another value.
     """
     if form not in ("P1", "P2"):
         raise ValueError(f"unknown preassociativity form {form!r}")
@@ -497,39 +505,25 @@ def _p1_scan(fn: TableFn) -> Verdict:
 
 
 def _p2_scan(fn: TableFn) -> Verdict:
-    """The pair of values (F(x), F(y)) must determine F(x, y).
+    """The pair of values (F(x), F(y)) must determine F(x, y): one walk over the splits.
 
     The splits x·y come in witness-key order, so the first split a of each
     bucket (F(x), F(y)) is the bucket's least.  If (c, d) with c < d is a
     violation in the bucket, F(a) differs from F(c) or from F(d), so (a, c)
     or (a, d) is a violation with a key no larger: the totals, the chain
     indices and the lengths each compare part by part.  So the least witness
-    is a ``_p2_conflicts`` one: a bucket's a beside its first split b of
-    another value.  The conflicts come in the key order of x'·y', and each
-    one's total is at least |x'·y'|, so the search stops at the first x'·y'
-    longer than the least total so far.
-    """
-    chain, n = fn.domain, fn.max_arity
-    key, witness = (2 * n + 1,), None  # of the least conflict so far; totals stay <= 2N
-    for x, y, xp, yp, vf, vs in _p2_conflicts(fn):
-        if len(xp) + len(yp) > key[0]:
-            break
-        if (found := _index_key(chain, x, y, xp, yp)) < key:
-            key, witness = found, Witness(
-                (("x", x), ("y", y), ("x'", xp), ("y'", yp)), (("F(x,y)", vf), ("F(x',y')", vs))
-            )
-    return Verdict("preassociative_P2", witness is None, len(_context_pairs(chain, n)), witness, n)
-
-
-def _p2_conflicts(fn: TableFn):
-    """Yield (x, y, x', y', F(x·y), F(x'·y')) for each bucket (F(x), F(y)) with a conflict.
-
-    x·y is the bucket's first split and x'·y' its first split of another
-    value, both in the key order of ``_context_pairs``.
+    sets a bucket's a beside its first split b of another value, and the walk
+    keeps the least such pair.  Each pair's total is at least |b|, so the
+    walk stops at the first split longer than the least total so far.
     """
     table = fn._table
-    first = {}  # (F(x), F(y)) -> (x, y, F(x·y)) of its first split; () once it has yielded
-    for xp, yp in _context_pairs(fn.domain, fn.max_arity):
+    chain, n = fn.domain, fn.max_arity
+    splits = _context_pairs(chain, n)
+    first = {}  # (F(x), F(y)) -> (x, y, F(x·y)) of its first split; () once it has conflicted
+    key, witness = (2 * n + 1,), None  # of the least conflict so far; totals stay <= 2N
+    for xp, yp in splits:
+        if len(xp) + len(yp) > key[0]:
+            break
         bucket = (table[xp], table[yp])
         vs = table[xp + yp]
         a = first.get(bucket)
@@ -537,7 +531,12 @@ def _p2_conflicts(fn: TableFn):
             first[bucket] = (xp, yp, vs)
         elif a and a[2] != vs:
             first[bucket] = ()
-            yield a[0], a[1], xp, yp, a[2], vs
+            x, y, vf = a
+            if (found := _index_key(chain, x, y, xp, yp)) < key:
+                key, witness = found, Witness(
+                    (("x", x), ("y", y), ("x'", xp), ("y'", yp)), (("F(x,y)", vf), ("F(x',y')", vs))
+                )
+    return Verdict("preassociative_P2", witness is None, len(splits), witness, n)
 
 
 # ---------------------------------------------------------------------------
@@ -634,49 +633,37 @@ def check_replication_invariant(fn: TableFn) -> Verdict:
 def check_replication_preinvariant(fn: TableFn) -> Verdict:
     """Equal values replicate equally: F(x) = F(y) implies F(k·x) = F(k·y).
 
-    A violation (x, y, k) has x before y in canonical order and k the least
-    at which the pair fails.  If x is not the first tuple r of its class, r
-    fits every k that y fits, so (r, x) or (r, y) fails at some k' <= k with
-    a smaller key, as in ``_p1_scan``: the least witness is a
-    ``_prepl_mismatches`` one.  ``cases_checked`` counts each same-class pair
-    at k = 2 up to its least failing k, that is, for each k, the pairs that
-    fit k and share (F(x), F(2·x), ..., F((k-1)·x)).
+    Only tuples up to length N // 2 fit a k >= 2 (k·|y| <= N); ε fits every
+    k.  A violation (x, y, k) has x before y in canonical order and k the
+    least at which the pair fails.  If x is not the first tuple r of its
+    class, r fits every k that y fits, so (r, x) or (r, y) fails at some
+    k' <= k with a smaller key, as in ``_p1_scan``.  So one walk over the
+    tuples compares each y with r at k = 2, 3, ... until they differ and
+    keeps the least mismatch by key.  ``cases_checked`` counts each
+    same-class pair at k = 2 up to its least failing k, that is, for each k,
+    the pairs that fit k and share (F(x), F(2·x), ..., F((k-1)·x)).
     """
     table = fn._table
     n, chain = fn.max_arity, fn.domain
     seen = Counter()  # (k, (F(x), ..., F((k-1)·x))) -> tuples so far that fit k and share it
+    first = {}  # value -> first tuple of its class
     cases = 0
+    key, witness = (n + 1,), None  # of the least mismatch so far; totals stay <= N
     for y in chain.tuples_up_to(n // 2):
         signature = (table[y],)
+        r = first.setdefault(signature[0], y)
         for k in range(2, n // max(len(y), 1) + 1):
             cases += seen[k, signature]
             seen[k, signature] += 1
-            signature += (table[y * k],)
-    least = min(_prepl_mismatches(fn), key=lambda m: _index_key(chain, *m[:2]), default=None)
-    witness = None
-    if least is not None:
-        r, y, k, vr, vy = least
-        witness = Witness((("x", r), ("y", y)), (("F(k·x)", vr), ("F(k·y)", vy)), (("k", k),))
+            vy = table[y * k]
+            signature += (vy,)
+            if r is not y and (vr := table[r * k]) != vy:
+                if (found := _index_key(chain, r, y)) < key:
+                    key, witness = found, Witness(
+                        (("x", r), ("y", y)), (("F(k·x)", vr), ("F(k·y)", vy)), (("k", k),)
+                    )
+                r = y  # y and r first differ at this k: stop comparing them
     return Verdict("replication_preinvariant", witness is None, cases, witness, n)
-
-
-def _prepl_mismatches(fn: TableFn):
-    """Yield (r, y, k, F(k·r), F(k·y)), r the first of y's class, k the least they differ at.
-
-    Only tuples up to length N // 2 fit a k >= 2 (k·|y| <= N); ε fits every k.
-    """
-    table = fn._table
-    n = fn.max_arity
-    first = {}  # value -> first tuple of its class
-    for y in fn.domain.tuples_up_to(n // 2):
-        r = first.setdefault(table[y], y)
-        if r is y:
-            continue
-        for k in range(2, n // max(len(y), 1) + 1):
-            vr, vy = table[r * k], table[y * k]
-            if vr != vy:
-                yield r, y, k, vr, vy
-                break
 
 
 # ---------------------------------------------------------------------------

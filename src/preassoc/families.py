@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import product
 from numbers import Real
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .checks import nonassociative_triple
 from .core import EPSILON, Chain, TableFn, canonical_symbol, compose, left_fold
@@ -121,26 +121,14 @@ class GeneratedFn:
         return self.psi(total)
 
 
-class _ValueCanon:
-    """Collapses near-equal reals (1e-9 rel / 1e-12 abs) onto shared representatives.
-
-    Representatives are seeded with the grid points so observed values that
-    round onto a grid point reuse the grid symbol exactly.
-    """
-
-    def __init__(self, seeds: Iterable[float] = ()):
-        self._reps: list[float] = []
-        for s in sorted(seeds):
-            self.rep(s)
-
-    def rep(self, value: float) -> float:
-        reps = self._reps
-        i = bisect_left(reps, value)
-        for j in (i - 1, i):
-            if 0 <= j < len(reps) and close(reps[j], value):
-                return reps[j]
-        reps.insert(i, value)
-        return value
+def _rep(reps: list, value: float) -> float:
+    """``value``'s near-equal (1e-9 rel / 1e-12 abs) neighbour in sorted ``reps``, else itself, inserted."""
+    i = bisect_left(reps, value)
+    for j in (i - 1, i):
+        if 0 <= j < len(reps) and close(reps[j], value):
+            return reps[j]
+    reps.insert(i, value)
+    return value
 
 
 def _as_grid(carrier) -> list[float]:
@@ -227,8 +215,8 @@ def _tabulate_grid(source, carrier, max_arity, default) -> TableFn:
     if nan is not None:
         raise ValueError(f"value at ({','.join(map(canonical_symbol, nan))}) is not a number")
 
-    canon = _ValueCanon(grid)
-    rep_of = {v: canon.rep(v) for v in sorted(set(raw.values()))}
+    reps = list(grid)  # so a value that rounds onto a grid point reuses its symbol
+    rep_of = {v: _rep(reps, v) for v in sorted(set(raw.values()))}
     sym = {g: canonical_symbol(g) for g in grid}
     for r in rep_of.values():
         sym.setdefault(r, canonical_symbol(r))
@@ -239,7 +227,7 @@ def _tabulate_grid(source, carrier, max_arity, default) -> TableFn:
         raise AssertionError("canonical value symbols collided; tolerances inconsistent")
     if default is not EPSILON:
         if isinstance(default, Real) and not isinstance(default, bool):
-            default = canonical_symbol(canon.rep(float(default)))
+            default = canonical_symbol(_rep(reps, float(default)))
         if default not in codomain:
             codomain = codomain + (default,)
     # ``product`` lists raw's tuples in the chain's ``tuples_up_to`` order

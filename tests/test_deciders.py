@@ -3,13 +3,13 @@
 P1, P2 and replication-preinvariance compare tuples of one value class.
 Their checkers set each tuple beside the first of its class (P1,
 replication-preinvariance) or each bucket's first split in key order beside
-its first split of another value (P2, the ``_p2_conflicts``).  Their
+its first split of another value (P2, one walk in ``_p2_scan``).  Their
 verdicts, witness and ``cases_checked`` included, must equal those of
 exhaustive scans that race every same-class pair for the least key (P2:
 every pair of splits in one bucket), kept here as the reference.  The bit
-the sweep's reference reads for each (``_p1_pass``, the first of
-``_p2_conflicts`` and of ``_prepl_mismatches``) must say "holds" exactly
-when the reference does.
+the sweep's reference reads for each (``_p1_pass``, ``_p2_scan`` and the
+replication-preinvariance checker, which has no decider) must say "holds"
+exactly when the reference does.
 
 A1, A2, A3 and the idempotence, replication, order and symmetry laws visit
 their candidates in witness-key order and stop at the first violation.  Their
@@ -17,7 +17,8 @@ verdicts must likewise equal those of the exhaustive scans that race every
 violation for the least key; a refusal must raise the same exception type.
 
 A1, A2, A3, P1 and P2 decide a holding verdict by a linear test
-(``_a1_holds``, ``_p1_cases``) and scan only when it refuses.  The public
+(``_a1_holds``, ``_p1_cases``) and scan only when it refuses; a holding A1
+counts its candidates in closed form, without listing them.  The public
 checkers are held to the references on universes that reach every refusal,
 and the scans themselves on holding tables, which the checkers no longer
 scan.  The P1 pass and the A1 verdict are made once per table and kept on
@@ -76,6 +77,7 @@ from preassoc.families import (
     lift_tnorm,
     make_median_family,
     make_variadic_seed,
+    tabulate,
 )
 from preassoc.serialization import function_digest
 
@@ -261,9 +263,9 @@ def _reference_prepl(fn):
 #: property -> (reference, the bit the sweep's reference reads in ``test_orbit_sweep``)
 PAIR_LAWS = {
     "preassociative_P1": (_reference_p1, lambda fn: checks._p1_pass(fn) is not None),
-    "preassociative_P2": (_reference_p2, lambda fn: next(checks._p2_conflicts(fn), None) is None),
+    "preassociative_P2": (_reference_p2, lambda fn: checks._p2_scan(fn).holds),
     "replication_preinvariant": (
-        _reference_prepl, lambda fn: next(checks._prepl_mismatches(fn), None) is None
+        _reference_prepl, lambda fn: checks.check_replication_preinvariant(fn).holds
     ),
 }
 
@@ -565,8 +567,8 @@ def test_sweep_bits_do_not_read_the_assoc_decider(monkeypatch):
         "_a1_scan",
         "_a3_scan",
         "_p1_pass",
-        "_p2_conflicts",
-        "_prepl_mismatches",
+        "_p2_scan",
+        "check_replication_preinvariant",
         "check_unarily_range_idempotent",
         "check_unarily_quasi_range_idempotent",
         "check_range_idempotent",
@@ -608,6 +610,24 @@ def test_one_p1_pass_per_table(monkeypatch):
     fac = factorize(fn)
     assert len(passes) == 2
     assert passes[0] is fn and passes[1] is fac.H
+
+
+def test_holding_a1_builds_no_candidate_list():
+    checks._assoc_candidates.cache_clear()
+    verdict = checks.check_associative(_median_4_5())
+    assert verdict.holds and verdict.cases_checked == 19949
+    assert checks._assoc_candidates.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize(
+    "k, n", [(k, n) for k in range(1, 6) for n in range(1, 6) if k < 5 or n < 5]
+)
+def test_holding_a1_counts_every_candidate(k, n):
+    # the closed form of a holding verdict against the list the scan walks
+    chain = default_chain(k)
+    verdict = checks.check_associative(tabulate(chain.meet, chain, n))
+    assert verdict.holds
+    assert verdict.cases_checked == len(checks._assoc_candidates(chain, n))
 
 
 def test_a2_reads_the_a1_verdict_once(monkeypatch):

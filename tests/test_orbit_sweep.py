@@ -22,10 +22,10 @@ from preassoc.checks import (
     _a1_scan,
     _a3_scan,
     _p1_pass,
-    _p2_conflicts,
-    _prepl_mismatches,
+    _p2_scan,
     check_range_idempotent,
     check_replication_invariant,
+    check_replication_preinvariant,
     check_unarily_quasi_range_idempotent,
     check_unarily_range_idempotent,
 )
@@ -47,8 +47,8 @@ from preassoc.enumeration import (
 def _function_bits(fn: TableFn) -> dict:
     """The sweep properties of one table, each read off its checker's scan.
 
-    A1 and A3 run their scans, not the decider, and P1, P2 and PREPL the raw
-    passes, so no answer is kept on the table.
+    A1, A3 and P2 run their scans, not the decider, P1 its raw pass and PREPL
+    its checker, which has no decider, so no answer is kept on the table.
     """
     table = fn._table
     elements = fn.domain.elements
@@ -58,12 +58,12 @@ def _function_bits(fn: TableFn) -> dict:
         "A2": a1,  # the A2 verdict holds exactly when A1's does
         "A3": _a3_scan(fn).holds,
         "P1": _p1_pass(fn) is not None,
-        "P2": next(_p2_conflicts(fn), None) is None,
+        "P2": _p2_scan(fn).holds,
         "URI": check_unarily_range_idempotent(fn).holds,
         "UQRI": check_unarily_quasi_range_idempotent(fn).holds,
         "RI": check_range_idempotent(fn).holds,
         "REPL": check_replication_invariant(fn).holds,
-        "PREPL": next(_prepl_mismatches(fn), None) is None,
+        "PREPL": check_replication_preinvariant(fn).holds,
         "F1F1": all(table[(table[(u,)],)] == table[(u,)] for u in elements),
         "FF2": all(table[(table[(u,)], table[(u,)])] == table[(u,)] for u in elements)
         if fn.max_arity >= 2
