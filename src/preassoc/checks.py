@@ -34,11 +34,11 @@ A law on single values (standard, epsilon_standard,
 unarily_range_idempotent, unarily_quasi_range_idempotent) holds iff no
 attained value fails it; else its witness is the first tuple valued in a
 failing one.
-Whole-table reads (the P1 pass, the layers, the one-value witnesses,
-range-idempotence) take the values of every tuple of length 0..N, ε
-included, as one row in ``tuples_up_to`` order (``TableFn._row``); the
-witness scans look tuples up in the total table (``TableFn._table``), so a
-block that may be empty needs no separate case.
+Every checker reads the row of every tuple's value, ε included, in
+``tuples_up_to`` order (``TableFn._row``), a tuple at its index in
+``core._positions``, so a holding verdict builds no tuple-keyed dict; the
+witness scans of a failing A1, A2, A3, P1 or P2 look tuples up in
+``TableFn._table``, built on first use, so an empty block needs no case.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from itertools import combinations_with_replacement, islice, product, repeat
 from math import comb
 from operator import gt, itemgetter, mul, ne
 
-from .core import EPSILON, Chain, TableFn, Verdict, Witness, ranges
+from .core import EPSILON, Chain, TableFn, Verdict, Witness, _positions, ranges
 from .errors import NotAnOperationError
 
 #: Properties that compare or feed values back into the domain.
@@ -248,11 +248,8 @@ def _a1_holds(fn: TableFn) -> bool:
     F(x·y·z) = F(x·F(y)·z) for every |x| + |z| <= N - |y|, which covers A1's
     candidates.  The unary laws are tested first, so failing tables pay little.
     """
-    table = fn._table
-    d = fn.default
-    if EPSILON in fn._attained:
-        return False
-    if any(table[(v,)] != v for v in fn._attained) or (d is not EPSILON and table[(d,)] != d):
+    unary = dict(zip((EPSILON, *fn.domain.elements), fn._row))  # F(ε) at ε
+    if EPSILON in fn._attained or any(unary[v] != v for v in {*fn._attained, fn.default}):
         return False
     return _p1_cases(fn) is not None
 
@@ -414,10 +411,10 @@ def _p1_pass(fn: TableFn):
     itself short (|r| <= |y|), so every short member of a class has r's
     signature iff the class's short members share one.  The pairs
     (F(y), signature) project onto the values F(y), so that holds iff there
-    are as many distinct pairs as distinct values: one set count, with the
-    signatures read off the values in ``tuples_up_to`` order in one call of
-    ``_extension_getter``.  ``enumeration.preassociative_tables`` solves the
-    same ties, read at the same index, one layer at a time.
+    are as many distinct pairs as distinct short values: one set count, with
+    the signatures read off the values in ``tuples_up_to`` order in one call
+    of ``_extension_getter``.  ``enumeration.preassociative_tables`` solves
+    the same ties, read at the same index, one layer at a time.
     The scan counts every context within N - |y'| for each same-class pair
     (y, y'), y' the later one.  Tuples come shortest first, so the j-th
     m-tuple valued v (from j = 0) follows b_m(v) + j members of its class,
@@ -426,21 +423,29 @@ def _p1_pass(fn: TableFn):
     N - m.  As C(b + c, 2) = C(b, 2) + c·b + C(c, 2), that sums over v to
     S_m - S_(m-1), S_m the same-class pairs among the tuples up to length m:
     cases = Σ_m |contexts(N - m)|·(S_m - S_(m-1)), S_m off one running count.
+    Once the test holds, the counts c_m need no pass over the row: for m < N,
+    each (m+1)-tuple is y·u for one short m-tuple y and one symbol u, so
+    c_(m+1)(w) = Σ_v c_m(v)·#{u : F(r_v·u) = w}, r_v the first tuple valued v.
     """
     k, n = len(fn.domain), fn.max_arity
     values = fn._row
     short = values[: sum(k**m for m in range(n))]
     extensions = iter(_extension_getter(k, n)(values))
-    # zip reads the one iterator 2k times per row: each short y's signature
-    if len(set(zip(short, *[extensions] * (2 * k)))) != len(set(short)):
+    # zip reads the one iterator 2k times per row: each short y's value and signature
+    signatures = set(zip(short, *[extensions] * (2 * k)))
+    right = {s[0]: s[k + 1 :] for s in signatures}  # short value v -> (F(r_v·u))_u
+    if len(right) != len(signatures):
         return None
-    seen = Counter()  # value -> tuples up to the layer with it
-    cases = pairs = start = 0
+    layer, seen = Counter((values[0],)), Counter()  # value -> m-tuples, tuples up to m with it
+    cases = pairs = 0
     for m in range(n + 1):
-        seen.update(values[start : start + k**m])
-        start += k**m
+        seen.update(layer)
         below, pairs = pairs, sum(map(comb, seen.values(), repeat(2)))
         cases += len(_context_pairs(fn.domain, n - m)) * (pairs - below)
+        layer, counted = Counter(), layer
+        for v, c in counted.items() if m < n else ():  # the next layer, by the proof
+            for w in right[v]:
+                layer[w] += c
     return cases
 
 
@@ -547,8 +552,7 @@ def _p2_scan(fn: TableFn) -> Verdict:
 def check_unarily_idempotent(fn: TableFn) -> Verdict:
     """The unary part is the identity."""
     _require_operation(fn, "unarily_idempotent")
-    for cases, u in enumerate(fn.domain.elements, 1):
-        v = fn._table[(u,)]
+    for cases, (u, v) in enumerate(zip(fn.domain.elements, islice(fn._row, 1, None)), 1):
         if v != u:
             witness = Witness((("x", (u,)),), (("F(x)", v),))
             return Verdict("unarily_idempotent", False, cases, witness, fn.max_arity)
@@ -558,14 +562,10 @@ def check_unarily_idempotent(fn: TableFn) -> Verdict:
 def check_unarily_range_idempotent(fn: TableFn) -> Verdict:
     """The unary part fixes every attained value: F1 ∘ Fb = Fb."""
     _require_operation(fn, "unarily_range_idempotent")
-    table = fn._table
-
-    def f1(v):  # the unary part, with F(ε) at ε
-        return table[_wrap(v)]
-
+    f1 = dict(zip((EPSILON, *fn.domain.elements), fn._row))  # the unary part, F(ε) at ε
     return _first_failure(
-        "unarily_range_idempotent", fn, lambda v: f1(v) != v,
-        lambda v: (("F(x)", v), ("F(F(x))", f1(v))),
+        "unarily_range_idempotent", fn, lambda v: f1[v] != v,
+        lambda v: (("F(x)", v), ("F(F(x))", f1[v])),
     )
 
 
@@ -581,14 +581,14 @@ def check_unarily_quasi_range_idempotent(fn: TableFn) -> Verdict:
 def check_range_idempotent(fn: TableFn) -> Verdict:
     """F(k · F(x)) = F(x) for every tuple x and every repetition count k <= N."""
     _require_operation(fn, "range_idempotent")
-    table, row = fn._table, fn._row
+    row, pos = fn._row, _positions(fn.domain.elements, fn.max_arity)
     witness = None  # the first failure in canonical tuple order is the least
     cases = 0
     for v in dict.fromkeys(row):  # each value once, in the order of its first tuple
         # k copies of ε are the empty tuple, so ε takes the one case k = 1
         for k in range(1, 2 if v is EPSILON else fn.max_arity + 1):
             cases += 1
-            rep = table[_wrap(v) * k]
+            rep = row[pos[_wrap(v) * k]]
             if rep != v:
                 if witness is None:
                     t = fn.domain.tuples_up_to(fn.max_arity)[row.index(v)]
@@ -601,9 +601,10 @@ def check_idempotent(fn: TableFn) -> Verdict:
     """F_n(x, ..., x) = x at every arity."""
     _require_operation(fn, "idempotent")
     cases = fn.max_arity * len(fn.domain.elements)
+    row, pos = fn._row, _positions(fn.domain.elements, fn.max_arity)
     for n in range(1, fn.max_arity + 1):
         for u in fn.domain.elements:
-            v = fn._table[(u,) * n]
+            v = row[pos[(u,) * n]]
             if v != u:
                 witness = Witness((("x", (u,) * n),), (("F(x)", v),), (("arity", n),))
                 return Verdict("idempotent", False, cases, witness, fn.max_arity)
@@ -615,14 +616,13 @@ def check_replication_invariant(fn: TableFn) -> Verdict:
 
     Only tuples up to length N // 2 fit a k >= 2 (k·|x| <= N).
     """
-    table = fn._table
+    row, pos = fn._row, _positions(fn.domain.elements, fn.max_arity)
     witness = None  # the first failure in canonical tuple order is the least
     cases = 0
-    for t in islice(fn.domain.tuples_up_to(fn.max_arity // 2), 1, None):
-        v = table[t]
+    for t, v in islice(zip(fn.domain.tuples_up_to(fn.max_arity // 2), row), 1, None):
         for k in range(2, fn.max_arity // len(t) + 1):
             cases += 1
-            rep = table[t * k]
+            rep = row[pos[t * k]]
             if rep != v:
                 if witness is None:
                     witness = Witness((("x", t),), (("F(x)", v), ("F(k·x)", rep)), (("k", k),))
@@ -643,21 +643,21 @@ def check_replication_preinvariant(fn: TableFn) -> Verdict:
     same-class pair at k = 2 up to its least failing k, that is, for each k,
     the pairs that fit k and share (F(x), F(2·x), ..., F((k-1)·x)).
     """
-    table = fn._table
+    row, pos = fn._row, _positions(fn.domain.elements, fn.max_arity)
     n, chain = fn.max_arity, fn.domain
     seen = Counter()  # (k, (F(x), ..., F((k-1)·x))) -> tuples so far that fit k and share it
     first = {}  # value -> first tuple of its class
     cases = 0
     key, witness = (n + 1,), None  # of the least mismatch so far; totals stay <= N
-    for y in chain.tuples_up_to(n // 2):
-        signature = (table[y],)
-        r = first.setdefault(signature[0], y)
+    for y, v in zip(chain.tuples_up_to(n // 2), row):
+        signature = (v,)
+        r = first.setdefault(v, y)
         for k in range(2, n // max(len(y), 1) + 1):
             cases += seen[k, signature]
             seen[k, signature] += 1
-            vy = table[y * k]
+            vy = row[pos[y * k]]
             signature += (vy,)
-            if r is not y and (vr := table[r * k]) != vy:
+            if r is not y and (vr := row[pos[r * k]]) != vy:
                 if (found := _index_key(chain, r, y)) < key:
                     key, witness = found, Witness(
                         (("x", r), ("y", y)), (("F(k·x)", vr), ("F(k·y)", vy)), (("k", k),)
@@ -737,8 +737,8 @@ def _check_monotone(fn: TableFn, prop: str) -> Verdict:
             for i, s in strides
             if a // s % k < k - 1 and r > layer[a + s]  # digit i of a is not the top
         )
-        x, xp = fn.domain.tuples(n)[a], fn.domain.tuples(n)[a + s]
-        values = (("F(x)", fn._table[x]), ("F(x')", fn._table[xp]))
+        x, xp, f = fn.domain.tuples(n)[a], fn.domain.tuples(n)[a + s], _layer(fn, n)
+        values = (("F(x)", f[a]), ("F(x')", f[a + s]))
         witness = Witness((("x", x), ("x'", xp)), values, (("position", i),))
         return Verdict(prop, False, cases, witness, fn.max_arity)
     return Verdict(prop, True, cases, None, fn.max_arity)
@@ -786,7 +786,7 @@ def check_convex_sections(fn: TableFn) -> Verdict:
     ``_context_pairs``; so the least is the first pair of total n - 1 whose
     section is gapped, n the first layer with a gapped section.
     """
-    chain, table = fn.domain, fn._table
+    chain, row, pos = fn.domain, fn._row, _positions(fn.domain.elements, fn.max_arity)
     cod = {v: i for i, v in enumerate(fn.codomain)}
     k = len(chain)
     cases = len(_context_pairs(chain, fn.max_arity - 1))
@@ -797,7 +797,7 @@ def check_convex_sections(fn: TableFn) -> Verdict:
         if not gapped:
             continue
         for y, z in _context_pairs(chain, n - 1):  # shorter pairs have no gapped section
-            image = tuple(cod[table[y + (u,) + z]] for u in chain.elements)
+            image = tuple(cod[row[pos[y + (u,) + z]]] for u in chain.elements)
             if image in gapped:
                 break
         missing = next(j for j in range(min(image), max(image)) if j not in image)

@@ -12,11 +12,12 @@ such values live in ``families``.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import islice, product
+from functools import cached_property, lru_cache
+from itertools import count, islice, product
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import ArityError, UnknownSymbolError
 
@@ -108,6 +109,47 @@ def _tuples_up_to(elements: tuple, max_length: int) -> tuple:
     return tuple(t for n in range(max_length + 1) for t in _tuples(elements, n))
 
 
+@lru_cache(maxsize=128)
+def _positions(elements: tuple, max_length: int) -> dict:
+    """Each tuple's index in ``_tuples_up_to(elements, max_length)``, so in a table's row."""
+    return dict(zip(_tuples_up_to(elements, max_length), count()))
+
+
+class _RowEntries(Mapping):
+    """A row's entries, read-only: the tuples past ε in ``tuples_up_to`` order, one per value."""
+
+    __slots__ = ("_shape", "_row")
+
+    def __init__(self, domain: Chain, max_arity: int, row: tuple):
+        self._shape, self._row = (domain.elements, max_arity, row[0]), row
+
+    def __len__(self):
+        return len(self._row) - 1
+
+    def __iter__(self):  # arity by arity, so a short row builds only the tuples it reaches
+        elements, n, _ = self._shape
+        return islice((t for m in range(1, n + 1) for t in _tuples(elements, m)), len(self))
+
+    def __getitem__(self, key):  # the empty tuple, at index 0, is no entry
+        if not (i := _positions(*self._shape[:2])[key]):
+            raise KeyError(key)
+        return self._row[i]
+
+    def items(self):
+        return _RowItems(self)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({dict(self)!r})"
+
+
+class _RowItems(ItemsView):  # each tuple beside its value, reversible as a dict's items are
+    def __iter__(self):
+        return zip(self._mapping, islice(self._mapping._row, 1, None))
+
+    def __reversed__(self):
+        return reversed(tuple(self))
+
+
 @dataclass(frozen=True)
 class Witness:
     """A minimal counterexample: named tuples, named values, optional scalars."""
@@ -161,18 +203,17 @@ class TableFn:
     """A truncated variadic function: a total table on tuples of length 0..N.
 
     ``default`` is the value of the empty tuple; it may be the EPSILON marker.
-    ``entries`` holds the tuples of length 1..N; the table copies the mapping
-    it is given and exposes the copy read-only.  ``codomain`` is an ordered
-    listing of the admissible entry values; its listing order is the codomain
-    order used by monotonicity and convexity checks.  Within the package,
-    ``_row`` holds every tuple's value in ``domain.tuples_up_to`` order, F(ε)
-    first: every package builder makes its table from one (``_of_row``), and
-    whole-table reads (the checkers' passes, the writer) take it as one tuple;
-    ``_table`` is the total table of every tuple, ε included, for evaluation
-    and the witness scans' random access; ``_attained`` is the set of entry
-    values; and ``_decided`` is where ``checks`` keeps the answers it derives
-    from the table alone, made on first use.  A rebuilt or unpickled table
-    rebuilds ``_row`` and starts without ``_decided``.
+    ``entries`` holds the tuples of length 1..N read-only: a copy of the
+    mapping given, or a view over the row of a table built from its row
+    (``_of_row``, as the families and enumerators build theirs).  ``codomain``
+    lists the admissible entry values; its listing order is the codomain
+    order used by monotonicity and convexity checks.  ``_row``, all a table
+    keeps of its values, lists them in ``domain.tuples_up_to`` order, F(ε)
+    first; evaluation and the checkers read a tuple at its index in
+    ``_positions``.  ``_table``, every tuple's value by tuple, is built on
+    first use (by a failing law's witness scan); ``_attained`` is the set of
+    entry values; and ``_decided`` holds the answers ``checks`` derives from
+    the table alone.  A rebuilt or unpickled table starts without either.
     """
 
     domain: Chain
@@ -181,7 +222,6 @@ class TableFn:
     default: object
     entries: Mapping
     _row: tuple = field(init=False, repr=False, compare=False)
-    _table: dict = field(init=False, repr=False, compare=False)
     _attained: frozenset = field(init=False, repr=False, compare=False)
     _decided: Optional[dict] = field(init=False, repr=False, compare=False, default=None)
 
@@ -190,28 +230,28 @@ class TableFn:
     def __post_init__(self):
         codomain = tuple(self.codomain)
         object.__setattr__(self, "codomain", codomain)
-        entries = dict(self.entries)
+        entries = self.entries
+        row = entries._row if type(entries) is _RowEntries else None
+        if row is None or entries._shape != (self.domain.elements, self.max_arity, self.default):
+            entries, row = dict(entries), None
         if type(self.max_arity) is not int or self.max_arity < 1:  # bool is an int subclass
             raise ValueError("max_arity must be an integer >= 1")
         # an empty codomain is refused below: a total table has an entry, whose value it lacks
-        if len(set(codomain)) != len(codomain):
-            raise ValueError("codomain symbols must be distinct")
         values = set(codomain)
+        if len(values) != len(codomain):
+            raise ValueError("codomain symbols must be distinct")
         if self.default is not EPSILON and self.default not in values:
             raise ValueError(f"default {self.default!r} is outside the codomain")
-        dom = set(self.domain.elements)
-        k, expected = len(dom), 0
+        k, expected = len(self.domain), 0
         for n in range(1, self.max_arity + 1):  # stops past len(entries), however large N is
             expected += k**n
             if expected > len(entries):
                 break
         # as many keys as tuples of length 1..N, and each such tuple a key: the
-        # keys are exactly those tuples, so none is at fault.  Keys listed in
-        # ``tuples_up_to`` order (``_of_row``'s) show it in one comparison,
-        # and their values are then the row as listed.  Otherwise the walk
-        # names the first fault, if there is one
+        # keys are exactly those tuples.  Keys in ``tuples_up_to`` order show it
+        # in one comparison, a row's in none; else the walk names the first fault
         universe = self.domain.tuples_up_to(self.max_arity) if expected == len(entries) else ()
-        in_order = ((), *entries) == universe
+        in_order = row is not None or ((), *entries) == universe
         if not in_order and (
             not universe or not all(map(entries.__contains__, islice(universe, 1, None)))
         ):
@@ -221,34 +261,31 @@ class TableFn:
                 if not 1 <= len(key) <= self.max_arity:
                     raise ValueError(f"entry arity {len(key)} outside 1..{self.max_arity}")
                 for s in key:
-                    if s not in dom:
+                    if s not in self.domain:
                         raise UnknownSymbolError(f"entry {key!r} uses unknown domain symbol {s!r}")
-        attained = frozenset(entries.values())
-        if not attained <= values:
-            key, value = next((t, v) for t, v in entries.items() if v not in values)
+        attained = frozenset(entries.values() if row is None else islice(row, 1, None))
+        if not attained <= values:  # a row's keys come one arity at a time, as far as it reaches
+            listed = entries.values() if row is None else islice(row, 1, None)
+            key, value = next((t, v) for t, v in zip(entries, listed) if v not in values)
             raise ValueError(f"entry value {value!r} at {key!r} is outside the codomain")
         if expected != len(entries):
-            # every key is a distinct tuple of length 1..N, so some arity falls short
-            have = Counter(map(len, entries))
-            n = next(n for n in range(1, self.max_arity + 1) if have[n] != k**n)
+            if row is None:  # every key is a distinct tuple of length 1..N: some arity falls short
+                have = Counter(map(len, entries))
+                n = next(n for n in range(1, self.max_arity + 1) if have[n] != k**n)
+            else:  # a row fills the arities in order, so it falls short at the last one counted
+                have = {n: len(entries) - expected + k**n}
             raise ValueError(f"entries not total at arity {n}: expected {k**n}, found {have[n]}")
-        table = {(): self.default, **entries}
-        if in_order:
-            row = (self.default, *entries.values())
-        else:
-            row = tuple(map(table.__getitem__, universe))
-        object.__setattr__(self, "entries", MappingProxyType(entries))
+        if row is None:
+            listed = entries.values() if in_order else map(entries.__getitem__, universe[1:])
+            row, entries = (self.default, *listed), MappingProxyType(entries)
+        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_row", row)
-        object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_attained", attained)
 
     @classmethod
     def _of_row(cls, domain: Chain, codomain, max_arity: int, row: Sequence) -> TableFn:
-        """The table whose ``_row`` is ``row``, F(ε) first, keyed by ``domain.tuples_up_to``:
-        the constructor takes it back in one comparison, or refuses it as those entries."""
-        tuples, values = iter(domain.tuples_up_to(max_arity)), iter(row)
-        next(tuples, None)  # the empty tuple; none below arity 0, which the constructor refuses
-        return cls(domain, codomain, max_arity, next(values), dict(zip(tuples, values)))
+        """The table whose ``_row`` is ``row`` (F(ε) first, in ``domain.tuples_up_to`` order)."""
+        return cls(domain, codomain, max_arity, row[0], _RowEntries(domain, max_arity, tuple(row)))
 
     def __reduce__(self):
         # a mapping proxy does not pickle; rebuild from a plain copy
@@ -263,7 +300,7 @@ class TableFn:
         if len(t) > self.max_arity:
             raise ArityError(f"tuple of length {len(t)} exceeds max arity {self.max_arity}")
         try:
-            return self._table[t]
+            return self._row[_positions(self.domain.elements, self.max_arity)[t]]
         except KeyError:
             for s in t:
                 if s not in self.domain:
@@ -271,6 +308,10 @@ class TableFn:
             raise
 
     __call__ = eval
+
+    @cached_property
+    def _table(self) -> dict:
+        return dict(zip(self.domain.tuples_up_to(self.max_arity), self._row))
 
     @property
     def is_operation(self) -> bool:
@@ -292,8 +333,7 @@ def ranges(fn: TableFn) -> tuple:
     Returns (ran_F1, ran_Fflat) as frozensets; the first is always a subset
     of the second.
     """
-    ran1 = frozenset(fn.entries[(u,)] for u in fn.domain.elements)
-    return ran1, fn._attained
+    return frozenset(fn._row[1 : len(fn.domain) + 1]), fn._attained
 
 
 def left_fold(chain: Chain, unary: Mapping, binary: Mapping, max_arity: int) -> list:

@@ -66,7 +66,7 @@ def factorize(fn: TableFn, pins=None) -> Factorization:
             )
 
     elements = fn.domain.elements
-    f1 = FiniteMap(elements, fn.codomain, {u: fn.entries[(u,)] for u in elements})
+    f1 = FiniteMap(elements, fn.codomain, dict(zip(elements, fn._row[1:])))
     g = canonical_quasi_inverse(f1, pins)
     H = compose(g, fn)  # g's codomain is F1's domain, the chain
 

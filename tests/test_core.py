@@ -10,6 +10,7 @@ from itertools import islice, product
 
 import pytest
 
+from preassoc import core
 from preassoc.core import EPSILON, Chain, TableFn, canonical_symbol, left_fold, ranges
 from preassoc.errors import ArityError, GeneratorError, UnknownSymbolError
 from preassoc.families import GeneratedFn, Interval, tabulate
@@ -221,6 +222,49 @@ class TestRow:
         assert list(built.entries) == list(chain.tuples_up_to(n)[1:])
         restored = pickle.loads(pickle.dumps(built))
         assert restored == built and restored._row == built._row
+
+    @pytest.mark.parametrize("case", ROW_CASES)
+    def test_row_view_is_the_entry_mapping(self, case):
+        chain, codomain, n, default, entries = ROW_CASES[case]()
+        twin = TableFn(chain, codomain, n, default, _listed(entries, "shuffled"))
+        fn = TableFn._of_row(chain, codomain, n, twin._row)
+        assert fn == twin and twin == fn
+        assert fn.entries == entries and entries == fn.entries
+        assert fn.entries == twin.entries and twin.entries == fn.entries
+        assert len(fn.entries) == len(twin.entries) == len(entries)
+        assert list(fn.entries) == list(chain.tuples_up_to(n)[1:])
+        assert list(fn.entries.items()) == list(entries.items())
+        assert list(reversed(fn.entries.items())) == list(reversed(entries.items()))
+        first = chain.elements[0]
+        for key in [(), (first, "zz"), first, 0, (first,) * (n + 1)]:
+            assert key not in fn.entries and key not in twin.entries
+            with pytest.raises(KeyError):
+                fn.entries[key]
+        for key in chain.tuples_up_to(n)[1:]:
+            assert key in fn.entries and fn.entries[key] == entries[key] == fn.eval(key)
+        with pytest.raises(TypeError):
+            fn.entries[chain.tuples_up_to(n)[1]] = default
+        for copied in (pickle.loads(pickle.dumps(fn)), dataclasses.replace(fn), copy.copy(fn)):
+            assert copied == fn and copied._row == fn._row
+        assert "_table" not in vars(fn)  # built on first use only
+        assert fn._table == {(): default, **entries} and "_table" in vars(fn)
+
+    def test_of_row_sizes_a_short_row_without_tuples(self):
+        chain = Chain(("short-row-p", "short-row-q"))
+        p, q = chain.elements
+        built = core._tuples.cache_info().misses, core._positions.cache_info().misses
+        message = r"^entries not total at arity 2: expected 4, found 1$"
+        with pytest.raises(ValueError, match=message):
+            TableFn._of_row(chain, chain.elements, 10**9, (EPSILON, p, q, p))
+        assert (core._tuples.cache_info().misses, core._positions.cache_info().misses) == built
+        with pytest.raises(ValueError, match=message):
+            TableFn(chain, chain.elements, 10**9, EPSILON, {(p,): p, (q,): q, (p, p): p})
+        # a value fault names its tuple off the layers the row reaches
+        message = r"^entry value 'zz' at \('short-row-q',\) is outside the codomain$"
+        with pytest.raises(ValueError, match=message):
+            TableFn._of_row(chain, chain.elements, 10**9, (EPSILON, p, "zz", p))
+        with pytest.raises(ValueError, match=message):
+            TableFn(chain, chain.elements, 10**9, EPSILON, {(p,): p, (q,): "zz", (p, p): p})
 
     @pytest.mark.parametrize(
         "fault,message",

@@ -79,7 +79,7 @@ from preassoc.families import (
     make_variadic_seed,
     tabulate,
 )
-from preassoc.serialization import function_digest
+from preassoc.serialization import function_digest, read_function, save_function
 
 
 def _operations_2_2():
@@ -617,6 +617,20 @@ def test_holding_a1_builds_no_candidate_list():
     verdict = checks.check_associative(_median_4_5())
     assert verdict.holds and verdict.cases_checked == 19949
     assert checks._assoc_candidates.cache_info().currsize == 0
+
+
+def test_holding_tables_build_no_entry_dict(tmp_path):
+    # the checkers, factorize and the canonical read take the row, never the tuple-keyed dict
+    fn = _median_4_5()
+    verdicts = checks.run_checks(fn, checks.PROPERTY_NAMES)
+    assert all(verdicts[p].holds for p in ("associative_A1", "preassociative_P1"))
+    fac = factorize(fn)
+    assert "_table" not in vars(fn) and "_table" not in vars(fac.H)
+    path = tmp_path / "median.json"
+    save_function(fn, path)
+    read, _ = read_function(path)
+    assert checks.run_checks(read, checks.PROPERTY_NAMES) == verdicts
+    assert read == fn and "_table" not in vars(read)
 
 
 @pytest.mark.parametrize(
