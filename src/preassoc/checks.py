@@ -34,11 +34,10 @@ A law on single values (standard, epsilon_standard,
 unarily_range_idempotent, unarily_quasi_range_idempotent) holds iff no
 attained value fails it; else its witness is the first tuple valued in a
 failing one.
-Every checker reads the row of every tuple's value, ε included, in
-``tuples_up_to`` order (``TableFn._row``), a tuple at its index in
-``core._positions``, so a holding verdict builds no tuple-keyed dict; the
-witness scans of a failing A1, A2, A3, P1 or P2 look tuples up in
-``TableFn._table``, built on first use, so an empty block needs no case.
+Every checker and witness scan reads the row of every tuple's value, ε
+included, in ``tuples_up_to`` order (``TableFn._row``), a tuple at its index
+in ``core._positions``, so no check builds a tuple-keyed dict and an empty
+block needs no case.
 """
 
 from __future__ import annotations
@@ -276,18 +275,17 @@ def _a1_verdict(fn: TableFn) -> Verdict:
 
 def _a1_scan(fn: TableFn) -> Verdict:
     """The A1 verdict, from the first violating candidate in witness-key order."""
-    table = fn._table
+    row, pos = fn._row, _positions(fn.domain.elements, fn.max_arity)
     candidates = _assoc_candidates(fn.domain, fn.max_arity)
     for x, y, z in candidates:
-        vy = table[y]
+        vy = row[pos[y]]
         if vy is EPSILON:
             # with y = ε and default ε, F(x, F(ε), z) = F(x, z) holds trivially
             if not y:
                 continue
             values, note = (("F(y)", EPSILON),), _SUBST_EPS
         else:
-            lhs = table[x + y + z]
-            rhs = table[x + (vy,) + z]
+            lhs, rhs = row[pos[x + y + z]], row[pos[x + (vy,) + z]]
             if lhs == rhs:
                 continue
             values, note = (("F(x,y,z)", lhs), ("F(x,F(y),z)", rhs)), ""
@@ -324,8 +322,8 @@ def _check_a2(fn: TableFn) -> Verdict:
         (("F(x,F(y),z)", first.value("F(x,y,z)")), ("F(x',F(y'),z')", first.value("F(x,F(y),z)"))),
     )
     key = _index_key(chain, (), (), w, xp, yp, zp)
-    for t in islice(chain.tuples_up_to(min(n, 2 * len(w))), 1, None):
-        if fn._table[t] is EPSILON:
+    for t, v in islice(zip(chain.tuples_up_to(min(n, 2 * len(w))), fn._row), 1, None):
+        if v is EPSILON:
             if _index_key(chain, (), t, ()) < key:
                 parts = (("x", ()), ("y", t), ("z", ()))
                 witness = Witness(parts, (("F(y)", EPSILON),), note=_SUBST_EPS)
@@ -347,15 +345,15 @@ def _check_a3(fn: TableFn) -> Verdict:
 
 def _a3_scan(fn: TableFn) -> Verdict:
     """F(x, y) = F(F(x), F(y)) for all pairs, in witness-key order: w = x·y, then |x|."""
-    table = fn._table
+    row, pos = fn._row, _positions(fn.domain.elements, fn.max_arity)
     splits = _context_pairs(fn.domain, fn.max_arity)
     for x, y in splits:
-        vx, vy = table[x], table[y]
+        vx, vy = row[pos[x]], row[pos[y]]
         if (vx is EPSILON and x) or (vy is EPSILON and y):
             values = (("F(x)", vx), ("F(y)", vy))
             note = "substituted-epsilon: nonempty block evaluates to ε"
         else:
-            lhs, rhs = table[x + y], table[_wrap(vx) + _wrap(vy)]
+            lhs, rhs = row[pos[x + y]], row[pos[_wrap(vx) + _wrap(vy)]]
             if lhs == rhs:
                 continue
             values, note = (("F(x,y)", lhs), ("F(F(x),F(y))", rhs)), ""
@@ -487,20 +485,20 @@ def _p1_scan(fn: TableFn) -> Verdict:
     pairs (r, y') are tried, each in its contexts (shortest first) until
     their total passes the least violation so far.
     """
-    table = fn._table
-    n, chain = fn.max_arity, fn.domain
+    n, chain, row = fn.max_arity, fn.domain, fn._row
+    pos = _positions(chain.elements, n)
     classes = {}  # value -> (first tuple of its class, members so far)
     cases = 0
     key, witness = (2 * n + 1,), None  # of the least violation so far; totals stay <= 2N
-    for yp in chain.tuples_up_to(n):
-        r, b = classes.get(table[yp], (yp, 0))
-        classes[table[yp]] = (r, b + 1)
+    for yp, v in zip(chain.tuples_up_to(n), row):
+        r, b = classes.get(v, (yp, 0))
+        classes[v] = (r, b + 1)
         contexts = _context_pairs(chain, n - len(yp)) if b else ()
         cases += b * len(contexts)
         for x, z in contexts:
             if len(x) + len(r) + len(yp) + len(z) > key[0]:
                 break
-            lhs, rhs = table[x + r + z], table[x + yp + z]
+            lhs, rhs = row[pos[x + r + z]], row[pos[x + yp + z]]
             if lhs != rhs and (found := _index_key(chain, x, r, yp, z)) < key:
                 key, witness = found, Witness(
                     (("x", x), ("y", r), ("y'", yp), ("z", z)),
@@ -521,16 +519,16 @@ def _p2_scan(fn: TableFn) -> Verdict:
     keeps the least such pair.  Each pair's total is at least |b|, so the
     walk stops at the first split longer than the least total so far.
     """
-    table = fn._table
-    chain, n = fn.domain, fn.max_arity
+    chain, n, row = fn.domain, fn.max_arity, fn._row
+    pos = _positions(chain.elements, n)
     splits = _context_pairs(chain, n)
     first = {}  # (F(x), F(y)) -> (x, y, F(x·y)) of its first split; () once it has conflicted
     key, witness = (2 * n + 1,), None  # of the least conflict so far; totals stay <= 2N
     for xp, yp in splits:
         if len(xp) + len(yp) > key[0]:
             break
-        bucket = (table[xp], table[yp])
-        vs = table[xp + yp]
+        bucket = (row[pos[xp]], row[pos[yp]])
+        vs = row[pos[xp + yp]]
         a = first.get(bucket)
         if a is None:
             first[bucket] = (xp, yp, vs)

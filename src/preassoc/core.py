@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import count, islice, product
 from types import MappingProxyType
 from typing import Optional, Sequence
@@ -210,18 +210,18 @@ class TableFn:
     order used by monotonicity and convexity checks.  ``_row``, all a table
     keeps of its values, lists them in ``domain.tuples_up_to`` order, F(ε)
     first; evaluation and the checkers read a tuple at its index in
-    ``_positions``.  ``_table``, every tuple's value by tuple, is built on
-    first use (by a failing law's witness scan); ``_attained`` is the set of
-    entry values; and ``_decided`` holds the answers ``checks`` derives from
-    the table alone.  A rebuilt or unpickled table starts without either.
+    ``_positions``, and two tables compare by it, not by ``entries``.
+    ``_attained`` is the set of entry values, and ``_decided`` holds the
+    answers ``checks`` derives from the table alone, which a rebuilt or
+    unpickled table derives anew.
     """
 
     domain: Chain
     codomain: tuple
     max_arity: int
     default: object
-    entries: Mapping
-    _row: tuple = field(init=False, repr=False, compare=False)
+    entries: Mapping = field(compare=False)
+    _row: tuple = field(init=False, repr=False)
     _attained: frozenset = field(init=False, repr=False, compare=False)
     _decided: Optional[dict] = field(init=False, repr=False, compare=False, default=None)
 
@@ -247,6 +247,8 @@ class TableFn:
             expected += k**n
             if expected > len(entries):
                 break
+        if row is not None and expected < len(entries):  # a row past the tuples of length N
+            raise ValueError(f"entry arity {self.max_arity + 1} outside 1..{self.max_arity}")
         # as many keys as tuples of length 1..N, and each such tuple a key: the
         # keys are exactly those tuples.  Keys in ``tuples_up_to`` order show it
         # in one comparison, a row's in none; else the walk names the first fault
@@ -308,10 +310,6 @@ class TableFn:
             raise
 
     __call__ = eval
-
-    @cached_property
-    def _table(self) -> dict:
-        return dict(zip(self.domain.tuples_up_to(self.max_arity), self._row))
 
     @property
     def is_operation(self) -> bool:

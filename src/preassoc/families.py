@@ -196,6 +196,7 @@ def _tabulate_chain(source, chain: Chain, max_arity, default) -> TableFn:
 
 
 def _tabulate_grid(source, carrier, max_arity, default) -> TableFn:
+    """The table on a real grid, its values listed in ``product`` order: the row's order past ε."""
     grid = _as_grid(carrier)
     if isinstance(source, GeneratedFn):
         for x in grid:
@@ -206,17 +207,17 @@ def _tabulate_grid(source, carrier, max_arity, default) -> TableFn:
     else:
         evalf = lambda t: reduce(source, t)  # noqa: E731
 
-    raw = {}
-    for n in range(1, max_arity + 1):
-        for t in product(grid, repeat=n):
-            raw[t] = float(evalf(t))
+    def universe():
+        return (t for n in range(1, max_arity + 1) for t in product(grid, repeat=n))
+
+    raw = [float(evalf(t)) for t in universe()]
     # NaN is close to no representative, so each NaN value would get a symbol "nan" of its own
-    nan = next((t for t, v in raw.items() if math.isnan(v)), None)
+    nan = next((t for t, v in zip(universe(), raw) if math.isnan(v)), None)
     if nan is not None:
         raise ValueError(f"value at ({','.join(map(canonical_symbol, nan))}) is not a number")
 
     reps = list(grid)  # so a value that rounds onto a grid point reuses its symbol
-    rep_of = {v: _rep(reps, v) for v in sorted(set(raw.values()))}
+    rep_of = {v: _rep(reps, v) for v in sorted(set(raw))}
     sym = {g: canonical_symbol(g) for g in grid}
     for r in rep_of.values():
         sym.setdefault(r, canonical_symbol(r))
@@ -230,8 +231,7 @@ def _tabulate_grid(source, carrier, max_arity, default) -> TableFn:
             default = canonical_symbol(_rep(reps, float(default)))
         if default not in codomain:
             codomain = codomain + (default,)
-    # ``product`` lists raw's tuples in the chain's ``tuples_up_to`` order
-    row = [default, *(sym[rep_of[v]] for v in raw.values())]
+    row = [default, *(sym[rep_of[v]] for v in raw)]
     return TableFn._of_row(chain, codomain, max_arity, row)
 
 

@@ -57,6 +57,11 @@ def remark_b():
     return TableFn(chain, chain.elements, 2, "a", entries)
 
 
+def tuple_table(fn):
+    """Every tuple's value, the empty tuple's included, keyed by tuple: the public reference."""
+    return {(): fn.default, **fn.entries}
+
+
 def xor_table(chain):
     return {
         (u, v): str(int(u) ^ int(v))

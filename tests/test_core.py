@@ -17,6 +17,8 @@ from preassoc.families import GeneratedFn, Interval, tabulate
 from preassoc.quasi_inverse import FiniteMap
 from preassoc.serialization import dumps_function, loads_function
 
+from conftest import tuple_table
+
 
 class TestChain:
     def test_order_and_lattice(self):
@@ -207,7 +209,8 @@ class TestRow:
         chain, codomain, n, default, entries = ROW_CASES[case]()
         given = _listed(entries, order)
         fn = TableFn(chain, codomain, n, default, given)
-        assert fn._row == tuple(fn._table[t] for t in chain.tuples_up_to(n))
+        table = tuple_table(fn)
+        assert fn._row == tuple(table[t] for t in chain.tuples_up_to(n))
         assert fn._row[0] == default
         assert list(fn.entries.items()) == list(given.items())  # the caller's order is kept
         restored = pickle.loads(pickle.dumps(fn))
@@ -246,8 +249,8 @@ class TestRow:
             fn.entries[chain.tuples_up_to(n)[1]] = default
         for copied in (pickle.loads(pickle.dumps(fn)), dataclasses.replace(fn), copy.copy(fn)):
             assert copied == fn and copied._row == fn._row
-        assert "_table" not in vars(fn)  # built on first use only
-        assert fn._table == {(): default, **entries} and "_table" in vars(fn)
+        assert set(vars(fn)) <= {f.name for f in dataclasses.fields(TableFn)}  # no cache beside
+        assert dict(zip(chain.tuples_up_to(n), fn._row)) == {(): default, **entries}
 
     def test_of_row_sizes_a_short_row_without_tuples(self):
         chain = Chain(("short-row-p", "short-row-q"))
@@ -270,17 +273,21 @@ class TestRow:
         "fault,message",
         [
             ("short", r"^entries not total at arity 2: expected 4, found 3$"),
+            ("long", r"^entry arity 3 outside 1\.\.2$"),
+            ("long-foreign", r"^entry arity 3 outside 1\.\.2$"),
             ("value", r"^entry value '7' at \('1', '0'\) is outside the codomain$"),
             ("arity-0", r"^max_arity must be an integer >= 1$"),
             ("arity-negative", r"^max_arity must be an integer >= 1$"),
         ],
-        ids=["short", "value", "arity-0", "arity-negative"],
+        ids=["short", "long", "long-foreign", "value", "arity-0", "arity-negative"],
     )
     def test_of_row_refuses_with_the_key_paths_message(self, chain2, fault, message):
         entries = _valued(chain2, 2, lambda t: t[0])
         n = {"arity-0": 0, "arity-negative": -1}.get(fault, 2)
         if fault == "short":
             del entries[("1", "1")]  # the row's last value
+        elif fault.startswith("long"):  # one value past the row, at the first 3-tuple's key
+            entries[("0", "0", "0")] = "zz" if fault == "long-foreign" else "0"
         elif fault == "value":
             entries[("1", "0")] = "7"
         with pytest.raises(ValueError, match=message):
@@ -288,11 +295,27 @@ class TestRow:
         with pytest.raises(ValueError, match=message):
             TableFn._of_row(chain2, chain2.elements, n, [EPSILON, *entries.values()])
 
-    def test_row_is_outside_equality_and_repr(self):
+    def test_row_decides_equality_outside_the_repr(self):
         chain, codomain, n, default, entries = ROW_CASES["symbol-default"]()
         fn = TableFn(chain, codomain, n, default, entries)
         other = TableFn(chain, codomain, n, default, _listed(entries, "reversed"))
         assert fn == other and "_row" not in repr(fn)
+
+    @pytest.mark.parametrize("case", ROW_CASES)
+    def test_tables_compare_by_row_without_reading_entries(self, case, monkeypatch):
+        chain, codomain, n, default, entries = ROW_CASES[case]()
+        twin = TableFn(chain, codomain, n, default, _listed(entries, "shuffled"))
+        fn = TableFn._of_row(chain, codomain, n, twin._row)
+        last = chain.tuples_up_to(n)[-1]
+        other = next(v for v in codomain if v != entries[last])
+        changed = TableFn._of_row(chain, codomain, n, (*twin._row[:-1], other))
+
+        def unread(self):
+            raise AssertionError("equality read the entries")
+
+        monkeypatch.setattr(core._RowEntries, "__iter__", unread)
+        assert fn == twin and twin == fn and fn == TableFn._of_row(chain, codomain, n, fn._row)
+        assert fn != changed and changed != fn and twin != changed and changed != twin
 
     @pytest.mark.parametrize("order", ["canonical", "reversed"])
     @pytest.mark.parametrize(

@@ -49,6 +49,7 @@ order.
 """
 
 import copy
+import dataclasses
 import pickle
 import random
 from collections import Counter
@@ -80,6 +81,8 @@ from preassoc.families import (
     tabulate,
 )
 from preassoc.serialization import function_digest, read_function, save_function
+
+from conftest import tuple_table
 
 
 def _operations_2_2():
@@ -178,21 +181,21 @@ def _least(prop, fn, cases, violations):
     return Verdict(prop, least is None, cases, witness, fn.max_arity)
 
 
-def _value_classes(fn):
-    """Tuples of length 0..N grouped by value, each class in canonical order."""
+def _value_classes(fn, table):
+    """Tuples of length 0..N grouped by value in ``table``, each class in canonical order."""
     classes = {}
     for t in fn.domain.tuples_up_to(fn.max_arity):
-        classes.setdefault(fn._table[t], []).append(t)
+        classes.setdefault(table[t], []).append(t)
     return classes.values()
 
 
 def _reference_p1(fn):
     """Every same-class pair (y, y') over every context within N - |y'|."""
-    table = fn._table
+    table = tuple_table(fn)
     n = fn.max_arity
     violations = []
     cases = 0
-    for group in _value_classes(fn):
+    for group in _value_classes(fn, table):
         for y, yp in combinations(group, 2):  # canonical order: len(y) <= len(yp)
             contexts = checks._context_pairs(fn.domain, n - len(yp))
             cases += len(contexts)
@@ -212,7 +215,7 @@ def _reference_p2(fn):
     Pairs are not listed once a shorter violation is known: the key compares
     total length first.
     """
-    table = fn._table
+    table = tuple_table(fn)
     chain, n = fn.domain, fn.max_arity
     by_len = [chain.tuples(i) for i in range(n + 1)]
     buckets = {}  # (F(x), F(y)) -> its splits (total, x, y, F(x·y)), shortest first
@@ -242,11 +245,11 @@ def _reference_p2(fn):
 
 def _reference_prepl(fn):
     """Every same-class pair at k = 2, 3, ... up to its first failing k."""
-    table = fn._table
+    table = tuple_table(fn)
     n = fn.max_arity
     violations = []
     cases = 0
-    for group in _value_classes(fn):
+    for group in _value_classes(fn, table):
         for x, y in combinations(group, 2):
             kmax = n // max(len(x), len(y), 1)  # ε fits every k <= n
             for k in range(2, kmax + 1):
@@ -403,7 +406,7 @@ _SUBST = "substituted-epsilon: nonempty inner block evaluates to ε"
 
 
 def _reference_a1(fn):
-    table = fn._table
+    table = tuple_table(fn)
     chain, n = fn.domain, fn.max_arity
     candidates = [
         (x, y, z)
@@ -432,7 +435,7 @@ def _reference_a2(fn):
     As in the racing scan this replaces, pairs are not listed once a shorter
     violation is known: the key compares total length first.
     """
-    table = fn._table
+    table = tuple_table(fn)
     violations = []
     shortest = None  # the least total length listed so far
     cases = 0
@@ -464,7 +467,7 @@ def _reference_a2(fn):
 
 
 def _reference_a3(fn):
-    table = fn._table
+    table = tuple_table(fn)
     by_len = [fn.domain.tuples(i) for i in range(fn.max_arity + 1)]
     violations = []
     cases = 0
@@ -620,17 +623,18 @@ def test_holding_a1_builds_no_candidate_list():
 
 
 def test_holding_tables_build_no_entry_dict(tmp_path):
-    # the checkers, factorize and the canonical read take the row, never the tuple-keyed dict
+    # the checkers, factorize and the canonical read keep nothing on a table but its fields
+    fields = {f.name for f in dataclasses.fields(TableFn)}
     fn = _median_4_5()
     verdicts = checks.run_checks(fn, checks.PROPERTY_NAMES)
     assert all(verdicts[p].holds for p in ("associative_A1", "preassociative_P1"))
     fac = factorize(fn)
-    assert "_table" not in vars(fn) and "_table" not in vars(fac.H)
+    assert set(vars(fn)) == set(vars(fac.H)) == fields
     path = tmp_path / "median.json"
     save_function(fn, path)
     read, _ = read_function(path)
     assert checks.run_checks(read, checks.PROPERTY_NAMES) == verdicts
-    assert read == fn and "_table" not in vars(read)
+    assert read == fn and set(vars(read)) == fields
 
 
 @pytest.mark.parametrize(
@@ -718,12 +722,13 @@ def test_split_lists_are_every_split_in_key_order(k, n):
 
 def _reference_idempotent(fn):
     checks._require_operation(fn, "idempotent")
+    table = tuple_table(fn)
     violations = []
     cases = 0
     for n in range(1, fn.max_arity + 1):
         for u in fn.domain.elements:
             cases += 1
-            v = fn._table[(u,) * n]
+            v = table[(u,) * n]
             if v != u:
                 violations.append((n, (("x", (u,) * n),), (("F(x)", v),), (("arity", n),), ""))
     return _least("idempotent", fn, cases, violations)
@@ -731,7 +736,7 @@ def _reference_idempotent(fn):
 
 def _reference_range_idempotent(fn):
     checks._require_operation(fn, "range_idempotent")
-    table = fn._table
+    table = tuple_table(fn)
     violations = []
     cases = 0
     seen = set()
@@ -757,7 +762,7 @@ def _reference_range_idempotent(fn):
 
 
 def _reference_replication_invariant(fn):
-    table = fn._table
+    table = tuple_table(fn)
     violations = []
     cases = 0
     for t in fn.domain.tuples_up_to(fn.max_arity)[1:]:
@@ -773,7 +778,7 @@ def _reference_replication_invariant(fn):
 
 
 def _reference_monotone(prop, fn):
-    table = fn._table
+    table = tuple_table(fn)
     chain = fn.domain
     cod = {v: i for i, v in enumerate(fn.codomain)}
     violations = []
@@ -796,7 +801,7 @@ def _reference_monotone(prop, fn):
 
 
 def _reference_symmetric(fn):
-    table = fn._table
+    table = tuple_table(fn)
     chain = fn.domain
     violations = []
     cases = 0
@@ -812,7 +817,7 @@ def _reference_symmetric(fn):
 
 
 def _reference_convex_sections(fn):
-    table = fn._table
+    table = tuple_table(fn)
     elements = fn.domain.elements
     by_len = [fn.domain.tuples(i) for i in range(fn.max_arity)]
     cod = {v: i for i, v in enumerate(fn.codomain)}
@@ -947,7 +952,7 @@ ORDER_UNIVERSES = {
 
 def _first_failure_walk(prop, fn, fails, values, note="", extra=()):
     """``checks._first_failure`` as a walk over every nonempty tuple in canonical order."""
-    table = fn._table
+    table = tuple_table(fn)
     tuples = fn.domain.tuples_up_to(fn.max_arity)
     for cases, t in enumerate(tuples[1:], 1):
         if fails(table[t]):

@@ -43,6 +43,8 @@ from preassoc.enumeration import (
     preassociative_tables,
 )
 
+from conftest import tuple_table
+
 
 def _function_bits(fn: TableFn) -> dict:
     """The sweep properties of one table, each read off its checker's scan.
@@ -50,7 +52,7 @@ def _function_bits(fn: TableFn) -> dict:
     A1, A3 and P2 run their scans, not the decider, P1 its raw pass and PREPL
     its checker, which has no decider, so no answer is kept on the table.
     """
-    table = fn._table
+    table = tuple_table(fn)
     elements = fn.domain.elements
     a1 = _a1_scan(fn).holds
     return {
