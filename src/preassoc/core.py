@@ -16,7 +16,6 @@ from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import count, islice, product
-from types import MappingProxyType
 from typing import Optional, Sequence
 
 from .errors import ArityError, UnknownSymbolError
@@ -203,9 +202,9 @@ class TableFn:
     """A truncated variadic function: a total table on tuples of length 0..N.
 
     ``default`` is the value of the empty tuple; it may be the EPSILON marker.
-    ``entries`` holds the tuples of length 1..N read-only: a copy of the
-    mapping given, or a view over the row of a table built from its row
-    (``_of_row``, as the families and enumerators build theirs).  ``codomain``
+    ``entries`` holds the tuples of length 1..N read-only: a view over the
+    row in ``domain.tuples_up_to`` order, whatever order a given mapping had
+    (its values go into the row; ``_of_row`` builds from a row).  ``codomain``
     lists the admissible entry values; its listing order is the codomain
     order used by monotonicity and convexity checks.  ``_row``, all a table
     keeps of its values, lists them in ``domain.tuples_up_to`` order, F(ε)
@@ -279,7 +278,8 @@ class TableFn:
             raise ValueError(f"entries not total at arity {n}: expected {k**n}, found {have[n]}")
         if row is None:
             listed = entries.values() if in_order else map(entries.__getitem__, universe[1:])
-            row, entries = (self.default, *listed), MappingProxyType(entries)
+            row = (self.default, *listed)
+            entries = _RowEntries(self.domain, self.max_arity, row)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_row", row)
         object.__setattr__(self, "_attained", attained)
@@ -289,12 +289,8 @@ class TableFn:
         """The table whose ``_row`` is ``row`` (F(ε) first, in ``domain.tuples_up_to`` order)."""
         return cls(domain, codomain, max_arity, row[0], _RowEntries(domain, max_arity, tuple(row)))
 
-    def __reduce__(self):
-        # a mapping proxy does not pickle; rebuild from a plain copy
-        return (
-            TableFn,
-            (self.domain, self.codomain, self.max_arity, self.default, dict(self.entries)),
-        )
+    def __reduce__(self):  # pickled and copied as its row, rebuilt through the one validation
+        return (TableFn._of_row, (self.domain, self.codomain, self.max_arity, self._row))
 
     def eval(self, args: Sequence) -> object:
         """Value at a tuple; the empty tuple yields the default."""

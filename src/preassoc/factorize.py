@@ -80,8 +80,8 @@ def factorize(fn: TableFn, pins=None) -> Factorization:
 def _verify_factorization(fn: TableFn, f1: FiniteMap, g: FiniteMap, H: TableFn, f: FiniteMap):
     # f ∘ H = F as one comparison of the rows past F(ε); the walk only names a mismatch
     if tuple(map(f.graph.__getitem__, H._row[1:])) != fn._row[1:]:
-        for t, v in fn.entries.items():
-            if f.graph[H.entries[t]] != v:
+        for t, v, h in zip(fn.domain.tuples_up_to(fn.max_arity), fn._row, H._row):
+            if t and f.graph[h] != v:
                 raise InternalVerificationError(
                     f"factor identity failed at {t!r}: f(H(x)) != F(x)"
                 )

@@ -11,6 +11,7 @@ from itertools import islice, product
 import pytest
 
 from preassoc import core
+from preassoc.checks import EPSILON_DEFAULT_ONLY, PROPERTY_NAMES, run_checks
 from preassoc.core import EPSILON, Chain, TableFn, canonical_symbol, left_fold, ranges
 from preassoc.errors import ArityError, GeneratorError, UnknownSymbolError
 from preassoc.families import GeneratedFn, Interval, tabulate
@@ -153,6 +154,7 @@ class TestImmutability:
                 assert other.eval(()) == fn.default
                 for t in fn.domain.tuples_up_to(fn.max_arity):
                     assert other.eval(t) == fn.eval(t)
+            _assert_rebuilt_from_the_row(fn)
         changed = dataclasses.replace(min3, default="1")
         assert changed != min3 and changed.entries == min3.entries
         assert changed.eval(()) == "1" and changed.eval(("2", "0")) == "0"
@@ -200,6 +202,18 @@ ROW_CASES = {
 }
 
 
+def _assert_rebuilt_from_the_row(fn):
+    """Pickled, copied and deep-copied once its laws are decided, ``fn`` comes back whole."""
+    if fn.is_operation:  # the laws that keep answers on a table read operations only
+        run_checks(fn, set(PROPERTY_NAMES) - EPSILON_DEFAULT_ONLY)
+        assert fn._decided
+    names = {f.name for f in dataclasses.fields(TableFn)} - {"_decided"}
+    for rebuilt in (pickle.loads(pickle.dumps(fn)), copy.copy(fn), copy.deepcopy(fn)):
+        assert rebuilt == fn and rebuilt._row == fn._row
+        assert type(rebuilt.entries) is core._RowEntries
+        assert set(vars(rebuilt)) == names  # the decided answers are not carried over
+
+
 class TestRow:
     """``_row``: every tuple's value in ``tuples_up_to`` order, however the entries were listed."""
 
@@ -212,9 +226,10 @@ class TestRow:
         table = tuple_table(fn)
         assert fn._row == tuple(table[t] for t in chain.tuples_up_to(n))
         assert fn._row[0] == default
-        assert list(fn.entries.items()) == list(given.items())  # the caller's order is kept
-        restored = pickle.loads(pickle.dumps(fn))
-        assert restored == fn and restored._row == fn._row
+        # the entries view the row, in tuple order, whatever order they were given in
+        assert list(fn.entries) == list(chain.tuples_up_to(n)[1:])
+        assert type(fn.entries) is core._RowEntries
+        _assert_rebuilt_from_the_row(fn)
 
     @pytest.mark.parametrize("case", ROW_CASES)
     def test_of_row_rebuilds_the_table(self, case):
@@ -223,8 +238,7 @@ class TestRow:
         built = TableFn._of_row(chain, codomain, n, fn._row)
         assert built == fn and built._row == fn._row
         assert list(built.entries) == list(chain.tuples_up_to(n)[1:])
-        restored = pickle.loads(pickle.dumps(built))
-        assert restored == built and restored._row == built._row
+        _assert_rebuilt_from_the_row(built)
 
     @pytest.mark.parametrize("case", ROW_CASES)
     def test_row_view_is_the_entry_mapping(self, case):

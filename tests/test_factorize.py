@@ -94,14 +94,13 @@ class TestFactorize:
     @pytest.mark.parametrize("order", [1, -1])
     def test_a_broken_identity_names_its_first_tuple(self, sigma_min, order):
         # F changed at two tuples, its entries in or out of tuple order: the
-        # check of f ∘ H = F names the first changed tuple of those entries
+        # check of f ∘ H = F names the first changed tuple in tuple order
         fac = factorize(sigma_min)
         f1 = FiniteMap(sigma_min.domain.elements, sigma_min.codomain, SIGMA)
         changed = dict(list(sigma_min.entries.items())[::order])
         changed[("1", "2")] = changed[("2", "1", "0")] = "0"  # were "2" and "1"
         fn = TableFn(sigma_min.domain, sigma_min.codomain, 3, EPSILON, changed)
-        first = "('1', '2')" if order == 1 else "('2', '1', '0')"
-        with pytest.raises(InternalVerificationError, match=re.escape(f"failed at {first}:")):
+        with pytest.raises(InternalVerificationError, match=re.escape("failed at ('1', '2'):")):
             _verify_factorization(fn, f1, fac.g, fac.H, fac.f)
 
 
