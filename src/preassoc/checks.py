@@ -45,7 +45,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations_with_replacement, islice, product, repeat
+from itertools import combinations_with_replacement, islice, product
 from math import comb
 from operator import gt, itemgetter, mul, ne
 
@@ -420,7 +420,7 @@ def _p1_pass(fn: TableFn):
     add c_m(v)·b_m(v) + C(c_m(v), 2) pairs, each with the contexts within
     N - m.  As C(b + c, 2) = C(b, 2) + c·b + C(c, 2), that sums over v to
     S_m - S_(m-1), S_m the same-class pairs among the tuples up to length m:
-    cases = Σ_m |contexts(N - m)|·(S_m - S_(m-1)), S_m off one running count.
+    cases = Σ_m |contexts(N - m)|·(S_m - S_(m-1)), added up in plain integers.
     Once the test holds, the counts c_m need no pass over the row: for m < N,
     each (m+1)-tuple is y·u for one short m-tuple y and one symbol u, so
     c_(m+1)(w) = Σ_v c_m(v)·#{u : F(r_v·u) = w}, r_v the first tuple valued v.
@@ -434,17 +434,23 @@ def _p1_pass(fn: TableFn):
     right = {s[0]: s[k + 1 :] for s in signatures}  # short value v -> (F(r_v·u))_u
     if len(right) != len(signatures):
         return None
-    layer, seen = Counter((values[0],)), Counter()  # value -> m-tuples, tuples up to m with it
-    cases = pairs = 0
-    for m in range(n + 1):
-        seen.update(layer)
-        below, pairs = pairs, sum(map(comb, seen.values(), repeat(2)))
-        cases += len(_context_pairs(fn.domain, n - m)) * (pairs - below)
-        layer, counted = Counter(), layer
-        for v, c in counted.items() if m < n else ():  # the next layer, by the proof
-            for w in right[v]:
-                layer[w] += c
+    cases, layer, seen = 0, {values[0]: 1}, {}  # value -> m-tuples, tuples shorter than m
+    for m, weight in enumerate(_context_counts(fn.domain, n)):
+        added, counted, layer = 0, layer, {}
+        for v, c in counted.items():
+            b = seen.get(v, 0)
+            seen[v] = b + c
+            added += c * b + c * (c - 1) // 2
+            for w in right[v] if m < n else ():  # the next layer, by the proof
+                layer[w] = layer.get(w, 0) + c
+        cases += weight * added
     return cases
+
+
+@lru_cache(maxsize=128)
+def _context_counts(chain: Chain, n: int) -> tuple:
+    """|contexts(n - m)| for m = 0, ..., n: ``_p1_pass``'s layer weights, once per shape."""
+    return tuple(len(_context_pairs(chain, n - m)) for m in range(n + 1))
 
 
 @lru_cache(maxsize=128)

@@ -39,6 +39,15 @@ _OPERATION_ONLY_FILTERS = frozenset((
 ))
 
 
+def _recording(checker, record):
+    """``checker``, appending each table it is called on and whether the law holds."""
+    def run(fn):
+        verdict = checker(fn)
+        record.append((fn, verdict.holds))
+        return verdict
+    return run
+
+
 def _slots(chain, max_arity):
     return [t for n in range(1, max_arity + 1) for t in product(chain.elements, repeat=n)]
 
@@ -530,16 +539,47 @@ class TestEnumerate:
             for fn in all_operations(default_chain(2), 2)
             if cli._passes_filters(fn, names)
         )
-        calls = []
-        p1 = cli.CHECKERS["preassociative_P1"]
-        monkeypatch.setitem(cli.CHECKERS, "preassociative_P1", lambda fn: calls.append(fn) or p1(fn))
+        calls = {name: [] for name in names}
+        for name in names:
+            monkeypatch.setitem(cli.CHECKERS, name, _recording(cli.CHECKERS[name], calls[name]))
         code = main(["enumerate", "--chain-size", "2", "--max-arity", "2",
                      "--filter", "preassoc,uqri"])
         captured = capsys.readouterr()
         assert code == 0
         assert captured.out == expected
         assert "scanned 2187 candidates; emitted 129" in captured.err
-        assert len(calls) == 543  # the P1 tables among the 2 187
+        # the walk yields the 543 P1 tables among the 2 187 and UQRI sees each;
+        # P1 runs last, re-checking only the 129 that UQRI keeps
+        assert len(calls["unarily_quasi_range_idempotent"]) == 543
+        assert len(calls["preassociative_P1"]) == 129
+
+    @pytest.mark.parametrize(
+        "arity, walked, other, orders",
+        [(2, "preassociative_P1", "unarily_quasi_range_idempotent", ("preassoc,uqri", "uqri,preassoc")),
+         (3, "associative_A1", "symmetric", ("assoc,symmetric", "symmetric,assoc"))],
+        ids=["preassoc-uqri", "assoc-symmetric"],
+    )
+    def test_filter_order_cannot_change_the_output(
+        self, arity, walked, other, orders, monkeypatch, capsys
+    ):
+        # the filters are an AND of pure checkers, so the bytes cannot depend on
+        # their order; the walked law runs last, once on each table the other
+        # filter keeps, and emits exactly the ones it holds on
+        checkers = {name: cli.CHECKERS[name] for name in (walked, other)}
+        runs = []
+        for filters in orders:
+            seen = {name: [] for name in checkers}
+            for name, checker in checkers.items():
+                monkeypatch.setitem(cli.CHECKERS, name, _recording(checker, seen[name]))
+            code = main(["enumerate", "--chain-size", "2", "--max-arity", str(arity),
+                         "--filter", filters, "--force"])
+            captured = capsys.readouterr()
+            assert code == 0
+            emitted = int(captured.err.rsplit("emitted ", 1)[1])
+            assert [fn for fn, _ in seen[walked]] == [fn for fn, holds in seen[other] if holds]
+            assert sum(holds for _, holds in seen[walked]) == emitted > 0
+            runs.append((captured.out, emitted))
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize(
         "filters", ["preassoc", "preassoc,assoc", "preassoc,symmetric,idempotent"]

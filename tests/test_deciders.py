@@ -67,6 +67,7 @@ from preassoc.enumeration import (
     default_chain,
     epsilon_standard_at,
     equivalence_sweep,
+    preassociative_tables,
 )
 from preassoc.errors import GridClosureError, NotAnOperationError, PreconditionError
 from preassoc.factorize import factorize
@@ -1152,8 +1153,17 @@ def _f_of_h_3_4():
                 yield TableFn(h.domain, codomain, 4, default, entries)
 
 
+def _p1_walk_2_2():
+    # the P1 tables of the 2-chain at arity 2 with any default, as
+    # ``enumerate --filter preassoc`` walks them: small classes, few layers
+    chain = default_chain(2)
+    codomain = chain.elements + (EPSILON,)
+    return preassociative_tables(chain, 2, codomain, codomain)
+
+
 #: universe -> (tables, how many hold P1)
 P1_PASS_UNIVERSES = {
+    "p1-walk-2-2": (_once(_p1_walk_2_2), 543, 543),
     "f-of-h-3-4": (_once(_f_of_h_3_4), 984, 578),
     "medians-4-5": (_once(partial(_medians, 4, 5)), 50, 50),
     "catalog-grid-5-4": (ORDER_UNIVERSES["catalog-grid-5-4"], 22, 22),
