@@ -25,11 +25,11 @@ precondition share one pass.
 The order and one-value laws take one pass each: the test that refutes
 the law also names its least witness.  The order laws read the table one
 arity at a time as a tuple in product order (``_layer``): monotonicity
-compares each tuple with its steps up and convexity tests each distinct
-section once, both read at cached indices (``_section_getters``), and
-symmetry compares a layer with itself read at the sorted tuples.  Their
-witness keys order by total length first, so the least lies in the first
-failing layer.
+subtracts each layer's steps up in integer lanes (``_lanes``), convexity
+tests each distinct section once, read at cached indices
+(``_section_getters``), and symmetry compares a layer with itself read at
+the sorted tuples.  Their witness keys order by total length first, so the
+least lies in the first failing layer.
 A law on single values (standard, epsilon_standard,
 unarily_range_idempotent, unarily_quasi_range_idempotent) holds iff no
 attained value fails it; else its witness is the first tuple valued in a
@@ -42,12 +42,13 @@ block needs no case.
 
 from __future__ import annotations
 
+import struct
 from array import array
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations_with_replacement, islice, product
 from math import comb
-from operator import gt, itemgetter, mul, ne
+from operator import itemgetter, mul, ne
 
 from .core import EPSILON, Chain, TableFn, Verdict, Witness, _positions, ranges
 from .errors import NotAnOperationError
@@ -523,7 +524,8 @@ def _p2_scan(fn: TableFn) -> Verdict:
     indices and the lengths each compare part by part.  So the least witness
     sets a bucket's a beside its first split b of another value, and the walk
     keeps the least such pair.  Each pair's total is at least |b|, so the
-    walk stops at the first split longer than the least total so far.
+    walk stops at the first split longer than the least total so far; a
+    longer pair builds no key, since a larger total never compares less.
     """
     chain, n, row = fn.domain, fn.max_arity, fn._row
     pos = _positions(chain.elements, n)
@@ -541,7 +543,7 @@ def _p2_scan(fn: TableFn) -> Verdict:
         elif a and a[2] != vs:
             first[bucket] = ()
             x, y, vf = a
-            if (found := _index_key(chain, x, y, xp, yp)) < key:
+            if len(x + y + xp + yp) <= key[0] and (found := _index_key(chain, x, y, xp, yp)) < key:
                 key, witness = found, Witness(
                     (("x", x), ("y", y), ("x'", xp), ("y'", yp)), (("F(x,y)", vf), ("F(x',y')", vs))
                 )
@@ -702,10 +704,9 @@ def _section_getters(k: int, n: int) -> tuple:
 
     The j-th reads, at every position i (stride s = k^(n-1-i)) and for every
     tuple a with digit 0 there, the tuple a + j·s, which has digit j there.
-    So the reads of getters j and j + 1 set each tuple beside its step up at
-    one position, and zipping all k reads gives every section once.  Read
-    from a layer (a tuple), each getter returns a tuple, also over the one
-    index of a layer with n = 1.
+    So zipping all k reads gives every section once, for
+    ``check_convex_sections``.  Read from a layer (a tuple), each getter
+    returns a tuple, also over the one index of a layer with n = 1.
     """
     strides = [k ** (n - 1 - i) for i in range(n)]
     starts = [(a, s) for s in strides for a in range(k**n) if a // s % k == 0]
@@ -714,25 +715,47 @@ def _section_getters(k: int, n: int) -> tuple:
     return tuple(itemgetter(*[a + j * s for a, s in starts]) for j in range(k))
 
 
+@lru_cache(maxsize=128)
+def _lanes(k: int, n: int, code: str) -> tuple:
+    """An n-tuple layer's packer (lane a is tuple a), its top bits, and per-stride guards.
+
+    The guards at stride s are the top bits of the lanes with a step up
+    there, the first (k-1)·s of each block of k·s: a repunit of (k-1)·s
+    lanes times one of the blocks, as ``_Universe`` builds its masks.
+    """
+    w = 8 * struct.calcsize("<" + code)
+
+    def ones(count, width=w):  # a one at the bottom of each of ``count`` fields of ``width`` bits
+        return ((1 << width * count) - 1) // ((1 << width) - 1)
+
+    blocks = [(k**i, k ** (n - 1 - i)) for i in range(n)]  # (blocks of k·s lanes, s) per position
+    guards = [(w * s, ones((k - 1) * s) * ones(b, w * k * s) << w - 1) for b, s in blocks]
+    return struct.Struct(f"<{k**n}{code}").pack, ones(k**n) << w - 1, guards
+
+
 def _check_monotone(fn: TableFn, prop: str) -> Verdict:
     """Monotone in each argument; only adjacent chain elements are compared.
 
-    The reads of adjacent ``_section_getters`` are compared, so a holding
-    verdict needs no tuple walk.  A witness (x, x') has key total 2|x|, so
-    the least lies in the first layer with a step down; there, raising a
-    later position gives a smaller x', so the first violation visiting x in
-    product order and its positions last to first is the least.
-    ``cases_checked`` counts the steps up: at each of n positions, the
-    (k-1)·k^(n-1) n-tuples not topped there.
+    A layer's ranks (below 2^(w-1); a violation lowers the rank) fill the
+    w-bit lanes of one int (``_lanes``).  Shifted down s lanes with top bits
+    set, lane a minus the rank at a is 2^(w-1) plus the step a → a + s, in
+    (0, 2^w): no lane borrows, and the top bit stays where the step does not
+    go down.  The least witness (x, x'), key total 2|x|, lies in the first
+    layer with a step down, where raising a later position gives a smaller
+    x': it is the first violation visiting x in product order and its
+    positions last to first.  ``cases_checked`` counts the steps up: at each
+    of n positions, the (k-1)·k^(n-1) n-tuples not topped there.
     """
-    sign = 1 if prop == "nondecreasing" else -1  # a violation lowers the rank
-    rank = {v: sign * i for i, v in enumerate(fn.codomain)}
+    top = len(fn.codomain) - 1
+    rank = {v: i if prop == "nondecreasing" else top - i for i, v in enumerate(fn.codomain)}
+    code = "B" if top < 1 << 7 else "H" if top < 1 << 15 else "L"
     k = len(fn.domain)
     cases = sum(n * (k - 1) * k ** (n - 1) for n in range(1, fn.max_arity + 1))
     for n in range(1, fn.max_arity + 1):
+        pack, every, guards = _lanes(k, n, code)
         layer = _layer(fn, n, rank)
-        reads = [read(layer) for read in _section_getters(k, n)]
-        if not any(any(map(gt, low, high)) for low, high in zip(reads, reads[1:])):
+        lanes = int.from_bytes(pack(*layer), "little")
+        if not any(g & ~(((lanes >> shift) | every) - lanes) for shift, g in guards):
             continue
         strides = [(i, k ** (n - 1 - i)) for i in reversed(range(n))]
         a, i, s = next(

@@ -310,19 +310,24 @@ def _candidates(chain: Chain, n: int, filters, binary: bool):
 
     For associative_binary these are the identity extensions of the
     associative binary tables, folded by ``tabulate`` (each is associative
-    by construction).  Otherwise the universe holds the default-ε
-    standard tables, widened to every default when a filter is checkable
-    beyond operations.  When the filters include A1 at arity 3 or more, the
+    by construction).  Otherwise the universe holds the default-ε standard
+    tables, widened to every default when a filter is checkable beyond
+    operations.  When the filters include A1 at arity 3 or more, the
     candidates come from the associative extensions, exactly the A1 tables
     of the default-ε standard universe (see ``all_associative_extensions``).
-    With any default, each default (chain order, then ε) is paired with each
-    extension's entries, in ``all_operations`` order: a nonempty y with
+    With any default, each default (chain order, then ε) is paired with the
+    extensions' entries, in ``all_operations`` order: a nonempty y with
     F(y) = ε violates A1; the conditions with y nonempty never read F(ε), so
-    the entries form a default-ε A1 table, an extension; and y = ε only adds
-    that the default is neutral.  Otherwise, when they include P1, the
-    candidates are the universe's P1 tables, built layer by layer
-    (``preassociative_tables``); else they are the whole universe.  The
-    walked law still runs, after the other filters, on each table they keep.
+    the entries form a default-ε A1 table, an extension; and y = ε adds
+    F(x·z) = F(x·d·z) for the default d.  For a symbol d that holds iff
+    F(d) = d and F(a·d) = F(d·a) = a at each value a of F (``_neutral``):
+    these are the cases x·z = ε and x·z = a, as F(a) = a by A1, and for x
+    and z valued a and b they give the rest by substituting blocks:
+    F(x·d·z) = F(F(a·d)·b) = F(a·b) = F(x·z), F(d·z) = F(d·b) = F(z) and
+    F(x·d) = F(x).  Otherwise, when they include P1, the candidates are the
+    universe's P1 tables, built layer by layer (``preassociative_tables``);
+    else they are the whole universe.  The walked law still runs, after the
+    other filters, on each table they keep.
     """
     if binary:
         return (tabulate(lambda u, v, t=t: t[u, v], chain, n) for t in associative_tables(chain))
@@ -332,11 +337,17 @@ def _candidates(chain: Chain, n: int, filters, binary: bool):
     if "associative_A1" in filters and n >= 3:
         if not any_default:
             return all_associative_extensions(chain, n)
-        rows = [ext._row[1:] for ext in all_associative_extensions(chain, n)]  # built once
-        return (TableFn._of_row(chain, codomain, n, (d, *row)) for d in defaults for row in rows)
+        exts = list(all_associative_extensions(chain, n))  # built once
+        kept = ((d, e) for d in defaults for e in exts if d is EPSILON or _neutral(e, d))
+        return (TableFn._of_row(chain, codomain, n, (d, *e._row[1:])) for d, e in kept)
     if "preassociative_P1" in filters:
         return preassociative_tables(chain, n, codomain, defaults)
     return all_operations(chain, n) if any_default else all_epsilon_standard(chain, n)
+
+
+def _neutral(fn: TableFn, d) -> bool:
+    """F(d) = d and F(a·d) = F(d·a) = a at each value a of F."""
+    return fn((d,)) == d and all(fn((a, d)) == a == fn((d, a)) for a in fn._attained)
 
 
 def _cmd_enumerate(args, parser) -> int:

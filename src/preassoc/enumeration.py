@@ -136,50 +136,76 @@ def preassociative_tables(
 def associative_tables(chain: Chain) -> Iterator[dict]:
     """Every associative binary table on the chain, in lexicographic order.
 
-    The order reads each table's k² cells in row-major order, values
-    ascending.  A backtracking search fills the cells in that order, so it
-    emits the tables in it.  After each cell it rechecks only the triples
-    (u, v, w) that read the new cell and whose four lookups uv, (uv)w, vw and
-    u(vw) are all filled.  Every triple is so checked once its last lookup is
-    filled, and no later cell changes its verdict, so the search emits
-    exactly the tables on which ``nonassociative_triple`` finds nothing.
+    The order reads the k² cells row by row, values ascending.  A
+    backtracking search walks the cells in that order, trying each value in
+    turn where nothing forced one.  Filling a cell settles each triple
+    (u, v, w) reading it as uv, vw, (uv)w or u(vw): with uv and vw filled,
+    two filled outer cells that differ end the branch, and one forces the
+    other, empty one to its value, settled in turn.  Every triple is so
+    settled once its last lookup is filled, so the search emits exactly the
+    tables on which ``nonassociative_triple`` finds nothing.  A forced cell
+    lies past the current one, before which all are filled, and takes the
+    only value an associative completion can: the order is kept.
     """
     elements = chain.elements
     k = len(elements)
-    pairs = chain.tuples(2)
-    coords = tuple(product(range(k), repeat=2))
     cell = [-1] * (k * k)  # cell[u*k + v] is the index of uv, or -1 while unfilled
+    holding = [[] for _ in range(k)]  # value -> the cells filled with it
+    trail = []  # every filled cell, in filling order
+    # (u, w, cell of uv, cell of vw) of each triple reading cell p = a·k + b as uv or vw
+    inner = [[(a, w, p, b * k + w) for w in range(k)] + [(u, b, u * k + a, p) for u in range(k)]
+             for p, (a, b) in enumerate(product(range(k), repeat=2))]
 
-    def clash(u, v, w):
-        uv, vw = cell[u * k + v], cell[v * k + w]
-        if uv < 0 or vw < 0:
-            return False
-        left, right = cell[uv * k + w], cell[u * k + vw]
-        return left >= 0 and right >= 0 and left != right
+    def fill(p, c):  # p takes c, then each cell that forces; False on a clash
+        todo = [(p, c)]
+        while todo:
+            p, c = todo.pop()
+            if cell[p] >= 0:  # filled since it was forced: agrees or clashes
+                if cell[p] == c:
+                    continue
+                return False
+            cell[p] = c
+            holding[c].append(p)
+            trail.append(p)
+            a, b = divmod(p, k)
+            for u, w, uv, vw in inner[p]:
+                uv, vw = cell[uv], cell[vw]
+                if uv >= 0 and vw >= 0:
+                    left, right = uv * k + w, u * k + vw
+                    x, y = cell[left], cell[right]
+                    if x != y:  # neither equal nor both unfilled
+                        if x >= 0 and y >= 0:
+                            return False
+                        todo.append((left, y) if x < 0 else (right, x))
+            for q in holding[a]:  # p read as (uv)w, q the cell of uv: u(vw) must be c
+                vw = cell[q % k * k + b]
+                if vw >= 0:
+                    todo.append((q // k * k + vw, c))
+            for q in holding[b]:  # p read as u(vw), q the cell of vw: (uv)w must be c
+                uv = cell[a * k + q // k]
+                if uv >= 0:
+                    todo.append((uv * k + q % k, c))
+        return True
 
-    def breaks(a, b):
-        # the new cell ab read as uv, as vw, as the outer (uv)w and as u(vw);
-        # an unfilled cell holds -1, which is neither a nor b
-        for x in range(k):
-            if clash(a, b, x) or clash(x, a, b):
-                return True
-        for (u, v), c in zip(coords, cell):
-            if (c == a and clash(u, v, b)) or (c == b and clash(a, u, v)):
-                return True
-        return False
-
-    def fill(i):
+    path = []  # (cell, next value, trail length before the value tried) of each free cell
+    i = c = 0
+    while True:
+        while i < k * k and cell[i] >= 0:  # forced
+            i += 1
         if i == k * k:
-            yield dict(zip(pairs, (elements[c] for c in cell)))
+            yield dict(zip(chain.tuples(2), map(elements.__getitem__, cell)))
+        elif c < k:
+            path.append((i, c + 1, len(trail)))
+            if fill(i, c):
+                i, c = i + 1, 0
+                continue
+        if not path:
             return
-        a, b = coords[i]
-        for c in range(k):
-            cell[i] = c
-            if not breaks(a, b):
-                yield from fill(i + 1)
-        cell[i] = -1
-
-    yield from fill(0)
+        i, c, mark = path.pop()
+        while len(trail) > mark:
+            q = trail.pop()
+            holding[cell[q]].pop()
+            cell[q] = -1
 
 
 def all_associative_extensions(chain: Chain, max_arity: int) -> Iterator[TableFn]:

@@ -2,9 +2,13 @@
 
 Each fast path is held against its exhaustive reference: the filter of every
 binary table through ``nonassociative_triple``, and the A1 filter over the
-default-ε standard universe.
+default-ε standard universe.  Past the 3-chain, where the filter no longer
+fits, the search's tables must come strictly increasing in row-major order,
+each associative, as many as OEIS A023814 counts, so they are the filter's
+list; their order digest is frozen.
 """
 
+import hashlib
 import time
 from itertools import product
 
@@ -60,6 +64,34 @@ def test_labeled_semigroup_counts():
             pass
         elapsed.append(time.perf_counter() - t0)
     assert min(elapsed) < 1.0, f"the 4-chain took {min(elapsed):.2f}s at best"
+
+
+def _order_digest(tables):
+    """sha256 over ``repr(list(t.items()))`` of each table in turn."""
+    digest = hashlib.sha256()
+    for table in tables:
+        digest.update(repr(list(table.items())).encode())
+    return digest.hexdigest()
+
+
+def test_the_3_chain_order_digest():
+    tables = associative_tables(default_chain(3))
+    digest = "daaf2ebf708464b3a3f29934cca67fa03c44ab0b0e71885c2cc3a4b9e0f065bc"
+    assert _order_digest(tables) == digest
+
+
+def test_the_4_chain_tables_are_the_filter_in_order():
+    # 3 492 tables (A023814), each associative and each after the last in
+    # row-major order: exactly the filter's list, order included
+    chain = default_chain(4)
+    tables = list(associative_tables(chain))
+    assert len(tables) == 3492
+    assert all(list(t) == list(chain.tuples(2)) for t in tables)
+    rows = [tuple(map(chain.index, t.values())) for t in tables]
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+    assert all(nonassociative_triple(t, chain.elements) is None for t in tables)
+    digest = "854e48e71530d7f19f5ddd67e6546f6c04ce4596879a22c7e3d78c522c01b6b2"
+    assert _order_digest(tables) == digest
 
 
 @pytest.mark.parametrize("k,max_arity", [(2, 3), (1, 3), (1, 4), (1, 5)])

@@ -519,7 +519,8 @@ class TestEnumerate:
     def test_assoc_with_preassoc_at_arity_3_takes_the_associative_extensions(
         self, monkeypatch, capsys
     ):
-        # 3 defaults x 10 extensions, not the 159 P1 tables
+        # the 10 extensions with default ε and the 3 each that 0 and 1 are
+        # neutral for, not 3 defaults x 10 extensions or the 159 P1 tables
         calls = []
         a1 = cli.CHECKERS["associative_A1"]
         monkeypatch.setitem(cli.CHECKERS, "associative_A1", lambda fn: calls.append(fn) or a1(fn))
@@ -527,7 +528,50 @@ class TestEnumerate:
                      "--filter", "assoc,preassoc", "--force"])
         assert code == 0
         assert "scanned 14348907 candidates; emitted 16" in capsys.readouterr().err
-        assert len(calls) == 30
+        assert len(calls) == 16
+
+    #: sha256 of ``enumerate``'s stdout when every default was paired with every extension
+    ANY_DEFAULT_ASSOC_STDOUT = {
+        ("assoc,symmetric", 2, 3): "b0a61a7436e02f4b7625f241f276c054e30652b1d8cb25d5129556057f5d6f16",
+        ("assoc,symmetric", 2, 4): "263fb438b45d711fc17d55a49c628ca8a45603f027f5c62709f635e016363e13",
+        ("assoc,symmetric", 3, 3): "80d0c38ca8d4f2b21394d19815e8388bf1a97c7b12a8df652451f994bf64482d",
+        ("symmetric,assoc", 2, 3): "b0a61a7436e02f4b7625f241f276c054e30652b1d8cb25d5129556057f5d6f16",
+        ("symmetric,assoc", 2, 4): "263fb438b45d711fc17d55a49c628ca8a45603f027f5c62709f635e016363e13",
+        ("symmetric,assoc", 3, 3): "80d0c38ca8d4f2b21394d19815e8388bf1a97c7b12a8df652451f994bf64482d",
+        ("assoc,nondecreasing,uqri", 2, 3): "acaf863a3e3a60a4cfbb2bb1121a834362155b35988dca27d3ec924bfab31e4e",
+        ("assoc,nondecreasing,uqri", 2, 4): "487ce7233c17fbac013494b629f4989859cb13273f13e58c318daac970fb8cdb",
+        ("assoc,nondecreasing,uqri", 3, 3): "4435d783228308e9506c3c8c704afa94c84d95506a40ccc2346e3b65e5627534",
+    }
+
+    @pytest.mark.parametrize("filters,size,max_arity", list(ANY_DEFAULT_ASSOC_STDOUT))
+    def test_assoc_with_any_default_pairs_each_symbol_default_where_it_is_neutral(
+        self, filters, size, max_arity, capsys
+    ):
+        # the reference pairs every default with every extension and lets the
+        # filters refuse; a symbol default is now paired only where it is neutral
+        from preassoc.enumeration import all_associative_extensions, default_chain
+        from preassoc.serialization import dumps_function_compact
+
+        chain = default_chain(size)
+        names = cli._resolve_properties(filters.split(","), None)
+        codomain = chain.elements + (EPSILON,)
+        rows = [ext._row[1:] for ext in all_associative_extensions(chain, max_arity)]
+        every_pair = [TableFn._of_row(chain, codomain, max_arity, (d, *row))
+                      for d in codomain for row in rows]
+        expected = "".join(
+            dumps_function_compact(fn) + "\n" for fn in every_pair if cli._passes_filters(fn, names)
+        )
+        code = main(["enumerate", "--chain-size", str(size), "--max-arity", str(max_arity),
+                     "--filter", filters, "--force"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out == expected
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == self.ANY_DEFAULT_ASSOC_STDOUT[filters, size, max_arity]
+        built = list(cli._candidates(chain, max_arity, names, False))
+        assert [fn for fn in every_pair if cli.CHECKERS["associative_A1"](fn).holds] == built
+        if (size, max_arity) == (2, 3):
+            assert (len(every_pair), len(built)) == (30, 16)
 
     def test_preassoc_walks_only_the_p1_tables(self, monkeypatch, capsys):
         from preassoc.enumeration import all_operations, default_chain

@@ -40,6 +40,14 @@ lowest failing arity holds several violations pin the tie-breaks.
 Every table of those universes that ``factorize`` accepts is rebuilt by
 ``core.compose`` from its factors.
 
+P2's walk builds no key for a conflict longer than the least total so
+far; its verdicts must equal those of the same walk keying every conflict,
+kept here, on the near-injective probes that fill the checkers' caches
+before the benchmark's timed passes.  The monotone laws decide a layer by
+subtraction in integer lanes; their verdicts must equal those of the
+section getters' reads compared pairwise, kept here, on whole universes,
+medians and tables whose ranks fill 8-, 16- and 32-bit lanes.
+
 Replication-invariance visits only the tuples up to length N // 2, the
 ones a replica fits; its verdict must equal the reference's walk over
 every nonempty tuple, on medians too.  A table built from entries out of
@@ -56,11 +64,12 @@ from collections import Counter
 from functools import cache, partial
 from itertools import combinations, product
 from math import comb
+from operator import gt
 
 import pytest
 
 from preassoc import checks, enumeration
-from preassoc.core import EPSILON, TableFn, Verdict, Witness, compose
+from preassoc.core import EPSILON, TableFn, Verdict, Witness, _positions, compose
 from preassoc.enumeration import (
     all_associative_extensions,
     all_operations,
@@ -311,6 +320,50 @@ def test_p2_scan_matches_reference_on_holding_tables():
         ref = _reference_p2(fn)
         assert ref.holds
         assert checks._p2_scan(fn) == ref
+
+
+def _p2_scan_keying_every_conflict(fn):
+    """``checks._p2_scan`` building the key of every bucket's first conflict."""
+    chain, n, row = fn.domain, fn.max_arity, fn._row
+    pos = _positions(chain.elements, n)
+    splits = checks._context_pairs(chain, n)
+    first = {}
+    key, witness = (2 * n + 1,), None
+    for xp, yp in splits:
+        if len(xp) + len(yp) > key[0]:
+            break
+        bucket = (row[pos[xp]], row[pos[yp]])
+        vs = row[pos[xp + yp]]
+        a = first.get(bucket)
+        if a is None:
+            first[bucket] = (xp, yp, vs)
+        elif a and a[2] != vs:
+            first[bucket] = ()
+            x, y, vf = a
+            if (found := checks._index_key(chain, x, y, xp, yp)) < key:
+                key, witness = found, Witness(
+                    (("x", x), ("y", y), ("x'", xp), ("y'", yp)), (("F(x,y)", vf), ("F(x',y')", vs))
+                )
+    return Verdict("preassociative_P2", witness is None, len(splits), witness, n)
+
+
+def _warm_up_probe(k, n):
+    # every tuple its own value but the two constant tuples of each length,
+    # which share one: the probe that fills the checkers' caches before timing
+    chain = default_chain(k)
+    labels = {t: ",".join(t) for t in chain.tuples_up_to(n)[1:]}
+    for m in range(1, n + 1):
+        labels[(chain.elements[0],) * m] = labels[(chain.elements[-1],) * m] = f"pair{m}"
+    return TableFn(chain, tuple(dict.fromkeys(labels.values())), n, EPSILON, labels)
+
+
+def test_p2_scan_keys_only_conflicts_that_can_be_least():
+    probes = [_warm_up_probe(4, 5), _warm_up_probe(5, 4)]
+    # three-valued buckets on the 3-chain hold later conflicts of the same total that key less
+    tables = (*probes, *UNIVERSES["operations-2-2"](), *PAIR_UNIVERSES["three-values-3-3"]())
+    for fn in tables:
+        assert checks._p2_scan(fn) == _p2_scan_keying_every_conflict(fn), fn
+    assert not any(checks._p2_scan(fn).holds for fn in probes)
 
 
 def test_near_constant_p1_witnesses_have_long_contexts():
@@ -1131,6 +1184,71 @@ def test_section_getters_pair_each_tuple_with_its_steps():
             if t[i] == chain.elements[0]
         )
         assert sections == expected
+
+
+# ---------------------------------------------------------------------------
+# The monotone laws' integer lanes against the section getters
+# ---------------------------------------------------------------------------
+
+
+def _getters_hold(prop, fn):
+    """The former decision: each layer's reads of adjacent section getters compared."""
+    sign = 1 if prop == "nondecreasing" else -1  # a violation lowers the rank
+    rank = {v: sign * i for i, v in enumerate(fn.codomain)}
+    k = len(fn.domain)
+    for n in range(1, fn.max_arity + 1):
+        layer = checks._layer(fn, n, rank)
+        reads = [read(layer) for read in checks._section_getters(k, n)]
+        if any(any(map(gt, low, high)) for low, high in zip(reads, reads[1:])):
+            return False
+    return True
+
+
+def _wide_or_epsilon_tables():
+    # near-monotone tables whose codomain fills 8-bit lanes to the top (128
+    # symbols), needs 16-bit (129, 300) or 32-bit lanes (2^15 + 1), or lists ε
+    # among the symbols; the values jump between the lowest and highest ranks
+    rng = random.Random(20147)
+    for size in (128, 129, 300, 2**15 + 1, 3, 5):
+        for _ in range(40 if size < 2**15 else 4):
+            codomain = [f"v{i}" for i in range(size)]
+            if size < 128:
+                codomain.insert(rng.randrange(size + 1), EPSILON)
+            k, n = rng.choice([(1, 3), (2, 3), (3, 2), (3, 3), (4, 2)])
+            chain = default_chain(k)
+            extremes = [codomain[0], codomain[1], codomain[-2], codomain[-1]]
+            row = [rng.choice(codomain)]
+            for t in chain.tuples_up_to(n)[1:]:
+                if rng.random() < 0.05:
+                    row.append(rng.choice(extremes))
+                else:
+                    row.append(codomain[(len(codomain) - 1) * sum(map(int, t)) // (n * (k - 1) or 1)])
+            yield TableFn._of_row(chain, tuple(codomain), n, row)
+
+
+MONOTONE_TABLES = {
+    "epsilon-standard-2-3": UNIVERSES["epsilon-standard-2-3"],
+    "operations-2-2": UNIVERSES["operations-2-2"],
+    "1-chain-1-4": lambda: (fn for n in range(1, 5) for fn in all_operations(default_chain(1), n)),
+    "medians-4-5": lambda: _medians(4, 5),
+    "wide-or-epsilon": _wide_or_epsilon_tables,
+}
+
+
+@pytest.mark.parametrize("tables", MONOTONE_TABLES)
+def test_monotone_lanes_match_the_section_getters(tables):
+    outcomes = Counter()
+    for fn in MONOTONE_TABLES[tables]():
+        for prop in ("nondecreasing", "nonincreasing"):
+            holds = checks.CHECKERS[prop](fn).holds
+            assert holds == _getters_hold(prop, fn), (prop, fn)
+            outcomes[prop, holds] += 1
+    if tables == "medians-4-5":
+        assert outcomes["nondecreasing", True] == 50
+    elif tables == "1-chain-1-4":
+        assert {holds for _, holds in outcomes} == {True}  # no chain step to compare
+    else:
+        assert {holds for _, holds in outcomes} == {True, False}
 
 
 # ---------------------------------------------------------------------------
