@@ -15,7 +15,7 @@ from collections import Counter
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import count, islice, product
+from itertools import count, filterfalse, islice, product
 from typing import Optional, Sequence
 
 from .errors import ArityError, UnknownSymbolError
@@ -114,6 +114,17 @@ def _positions(elements: tuple, max_length: int) -> dict:
     return dict(zip(_tuples_up_to(elements, max_length), count()))
 
 
+def _reach(k: int, n: int, size: int) -> tuple:
+    """(m, expected): the tuples of length 1..m over k symbols number ``expected``,
+    and m is the first arity at which they outnumber ``size``, else n.  The
+    count stops there, however large n is."""
+    m = expected = 0
+    while m < n and expected <= size:
+        m += 1
+        expected += k**m
+    return m, expected
+
+
 class _RowEntries(Mapping):
     """A row's entries, read-only: the tuples past ε in ``tuples_up_to`` order, one per value."""
 
@@ -204,7 +215,13 @@ class TableFn:
     ``default`` is the value of the empty tuple; it may be the EPSILON marker.
     ``entries`` holds the tuples of length 1..N read-only: a view over the
     row in ``domain.tuples_up_to`` order, whatever order a given mapping had
-    (its values go into the row; ``_of_row`` builds from a row).  ``codomain``
+    (``_of_row`` builds from a row).  A mapping becomes its row first: its
+    values as listed if its keys run in that order as far as they reach,
+    else read at the tuples if its keys are all of them; else the first key,
+    in the given order, that is no tuple of length 1..N over the domain is
+    named, then the first arity short of tuples.  Every row is then checked
+    once: a value past the tuples of length N, the first value outside the
+    codomain in tuple order, the arity it falls short at.  ``codomain``
     lists the admissible entry values; its listing order is the codomain
     order used by monotonicity and convexity checks.  ``_row``, all a table
     keeps of its values, lists them in ``domain.tuples_up_to`` order, F(ε)
@@ -229,57 +246,49 @@ class TableFn:
     def __post_init__(self):
         codomain = tuple(self.codomain)
         object.__setattr__(self, "codomain", codomain)
-        entries = self.entries
-        row = entries._row if type(entries) is _RowEntries else None
-        if row is None or entries._shape != (self.domain.elements, self.max_arity, self.default):
-            entries, row = dict(entries), None
-        if type(self.max_arity) is not int or self.max_arity < 1:  # bool is an int subclass
+        domain, n, default, entries = self.domain, self.max_arity, self.default, self.entries
+        if type(entries) is not _RowEntries or entries._shape != (domain.elements, n, default):
+            entries = dict(entries)
+        if type(n) is not int or n < 1:  # bool is an int subclass
             raise ValueError("max_arity must be an integer >= 1")
         # an empty codomain is refused below: a total table has an entry, whose value it lacks
         values = set(codomain)
         if len(values) != len(codomain):
             raise ValueError("codomain symbols must be distinct")
-        if self.default is not EPSILON and self.default not in values:
-            raise ValueError(f"default {self.default!r} is outside the codomain")
-        k, expected = len(self.domain), 0
-        for n in range(1, self.max_arity + 1):  # stops past len(entries), however large N is
-            expected += k**n
-            if expected > len(entries):
-                break
-        if row is not None and expected < len(entries):  # a row past the tuples of length N
-            raise ValueError(f"entry arity {self.max_arity + 1} outside 1..{self.max_arity}")
-        # as many keys as tuples of length 1..N, and each such tuple a key: the
-        # keys are exactly those tuples.  Keys in ``tuples_up_to`` order show it
-        # in one comparison, a row's in none; else the walk names the first fault
-        universe = self.domain.tuples_up_to(self.max_arity) if expected == len(entries) else ()
-        in_order = row is not None or ((), *entries) == universe
-        if not in_order and (
-            not universe or not all(map(entries.__contains__, islice(universe, 1, None)))
-        ):
-            for key in entries:
-                if not isinstance(key, tuple):
-                    raise ValueError(f"entry key {key!r} is not a tuple")
-                if not 1 <= len(key) <= self.max_arity:
-                    raise ValueError(f"entry arity {len(key)} outside 1..{self.max_arity}")
-                for s in key:
-                    if s not in self.domain:
+        if default is not EPSILON and default not in values:
+            raise ValueError(f"default {default!r} is outside the codomain")
+        k, size = len(domain), len(entries)
+        m, expected = _reach(k, n, size)
+        if type(entries) is dict:  # a mapping becomes its row, or its first key fault is named
+            universe = domain.tuples_up_to(m)
+            if ((), *entries) == universe[: size + 1]:  # keys in row order, as far as they reach
+                listed = entries.values()
+            elif expected == size and all(map(entries.__contains__, islice(universe, 1, None))):
+                listed = map(entries.__getitem__, islice(universe, 1, None))
+            else:
+                for key in entries:
+                    if not isinstance(key, tuple):
+                        raise ValueError(f"entry key {key!r} is not a tuple")
+                    if not 1 <= len(key) <= n:
+                        raise ValueError(f"entry arity {len(key)} outside 1..{n}")
+                    for s in filterfalse(domain.__contains__, key):
                         raise UnknownSymbolError(f"entry {key!r} uses unknown domain symbol {s!r}")
-        attained = frozenset(entries.values() if row is None else islice(row, 1, None))
-        if not attained <= values:  # a row's keys come one arity at a time, as far as it reaches
-            listed = entries.values() if row is None else islice(row, 1, None)
-            key, value = next((t, v) for t, v in zip(entries, listed) if v not in values)
+                have = Counter(map(len, entries))  # distinct tuples of length 1..N, not all
+                a = next(a for a in range(1, n + 1) if have[a] != k**a)
+                raise ValueError(
+                    f"entries not total at arity {a}: expected {k**a}, found {have[a]}"
+                )
+            entries = _RowEntries(domain, n, (default, *listed))
+        row = entries._row
+        if expected < size:  # a row past the tuples of length N
+            raise ValueError(f"entry arity {n + 1} outside 1..{n}")
+        attained = frozenset(islice(row, 1, None))
+        if not attained <= values:  # the first in tuple order, named off the tuples it reaches
+            key, value = next((t, v) for t, v in entries.items() if v not in values)
             raise ValueError(f"entry value {value!r} at {key!r} is outside the codomain")
-        if expected != len(entries):
-            if row is None:  # every key is a distinct tuple of length 1..N: some arity falls short
-                have = Counter(map(len, entries))
-                n = next(n for n in range(1, self.max_arity + 1) if have[n] != k**n)
-            else:  # a row fills the arities in order, so it falls short at the last one counted
-                have = {n: len(entries) - expected + k**n}
-            raise ValueError(f"entries not total at arity {n}: expected {k**n}, found {have[n]}")
-        if row is None:
-            listed = entries.values() if in_order else map(entries.__getitem__, universe[1:])
-            row = (self.default, *listed)
-            entries = _RowEntries(self.domain, self.max_arity, row)
+        if expected != size:  # a row fills the arities in order, so it falls short at arity m
+            found = size - expected + k**m
+            raise ValueError(f"entries not total at arity {m}: expected {k**m}, found {found}")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_row", row)
         object.__setattr__(self, "_attained", attained)

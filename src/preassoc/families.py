@@ -67,18 +67,9 @@ class Interval:
         ):
             raise ValueError(f"interval {self} holds no real number")
 
-    def contains(self, x: float) -> bool:
-        if self.lo_open:
-            if x <= self.lo:
-                return False
-        elif x < self.lo - ABS_TOL:
-            return False
-        if self.hi_open:
-            if x >= self.hi:
-                return False
-        elif x > self.hi + ABS_TOL:
-            return False
-        return True
+    def contains(self, x: float) -> bool:  # each test is a comparison NaN fails
+        above = x > self.lo if self.lo_open else x >= self.lo - ABS_TOL
+        return above and (x < self.hi if self.hi_open else x <= self.hi + ABS_TOL)
 
     def __str__(self):
         left = "]" if self.lo_open else "["

@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import islice
 from json.encoder import encode_basestring
 
-from .core import EPSILON, Chain, TableFn, Verdict, Witness
+from .core import EPSILON, Chain, TableFn, Verdict, Witness, _reach
 from .errors import FunctionFileError, UnknownSymbolError
 
 EPSILON_TOKEN = "ε"
@@ -310,7 +310,8 @@ def _canonical_fields(text: str):
     ``tuples_up_to`` order: the text is then ``dumps_function`` of the table
     these arguments make, byte for byte, which ``json.loads`` reads back to the
     same fields and entries, so ``table_from_dict`` would give the same table
-    or refusal.  Heads are built only for an entry count that fits.
+    or refusal.  Heads are built only once the entries number the tuples of
+    length 1..N, by the count the constructor takes (``core._reach``).
     """
     header, found, body = text.partition(',\n "entries": [')
     body, tail, end = body.rpartition("\n  }\n ]\n}\n")
@@ -324,15 +325,12 @@ def _canonical_fields(text: str):
     if codomain is None or header != _header(domain, codomain, default, max_arity, 1):
         return None
     pieces = body.split("\n  },")
-    expected = 0
-    for n in range(1, max_arity + 1):  # stops past len(pieces), however large max_arity is
-        expected += len(domain) ** n
-        if expected > len(pieces):
-            return None
-    heads = _entry_heads(chain, max_arity, 1) if expected == len(pieces) else ()
+    if _reach(len(domain), max_arity, len(pieces))[1] != len(pieces):
+        return None
+    heads = _entry_heads(chain, max_arity, 1)
     tokens = {encode_basestring(_value_token(v)): v for v in codomain}
     row = [default, *map(tokens.get, map(str.removeprefix, pieces, heads))]
-    if not heads or None in row or not all(map(str.startswith, pieces, heads)):
+    if None in row or not all(map(str.startswith, pieces, heads)):
         return None
     return chain, codomain, max_arity, row
 

@@ -182,6 +182,23 @@ def _valued(chain, n, value):
     return {t: value(t) for t in chain.tuples_up_to(n)[1:]}
 
 
+_KEY_FAULT = r"^entry key '10' is not a tuple$"
+_VALUE_FAULT = r"^entry value '7' at \('1',\) is outside the codomain$"
+_SHORT_FAULT = r"^entries not total at arity 2: expected 4, found 3$"
+_LONG_FAULT = r"^entry arity 3 outside 1\.\.2$"
+
+#: fault -> changes to the 2-chain's arity-2 table t -> t[0]: t: a new value
+#: at t, ("key", t): a key in t's stead, ("drop", t): no entry at t, and
+#: "extra": one entry past N, after the last
+_TWO_FAULTS = {
+    "key+value": {("0", "0"): "7", ("key", ("1", "0")): "10"},
+    "value+short": {("1",): "7", ("drop", ("1", "1")): True},
+    "value+hole": {("1",): "7", ("drop", ("0", "1")): True},
+    "two-values": {("1",): "7", ("1", "0"): "8"},
+    "long+value": {("1",): "7", "extra": True},
+}
+
+
 #: case -> (chain, codomain, max arity, default, entries in canonical order)
 ROW_CASES = {
     "symbol-default": lambda: (
@@ -331,7 +348,7 @@ class TestRow:
         assert fn == twin and twin == fn and fn == TableFn._of_row(chain, codomain, n, fn._row)
         assert fn != changed and changed != fn and twin != changed and changed != twin
 
-    @pytest.mark.parametrize("order", ["canonical", "reversed"])
+    @pytest.mark.parametrize("order", ["canonical", "reversed", "shuffled"])
     @pytest.mark.parametrize(
         "fault,error,message",
         [
@@ -356,6 +373,62 @@ class TestRow:
                 items.append((fault, v))
         with pytest.raises(error, match=message):
             TableFn(chain2, chain2.elements, 2, EPSILON, _listed(dict(items), order))
+
+    @pytest.mark.parametrize(
+        "fault,kind,message",
+        [
+            ("key+value", "in-order", _KEY_FAULT),
+            ("key+value", "reversed", _KEY_FAULT),
+            # a mapping in row order is read as its row: its values before its length
+            ("value+short", "row", _VALUE_FAULT),
+            ("value+short", "in-order", _VALUE_FAULT),
+            # a mapping that skips a tuple and is no prefix of the row: short before any value
+            ("value+short", "reversed", _SHORT_FAULT),
+            ("value+hole", "in-order", _SHORT_FAULT),
+            ("value+hole", "reversed", _SHORT_FAULT),
+            # two bad values: the first in tuple order, whatever order they were listed in
+            ("two-values", "row", _VALUE_FAULT),
+            ("two-values", "in-order", _VALUE_FAULT),
+            ("two-values", "reversed", _VALUE_FAULT),
+            # one entry past the tuples of length N, with a bad value: the length first
+            ("long+value", "row", _LONG_FAULT),
+            ("long+value", "in-order", _LONG_FAULT),
+            ("long+value", "reversed", _LONG_FAULT),
+        ],
+    )
+    def test_of_two_faults_each_input_kind_names_the_same_one(self, chain2, fault, kind, message):
+        items = [(t, t[0]) for t in chain2.tuples_up_to(2)[1:]]
+        changes = _TWO_FAULTS[fault]
+        items = [
+            (changes.get(("key", t), t), changes.get(t, v))
+            for t, v in items if ("drop", t) not in changes
+        ]
+        if "extra" in changes:
+            items.append((("0", "0", "0"), "0"))
+        with pytest.raises(ValueError, match=message):
+            if kind == "row":
+                TableFn._of_row(chain2, chain2.elements, 2, [EPSILON, *(v for _, v in items)])
+            else:
+                given = dict(items if kind == "in-order" else reversed(items))
+                TableFn(chain2, chain2.elements, 2, EPSILON, given)
+
+
+class TestReach:
+    """``core._reach``: the count of tuples of length 1..m the constructor and the reader share."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_reach_is_the_plain_sum_up_to_the_first_arity_past_the_count(self, k, n):
+        sums = [sum(k**a for a in range(1, m + 1)) for m in range(n + 1)]
+        sizes = {size for total in sums for size in (total - 1, total, total + 1) if size >= 0}
+        for size in sorted(sizes):
+            m = next((m for m in range(1, n + 1) if sums[m] > size), n)
+            assert core._reach(k, n, size) == (m, sums[m]), size
+
+    def test_reach_stops_at_the_count_however_large_the_arity(self):
+        assert core._reach(2, 10**9, 5) == (2, 6)
+        assert core._reach(1, 10**9, 0) == (1, 1)
+        assert core._reach(3, 10**9, 10**6) == (13, sum(3**a for a in range(1, 14)))
 
 
 class TestRanges:

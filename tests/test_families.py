@@ -75,6 +75,32 @@ class TestInterval:
         with pytest.raises(ValueError, match="interval end nan is not a number"):
             Interval(lo, hi)
 
+    @pytest.mark.parametrize(
+        "interval",
+        [
+            Interval(0, 1),
+            Interval(0, 1, True, True),
+            Interval(0, math.inf),
+            Interval(-math.inf, 0, hi_open=True),
+            Interval(),
+        ],
+        ids=["closed", "open", "half-line-up", "half-line-down", "line"],
+    )
+    def test_a_nan_point_lies_in_no_interval(self, interval):
+        assert not interval.contains(math.nan)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: make_quasi_sum(lambda x: x, lambda t: t, Interval(0, 1)),
+            lambda: make_ling(lambda x: 1 - x, lambda t: 1 - t, 0, 1),
+        ],
+        ids=["quasi_sum", "ling"],
+    )
+    def test_a_generated_family_refuses_a_nan_input(self, make):
+        with pytest.raises(ValueError, match=r"^input nan outside interval \[0(\.0)?, 1(\.0)?\]$"):
+            make().eval([0.5, math.nan])
+
     def test_a_closed_point_and_half_lines_are_intervals(self):
         assert Interval(1, 1).contains(1)
         assert Interval(-math.inf, 0).contains(-1e300)
